@@ -1,4 +1,5 @@
-"""Regenerate the golden trace files for test_determinism.py.
+"""Regenerate the golden files for test_determinism.py, test_flight.py
+and test_profile.py.
 
 Run from the repository root::
 
@@ -17,6 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from obs.test_determinism import GOLDEN_DIR, golden_program  # noqa: E402
 from obs.test_flight import loop_program  # noqa: E402
+from obs.test_profile import BLOCK_SIZES, WORKLOADS, golden_texts  # noqa: E402
 
 from repro.obs.flight import record_flight  # noqa: E402
 from repro.obs.trace import trace_program  # noqa: E402
@@ -33,6 +35,11 @@ def main() -> None:
     recorder, _ = record_flight(loop_program(), window_cycles=32)
     (GOLDEN_DIR / "flight_small.txt").write_text(recorder.dump())
     print(f"wrote {GOLDEN_DIR / 'flight_small.txt'}")
+    for name in WORKLOADS:
+        for block_size in BLOCK_SIZES:
+            for filename, text in golden_texts(name, block_size):
+                (GOLDEN_DIR / filename).write_text(text)
+                print(f"wrote {GOLDEN_DIR / filename}")
 
 
 if __name__ == "__main__":

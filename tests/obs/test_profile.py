@@ -4,9 +4,16 @@ The satellite contract: per-PC numbers reported by the profiler agree
 *exactly* with the dynamic analyzer's trace counts on at least three
 suite workloads at both cache geometries (16- and 32-byte blocks), and
 no site the static linter certifies ALWAYS ever shows a misprediction.
+
+The full ``to_json()`` payload and ``render_text()`` table of each
+workload at both primary block sizes are pinned byte for byte by the
+``golden/profile_*`` files (regenerate with
+``PYTHONPATH=src python tests/obs/make_golden.py`` and review the diff).
 """
 
+import json
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -17,12 +24,30 @@ from repro.workloads.suite import BENCHMARKS, build_benchmark
 
 WORKLOADS = ("compress", "xlisp", "tomcatv")
 BLOCK_SIZES = (16, 32)
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 @lru_cache(maxsize=None)
-def profiled(name):
+def profiled(name, primary_block_size=32):
     return profile_program(build_benchmark(name), name=name,
-                           block_sizes=BLOCK_SIZES)
+                           block_sizes=BLOCK_SIZES,
+                           primary_block_size=primary_block_size)
+
+
+def golden_texts(name, primary_block_size):
+    """(golden file name, current text) for one profile's JSON payload
+    (formatted as ``repro profile --json`` prints it) and text table."""
+    profile = profiled(name, primary_block_size)
+    stem = f"profile_{name}_b{primary_block_size}"
+    return ((f"{stem}.json", json.dumps(profile.to_json(), indent=2) + "\n"),
+            (f"{stem}.txt", profile.render_text() + "\n"))
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+@pytest.mark.parametrize("primary_block_size", BLOCK_SIZES)
+def test_output_matches_golden(name, primary_block_size):
+    for filename, text in golden_texts(name, primary_block_size):
+        assert text == (GOLDEN_DIR / filename).read_text(), filename
 
 
 @lru_cache(maxsize=None)
