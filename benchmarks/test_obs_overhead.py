@@ -11,8 +11,10 @@ fingerprint; on a different interpreter or machine the gate re-records
 instead of failing. Delete the file to force re-recording.
 
 **Relative, in-process** (portable): the flight recorder taps the
-pipeline's ring hook and its contract is <= 10% overhead over the
-detached predecode engine. A fully attached ``EventBus`` drops the
+pipeline's ring hook and the per-site counter tap (``pipe.sites``,
+which ``repro profile`` runs on) fills its counters inline; each
+contract is <= 10% overhead over the detached predecode engine. A
+fully attached ``EventBus`` drops the
 pipeline onto the record-building slow path, so it only has to stay
 within a generous 2x bound. Both comparisons run the variants
 adjacently within each repeat and gate on the *minimum* overhead ratio
@@ -33,7 +35,7 @@ from repro.fac import FacConfig
 from repro.obs.events import EventBus
 from repro.obs.flight import FlightRecorder
 from repro.obs.sinks import NullSink
-from repro.pipeline import MachineConfig, PipelineSimulator
+from repro.pipeline import MachineConfig, PipelineSimulator, SiteCounters
 from repro.workloads import build_benchmark
 
 BASELINE_PATH = Path(__file__).parent / "obs_baseline.json"
@@ -41,6 +43,7 @@ BASELINE_SCHEMA = "repro.obs-baseline/2"
 WORKLOADS = ("compress", "xlisp", "tomcatv")
 MAX_REGRESSION = 0.05          # vs recorded baseline, per engine
 MAX_FLIGHT_OVERHEAD = 0.10     # flight recorder vs detached predecode
+MAX_SITE_TAP_OVERHEAD = 0.10   # site counter tap vs detached predecode
 MAX_BUS_OVERHEAD = 1.00        # attached EventBus+NullSink vs detached
 REPEATS = 3
 RELATIVE_REPEATS = 5
@@ -92,6 +95,16 @@ def _run_flight(program):
     recorder = FlightRecorder(pipe, window_cycles=256)
     start = time.perf_counter()
     cpu.run_trace(recorder, 50_000_000)
+    elapsed = time.perf_counter() - start
+    return pipe.result.instructions, elapsed
+
+
+def _run_site_tap(program):
+    cpu = CPU(program)
+    pipe = PipelineSimulator(_config(), obs=None)
+    pipe.sites = SiteCounters()
+    start = time.perf_counter()
+    cpu.run_trace(pipe, 50_000_000)
     elapsed = time.perf_counter() - start
     return pipe.result.instructions, elapsed
 
@@ -197,6 +210,14 @@ def test_flight_recorder_overhead_within_budget():
         f"flight recorder costs {100 * overhead:.1f}% over the detached "
         f"predecode engine in every one of {RELATIVE_REPEATS} repeats "
         f"(> {100 * MAX_FLIGHT_OVERHEAD:.0f}% budget)")
+
+
+def test_site_tap_overhead_within_budget():
+    overhead = _min_overhead(_run_predecode, _run_site_tap, _programs())
+    assert overhead <= MAX_SITE_TAP_OVERHEAD, (
+        f"site counter tap costs {100 * overhead:.1f}% over the detached "
+        f"predecode engine in every one of {RELATIVE_REPEATS} repeats "
+        f"(> {100 * MAX_SITE_TAP_OVERHEAD:.0f}% budget)")
 
 
 def test_attached_null_bus_overhead_bounded():

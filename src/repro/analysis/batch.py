@@ -379,8 +379,8 @@ def load_use_distances(program: Program, cols: TraceColumns,
                        histogram: Histogram | None = None) -> Histogram:
     """Vectorized load-use distance histogram (retired instructions
     between a load and the first consumer of its destination register;
-    1 = back-to-back). Equal to the scalar ``_DistanceTracker`` pass in
-    :mod:`repro.obs.profile`."""
+    1 = back-to-back). ``tests/analysis/test_load_use_distances.py``
+    checks it against a scalar per-retirement oracle."""
     hist = histogram if histogram is not None else Histogram("load_use")
     ev_slots, ev_types, counts, starts = _register_events(program)
     idx = cols.index.astype(np.int64)

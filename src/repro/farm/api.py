@@ -20,6 +20,8 @@ import atexit
 import shutil
 import tempfile
 from collections import OrderedDict
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from repro.analysis.prediction import TraceAnalysis
 from repro.farm import jobs as farm_jobs
@@ -43,6 +45,10 @@ _memo: OrderedDict[tuple, object] = OrderedDict()
 
 _ephemeral_root: str | None = None
 
+#: The store :func:`using_store` pins for the current context.
+_pinned_store: ContextVar[ArtifactStore | None] = ContextVar(
+    "repro_farm_pinned_store", default=None)
+
 
 def _ephemeral_store_root() -> str:
     """Throwaway store used when persistence is disabled (REPRO_FARM=off)."""
@@ -54,10 +60,25 @@ def _ephemeral_store_root() -> str:
 
 
 def active_store() -> ArtifactStore:
-    """The store the current environment selects."""
+    """The store :func:`using_store` pinned, else the one the current
+    environment selects."""
+    pinned = _pinned_store.get()
+    if pinned is not None:
+        return pinned
     if store_enabled():
         return ArtifactStore(default_store_root())
     return ArtifactStore(_ephemeral_store_root())
+
+
+@contextmanager
+def using_store(store: ArtifactStore):
+    """Serve every store-backed lookup inside the block from ``store``,
+    whatever ``$REPRO_FARM_DIR`` says (``farm run --store DIR``)."""
+    token = _pinned_store.set(store)
+    try:
+        yield store
+    finally:
+        _pinned_store.reset(token)
 
 
 def _memoize(key: tuple, value) -> None:

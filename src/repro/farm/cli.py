@@ -146,15 +146,19 @@ def cmd_farm_run(args) -> int:
               file=sys.stderr)
 
     if not args.no_render and not summary["failed"]:
-        # Figures read through common.*_for, which hits the warm store.
-        for figure in figures:
-            _, runner_name = HARNESSES[figure]
-            runner = getattr(modules[figure], runner_name)
-            if figure in _NO_BENCHMARKS:
-                print(runner().render())
-            else:
-                print(runner(benchmarks).render())
-            print()
+        # Figures read through common.*_for, which hits the warm store
+        # the sweep just filled (not necessarily $REPRO_FARM_DIR's).
+        from repro.farm.api import using_store
+
+        with using_store(store):
+            for figure in figures:
+                _, runner_name = HARNESSES[figure]
+                runner = getattr(modules[figure], runner_name)
+                if figure in _NO_BENCHMARKS:
+                    print(runner().render())
+                else:
+                    print(runner(benchmarks).render())
+                print()
     return 1 if summary["failed"] else 0
 
 

@@ -19,8 +19,8 @@ kind                meaning
                     the verification outcome and failure *reason*
 ``fac.replay``      the MEM-stage replay an unsuccessful prediction
                     forces (1 extra cycle, plus a burned cache port)
-``mem.access``      one data-cache access with everything the profiler
-                    needs: pc, ea, hit, speculation outcome, latency
+``mem.access``      one data-cache access: pc, ea, hit, speculation
+                    outcome, latency
 ``cache.access``    tag-store activity on any cache (hit/miss/eviction/
                     writeback), from :class:`repro.cache.cache.Cache`
 ``tlb.access``      data-TLB translation hit/miss

@@ -2,38 +2,43 @@
 
 Combines three views of one program into a per-site table:
 
-* a **functional** pass (:func:`repro.analysis.analyze_program` with
-  ``per_pc=True``) supplies exact per-PC access and prediction-failure
-  counts at every requested block size -- by construction these agree
-  with the Tables 3/4 numbers, and the test suite asserts it;
-* a **timing** pass (:func:`repro.pipeline.simulate_program` with an
-  aggregating event sink) supplies cache misses, replay cycles, and
-  result latencies as the pipeline actually scheduled them;
+* a **functional** pass records the trace once, decodes it into numpy
+  columns and runs the vectorized analyzer
+  (:func:`repro.analysis.batch.analyze_trace_columns` with
+  ``per_pc=True``). It supplies exact per-PC access and
+  prediction-failure counts at every requested block size -- by
+  construction these agree with the Tables 3/4 numbers, and the test
+  suite asserts it;
+* a **timing** pass runs a detached
+  :class:`~repro.pipeline.pipeline.PipelineSimulator` with its per-site
+  counter tap (:class:`~repro.pipeline.pipeline.SiteCounters`) attached.
+  The tap supplies cache misses, FAC replays and load latencies as the
+  pipeline actually scheduled them, and costs the pipeline nothing on
+  its non-memory fast lane;
 * the **static** pass (:func:`repro.analysis.analyze_static`) supplies
   the lint verdict for each site, so hot mispredicting sites can be
   cross-checked against ``repro lint`` (an ALWAYS site with a measured
   misprediction would be a soundness bug).
 
-The same functional pass also derives the load-use-distance histogram
-(instructions between a load and the first consumer of its result) and
-the registry snapshot embedded in ``to_json()``.
+The same functional columns also yield the load-use-distance histogram
+(:func:`repro.analysis.batch.load_use_distances`: instructions between
+a load and the first consumer of its result) and the registry snapshot
+embedded in ``to_json()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.prediction import TraceAnalysis, TraceAnalyzer
+from repro.analysis.prediction import TraceAnalysis
 from repro.analysis.static_fac import analyze_static
 from repro.cpu.executor import CPU
 from repro.fac.config import FacConfig
 from repro.isa.disassembler import disassemble
 from repro.isa.program import Program
-from repro.obs.events import EventBus, FacReplay, MemAccess
 from repro.obs.metrics import Histogram, MetricsRegistry, safe_ratio
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.deps import sources_and_dests
-from repro.pipeline.pipeline import PipelineSimulator
+from repro.pipeline.pipeline import PipelineSimulator, SiteCounters
 from repro.pipeline.result import SimResult
 
 #: Structural schema (JSON-Schema subset) for ``repro profile --json``;
@@ -87,38 +92,6 @@ PROFILE_SCHEMA = {
         "metrics": {"type": "object"},
     },
 }
-
-
-class ProfileSink:
-    """Aggregating sink for the timing pass: per-PC cache/replay stats.
-
-    Keeps O(sites) state instead of O(events), so profiling long runs
-    stays cheap.
-    """
-
-    __slots__ = ("accesses", "misses", "replays", "replay_cycles",
-                 "load_latency")
-
-    def __init__(self):
-        self.accesses: dict[int, int] = {}
-        self.misses: dict[int, int] = {}
-        self.replays: dict[int, int] = {}
-        self.replay_cycles: dict[int, int] = {}
-        self.load_latency = Histogram("profile.load_latency")
-
-    def handle(self, event) -> None:
-        if isinstance(event, MemAccess):
-            pc = event.pc
-            self.accesses[pc] = self.accesses.get(pc, 0) + 1
-            if not event.hit:
-                self.misses[pc] = self.misses.get(pc, 0) + 1
-            if not event.is_store:
-                self.load_latency.record(event.result_ready - event.cycle)
-        elif isinstance(event, FacReplay):
-            pc = event.pc
-            self.replays[pc] = self.replays.get(pc, 0) + 1
-            self.replay_cycles[pc] = \
-                self.replay_cycles.get(pc, 0) + event.penalty
 
 
 @dataclass
@@ -266,72 +239,12 @@ class ProfileResult:
         return None
 
 
-class _DistanceTracker:
-    """:meth:`CPU.run_trace` consumer chaining a :class:`TraceAnalyzer`
-    with the load-use distance histogram.
-
-    Distance = retired instructions between a load and the first
-    consumer of its destination register (1 = back-to-back use).
-    Register dependences are static per instruction, so they are
-    resolved once per text word instead of once per retirement.
-    """
-
-    def __init__(self, analyzer: TraceAnalyzer, histogram: Histogram):
-        self._analyzer = analyzer
-        self._record = histogram.record
-        self._pending: dict[int, int] = {}  # register slot -> load index
-        self._index = 0
-        self._deps: dict[int, tuple] = {}   # id(inst) -> (srcs, dests, load)
-
-    def _track(self, inst) -> None:
-        deps = self._deps.get(id(inst))
-        if deps is None:
-            sources, dests = sources_and_dests(inst)
-            deps = self._deps[id(inst)] = (sources, dests, inst.info.is_load)
-        sources, dests, is_load = deps
-        pending = self._pending
-        index = self._index
-        if pending:
-            for slot in sources:
-                start = pending.pop(slot, None)
-                if start is not None:
-                    self._record(index - start)
-        if is_load:
-            for slot in dests:
-                pending[slot] = index
-        else:
-            for slot in dests:
-                pending.pop(slot, None)
-        self._index = index + 1
-
-    def trace_plain(self, pc, inst) -> None:
-        self._analyzer.trace_plain(pc, inst)
-        self._track(inst)
-
-    def trace_mem(self, rec) -> None:
-        self._analyzer.observe(rec)
-        self._track(rec.inst)
-
-    trace_branch = trace_mem
-
-
-def _load_use_distances(program: Program, analyzer: TraceAnalyzer,
-                        histogram: Histogram,
-                        max_instructions: int) -> CPU:
-    """One functional pass feeding ``analyzer`` and the distance histogram."""
-    cpu = CPU(program)
-    cpu.run_trace(_DistanceTracker(analyzer, histogram), max_instructions)
-    return cpu
-
-
-def _functional_pass_columnar(program: Program,
-                              block_sizes: tuple[int, ...],
-                              cache_size: int, distances: Histogram,
-                              max_instructions: int) -> TraceAnalysis:
-    """Columnar twin of the scalar functional pass: record the trace
-    once (keeping the CPU for memory usage / stdout), decode it into
-    columns, and run the vectorized analyzer and load-use kernel.
-    Produces the same analysis and histogram as the scalar pass."""
+def _functional_pass(program: Program, block_sizes: tuple[int, ...],
+                     cache_size: int, distances: Histogram,
+                     max_instructions: int) -> TraceAnalysis:
+    """Record the trace once (keeping the CPU for memory usage and
+    stdout), decode it into columns, and run the vectorized analyzer
+    and the load-use kernel (which fills ``distances``)."""
     import os
     import tempfile
 
@@ -361,44 +274,23 @@ def profile_program(
     primary_block_size: int = 32,
     cache_size: int = 16 * 1024,
     max_instructions: int = 50_000_000,
-    engine: str = "columnar",
 ) -> ProfileResult:
-    """Profile every load/store site of ``program``. See module docstring.
-
-    ``engine`` selects the functional pass: ``"columnar"`` (default)
-    records + decodes the trace and runs the vectorized batch analyzer,
-    ``"records"`` streams execution through the scalar
-    :class:`TraceAnalyzer`. Identical results either way (the profiler
-    equivalence test asserts it); the timing and static passes are
-    engine-independent.
-    """
+    """Profile every load/store site of ``program``. See module docstring."""
     if primary_block_size not in block_sizes:
         block_sizes = tuple(sorted(set(block_sizes) | {primary_block_size}))
-    if engine not in ("columnar", "records"):
-        raise ValueError(f"unknown engine {engine!r}; "
-                         "choose 'columnar' or 'records'")
 
     # 1. functional pass: exact per-PC prediction counts + load-use hist
     registry = MetricsRegistry()
     distances = registry.histogram("profile.load_use_distance")
-    if engine == "columnar":
-        analysis = _functional_pass_columnar(
-            program, block_sizes, cache_size, distances, max_instructions)
-    else:
-        analyzer = TraceAnalyzer(block_sizes, cache_size=cache_size,
-                                 per_pc=True)
-        cpu = _load_use_distances(program, analyzer, distances,
-                                  max_instructions)
-        analysis = analyzer.finish(cpu)
+    analysis = _functional_pass(program, block_sizes, cache_size, distances,
+                                max_instructions)
 
-    # 2. timing pass: replay cycles, dcache misses, latency distribution
-    sink = ProfileSink()
-    bus = EventBus([sink])
+    # 2. timing pass: dcache misses, replays and load latencies, counted
+    # by the site tap of a detached pipeline
     fac = FacConfig(cache_size=cache_size, block_size=primary_block_size)
     sim_cpu = CPU(program)
-    pipe = PipelineSimulator(MachineConfig(fac=fac), obs=bus)
-    # the attached observer makes the pipeline's plain-instruction fast
-    # lane defer to full feed(), so the event stream is unchanged
+    pipe = PipelineSimulator(MachineConfig(fac=fac))
+    tap = pipe.sites = SiteCounters()
     sim_cpu.run_trace(pipe, max_instructions)
     sim = pipe.finalize(memory_usage=sim_cpu.memory_usage)
 
@@ -414,7 +306,9 @@ def profile_program(
         accesses, failures = primary[pc]
         site_report = static.by_addr.get(pc)
         source = program.source_of(pc)
-        replay_cycles = sink.replay_cycles.get(pc, 0)
+        timing_accesses, misses, replays = tap.per_pc.get(pc, (0, 0, 0))
+        # a FAC replay re-runs the access in MEM: one cycle each
+        replay_cycles = replays
         if replay_cycles:
             replay_hist.record(replay_cycles)
         sites.append(SiteProfile(
@@ -425,16 +319,18 @@ def profile_program(
             is_store=program.instruction_at(pc).info.is_store,
             accesses=accesses,
             failures=failures,
-            misses=sink.misses.get(pc, 0),
-            timing_accesses=sink.accesses.get(pc, 0),
-            replays=sink.replays.get(pc, 0),
+            misses=misses,
+            timing_accesses=timing_accesses,
+            replays=replays,
             replay_cycles=replay_cycles,
             verdict=site_report.verdict.value if site_report else None,
             counts={bs: tuple(counts.get(pc, [0, 0]))
                     for bs, counts in per_pc.items()},
         ))
 
-    registry.histogram("profile.load_latency").merge(sink.load_latency)
+    load_latency = registry.histogram("profile.load_latency")
+    for cycles, loads in tap.load_latency.items():
+        load_latency.record(cycles, loads)
     sim.to_registry(registry, prefix="sim")
     return ProfileResult(
         program_name=name,

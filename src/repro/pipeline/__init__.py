@@ -2,7 +2,11 @@
 
 from repro.pipeline.btb import BranchTargetBuffer
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.pipeline import PipelineSimulator, simulate_program
+from repro.pipeline.pipeline import (
+    PipelineSimulator,
+    SiteCounters,
+    simulate_program,
+)
 from repro.pipeline.result import SimResult
 from repro.pipeline.tracer import TracedRun, trace_program
 
@@ -11,6 +15,7 @@ __all__ = [
     "MachineConfig",
     "PipelineSimulator",
     "SimResult",
+    "SiteCounters",
     "simulate_program",
     "TracedRun",
     "trace_program",

@@ -72,6 +72,23 @@ _FU_CLASS = {
 }
 
 
+class SiteCounters:
+    """Per-site counter tap: what the pipeline scheduled at each load or
+    store pc, counted inline by :meth:`PipelineSimulator._execute_memory`.
+
+    Attach with ``pipe.sites = SiteCounters()``. Only memory ops touch
+    the tap, so a tapped pipeline keeps its ``trace_plain`` fast lane.
+    """
+
+    __slots__ = ("per_pc", "load_latency")
+
+    def __init__(self):
+        #: pc -> [dcache accesses, dcache misses, FAC replays]
+        self.per_pc: dict[int, list[int]] = {}
+        #: load latency in cycles (result ready - issue) -> load count
+        self.load_latency: dict[int, int] = {}
+
+
 class PipelineSimulator:
     """Issue-cycle assignment engine; feed() one trace record at a time."""
 
@@ -125,6 +142,9 @@ class PipelineSimulator:
         # recorder adds no call frames to the hot loops; detached cost
         # is one attribute test per instruction.
         self._flight: tuple | None = None
+        # optional per-site counter tap (SiteCounters); detached cost is
+        # one attribute test per memory op, none on the fast lane
+        self.sites: SiteCounters | None = None
         # observability bookkeeping (only touched when obs is attached)
         self._seq = 0
         self._fac_outcome: tuple[bool | None, str | None] = (None, None)
@@ -487,6 +507,20 @@ class PipelineSimulator:
         else:
             result_ready = self._execute_fac_memory(rec, cycle, is_store,
                                                     miss_penalty, info)
+        sites = self.sites
+        if sites is not None:
+            row = sites.per_pc.get(rec.pc)
+            if row is None:
+                row = sites.per_pc[rec.pc] = [0, 0, 0]
+            row[0] += 1
+            if not hit:
+                row[1] += 1
+            if self._fac_outcome[0] is False:
+                row[2] += 1
+            if not is_store:
+                latency = sites.load_latency
+                cycles = result_ready - cycle
+                latency[cycles] = latency.get(cycles, 0) + 1
         if self.obs is not None:
             fac_success, fac_reason = self._fac_outcome
             self.obs.emit(MemAccess(

@@ -98,6 +98,31 @@ class TestRun:
         for kind in ("build", "trace", "analysis", "sim"):
             assert kind in out
 
+    def test_render_reads_the_store_option(self, store_dir, tmp_path,
+                                           monkeypatch, capsys):
+        from repro.farm.store import ArtifactStore
+
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.setenv("REPRO_FARM_DIR", str(elsewhere))
+        args = ["farm", "run", "--store", store_dir, "--jobs", "2",
+                "--quiet", "--suite", "eqntott", "--figures", "table3"]
+        assert main(args + ["--no-render"]) == 0
+        capsys.readouterr()
+
+        puts = []
+        real_put = ArtifactStore.put
+
+        def counting_put(self, *a, **kw):
+            puts.append(self.root)
+            return real_put(self, *a, **kw)
+
+        monkeypatch.setattr(ArtifactStore, "put", counting_put)
+        assert main(args) == 0
+        assert "Table 3" in capsys.readouterr().out
+        assert puts == []
+        assert list(elsewhere.iterdir()) == []
+
 
 class TestLedgerCommands:
     """run -> ledger -> history/timeline, through the real CLI."""
