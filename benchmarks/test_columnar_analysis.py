@@ -7,9 +7,9 @@ traces, measured end to end: trace decode plus the full analysis
 The scalar engine's rate is recorded in
 ``benchmarks/analysis_baseline.json``; like ``sim_baseline.json`` the
 file carries a host fingerprint, and on a different interpreter or
-machine the gate re-measures the scalar engine (still available via
-``engine="records"``) and re-records instead of comparing apples to
-oranges. Delete the file to force re-recording.
+machine the gate re-measures the scalar engine -- the spec
+``TraceAnalyzer`` fed by ``replay_into`` -- and re-records instead of
+comparing apples to oranges. Delete the file to force re-recording.
 
 The ``pytest-benchmark`` micro-benchmarks at the bottom report absolute
 rates for both engines plus the standalone decode and analytical-model
@@ -26,10 +26,10 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.batch import analyze_trace_columns
-from repro.analysis.prediction import analyze_trace
+from repro.analysis.prediction import TraceAnalyzer, analyze_trace
 from repro.cache.analytical import AnalyticalCacheModel
 from repro.cpu.coltrace import decode_tracefile
-from repro.cpu.tracefile import record_trace
+from repro.cpu.tracefile import record_trace, replay_into
 from repro.workloads import build_benchmark
 
 BASELINE_PATH = Path(__file__).parent / "analysis_baseline.json"
@@ -61,6 +61,13 @@ def traced(tmp_path_factory):
     return out
 
 
+def scalar_analysis(program, path):
+    """The spec analyzer replaying one tracefile."""
+    analyzer = TraceAnalyzer()
+    replay_into(program, path, analyzer)
+    return analyzer.result()
+
+
 def analysis_rate(traced, engine: str) -> float:
     """Best-of-N analysis throughput (trace records/s), decode/replay
     included."""
@@ -69,7 +76,10 @@ def analysis_rate(traced, engine: str) -> float:
         records = 0
         start = time.perf_counter()
         for program, path, count in traced:
-            analyze_trace(program, path, engine=engine)
+            if engine == "records":
+                scalar_analysis(program, path)
+            else:
+                analyze_trace(program, path)
             records += count
         elapsed = time.perf_counter() - start
         best = max(best, records / elapsed)
@@ -118,7 +128,7 @@ def test_columnar_analysis_throughput(benchmark, traced):
     program, path, count = traced[0]
 
     def run():
-        return analyze_trace(program, path, engine="columnar").instructions
+        return analyze_trace(program, path).instructions
 
     assert benchmark(run) == count
 
@@ -127,7 +137,7 @@ def test_scalar_analysis_throughput(benchmark, traced):
     program, path, count = traced[0]
 
     def run():
-        return analyze_trace(program, path, engine="records").instructions
+        return scalar_analysis(program, path).instructions
 
     assert benchmark(run) == count
 

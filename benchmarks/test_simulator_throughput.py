@@ -7,9 +7,9 @@ end-to-end timing-simulator throughput. The legacy engine's rates are
 recorded in ``benchmarks/sim_baseline.json``; like
 ``benchmarks/obs_baseline.json`` the file carries a host fingerprint,
 and on a different interpreter or machine the gate re-measures the
-legacy engine (still available via ``engine="step"``) and re-records
-instead of comparing apples to oranges. Delete the file to force
-re-recording.
+legacy engine -- the ``step()`` spec interpreter, driven by an inline
+loop here -- and re-records instead of comparing apples to oranges.
+Delete the file to force re-recording.
 
 The timing measurement runs with ``obs=None`` attached, so the gate
 doubles as the "no new per-instruction observability overhead" check
@@ -52,6 +52,16 @@ def _programs():
     return [build_benchmark(name) for name in WORKLOADS]
 
 
+def step_run(cpu, max_instructions: int = 100_000_000) -> None:
+    """Run ``cpu`` to exit on the ``step()`` interpreter under an
+    instruction budget."""
+    step = cpu.step
+    budget = max_instructions
+    while not cpu.halted and budget > 0:
+        step()
+        budget -= 1
+
+
 def functional_rate(programs, engine: str) -> float:
     """Best-of-N architectural-simulation throughput (instr/s)."""
     best = 0.0
@@ -60,7 +70,10 @@ def functional_rate(programs, engine: str) -> float:
         start = time.perf_counter()
         for program in programs:
             cpu = CPU(program)
-            cpu.run(engine=engine)
+            if engine == "step":
+                step_run(cpu)
+            else:
+                cpu.run()
             instructions += cpu.instructions_retired
         elapsed = time.perf_counter() - start
         best = max(best, instructions / elapsed)
@@ -161,7 +174,7 @@ def test_functional_simulator_throughput_legacy(benchmark):
 
     def run():
         cpu = CPU(program)
-        cpu.run(10_000_000, engine="step")
+        step_run(cpu, 10_000_000)
         return cpu.instructions_retired
 
     retired = benchmark(run)

@@ -1,14 +1,14 @@
 """Vectorized whole-trace analysis over columnar traces.
 
 :func:`analyze_trace_columns` is the batch twin of the scalar
-:func:`repro.analysis.prediction.analyze_trace`: the same
+:class:`repro.analysis.prediction.TraceAnalyzer`: the same
 :class:`~repro.analysis.prediction.TraceAnalysis` out of a handful of
 numpy passes over :class:`~repro.cpu.coltrace.TraceColumns` instead of
 one Python callback per record. The two are *snapshot-equal* -- their
 ``repro.metrics/1`` encodings are identical on every benchmark -- which
 the suite-wide equivalence test and the ``columnar-equivalence`` CI job
-enforce; the scalar path stays available behind ``engine="records"`` as
-the oracle.
+enforce. The scalar analyzer, driven by ``CPU.step`` or
+``replay_into``, is that oracle; no production path calls it.
 
 The FAC verification signals vectorize directly because the circuit is
 pure bit arithmetic (paper Section 3): Overflow, GenCarry,
@@ -229,7 +229,7 @@ def analyze_trace_columns(program: Program, cols: TraceColumns,
                           full_tag_add: bool = True,
                           per_pc: bool = False, memory_usage: int = 0,
                           stdout: str = "") -> TraceAnalysis:
-    """Vectorized :func:`~repro.analysis.prediction.analyze_trace`.
+    """The full :class:`TraceAnalysis` of one trace, from its columns.
 
     Produces a :class:`TraceAnalysis` whose ``repro.metrics/1`` snapshot
     equals the scalar analyzer's for the same trace (``per_pc`` tables

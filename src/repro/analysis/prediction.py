@@ -13,6 +13,13 @@ One functional pass per program collects, simultaneously:
 This is much faster than the full timing model and is exactly what the
 paper's Tables 3 and 4 report (the timing-dependent columns -- cycles --
 come from :mod:`repro.pipeline`).
+
+:func:`analyze_program` and :func:`analyze_trace` run the vectorized
+analyzer of :mod:`repro.analysis.batch` over trace columns.
+:class:`TraceAnalyzer` is the record-at-a-time specification of the
+same analysis; no production path calls it, and the test suite drives
+it from ``CPU.step`` or ``replay_into`` as the oracle the batch
+analyzer must match snapshot for snapshot.
 """
 
 from __future__ import annotations
@@ -90,7 +97,7 @@ class TraceAnalysis:
 
 
 class TraceAnalyzer:
-    """Single-pass trace analyzer."""
+    """Single-pass, record-at-a-time trace analyzer (the spec)."""
 
     def __init__(self, block_sizes: tuple[int, ...] = (16, 32),
                  cache_size: int = 16 * 1024, full_tag_add: bool = True,
@@ -186,16 +193,9 @@ class TraceAnalyzer:
             self._last_iblock = iblock
             self.icache.access(pc)
 
-    def finish(self, cpu: CPU) -> TraceAnalysis:
-        return self.result(memory_usage=cpu.memory_usage,
-                           instructions=cpu.instructions_retired,
-                           stdout=cpu.stdout())
-
-    def result(self, memory_usage: int = 0, instructions: int | None = None,
-               stdout: str = "") -> TraceAnalysis:
-        """Finish without a live CPU (trace-replay path): the functional
-        facts a trace does not carry are passed in explicitly.
-        ``instructions`` defaults to the observed record count."""
+    def result(self, memory_usage: int = 0, stdout: str = "") -> TraceAnalysis:
+        """Finish the analysis. The functional facts the records do not
+        carry are passed in explicitly."""
         return TraceAnalysis(
             profile=self.profile,
             predictions=self.stats,
@@ -203,8 +203,7 @@ class TraceAnalyzer:
             dcache_miss_ratio=self.dcache.miss_ratio,
             tlb_miss_ratio=self.tlb.miss_ratio,
             memory_usage=memory_usage,
-            instructions=(self.profile.instructions
-                          if instructions is None else instructions),
+            instructions=self.profile.instructions,
             stdout=stdout,
             per_pc=self.per_pc,
         )
@@ -212,60 +211,37 @@ class TraceAnalyzer:
 
 def analyze_program(program: Program, block_sizes: tuple[int, ...] = (16, 32),
                     max_instructions: int = 50_000_000,
-                    per_pc: bool = False,
-                    engine: str = "predecoded") -> TraceAnalysis:
-    """Run ``program`` functionally and collect the full analysis.
+                    per_pc: bool = False) -> TraceAnalysis:
+    """Run ``program`` functionally and collect the full analysis: the
+    execution is recorded straight into columns
+    (:func:`repro.cpu.coltrace.record_columns`) and analyzed by the
+    vectorized batch analyzer."""
+    from repro.analysis.batch import analyze_trace_columns
+    from repro.cpu.coltrace import record_columns
 
-    ``engine="predecoded"`` streams the execution through
-    :meth:`CPU.run_trace` (no per-instruction record allocation for
-    non-memory, non-branch instructions); ``engine="step"`` keeps the
-    legacy decode-per-step loop. Both produce identical analyses.
-    """
     cpu = CPU(program)
-    analyzer = TraceAnalyzer(block_sizes, per_pc=per_pc)
-    if engine == "step":
-        observe = analyzer.observe
-        step = cpu.step
-        budget = max_instructions
-        while not cpu.halted and budget > 0:
-            observe(step())
-            budget -= 1
-    else:
-        cpu.run_trace(analyzer, max_instructions)
-    return analyzer.finish(cpu)
+    cols = record_columns(program, max_instructions, cpu=cpu)
+    return analyze_trace_columns(
+        program, cols, block_sizes=block_sizes, per_pc=per_pc,
+        memory_usage=cpu.memory_usage, stdout=cpu.stdout())
 
 
 def analyze_trace(program: Program, trace_path: str,
                   block_sizes: tuple[int, ...] = (16, 32),
                   per_pc: bool = False, memory_usage: int = 0,
-                  stdout: str = "", engine: str = "columnar") -> TraceAnalysis:
+                  stdout: str = "") -> TraceAnalysis:
     """Collect the full analysis from a recorded trace
     (:mod:`repro.cpu.tracefile`) instead of a live execution.
 
     One functional capture drives any number of analyzer geometries
     without re-interpreting the program; ``memory_usage`` and ``stdout``
-    come from the trace artifact's metadata when available.
+    come from the trace artifact's metadata when available. The trace
+    is decoded into columns and analyzed by the vectorized batch
+    analyzer (:mod:`repro.analysis.batch`)."""
+    from repro.analysis.batch import analyze_trace_columns
+    from repro.cpu.coltrace import decode_tracefile
 
-    ``engine="columnar"`` (default) decodes the trace into column
-    arrays and runs the vectorized batch analyzer
-    (:mod:`repro.analysis.batch`); ``engine="records"`` replays the
-    stream through the scalar :class:`TraceAnalyzer` one record at a
-    time. Both produce snapshot-identical analyses -- the equivalence
-    suite asserts it on every benchmark -- so ``records`` exists as the
-    oracle, not a fallback."""
-    if engine == "columnar":
-        from repro.analysis.batch import analyze_trace_columns
-        from repro.cpu.coltrace import decode_tracefile
-
-        cols = decode_tracefile(program, trace_path)
-        return analyze_trace_columns(
-            program, cols, block_sizes=block_sizes, per_pc=per_pc,
-            memory_usage=memory_usage, stdout=stdout)
-    if engine != "records":
-        raise ValueError(f"unknown engine {engine!r}; "
-                         "choose 'columnar' or 'records'")
-    from repro.cpu.tracefile import replay_into
-
-    analyzer = TraceAnalyzer(block_sizes, per_pc=per_pc)
-    replay_into(program, trace_path, analyzer)
-    return analyzer.result(memory_usage=memory_usage, stdout=stdout)
+    return analyze_trace_columns(
+        program, decode_tracefile(program, trace_path),
+        block_sizes=block_sizes, per_pc=per_pc,
+        memory_usage=memory_usage, stdout=stdout)

@@ -5,9 +5,8 @@ from repro.cpu.state import ArchState
 from repro.cpu.tracefile import (
     record_trace,
     replay_into,
-    replay_trace,
     simulate_trace,
 )
 
 __all__ = ["CPU", "TraceRecord", "ArchState",
-           "record_trace", "replay_into", "replay_trace", "simulate_trace"]
+           "record_trace", "replay_into", "simulate_trace"]

@@ -8,6 +8,8 @@ column arrays (:class:`TraceColumns`): pc-index, effective address,
 base value, offset, flags, and next pc. Whole-trace analyses
 (:mod:`repro.analysis.batch`) then run as a handful of vectorized
 passes over the columns instead of millions of interpreter callbacks.
+A live analysis skips the file: :func:`record_columns` writes the same
+record stream to memory and decodes it with the same code.
 
 Columns serialize to a versioned on-disk container
 (:data:`COLTRACE_SCHEMA` = ``repro.coltrace/1``): a fixed header, a
@@ -22,6 +24,7 @@ trace exactly once per sweep (see ``ensure_coltrace`` in
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import struct
 from dataclasses import dataclass, field
@@ -37,15 +40,16 @@ except ImportError as exc:  # pragma: no cover - exercised only without numpy
         "('Columnar analysis') describes what it is used for."
     ) from exc
 
+from repro.cpu.executor import CPU
 from repro.cpu.tracefile import (
     _FLAG_FAR_TARGET,
     _FLAG_HAS_EA,
     _FLAG_HAS_TAKEN,
     _FLAG_TAKEN,
     _HEADER,
-    _MAGIC,
     _RECORD,
-    _VERSION,
+    _check_header,
+    _write_trace,
     program_crc,
 )
 from repro.errors import SimulationError
@@ -142,27 +146,26 @@ class TraceColumns:
             raise SimulationError("columns entry point mismatch")
 
 
-def _validate_header(header: bytes, path: str, program: Program) -> None:
-    if len(header) != _HEADER.size:
-        raise SimulationError(f"{path}: truncated trace header")
-    magic, version, __, crc, __reserved, entry = _HEADER.unpack(header)
-    if magic != _MAGIC:
-        raise SimulationError(f"{path}: not a trace file")
-    if version != _VERSION:
-        raise SimulationError(f"{path}: unsupported trace version {version}")
-    if crc != program_crc(program):
-        raise SimulationError(
-            f"{path}: trace was recorded against a different program")
-    if entry != program.entry:
-        raise SimulationError(f"{path}: entry point mismatch")
+def record_columns(program: Program, max_instructions: int = 50_000_000,
+                   cpu: CPU | None = None) -> TraceColumns:
+    """Execute ``program`` and return its trace as columns, without a
+    file: the v1 record stream is written to memory (no gzip) and
+    decoded exactly as :func:`decode_tracefile` decodes a file.
+
+    Pass a fresh ``cpu`` to keep the executor afterwards (memory usage,
+    stdout)."""
+    buffer = io.BytesIO()
+    _write_trace(buffer, program, max_instructions,
+                 cpu if cpu is not None else CPU(program))
+    return _decode_v1(program, buffer.getbuffer(), "<memory>")
 
 
 def decode_tracefile(program: Program, path: str) -> TraceColumns:
     """Decode one v1 tracefile into :class:`TraceColumns`.
 
-    Header validation matches :func:`repro.cpu.tracefile.replay_into`
-    exactly (magic, version, program CRC, entry point). The record
-    stream is reinterpreted through a packed structured dtype in one
+    Header validation is :func:`repro.cpu.tracefile.replay_into`'s
+    (magic, version, program CRC, entry point). The record stream is
+    reinterpreted through a packed structured dtype in one
     ``frombuffer`` per far-target segment -- far targets are the only
     variable-length element, and they are rare (indirect jumps whose
     delta does not fit 16 bits), so decode cost is dominated by the
@@ -173,7 +176,12 @@ def decode_tracefile(program: Program, path: str) -> TraceColumns:
             blob = stream.read()
     except (OSError, EOFError) as exc:
         raise SimulationError(f"{path}: corrupt trace file ({exc})") from exc
-    _validate_header(blob[:_HEADER.size], path, program)
+    return _decode_v1(program, blob, path)
+
+
+def _decode_v1(program: Program, blob, path: str) -> TraceColumns:
+    """Decode an uncompressed v1 stream (header included)."""
+    _check_header(blob[:_HEADER.size], path, program)
     body = memoryview(blob)[_HEADER.size:]
     rec_size = _RECORD.size
 

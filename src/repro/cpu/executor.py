@@ -2,10 +2,11 @@
 
 ``CPU.step()`` executes one instruction and returns a :class:`TraceRecord`
 describing what happened -- the effective address and its ingredients for
-memory operations, and the control-flow outcome for branches. The timing
-simulator (:mod:`repro.pipeline`) and the reference-behaviour analyses
-(:mod:`repro.analysis`) are both trace-driven consumers of these records,
-which keeps the architectural semantics in exactly one place.
+memory operations, and the control-flow outcome for branches. It is the
+specification interpreter; production paths run :meth:`CPU.run_trace`,
+which hands its consumers the same records. The timing simulator
+(:mod:`repro.pipeline`) and the reference-behaviour analyses
+(:mod:`repro.analysis`) are both trace-driven consumers of these records.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class CPU:
         self.state.reset(program.entry, program.gp_value, program.sp_value)
         self._insts = program.instructions
         self._text_base = program.text_base
-        # predecoded handler tables (repro.cpu.predecode), built lazily:
-        # many callers only ever step()
+        # predecoded handler tables (repro.cpu.predecode), built lazily
+        # on the first run_trace()
         self._tables = None
 
     def _load_image(self) -> None:
@@ -89,25 +90,11 @@ class CPU:
         stack = self.program.sp_value - self.sp_min
         return static + heap + stack
 
-    def run(self, max_instructions: int = 100_000_000,
-            engine: str = "predecoded") -> int:
-        """Run until exit or the instruction budget; returns retired count.
-
-        ``engine`` selects the interpreter: ``"predecoded"`` (default)
-        drives the threaded-dispatch tables of :mod:`repro.cpu.predecode`;
-        ``"step"`` keeps the legacy per-instruction decode loop (used by
-        the equivalence suite and for re-measuring baselines).
-        """
-        if engine == "step":
-            executed = 0
-            step = self.step
-            budget = max_instructions
-            while not self.halted and budget > 0:
-                step()
-                budget -= 1
-                executed += 1
-        else:
-            executed = self.run_trace(None, max_instructions)
+    def run(self, max_instructions: int = 100_000_000) -> int:
+        """Run until exit or the instruction budget on the predecoded
+        interpreter (:meth:`run_trace` with no consumer); returns the
+        retired count."""
+        executed = self.run_trace(None, max_instructions)
         if not self.halted and executed >= max_instructions > 0:
             raise SimulationError(
                 f"instruction budget exhausted after {max_instructions} instructions"
@@ -136,7 +123,7 @@ class CPU:
           branch/jump.
 
         A record handed to a hook is identical (field for field) to what
-        the legacy ``step()`` would have returned for that instruction.
+        the spec ``step()`` would have returned for that instruction.
         With ``consumer=None`` (or a consumer with none of the hooks)
         the loop runs architecture-only at full speed. Returns the
         number of instructions retired by this call; stops on halt or

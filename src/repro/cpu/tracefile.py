@@ -11,7 +11,10 @@ program, which supplies the instruction objects. A CRC of the text
 segment guards against replaying a trace into the wrong binary.
 
 Format: gzip-compressed stream of fixed-size little-endian records after
-a small header. ~19 bytes/record before compression.
+a small header. ~19 bytes/record before compression. Two readers share
+one header check: :func:`replay_into` streams records into trace hooks,
+and :func:`repro.cpu.coltrace.decode_tracefile` decodes them into
+columns.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import gzip
 import struct
 import zlib
-from typing import Iterator
 
 from repro.cpu.executor import CPU, TraceRecord
 from repro.errors import SimulationError
@@ -56,8 +58,7 @@ class _TraceWriter:
     A plain record's bytes depend only on its pc -- ``(index, 0, 0, 0,
     flags=0, delta=1)`` -- so they are packed once per static
     instruction and reused. Writes are batched; zlib's output is
-    independent of write chunking, so the compressed stream is
-    byte-identical to the legacy record-at-a-time writer.
+    independent of write chunking, so the file bytes are too.
     """
 
     __slots__ = ("_stream", "_text_base", "_plain", "_chunks", "count")
@@ -120,60 +121,34 @@ class _TraceWriter:
             del self._chunks[:]
 
 
+def _write_trace(stream, program: Program, max_instructions: int,
+                 cpu: CPU) -> int:
+    """Run ``cpu`` and write its v1 header and records to ``stream``;
+    returns the number of records written."""
+    stream.write(_HEADER.pack(_MAGIC, _VERSION, 0, program_crc(program),
+                              0, program.entry))
+    writer = _TraceWriter(stream, program.text_base)
+    cpu.run_trace(writer, max_instructions)
+    writer.flush()
+    return writer.count
+
+
 def record_trace(program: Program, path: str,
                  max_instructions: int = 50_000_000,
-                 cpu: CPU | None = None,
-                 engine: str = "predecoded") -> int:
+                 cpu: CPU | None = None) -> int:
     """Execute ``program`` and write its trace to ``path``; returns the
     number of instructions recorded.
 
     Pass a fresh ``cpu`` to keep the executor afterwards -- the farm
     reads ``memory_usage`` and captured stdout off it for the trace
-    artifact's metadata. Both engines produce byte-identical files:
-    the gzip header is written with a zero mtime and no embedded
-    filename, so the bytes are a pure function of the execution."""
-    if cpu is None:
-        cpu = CPU(program)
-    text_base = program.text_base
+    artifact's metadata. The gzip header is written with a zero mtime
+    and no embedded filename, so the bytes are a pure function of the
+    execution."""
     with open(path, "wb") as raw, \
             gzip.GzipFile(filename="", mode="wb", fileobj=raw,
                           mtime=0) as stream:
-        stream.write(_HEADER.pack(_MAGIC, _VERSION, 0, program_crc(program),
-                                  0, program.entry))
-        if engine == "step":
-            count = 0
-            budget = max_instructions
-            while not cpu.halted and budget > 0:
-                rec = cpu.step()
-                budget -= 1
-                count += 1
-                flags = 0
-                ea = 0
-                if rec.ea is not None:
-                    flags |= _FLAG_HAS_EA
-                    ea = rec.ea
-                if rec.taken is not None:
-                    flags |= _FLAG_HAS_TAKEN
-                    if rec.taken:
-                        flags |= _FLAG_TAKEN
-                delta = rec.next_pc - rec.pc
-                far = not (-32768 <= delta // 4 < 32768) or delta % 4 != 0
-                if far:
-                    flags |= _FLAG_FAR_TARGET
-                stream.write(_RECORD.pack(
-                    (rec.pc - text_base) >> 2, ea, rec.base_value,
-                    rec.offset_value if -(2**31) <= rec.offset_value < 2**31
-                    else rec.offset_value - 2**32,
-                    flags, 0 if far else delta // 4,
-                ))
-                if far:
-                    stream.write(struct.pack("<I", rec.next_pc))
-        else:
-            writer = _TraceWriter(stream, text_base)
-            cpu.run_trace(writer, max_instructions)
-            writer.flush()
-            count = writer.count
-    return count
+        return _write_trace(stream, program, max_instructions,
+                            cpu if cpu is not None else CPU(program))
 
 
 def _read(stream, size: int, path: str) -> bytes:
@@ -185,55 +160,21 @@ def _read(stream, size: int, path: str) -> bytes:
         raise SimulationError(f"{path}: corrupt trace file ({exc})") from exc
 
 
-def replay_trace(program: Program, path: str) -> Iterator[TraceRecord]:
-    """Yield the recorded trace as :class:`TraceRecord` objects."""
-    instructions = program.instructions
-    text_base = program.text_base
-    with gzip.open(path, "rb") as stream:
-        header = _read(stream, _HEADER.size, path)
-        if len(header) != _HEADER.size:
-            raise SimulationError(f"{path}: truncated trace header")
-        magic, version, __, crc, __reserved, entry = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise SimulationError(f"{path}: not a trace file")
-        if version != _VERSION:
-            raise SimulationError(f"{path}: unsupported trace version {version}")
-        if crc != program_crc(program):
-            raise SimulationError(
-                f"{path}: trace was recorded against a different program"
-            )
-        if entry != program.entry:
-            raise SimulationError(f"{path}: entry point mismatch")
-        while True:
-            raw = _read(stream, _RECORD.size, path)
-            if not raw:
-                return
-            if len(raw) != _RECORD.size:
-                raise SimulationError(f"{path}: truncated trace record")
-            index, ea, base, offset, flags, delta = _RECORD.unpack(raw)
-            pc = text_base + index * 4
-            if flags & _FLAG_FAR_TARGET:
-                extra = _read(stream, 4, path)
-                if len(extra) != 4:
-                    raise SimulationError(
-                        f"{path}: truncated far-target record"
-                    )
-                next_pc = struct.unpack("<I", extra)[0]
-            else:
-                next_pc = pc + delta * 4
-            taken = None
-            if flags & _FLAG_HAS_TAKEN:
-                taken = bool(flags & _FLAG_TAKEN)
-            inst = instructions[index]
-            # index-register offsets are register *values*: restore the
-            # executor's unsigned view (constants stay signed)
-            if offset < 0 and inst.info.mem_mode == "x":
-                offset &= 0xFFFFFFFF
-            yield TraceRecord(
-                pc, inst,
-                ea if flags & _FLAG_HAS_EA else None,
-                base, offset, taken, next_pc,
-            )
+def _check_header(header: bytes, path: str, program: Program) -> None:
+    """Validate a v1 trace header against ``program``: magic, version,
+    text CRC and entry point."""
+    if len(header) != _HEADER.size:
+        raise SimulationError(f"{path}: truncated trace header")
+    magic, version, __, crc, __reserved, entry = _HEADER.unpack(header)
+    if magic != _MAGIC:
+        raise SimulationError(f"{path}: not a trace file")
+    if version != _VERSION:
+        raise SimulationError(f"{path}: unsupported trace version {version}")
+    if crc != program_crc(program):
+        raise SimulationError(
+            f"{path}: trace was recorded against a different program")
+    if entry != program.entry:
+        raise SimulationError(f"{path}: entry point mismatch")
 
 
 def replay_into(program: Program, path: str, consumer) -> int:
@@ -258,20 +199,7 @@ def replay_into(program: Program, path: str, consumer) -> int:
     unpack = _RECORD.unpack_from
     count = 0
     with gzip.open(path, "rb") as stream:
-        header = _read(stream, _HEADER.size, path)
-        if len(header) != _HEADER.size:
-            raise SimulationError(f"{path}: truncated trace header")
-        magic, version, __, crc, __reserved, entry = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise SimulationError(f"{path}: not a trace file")
-        if version != _VERSION:
-            raise SimulationError(f"{path}: unsupported trace version {version}")
-        if crc != program_crc(program):
-            raise SimulationError(
-                f"{path}: trace was recorded against a different program"
-            )
-        if entry != program.entry:
-            raise SimulationError(f"{path}: entry point mismatch")
+        _check_header(_read(stream, _HEADER.size, path), path, program)
         buf = b""
         pos = 0
         while True:

@@ -14,7 +14,7 @@ All cells execute on the predecoded fast-dispatch engine
 (:mod:`repro.cpu.predecode`): traces are captured through
 :meth:`CPU.run_trace` and replayed through
 :func:`repro.cpu.tracefile.replay_into`, which is bit-for-bit equivalent
-to the legacy ``step()`` loop (see docs/performance.md) -- snapshots
+to the ``step()`` spec interpreter (see docs/performance.md) -- snapshots
 produced before this engine existed remain valid cache hits.
 
 Set ``REPRO_SUITE`` to a comma-separated subset (e.g.

@@ -388,53 +388,41 @@ def _analysis_columns(store: ArtifactStore, ckey: str, tkey: str, program):
 
 
 def ensure_analysis(store: ArtifactStore, name: str, software: bool,
-                    max_instructions: int, source: str | None = None,
-                    engine: str = "columnar") -> tuple[str, dict]:
+                    max_instructions: int,
+                    source: str | None = None) -> tuple[str, dict]:
     """Compute (or find) the trace analysis snapshot of one build.
 
-    ``engine="columnar"`` (default) goes through the ``coltrace``
-    artifact and the vectorized batch analyzer; ``engine="records"``
-    replays the tracefile through the scalar analyzer. Both engines
-    produce byte-identical snapshots under the *same* analysis key --
-    the columnar path is an implementation change, not a new cell, so
-    warm stores stay valid.
+    The cell goes through the ``coltrace`` artifact and the vectorized
+    batch analyzer, whose snapshot the test suite holds byte-identical
+    to the scalar spec analyzer's.
     """
-    from repro.analysis.prediction import analyze_trace
-
     manifest = ensure_manifest(store, name, software, source)
     key = analysis_key(name, software, manifest["program_crc"],
                        max_instructions, source)
     snapshot = store.get_json("analysis", key)
     if snapshot is not None:
         return key, snapshot
+    # imported on a miss only: a store hit must not pay for numpy
+    from repro.analysis.batch import analyze_trace_columns
+
     tkey, tmeta = ensure_trace(store, name, software, max_instructions,
                                source)
     program = build_program(name, software, source)
-    if engine == "columnar":
-        from repro.analysis.batch import analyze_trace_columns
-
-        ckey, _ = ensure_coltrace(store, name, software, max_instructions,
-                                  source)
-        # pin the inputs for the duration of the cell: a size-budgeted
-        # gc running between jobs must not evict what we are reading
-        store.pin("trace", tkey)
-        store.pin("coltrace", ckey)
-        try:
-            cols = _analysis_columns(store, ckey, tkey, program)
-            analysis = analyze_trace_columns(
-                program, cols, block_sizes=ANALYSIS_BLOCK_SIZES,
-                memory_usage=tmeta["memory_usage"], stdout=tmeta["stdout"],
-            )
-        finally:
-            store.unpin("coltrace", ckey)
-            store.unpin("trace", tkey)
-    else:
-        trace_path = store.payload_path("trace", tkey, TRACE_PAYLOAD)
-        analysis = analyze_trace(
-            program, str(trace_path), block_sizes=ANALYSIS_BLOCK_SIZES,
+    ckey, _ = ensure_coltrace(store, name, software, max_instructions,
+                              source)
+    # pin the inputs for the duration of the cell: a size-budgeted gc
+    # running between jobs must not evict what we are reading
+    store.pin("trace", tkey)
+    store.pin("coltrace", ckey)
+    try:
+        cols = _analysis_columns(store, ckey, tkey, program)
+        analysis = analyze_trace_columns(
+            program, cols, block_sizes=ANALYSIS_BLOCK_SIZES,
             memory_usage=tmeta["memory_usage"], stdout=tmeta["stdout"],
-            engine=engine,
         )
+    finally:
+        store.unpin("coltrace", ckey)
+        store.unpin("trace", tkey)
     snapshot = analysis_to_snapshot(analysis, meta={
         "cell": "analysis",
         "name": name,

@@ -2,8 +2,8 @@
 
 Combines three views of one program into a per-site table:
 
-* a **functional** pass records the trace once, decodes it into numpy
-  columns and runs the vectorized analyzer
+* a **functional** pass records the execution once, in memory,
+  straight into numpy columns and runs the vectorized analyzer
   (:func:`repro.analysis.batch.analyze_trace_columns` with
   ``per_pc=True``). It supplies exact per-PC access and
   prediction-failure counts at every requested block size -- by
@@ -242,24 +242,14 @@ class ProfileResult:
 def _functional_pass(program: Program, block_sizes: tuple[int, ...],
                      cache_size: int, distances: Histogram,
                      max_instructions: int) -> TraceAnalysis:
-    """Record the trace once (keeping the CPU for memory usage and
-    stdout), decode it into columns, and run the vectorized analyzer
-    and the load-use kernel (which fills ``distances``)."""
-    import os
-    import tempfile
-
+    """Record the execution straight into columns (keeping the CPU for
+    memory usage and stdout), then run the vectorized analyzer and the
+    load-use kernel (which fills ``distances``)."""
     from repro.analysis.batch import analyze_trace_columns, load_use_distances
-    from repro.cpu.coltrace import decode_tracefile
-    from repro.cpu.tracefile import record_trace
+    from repro.cpu.coltrace import record_columns
 
-    handle, path = tempfile.mkstemp(suffix=".fact.gz", prefix="repro-prof-")
-    os.close(handle)
-    try:
-        cpu = CPU(program)
-        record_trace(program, path, max_instructions, cpu=cpu)
-        cols = decode_tracefile(program, path)
-    finally:
-        os.unlink(path)
+    cpu = CPU(program)
+    cols = record_columns(program, max_instructions, cpu=cpu)
     analysis = analyze_trace_columns(
         program, cols, block_sizes=block_sizes, cache_size=cache_size,
         per_pc=True, memory_usage=cpu.memory_usage, stdout=cpu.stdout())

@@ -637,23 +637,11 @@ def simulate_program(
     config: MachineConfig | None = None,
     max_instructions: int = 50_000_000,
     obs=None,
-    engine: str = "predecoded",
 ) -> SimResult:
-    """Run ``program`` functionally and time it on the pipeline model.
-
-    ``engine="predecoded"`` streams the predecoded interpreter straight
-    into the pipeline's trace hooks; ``engine="step"`` keeps the legacy
-    step-and-feed loop. Both produce identical results.
-    """
+    """Run ``program`` functionally and time it on the pipeline model:
+    the predecoded interpreter streams straight into the pipeline's
+    trace hooks."""
     cpu = CPU(program, obs=obs)
     pipe = PipelineSimulator(config, obs=obs)
-    if engine == "step":
-        feed = pipe.feed
-        step = cpu.step
-        budget = max_instructions
-        while not cpu.halted and budget > 0:
-            feed(step())
-            budget -= 1
-    else:
-        cpu.run_trace(pipe, max_instructions)
+    cpu.run_trace(pipe, max_instructions)
     return pipe.finalize(memory_usage=cpu.memory_usage)

@@ -72,20 +72,13 @@ class TracedRun:
 
 
 def trace_program(program: Program, config: MachineConfig | None = None,
-                  max_instructions: int = 100_000,
-                  engine: str = "predecoded") -> TracedRun:
+                  max_instructions: int = 100_000) -> TracedRun:
     """Run ``program`` and record every instruction's pipeline timing."""
     cpu = CPU(program)
     pipe = PipelineSimulator(config)
     pipe.trace = []
-    if engine == "step":
-        budget = max_instructions
-        while not cpu.halted and budget > 0:
-            pipe.feed(cpu.step())
-            budget -= 1
-    else:
-        # an attached trace list makes the pipeline's plain-instruction
-        # fast lane fall back to full feed(), so every entry is recorded
-        cpu.run_trace(pipe, max_instructions)
+    # an attached trace list makes the pipeline's plain-instruction
+    # fast lane fall back to full feed(), so every entry is recorded
+    cpu.run_trace(pipe, max_instructions)
     result = pipe.finalize()
     return TracedRun(pipe.trace, result.cycles)

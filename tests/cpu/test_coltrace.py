@@ -11,10 +11,13 @@ from repro.cpu.coltrace import (
     columns_to_bytes,
     decode_tracefile,
     load_columns,
+    record_columns,
 )
-from repro.cpu.tracefile import record_trace, replay_trace
+from repro.cpu import CPU
+from repro.cpu.tracefile import record_trace
 from repro.errors import SimulationError
 from repro.isa.opcodes import OP_INFO
+from tests.oracles import replay_records
 
 SOURCE = """
 int v[64];
@@ -57,7 +60,7 @@ class TestDecode:
         is_mem = columns.is_mem
         is_branch = columns.is_branch
         taken = columns.taken
-        for i, rec in enumerate(replay_trace(program, trace_path)):
+        for i, rec in enumerate(replay_records(program, trace_path)):
             info = OP_INFO[rec.inst.op]
             assert int(pc[i]) == rec.pc
             assert int(columns.next_pc[i]) == rec.next_pc
@@ -104,6 +107,30 @@ class TestDecode:
             handle.write(blob[:-7])    # tear mid-record
         with pytest.raises(SimulationError, match="truncated trace record"):
             decode_tracefile(program, str(path))
+
+
+class TestRecordColumns:
+    """Live recording into memory decodes to exactly the columns of the
+    same execution recorded to a file."""
+
+    COLUMNS = ("index", "ea", "base", "offset", "flags", "next_pc")
+
+    def test_equals_decoded_tracefile(self, program, columns):
+        cpu = CPU(program)
+        live = record_columns(program, cpu=cpu)
+        assert cpu.halted and cpu.stdout()
+        assert cpu.instructions_retired == live.count
+        assert (live.text_base, live.entry, live.crc) == \
+            (columns.text_base, columns.entry, columns.crc)
+        for name in self.COLUMNS:
+            assert np.array_equal(getattr(live, name),
+                                  getattr(columns, name)), name
+        assert columns_to_bytes(live) == columns_to_bytes(columns)
+
+    def test_budget_stops_recording(self, program):
+        cpu = CPU(program)
+        assert record_columns(program, 100, cpu=cpu).count == 100
+        assert not cpu.halted
 
 
 class TestContainer:

@@ -1,8 +1,8 @@
 """Cross-engine equivalence and trace-protocol tests for the predecoded
 fast-dispatch engine (:mod:`repro.cpu.predecode`).
 
-The predecoded engine (``CPU.run_trace`` / ``CPU.run(engine="predecoded")``)
-must be bit-for-bit equivalent to the legacy ``step()`` loop: same
+The predecoded engine (``CPU.run_trace`` / ``CPU.run``) must be
+bit-for-bit equivalent to the ``step()`` spec interpreter: same
 architectural state, same stdout, same trace records, same faults at the
 same instruction boundaries.
 """
@@ -11,11 +11,15 @@ import pytest
 
 from repro.compiler import compile_and_link
 from repro.cpu import CPU
-from repro.cpu.executor import TraceRecord
 from repro.errors import SimulationError
-from repro.isa.assembler import assemble
 from repro.isa.opcodes import OP_INFO
-from repro.linker import LinkOptions, link
+from tests.oracles import (
+    MODES_ASM,
+    asm_program,
+    record_fields,
+    run_trace_records,
+    step_records,
+)
 
 MINIC_SOURCE = """
 int v[64];
@@ -28,98 +32,12 @@ int main() {
 }
 """
 
-# every addressing mode, FP memory, mult/div, and branch flavours
-MODES_ASM = """
-.text
-.globl __start
-__start:
-    addiu $t2, $sp, -64
-    li $t0, 5
-    sw $t0, 0($t2)          # c-mode store
-    lw $t3, 0($t2)          # c-mode load
-    li $t1, 4
-    swx $t3, $t1($t2)       # x-mode store
-    lwx $t4, $t1($t2)       # x-mode load
-    lwpi $t5, ($t2)+4       # p-mode load, base postincrement
-    swpi $t5, ($t2)+-4      # p-mode store, negative postincrement
-    lb $t6, 0($t2)
-    lhu $t7, 0($t2)
-    li.d $f4, 2.5
-    s.d $f4, -16($sp)
-    l.d $f6, -16($sp)
-    mul.d $f8, $f6, $f4
-    c.lt.d $f4, $f8
-    bc1t fp_taken
-    nop
-fp_taken:
-    li $t0, -6
-    li $t1, 7
-    mult $t0, $t1
-    mflo $a0
-    div $t1, $t0
-    mfhi $t8
-    blez $t0, neg_path
-    nop
-neg_path:
-    bgtz $t1, pos_path
-    nop
-pos_path:
-    jal leaf
-    move $a0, $v1
-    li $v0, 1
-    syscall
-    li $v0, 10
-    syscall
-leaf:
-    li $v1, 99
-    jr $ra
-"""
-
-
-def asm_program(source):
-    return link([assemble(source, "t")], LinkOptions())
-
-
-class _Collector:
-    """run_trace consumer that reconstructs the step() record stream."""
-
-    def __init__(self):
-        self.records = []
-
-    def trace_plain(self, pc, inst):
-        self.records.append(TraceRecord(pc, inst, None, 0, 0, None, pc + 4))
-
-    def trace_mem(self, rec):
-        self.records.append(rec)
-
-    trace_branch = trace_mem
-
-
-def step_records(program, budget=1_000_000):
-    cpu = CPU(program)
-    records = []
-    while not cpu.halted and budget > 0:
-        records.append(cpu.step())
-        budget -= 1
-    return cpu, records
-
-
-def run_trace_records(program, budget=1_000_000):
-    cpu = CPU(program)
-    collector = _Collector()
-    cpu.run_trace(collector, budget)
-    return cpu, collector.records
-
 
 def assert_same_execution(program, budget=1_000_000):
     cpu_a, recs_a = step_records(program, budget)
     cpu_b, recs_b = run_trace_records(program, budget)
-    assert len(recs_a) == len(recs_b)
-    for a, b in zip(recs_a, recs_b):
-        assert (a.pc, a.ea, a.base_value, a.offset_value, a.taken,
-                a.next_pc) == (b.pc, b.ea, b.base_value, b.offset_value,
-                               b.taken, b.next_pc)
-        assert a.inst is b.inst
+    assert [record_fields(r) for r in recs_a] == \
+        [record_fields(r) for r in recs_b]
     assert cpu_a.state.snapshot() == cpu_b.state.snapshot()
     assert cpu_a.stdout() == cpu_b.stdout()
     assert cpu_a.instructions_retired == cpu_b.instructions_retired
@@ -137,9 +55,9 @@ class TestEngineEquivalence:
 
     def test_run_engines_match(self):
         program = compile_and_link(MINIC_SOURCE)
-        cpu_a, cpu_b = CPU(program), CPU(program)
-        cpu_a.run(engine="step")
-        cpu_b.run(engine="predecoded")
+        cpu_a, _ = step_records(program)
+        cpu_b = CPU(program)
+        cpu_b.run()
         assert cpu_a.state.snapshot() == cpu_b.state.snapshot()
         assert cpu_a.stdout() == cpu_b.stdout()
         assert cpu_a.instructions_retired == cpu_b.instructions_retired
@@ -147,11 +65,14 @@ class TestEngineEquivalence:
     def test_budget_exhaustion_matches(self):
         source = ".text\n.globl __start\n__start:\nspin: b spin"
         program = asm_program(source)
-        for engine in ("step", "predecoded"):
-            cpu = CPU(program)
-            with pytest.raises(SimulationError, match="budget"):
-                cpu.run(1000, engine=engine)
-            assert cpu.instructions_retired == 1000
+        cpu = CPU(program)
+        with pytest.raises(SimulationError, match="budget"):
+            cpu.run(1000)
+        assert cpu.instructions_retired == 1000
+        reference, _ = step_records(program, 1000)
+        assert not reference.halted
+        assert cpu.state.snapshot() == reference.state.snapshot()
+        assert cpu.instructions_retired == reference.instructions_retired
 
     def test_budget_boundary_state_matches(self):
         # stopping mid-run must leave both engines at the same pc
@@ -214,12 +135,12 @@ __start:
 """
         program = asm_program(source)
         reference = self._step_until_fault(program)
-        for engine in ("step", "predecoded"):
-            cpu = CPU(program)
-            with pytest.raises(SimulationError, match="outside text segment"):
-                cpu.run(100, engine=engine)
-            assert cpu.state.pc == program.text_base + 0x4000
-            assert cpu.instructions_retired == reference.instructions_retired
+        assert reference.state.pc == program.text_base + 0x4000
+        cpu = CPU(program)
+        with pytest.raises(SimulationError, match="outside text segment"):
+            cpu.run(100)
+        assert cpu.state.pc == program.text_base + 0x4000
+        assert cpu.instructions_retired == reference.instructions_retired
 
 
 class TestRunTraceProtocol:

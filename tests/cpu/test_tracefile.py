@@ -3,17 +3,23 @@
 import pytest
 
 from repro.compiler import compile_and_link
-from repro.cpu import CPU
+from repro.cpu.coltrace import decode_tracefile
 from repro.cpu.tracefile import (
     program_crc,
     record_trace,
     replay_into,
-    replay_trace,
     simulate_trace,
 )
 from repro.errors import SimulationError
 from repro.fac import FacConfig
 from repro.pipeline import MachineConfig, simulate_program
+from tests.oracles import (
+    StepEngine,
+    hook_of,
+    record_fields,
+    replay_records,
+    step_records,
+)
 
 SOURCE = """
 int v[64];
@@ -42,17 +48,13 @@ def trace_path(program, tmp_path_factory):
 
 class TestRoundTrip:
     def test_replay_matches_live_execution(self, program, trace_path):
-        cpu = CPU(program)
-        for replayed in replay_trace(program, trace_path):
-            live = cpu.step()
-            assert replayed.pc == live.pc
-            assert replayed.inst is live.inst
-            assert replayed.ea == live.ea
-            assert replayed.base_value == live.base_value
-            assert replayed.offset_value == live.offset_value
-            assert replayed.taken == live.taken
-            assert replayed.next_pc == live.next_pc
+        """``replay_into`` hands over exactly the ``CPU.step`` record
+        stream, field for field."""
+        cpu, live = step_records(program)
         assert cpu.halted
+        assert replay_into(program, trace_path, object()) == len(live)
+        assert [record_fields(r) for r in replay_records(program, trace_path)] \
+            == [record_fields(r) for r in live]
 
     def test_simulate_trace_matches_simulate_program(self, program, trace_path):
         for config in (MachineConfig(), MachineConfig(fac=FacConfig())):
@@ -64,15 +66,16 @@ class TestRoundTrip:
 
 
 class TestEngines:
-    """The streaming writer (predecoded engine) and the legacy step loop
-    must produce byte-identical files, and ``replay_into`` must hand
-    consumers the same records ``replay_trace`` yields."""
+    """The streaming writer must produce the same bytes whether the
+    predecoded engine or the spec step loop drives it, and
+    ``replay_into`` must hand each hook the records ``CPU.step``
+    returns."""
 
     def test_engines_write_identical_bytes(self, program, tmp_path):
         step_path = str(tmp_path / "step.fact.gz")
         pre_path = str(tmp_path / "predecoded.fact.gz")
-        count_a = record_trace(program, step_path, engine="step")
-        count_b = record_trace(program, pre_path, engine="predecoded")
+        count_a = record_trace(program, step_path, cpu=StepEngine(program))
+        count_b = record_trace(program, pre_path)
         assert count_a == count_b
         with open(step_path, "rb") as a, open(pre_path, "rb") as b:
             assert a.read() == b.read()
@@ -86,24 +89,31 @@ class TestEngines:
             assert a.read() == b.read()
 
     def test_replay_into_matches_replay_trace(self, program, trace_path):
+        # the spec step loop is the reference the deleted generator
+        # form (replay_trace) used to stand in for
         class Full:
             def __init__(self):
                 self.records = []
 
             def trace_plain(self, pc, inst):
-                self.records.append((pc, inst, None, None))
+                self.records.append(("trace_plain", pc, inst, None, None))
 
             def trace_mem(self, rec):
-                self.records.append((rec.pc, rec.inst, rec.ea, rec.taken))
+                self.records.append(
+                    ("trace_mem", rec.pc, rec.inst, rec.ea, rec.taken))
 
-            trace_branch = trace_mem
+            def trace_branch(self, rec):
+                self.records.append(
+                    ("trace_branch", rec.pc, rec.inst, rec.ea, rec.taken))
 
         consumer = Full()
         count = replay_into(program, trace_path, consumer)
-        reference = list(replay_trace(program, trace_path))
+        _, reference = step_records(program)
         assert count == len(reference)
         assert len(consumer.records) == len(reference)
-        for (pc, inst, ea, taken), want in zip(consumer.records, reference):
+        for (hook, pc, inst, ea, taken), want in zip(consumer.records,
+                                                     reference):
+            assert hook == hook_of(want)
             assert pc == want.pc and inst is want.inst
             assert ea == want.ea and taken == want.taken
 
@@ -117,7 +127,7 @@ class TestEngines:
 
         consumer = MemOnly()
         count = replay_into(program, trace_path, consumer)
-        reference = list(replay_trace(program, trace_path))
+        _, reference = step_records(program)
         assert count == len(reference)
         assert consumer.eas == \
             [r.ea for r in reference if r.ea is not None]
@@ -149,7 +159,7 @@ class TestValidation:
     def test_wrong_program_rejected(self, trace_path):
         other = compile_and_link("int main() { return 1; }")
         with pytest.raises(SimulationError):
-            list(replay_trace(other, trace_path))
+            replay_into(other, trace_path, object())
 
     def test_not_a_trace_rejected(self, program, tmp_path):
         import gzip
@@ -158,12 +168,21 @@ class TestValidation:
         with gzip.open(path, "wb") as stream:
             stream.write(b"JUNKJUNKJUNKJUNKJUNK")
         with pytest.raises(SimulationError):
-            list(replay_trace(program, path))
+            replay_into(program, path, object())
 
 
 class TestCorruptTraces:
     """Edge cases in the on-disk format: tampered headers, truncated
-    records, gzip-level corruption, and the far-target extra word."""
+    records, gzip-level corruption, and the far-target extra word.
+    Both readers of the format -- ``replay_into`` and the columnar
+    ``decode_tracefile`` -- must reject each corruption alike."""
+
+    @staticmethod
+    def _assert_rejected(program, path, match=None):
+        with pytest.raises(SimulationError, match=match):
+            replay_into(program, path, object())
+        with pytest.raises(SimulationError, match=match):
+            decode_tracefile(program, path)
 
     @staticmethod
     def _header(program, crc=None):
@@ -189,34 +208,36 @@ class TestCorruptTraces:
     def test_tampered_crc_rejected(self, program, tmp_path):
         bad_crc = (program_crc(program) ^ 1) & 0xFFFFFFFF
         path = self._write(tmp_path, self._header(program, crc=bad_crc))
-        with pytest.raises(SimulationError, match="different program"):
-            list(replay_trace(program, path))
+        self._assert_rejected(program, path, "different program")
 
     def test_truncated_header_rejected(self, program, tmp_path):
         path = self._write(tmp_path, self._header(program)[:7])
-        with pytest.raises(SimulationError, match="truncated trace header"):
-            list(replay_trace(program, path))
+        self._assert_rejected(program, path, "truncated trace header")
 
     def test_truncated_record_rejected(self, program, tmp_path):
         path = self._write(
             tmp_path, self._header(program) + self._record(0)[:5])
-        with pytest.raises(SimulationError, match="truncated trace record"):
-            list(replay_trace(program, path))
+        self._assert_rejected(program, path, "truncated trace record")
 
     def test_far_target_extra_word_roundtrips(self, program, tmp_path):
         # A far target (branch delta outside the i16 range) stores the
         # absolute next pc as an extra little-endian u32 after the record.
         import struct
 
-        from repro.cpu.tracefile import _FLAG_FAR_TARGET
+        from repro.cpu.tracefile import (
+            _FLAG_FAR_TARGET,
+            _FLAG_HAS_TAKEN,
+            _FLAG_TAKEN,
+        )
 
         far_pc = program.text_base + 0x7FFF00
+        flags = _FLAG_FAR_TARGET | _FLAG_HAS_TAKEN | _FLAG_TAKEN
         path = self._write(
             tmp_path,
             self._header(program)
-            + self._record(0, flags=_FLAG_FAR_TARGET)
+            + self._record(0, flags=flags)
             + struct.pack("<I", far_pc))
-        records = list(replay_trace(program, path))
+        records = replay_records(program, path)
         assert len(records) == 1
         assert records[0].next_pc == far_pc
         assert records[0].pc == program.text_base
@@ -243,12 +264,10 @@ class TestCorruptTraces:
         program = link([assemble(source, "t")], LinkOptions())
         path = str(tmp_path / "far.fact.gz")
         record_trace(program, path)
-        live = []
-        cpu = CPU(program)
-        while not cpu.halted:
-            live.append(cpu.step())
-        replayed = list(replay_trace(program, path))
-        assert [r.next_pc for r in replayed] == [r.next_pc for r in live]
+        _, live = step_records(program)
+        replayed = replay_records(program, path)
+        assert [record_fields(r) for r in replayed] == \
+            [record_fields(r) for r in live]
         assert any(abs(r.next_pc - r.pc) >= 2**17 for r in replayed), \
             "test program no longer exercises " + str(_FLAG_FAR_TARGET)
 
@@ -260,15 +279,13 @@ class TestCorruptTraces:
             self._header(program)
             + self._record(0, flags=_FLAG_FAR_TARGET)
             + b"\x01\x02")
-        with pytest.raises(SimulationError, match="truncated far-target"):
-            list(replay_trace(program, path))
+        self._assert_rejected(program, path, "truncated far-target")
 
     def test_not_gzip_rejected(self, program, tmp_path):
         path = str(tmp_path / "plain.fact.gz")
         with open(path, "wb") as handle:
             handle.write(b"this is not a gzip stream at all")
-        with pytest.raises(SimulationError, match="corrupt trace file"):
-            list(replay_trace(program, path))
+        self._assert_rejected(program, path, "corrupt trace file")
 
     def test_truncated_gzip_stream_rejected(self, program, trace_path,
                                             tmp_path):
@@ -278,8 +295,7 @@ class TestCorruptTraces:
         path = str(tmp_path / "cut.fact.gz")
         with open(path, "wb") as handle:
             handle.write(data[: len(data) // 2])
-        with pytest.raises(SimulationError):
-            list(replay_trace(program, path))
+        self._assert_rejected(program, path)
 
 
 class TestLargeIndexOffsets:
@@ -303,10 +319,7 @@ __start:
         program = link([assemble(source, "t")], LinkOptions())
         path = str(tmp_path / "big.fact.gz")
         record_trace(program, path)
-        live = []
-        cpu = CPU(program)
-        while not cpu.halted:
-            live.append(cpu.step())
-        for replayed, reference in zip(replay_trace(program, path), live):
-            assert replayed.offset_value == reference.offset_value
-            assert replayed.ea == reference.ea
+        _, live = step_records(program)
+        assert [record_fields(r) for r in replay_records(program, path)] \
+            == [record_fields(r) for r in live]
+        assert any(r.offset_value >= 2**31 for r in live)

@@ -1,12 +1,17 @@
 """Job-graph planning, key resolution, and store-idempotent execution."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.farm import Cell, plan_jobs
 from repro.farm import jobs as farm_jobs
+from repro.farm.snapshots import analysis_to_snapshot
 from repro.farm.store import ArtifactStore
 from repro.fac import FacConfig
 from repro.pipeline.config import MachineConfig
+from tests.oracles import replay_analysis
 
 BENCH = "eqntott"
 MAX_INSTRUCTIONS = 10_000_000
@@ -179,14 +184,43 @@ class TestColtrace:
         assert meta["records"] > 0
 
     def test_engines_share_key_and_snapshot(self, store):
-        key_c, snap_c = farm_jobs.ensure_analysis(
-            store, BENCH, False, MAX_INSTRUCTIONS, engine="columnar")
-        # evict the cached snapshot so the records engine recomputes
-        store.remove("analysis", key_c)
-        key_r, snap_r = farm_jobs.ensure_analysis(
-            store, BENCH, False, MAX_INSTRUCTIONS, engine="records")
-        assert key_c == key_r
-        assert snap_c == snap_r
+        """The columnar cell's snapshot equals the spec analyzer's
+        replay of the same stored trace, and its key is stable."""
+        key, snapshot = farm_jobs.ensure_analysis(
+            store, BENCH, False, MAX_INSTRUCTIONS)
+        tkey, tmeta = farm_jobs.ensure_trace(store, BENCH, False,
+                                             MAX_INSTRUCTIONS)
+        trace_path = store.payload_path("trace", tkey,
+                                        farm_jobs.TRACE_PAYLOAD)
+        oracle = replay_analysis(
+            farm_jobs.build_program(BENCH, False), str(trace_path),
+            block_sizes=farm_jobs.ANALYSIS_BLOCK_SIZES,
+            memory_usage=tmeta["memory_usage"], stdout=tmeta["stdout"])
+        assert snapshot == analysis_to_snapshot(oracle, meta={
+            "cell": "analysis",
+            "name": BENCH,
+            "software_support": False,
+            "max_instructions": MAX_INSTRUCTIONS,
+        })
+        store.remove("analysis", key)
+        assert farm_jobs.ensure_analysis(
+            store, BENCH, False, MAX_INSTRUCTIONS) == (key, snapshot)
+
+    def test_store_hit_skips_the_analyzer_import(self, store):
+        """A warm analysis cell is a store read: it must not import the
+        batch analyzer (and numpy) into the reading process."""
+        farm_jobs.ensure_analysis(store, BENCH, False, MAX_INSTRUCTIONS)
+        code = (
+            "import sys\n"
+            "from repro.farm import jobs\n"
+            "from repro.farm.store import ArtifactStore\n"
+            f"jobs.ensure_analysis(ArtifactStore({str(store.root)!r}), "
+            f"{BENCH!r}, False, {MAX_INSTRUCTIONS})\n"
+            "assert 'repro.analysis.batch' not in sys.modules\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
 
     def test_inputs_pinned_while_analysis_in_flight(self, store,
                                                     monkeypatch):

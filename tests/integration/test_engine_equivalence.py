@@ -1,11 +1,13 @@
-"""Whole-stack cross-engine equivalence on a real suite benchmark.
+"""Whole-stack equivalence against the spec oracles on a real suite
+benchmark.
 
-The predecoded fast-dispatch engine must be bit-for-bit equivalent to
-the legacy ``step()`` interpreter everywhere results leave the
-simulator: ``repro.metrics/1`` snapshots, stdout, and tracefile bytes.
-``tools/check_sim_equivalence.py`` runs the same checks over the whole
-suite (the CI ``sim-equivalence`` job); this keeps one benchmark's
-worth in tier-1.
+The production paths -- the predecoded interpreter, the tracefile, and
+the columnar analyzer -- must be bit-for-bit equivalent to the
+``step()`` spec interpreter and the scalar ``TraceAnalyzer`` everywhere
+results leave the simulator: ``repro.metrics/1`` snapshots, stdout,
+executor state and trace records. ``tools/check_sim_equivalence.py``
+runs the same checks over the whole suite (the CI ``sim-equivalence``
+job); this keeps one benchmark's worth in tier-1.
 """
 
 import json
@@ -19,6 +21,15 @@ from repro.fac import FacConfig
 from repro.farm.snapshots import analysis_to_snapshot, sim_to_snapshot
 from repro.pipeline import MachineConfig, simulate_program
 from repro.workloads import build_benchmark
+from tests.oracles import (
+    MODES_ASM,
+    asm_program,
+    record_fields,
+    replay_records,
+    step_analysis,
+    step_records,
+    step_simulation,
+)
 
 BENCH = "compress"
 BUDGET = 120_000
@@ -34,31 +45,27 @@ def canon(snapshot):
 
 
 def test_tracefiles_and_state_identical(program, tmp_path):
-    cpus = {}
-    blobs = {}
-    for engine in ("step", "predecoded"):
-        path = tmp_path / f"{engine}.fact.gz"
-        cpu = CPU(program)
-        record_trace(program, str(path), BUDGET, cpu=cpu, engine=engine)
-        cpus[engine] = cpu
-        blobs[engine] = path.read_bytes()
-    assert blobs["step"] == blobs["predecoded"]
-    a, b = cpus["step"], cpus["predecoded"]
-    assert a.state.snapshot() == b.state.snapshot()
-    assert a.stdout() == b.stdout()
-    assert a.instructions_retired == b.instructions_retired
-    assert a.memory_usage == b.memory_usage
+    path = str(tmp_path / "trace.fact.gz")
+    cpu = CPU(program)
+    count = record_trace(program, path, BUDGET, cpu=cpu)
+    spec, live = step_records(program, BUDGET)
+    assert count == len(live)
+    assert [record_fields(r) for r in replay_records(program, path)] == \
+        [record_fields(r) for r in live]
+    assert cpu.state.snapshot() == spec.state.snapshot()
+    assert cpu.stdout() == spec.stdout()
+    assert cpu.instructions_retired == spec.instructions_retired
+    assert cpu.memory_usage == spec.memory_usage
 
 
 def test_analysis_snapshots_identical(program, tmp_path):
-    live = {
-        engine: canon(analysis_to_snapshot(
-            analyze_program(program, per_pc=True, max_instructions=BUDGET,
-                            engine=engine),
-            meta={"cell": "equivalence"}))
-        for engine in ("step", "predecoded")
-    }
-    assert live["step"] == live["predecoded"]
+    spec = canon(analysis_to_snapshot(
+        step_analysis(program, per_pc=True, budget=BUDGET),
+        meta={"cell": "equivalence"}))
+    live = canon(analysis_to_snapshot(
+        analyze_program(program, per_pc=True, max_instructions=BUDGET),
+        meta={"cell": "equivalence"}))
+    assert live == spec
 
     path = tmp_path / "trace.fact.gz"
     cpu = CPU(program)
@@ -67,7 +74,7 @@ def test_analysis_snapshots_identical(program, tmp_path):
         analyze_trace(program, str(path), per_pc=True,
                       memory_usage=cpu.memory_usage, stdout=cpu.stdout()),
         meta={"cell": "equivalence"}))
-    assert live["predecoded"] == replayed
+    assert live == replayed
 
 
 def test_sim_snapshots_identical(program, tmp_path):
@@ -75,16 +82,40 @@ def test_sim_snapshots_identical(program, tmp_path):
     cpu = CPU(program)
     record_trace(program, str(path), BUDGET, cpu=cpu)
     for machine in (MachineConfig(), MachineConfig(fac=FacConfig())):
-        live = {
-            engine: canon(sim_to_snapshot(
-                simulate_program(program, machine, max_instructions=BUDGET,
-                                 engine=engine),
-                meta={"cell": "equivalence"}))
-            for engine in ("step", "predecoded")
-        }
-        assert live["step"] == live["predecoded"]
+        spec = canon(sim_to_snapshot(
+            step_simulation(program, machine, BUDGET),
+            meta={"cell": "equivalence"}))
+        live = canon(sim_to_snapshot(
+            simulate_program(program, machine, max_instructions=BUDGET),
+            meta={"cell": "equivalence"}))
+        assert live == spec
         traced = canon(sim_to_snapshot(
             simulate_trace(program, str(path), machine,
                            memory_usage=cpu.memory_usage),
             meta={"cell": "equivalence"}))
-        assert live["predecoded"] == traced
+        assert live == traced
+
+
+@pytest.mark.parametrize("block_size", (16, 32))
+@pytest.mark.parametrize("target", ("modes", BENCH))
+def test_live_analysis_equals_spec(target, block_size, program, tmp_path):
+    """``analyze_program`` (recorded straight into columns) equals the
+    step-driven spec analyzer and the analysis of a recorded file:
+    snapshot and per-PC tables."""
+    if target == "modes":
+        program = asm_program(MODES_ASM)
+    sizes = (block_size,)
+    live = analyze_program(program, block_sizes=sizes, per_pc=True,
+                           max_instructions=BUDGET)
+    spec = step_analysis(program, sizes, per_pc=True, budget=BUDGET)
+    path = str(tmp_path / "trace.fact.gz")
+    cpu = CPU(program)
+    record_trace(program, path, BUDGET, cpu=cpu)
+    replayed = analyze_trace(program, path, block_sizes=sizes, per_pc=True,
+                             memory_usage=cpu.memory_usage,
+                             stdout=cpu.stdout())
+    assert live.instructions > 0 and live.per_pc[block_size]
+    for other in (spec, replayed):
+        assert canon(analysis_to_snapshot(live)) == \
+            canon(analysis_to_snapshot(other))
+        assert live.per_pc == other.per_pc

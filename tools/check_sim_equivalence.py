@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
-"""Cross-engine equivalence checker: legacy ``step()`` vs predecoded.
+"""Spec-oracle equivalence checker: ``CPU.step`` vs the production paths.
 
-For each requested benchmark this verifies, bit for bit:
+``CPU.step`` is the specification interpreter and ``TraceAnalyzer`` the
+specification analyzer; no production path calls either. For each
+requested benchmark this drives them directly and verifies, bit for
+bit:
 
-1. ``record_trace`` output bytes under ``engine="step"`` and
-   ``engine="predecoded"`` (plus the executor's final architectural
-   state, stdout, and retired-instruction count),
-2. ``TraceAnalysis`` ``repro.metrics/1`` snapshots from both live
-   engines *and* from replaying the recorded tracefile,
-3. ``SimResult`` snapshots from both live engines and from the
-   trace-replay path, across several machine flavours.
+1. the tracefile: ``replay_into`` on a ``record_trace`` file hands over
+   exactly the ``CPU.step`` record stream, field for field, and the
+   recording executor ends in the step loop's architectural state,
+   stdout, retired count and memory usage,
+2. ``TraceAnalysis`` ``repro.metrics/1`` snapshots from a step-driven
+   ``TraceAnalyzer``, from ``analyze_program`` (live, columnar) *and*
+   from ``analyze_trace`` on the recorded tracefile,
+3. ``SimResult`` snapshots from a step-and-feed pipeline loop, from
+   ``simulate_program`` and from the trace-replay path, across several
+   machine flavours.
 
 Run with no arguments for one representative benchmark (the CI
 ``sim-equivalence`` job), name benchmarks explicitly, or pass ``all``
@@ -32,13 +38,17 @@ import tempfile
 
 os.environ.setdefault("REPRO_FARM", "off")
 
-from repro.analysis.prediction import analyze_program, analyze_trace
+from repro.analysis.prediction import (
+    TraceAnalyzer,
+    analyze_program,
+    analyze_trace,
+)
 from repro.cpu.executor import CPU
-from repro.cpu.tracefile import record_trace, simulate_trace
+from repro.cpu.tracefile import record_trace, replay_into, simulate_trace
 from repro.fac.config import FacConfig
 from repro.farm.snapshots import analysis_to_snapshot, sim_to_snapshot
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.pipeline import simulate_program
+from repro.pipeline.pipeline import PipelineSimulator, simulate_program
 from repro.workloads.suite import BENCHMARKS, build_benchmark
 
 MACHINES = {
@@ -53,63 +63,98 @@ def canon(snapshot: dict) -> str:
     return json.dumps(snapshot, sort_keys=True)
 
 
+def fields(rec) -> tuple:
+    return (rec.pc, id(rec.inst), rec.ea, rec.base_value, rec.offset_value,
+            rec.taken, rec.next_pc)
+
+
+class StepLockstep:
+    """Replay consumer that steps a spec CPU alongside the recorded
+    stream and counts records whose fields differ."""
+
+    def __init__(self, program, max_instructions: int):
+        self.cpu = CPU(program)
+        self.budget = max_instructions
+        self.mismatches = 0
+
+    def _check(self, got: tuple) -> None:
+        if self.cpu.halted or self.budget <= 0:
+            self.mismatches += 1    # the recording ran past the spec
+            return
+        self.budget -= 1
+        if fields(self.cpu.step()) != got:
+            self.mismatches += 1
+
+    def trace_plain(self, pc, inst) -> None:
+        self._check((pc, id(inst), None, 0, 0, None, pc + 4))
+
+    def trace_mem(self, rec) -> None:
+        self._check(fields(rec))
+
+    trace_branch = trace_mem
+
+
 def check_benchmark(name: str, max_instructions: int, scratch: str) -> list[str]:
     problems: list[str] = []
     program = build_benchmark(name, software_support=False)
 
-    # 1. tracefile bytes + final executor state
-    paths = {}
-    cpus = {}
-    for engine in ("step", "predecoded"):
-        path = os.path.join(scratch, f"{name}-{engine}.fact.gz")
-        cpu = CPU(program)
-        record_trace(program, path, max_instructions, cpu=cpu, engine=engine)
-        paths[engine], cpus[engine] = path, cpu
-    with open(paths["step"], "rb") as a, open(paths["predecoded"], "rb") as b:
-        if a.read() != b.read():
-            problems.append("tracefile bytes differ")
-    a, b = cpus["step"], cpus["predecoded"]
-    if (a.instructions_retired != b.instructions_retired
-            or a.stdout() != b.stdout()
-            or a.memory_usage != b.memory_usage
-            or a.state.snapshot() != b.state.snapshot()):
+    # 1. tracefile records + final executor state
+    path = os.path.join(scratch, f"{name}.fact.gz")
+    cpu = CPU(program)
+    record_trace(program, path, max_instructions, cpu=cpu)
+    lockstep = StepLockstep(program, max_instructions)
+    replay_into(program, path, lockstep)
+    spec = lockstep.cpu
+    if lockstep.mismatches or (not spec.halted and lockstep.budget > 0):
+        problems.append("replayed records differ from the step stream")
+    if (cpu.instructions_retired != spec.instructions_retired
+            or cpu.stdout() != spec.stdout()
+            or cpu.memory_usage != spec.memory_usage
+            or cpu.state.snapshot() != spec.state.snapshot()):
         problems.append("executor state differs after record_trace")
 
-    # 2. analysis snapshots: live x2 + replay
-    live = {
-        engine: canon(analysis_to_snapshot(
-            analyze_program(program, per_pc=True,
-                            max_instructions=max_instructions,
-                            engine=engine),
-            meta={"cell": "equivalence"}))
-        for engine in ("step", "predecoded")
-    }
+    # 2. analysis snapshots: step-driven spec, live, replay
+    analyzer = TraceAnalyzer(per_pc=True)
+    spec = CPU(program)
+    budget = max_instructions
+    while not spec.halted and budget > 0:
+        analyzer.observe(spec.step())
+        budget -= 1
+    meta = {"cell": "equivalence"}
+    stepped = canon(analysis_to_snapshot(
+        analyzer.result(memory_usage=spec.memory_usage,
+                        stdout=spec.stdout()), meta=meta))
+    live = canon(analysis_to_snapshot(
+        analyze_program(program, per_pc=True,
+                        max_instructions=max_instructions), meta=meta))
     replayed = canon(analysis_to_snapshot(
-        analyze_trace(program, paths["predecoded"], per_pc=True,
-                      memory_usage=b.memory_usage, stdout=b.stdout()),
-        meta={"cell": "equivalence"}))
-    if live["step"] != live["predecoded"]:
-        problems.append("analysis snapshots differ between live engines")
-    if live["predecoded"] != replayed:
+        analyze_trace(program, path, per_pc=True,
+                      memory_usage=cpu.memory_usage, stdout=cpu.stdout()),
+        meta=meta))
+    if stepped != live:
+        problems.append("analysis snapshot differs between step and live")
+    if live != replayed:
         problems.append("analysis snapshot differs between live and replay")
 
-    # 3. timing snapshots: live x2 + replay, several flavours
+    # 3. timing snapshots: step-and-feed, live, replay; several flavours
     for label, machine in MACHINES.items():
-        sims = {
-            engine: canon(sim_to_snapshot(
-                simulate_program(program, machine,
-                                 max_instructions=max_instructions,
-                                 engine=engine),
-                meta={"cell": "equivalence"}))
-            for engine in ("step", "predecoded")
-        }
+        spec = CPU(program)
+        pipe = PipelineSimulator(machine)
+        budget = max_instructions
+        while not spec.halted and budget > 0:
+            pipe.feed(spec.step())
+            budget -= 1
+        stepped = canon(sim_to_snapshot(
+            pipe.finalize(memory_usage=spec.memory_usage), meta=meta))
+        live = canon(sim_to_snapshot(
+            simulate_program(program, machine,
+                             max_instructions=max_instructions), meta=meta))
         traced = canon(sim_to_snapshot(
-            simulate_trace(program, paths["predecoded"], machine,
-                           memory_usage=b.memory_usage),
-            meta={"cell": "equivalence"}))
-        if sims["step"] != sims["predecoded"]:
-            problems.append(f"sim snapshots differ between engines ({label})")
-        if sims["predecoded"] != traced:
+            simulate_trace(program, path, machine,
+                           memory_usage=cpu.memory_usage), meta=meta))
+        if stepped != live:
+            problems.append(f"sim snapshot differs step vs live ({label})")
+        if live != traced:
             problems.append(f"sim snapshot differs live vs replay ({label})")
     return problems
 
@@ -141,7 +186,7 @@ def main(argv=None) -> int:
     if failures:
         print(f"{failures}/{len(names)} benchmarks diverged", file=sys.stderr)
         return 1
-    print(f"all {len(names)} benchmarks bit-for-bit equivalent")
+    print(f"all {len(names)} benchmarks bit-for-bit equivalent to the spec")
     return 0
 
 
