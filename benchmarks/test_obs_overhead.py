@@ -2,22 +2,20 @@
 
 Two kinds of contract are enforced here:
 
-**Against a recorded baseline** (absolute, machine-specific): an
-*unattached* observer (``obs=None``) costs nearly nothing, so both the
-step-loop simulator and the predecoded ``run_trace`` engine must stay
-within 5% of the throughput recorded before/after instrumentation
-landed (``benchmarks/obs_baseline.json``). The baseline carries a host
+**Against a recorded baseline** (absolute, machine-specific): the
+detached observation hooks (the flight ring and the site tap, both
+None) cost nearly nothing, so both the step-loop simulator and the
+predecoded ``run_trace`` engine must stay within 5% of the throughput
+recorded before/after instrumentation landed
+(``benchmarks/obs_baseline.json``). The baseline carries a host
 fingerprint; on a different interpreter or machine the gate re-records
 instead of failing. Delete the file to force re-recording.
 
 **Relative, in-process** (portable): the flight recorder taps the
 pipeline's ring hook and the per-site counter tap (``pipe.sites``,
 which ``repro profile`` runs on) fills its counters inline; each
-contract is <= 10% overhead over the detached predecode engine. A
-fully attached ``EventBus`` drops the
-pipeline onto the record-building slow path, so it only has to stay
-within a generous 2x bound. Both comparisons run the variants
-adjacently within each repeat and gate on the *minimum* overhead ratio
+contract is <= 10% overhead over the detached predecode engine. Both
+comparisons run the variants adjacently within each repeat and gate on the *minimum* overhead ratio
 across repeats: machine-load drift inflates or deflates any single
 repeat by far more than the effect under test, but a genuine
 regression is present in every repeat, including the calm ones.
@@ -32,9 +30,7 @@ from pathlib import Path
 
 from repro.cpu import CPU
 from repro.fac import FacConfig
-from repro.obs.events import EventBus
 from repro.obs.flight import FlightRecorder
-from repro.obs.sinks import NullSink
 from repro.pipeline import MachineConfig, PipelineSimulator, SiteCounters
 from repro.workloads import build_benchmark
 
@@ -44,7 +40,6 @@ WORKLOADS = ("compress", "xlisp", "tomcatv")
 MAX_REGRESSION = 0.05          # vs recorded baseline, per engine
 MAX_FLIGHT_OVERHEAD = 0.10     # flight recorder vs detached predecode
 MAX_SITE_TAP_OVERHEAD = 0.10   # site counter tap vs detached predecode
-MAX_BUS_OVERHEAD = 1.00        # attached EventBus+NullSink vs detached
 REPEATS = 3
 RELATIVE_REPEATS = 5
 
@@ -70,7 +65,7 @@ def _config() -> MachineConfig:
 
 def _run_step_loop(program):
     cpu = CPU(program)
-    pipe = PipelineSimulator(_config(), obs=None)
+    pipe = PipelineSimulator(_config())
     feed = pipe.feed
     step = cpu.step
     start = time.perf_counter()
@@ -82,7 +77,7 @@ def _run_step_loop(program):
 
 def _run_predecode(program):
     cpu = CPU(program)
-    pipe = PipelineSimulator(_config(), obs=None)
+    pipe = PipelineSimulator(_config())
     start = time.perf_counter()
     cpu.run_trace(pipe, 50_000_000)
     elapsed = time.perf_counter() - start
@@ -91,7 +86,7 @@ def _run_predecode(program):
 
 def _run_flight(program):
     cpu = CPU(program)
-    pipe = PipelineSimulator(_config(), obs=None)
+    pipe = PipelineSimulator(_config())
     recorder = FlightRecorder(pipe, window_cycles=256)
     start = time.perf_counter()
     cpu.run_trace(recorder, 50_000_000)
@@ -101,17 +96,8 @@ def _run_flight(program):
 
 def _run_site_tap(program):
     cpu = CPU(program)
-    pipe = PipelineSimulator(_config(), obs=None)
+    pipe = PipelineSimulator(_config())
     pipe.sites = SiteCounters()
-    start = time.perf_counter()
-    cpu.run_trace(pipe, 50_000_000)
-    elapsed = time.perf_counter() - start
-    return pipe.result.instructions, elapsed
-
-
-def _run_attached_bus(program):
-    cpu = CPU(program)
-    pipe = PipelineSimulator(_config(), obs=EventBus([NullSink()]))
     start = time.perf_counter()
     cpu.run_trace(pipe, 50_000_000)
     elapsed = time.perf_counter() - start
@@ -187,7 +173,7 @@ def _gate_or_record(key: str, rate: float) -> None:
         return
     slowdown = 1.0 - rate / reference
     assert slowdown <= MAX_REGRESSION, (
-        f"{key} engine with obs=None runs at {rate:.0f} instr/s vs "
+        f"detached {key} engine runs at {rate:.0f} instr/s vs "
         f"recorded baseline {reference:.0f} instr/s "
         f"({100 * slowdown:.1f}% regression > {100 * MAX_REGRESSION:.0f}% "
         f"budget)")
@@ -218,12 +204,3 @@ def test_site_tap_overhead_within_budget():
         f"site counter tap costs {100 * overhead:.1f}% over the detached "
         f"predecode engine in every one of {RELATIVE_REPEATS} repeats "
         f"(> {100 * MAX_SITE_TAP_OVERHEAD:.0f}% budget)")
-
-
-def test_attached_null_bus_overhead_bounded():
-    overhead = _min_overhead(_run_predecode, _run_attached_bus,
-                             _programs(), repeats=REPEATS)
-    assert overhead <= MAX_BUS_OVERHEAD, (
-        f"attached EventBus+NullSink costs {100 * overhead:.1f}% over "
-        f"the detached predecode engine in every one of {REPEATS} "
-        f"repeats (> {100 * MAX_BUS_OVERHEAD:.0f}% budget)")

@@ -11,10 +11,10 @@ legacy engine -- the ``step()`` spec interpreter, driven by an inline
 loop here -- and re-records instead of comparing apples to oranges.
 Delete the file to force re-recording.
 
-The timing measurement runs with ``obs=None`` attached, so the gate
-doubles as the "no new per-instruction observability overhead" check
-for the streaming path (the feed-loop equivalent lives in
-``test_obs_overhead.py``).
+The timing measurement runs a detached pipeline (no flight ring, no
+site tap), so the gate doubles as the "no new per-instruction
+observability overhead" check for the streaming path (the feed-loop
+equivalent lives in ``test_obs_overhead.py``).
 
 The ``pytest-benchmark`` micro-benchmarks at the bottom report absolute
 rates for both engines and the predictor circuit.
@@ -89,8 +89,7 @@ def timing_rate(programs, engine: str) -> float:
         start = time.perf_counter()
         for program in programs:
             cpu = CPU(program)
-            pipe = PipelineSimulator(MachineConfig(fac=FacConfig()),
-                                     obs=None)
+            pipe = PipelineSimulator(MachineConfig(fac=FacConfig()))
             if engine == "step":
                 feed = pipe.feed
                 step = cpu.step

@@ -27,7 +27,7 @@ Quickstart::
     cpu.run()
 """
 
-from repro.cache import Cache, CacheConfig, StoreBuffer, TLB
+from repro.cache import Cache, CacheConfig, TLB
 from repro.compiler import CompilerOptions, FacSoftwareOptions, compile_and_link, compile_source
 from repro.cpu import CPU, TraceRecord
 from repro.fac import FacConfig, FastAddressCalculator, Prediction
@@ -40,7 +40,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Cache",
     "CacheConfig",
-    "StoreBuffer",
     "TLB",
     "CompilerOptions",
     "FacSoftwareOptions",

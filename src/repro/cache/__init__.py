@@ -1,7 +1,6 @@
-"""Cache-hierarchy substrates: caches, the store buffer, and a data TLB."""
+"""Cache-hierarchy substrates: set-associative caches and a data TLB."""
 
 from repro.cache.cache import Cache, CacheConfig
-from repro.cache.storebuffer import StoreBuffer
 from repro.cache.tlb import TLB
 
-__all__ = ["Cache", "CacheConfig", "StoreBuffer", "TLB"]
+__all__ = ["Cache", "CacheConfig", "TLB"]

@@ -7,9 +7,9 @@ machine of Table 5 uses 16 KB direct-mapped caches with 32-byte blocks
 and a 6-cycle miss latency.
 
 Statistics live in :mod:`repro.obs.metrics` containers (the uniform
-``as_dict()``/``merge()`` protocol); pass an
-:class:`~repro.obs.events.EventBus` as ``obs`` to stream per-access
-:class:`~repro.obs.events.CacheAccess` events.
+``as_dict()``/``merge()`` protocol). Per-access activity is not streamed:
+the timing model's D-cache outcomes reach observers through the
+pipeline's flight-recorder ring (:mod:`repro.obs.flight`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.obs.events import CacheAccess
 from repro.obs.metrics import Counter, RatioStat
 from repro.utils.bits import is_pow2, log2_exact
 
@@ -58,10 +57,9 @@ class CacheConfig:
 class Cache:
     """Tag store with hit/miss and write-back accounting."""
 
-    def __init__(self, config: CacheConfig | None = None, obs=None):
+    def __init__(self, config: CacheConfig | None = None):
         self.config = config or CacheConfig()
         cfg = self.config
-        self.obs = obs
         self._offset_bits = cfg.offset_bits
         self._index_bits = cfg.index_bits
         self._index_mask = cfg.num_sets - 1
@@ -101,30 +99,14 @@ class Cache:
                     entry[1] = True
                 if position != 0:
                     entries.insert(0, entries.pop(position))
-                if self.obs is not None:
-                    self.obs.emit(CacheAccess(
-                        level=self.config.name, address=address,
-                        is_write=is_write, hit=True,
-                        evicted=False, writeback=False,
-                    ))
                 return True
         self._accesses.record(False)
-        evicted = False
-        writeback = False
         if not (is_write and not self.config.write_allocate):
             if len(entries) >= self._assoc:
                 victim = entries.pop()
-                evicted = True
                 if victim[1]:
-                    writeback = True
                     self._writebacks.incr()
             entries.insert(0, [tag, is_write and self.config.write_back])
-        if self.obs is not None:
-            self.obs.emit(CacheAccess(
-                level=self.config.name, address=address,
-                is_write=is_write, hit=False,
-                evicted=evicted, writeback=writeback,
-            ))
         return False
 
     def invalidate_all(self) -> None:

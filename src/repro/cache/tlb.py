@@ -11,7 +11,6 @@ Replacement uses a deterministic xorshift PRNG so runs are repeatable.
 
 from __future__ import annotations
 
-from repro.obs.events import TlbAccess
 from repro.obs.metrics import RatioStat
 
 
@@ -19,7 +18,7 @@ class TLB:
     """Fully-associative TLB with random replacement."""
 
     def __init__(self, entries: int = 64, page_size: int = 4096,
-                 seed: int = 0x2545F491, obs=None):
+                 seed: int = 0x2545F491):
         self.capacity = entries
         self.page_shift = (page_size - 1).bit_length()
         if 1 << self.page_shift != page_size:
@@ -27,7 +26,6 @@ class TLB:
         self._pages: set[int] = set()
         self._order: list[int] = []
         self._rng_state = seed or 1
-        self.obs = obs
         self._accesses = RatioStat("tlb.accesses")
 
     def _rand(self) -> int:
@@ -44,8 +42,6 @@ class TLB:
         page = address >> self.page_shift
         if page in self._pages:
             self._accesses.record(True)
-            if self.obs is not None:
-                self.obs.emit(TlbAccess(address=address, hit=True))
             return True
         self._accesses.record(False)
         if len(self._order) >= self.capacity:
@@ -56,8 +52,6 @@ class TLB:
         else:
             self._order.append(page)
         self._pages.add(page)
-        if self.obs is not None:
-            self.obs.emit(TlbAccess(address=address, hit=False))
         return False
 
     @property

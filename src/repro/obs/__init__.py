@@ -1,50 +1,44 @@
 """``repro.obs`` -- the unified telemetry layer.
 
-Three pillars:
+Four pillars:
 
 * :mod:`repro.obs.events` -- typed structured events and the
-  :class:`~repro.obs.events.EventBus` threaded through the simulator
-  stack (pipeline, caches, TLB, store buffer, CPU),
+  :class:`~repro.obs.events.EventBus` that carries them from the
+  functional CPU (syscalls), the farm, span trackers and the serve
+  layer,
 * :mod:`repro.obs.metrics` -- the hierarchical metrics registry with the
   uniform ``as_dict()``/``merge()`` container protocol and versioned
   snapshots,
 * :mod:`repro.obs.sinks` -- pluggable event consumers: null, in-memory,
-  JSONL, and Chrome trace-event JSON (Perfetto-loadable),
+  JSONL, access log, and Chrome trace-event JSON (Perfetto-loadable),
 * :mod:`repro.obs.spans` -- hierarchical wall-clock spans
   (:class:`~repro.obs.spans.SpanTracker`) with parent links and
   cross-process adoption; the farm threads these through every sweep.
 
 Higher-level drivers live in submodules imported on demand (they pull in
 the whole simulator stack): :mod:`repro.obs.profile` for source-level FAC
-profiling (``repro profile``), :mod:`repro.obs.trace` for event-stream
-capture (``repro trace``), :mod:`repro.obs.flight` for the bounded
-pipeline flight recorder (``repro pipeview``), :mod:`repro.obs.explain`
-for the misprediction root-cause explainer (``repro explain``),
-:mod:`repro.obs.diff` for gated snapshot comparison (``repro diff``),
-and :mod:`repro.obs.report` for the static HTML dashboard
-(``repro report``).
+profiling (``repro profile``), :mod:`repro.obs.trace` for per-instruction
+trace export (``repro trace``), :mod:`repro.obs.flight` for the pipeline
+flight recorder (``repro pipeview``, and the unbounded ring behind
+``repro trace``), :mod:`repro.obs.explain` for the misprediction
+root-cause explainer (``repro explain``), :mod:`repro.obs.diff` for gated
+snapshot comparison (``repro diff``), and :mod:`repro.obs.report` for the
+static HTML dashboard (``repro report``).
 
-The default is observability *off*: every producer takes ``obs=None``
-and guards each emission with one attribute test, keeping the
-un-instrumented hot path within a few percent of the pre-obs simulator
-(``benchmarks/test_obs_overhead.py`` enforces the bound).
+The default is observability *off*. The timing model has two taps, both
+None when detached: the flight-recorder ring (one attribute test per
+instruction) and the per-site counter tap (one per memory op);
+``benchmarks/test_obs_overhead.py`` bounds what each costs when
+attached. Event producers take ``obs=None`` and guard each emission with
+one attribute test.
 """
 
 from repro.obs.events import (
     EVENT_TYPES,
-    BranchResolved,
-    CacheAccess,
     Event,
     EventBus,
-    FacPredict,
-    FacReplay,
     HttpRequestServed,
-    InstRetired,
-    MemAccess,
-    StoreBufferFullStall,
-    StoreBufferInsert,
     Syscall,
-    TlbAccess,
 )
 from repro.obs.metrics import (
     SNAPSHOT_SCHEMA,
@@ -67,19 +61,10 @@ from repro.obs.spans import Span, SpanTracker, orphan_spans, span_roots
 
 __all__ = [
     "EVENT_TYPES",
-    "BranchResolved",
-    "CacheAccess",
     "Event",
     "EventBus",
-    "FacPredict",
-    "FacReplay",
     "HttpRequestServed",
-    "InstRetired",
-    "MemAccess",
-    "StoreBufferFullStall",
-    "StoreBufferInsert",
     "Syscall",
-    "TlbAccess",
     "SNAPSHOT_SCHEMA",
     "SNAPSHOT_VERSION",
     "Counter",

@@ -1,32 +1,22 @@
 """Typed structured events and the bus that carries them.
 
-Every observable action in the simulator stack is a small dataclass with
-a class-level ``kind`` tag. Producers (pipeline, caches, TLB, store
-buffer, CPU) hold an optional :class:`EventBus` and guard every emission
-with ``if obs is not None`` -- when observability is off (the default)
-the only cost is that one attribute test, so the un-instrumented hot
-path stays within a few percent of the pre-instrumentation simulator
-(enforced by ``benchmarks/test_obs_overhead.py``).
+Every event is a small dataclass with a class-level ``kind`` tag.
+Producers (the functional CPU's syscalls, the farm scheduler, span
+trackers, the serve layer) hold an optional :class:`EventBus` and guard
+every emission with ``if obs is not None``, so a detached producer pays
+one attribute test.
+
+The timing model emits no events: its one per-instruction hook is the
+flight-recorder ring (:mod:`repro.obs.flight`), and ``repro trace``
+(:mod:`repro.obs.trace`) writes its ``inst.retired``, ``fac.*``,
+``mem.access`` and ``branch`` records from ring entries rather than
+from event objects.
 
 Event taxonomy (full field reference in docs/observability.md):
 
 ==================  ====================================================
 kind                meaning
 ==================  ====================================================
-``inst.retired``    one instruction through the timing pipeline (stage
-                    occupancy: issue/ready/mem cycles, issue slot)
-``fac.predict``     one speculative EX-stage address calculation, with
-                    the verification outcome and failure *reason*
-``fac.replay``      the MEM-stage replay an unsuccessful prediction
-                    forces (1 extra cycle, plus a burned cache port)
-``mem.access``      one data-cache access: pc, ea, hit, speculation
-                    outcome, latency
-``cache.access``    tag-store activity on any cache (hit/miss/eviction/
-                    writeback), from :class:`repro.cache.cache.Cache`
-``tlb.access``      data-TLB translation hit/miss
-``sb.insert``       a store entered the store buffer
-``sb.full_stall``   pipeline stalled on a full store buffer
-``branch``          conditional branch resolved (taken, BTB outcome)
 ``syscall``         system call retired by the functional simulator
 ``farm.scheduled``  an experiment job entered the farm's job graph
 ``farm.started``    a farm job was dispatched to a worker (store miss)
@@ -37,6 +27,7 @@ kind                meaning
 ``farm.job.retry``    a crashed/timed-out job was requeued for another try
 ``span.start``      a hierarchical span opened (repro.obs.spans)
 ``span.end``        a span closed, with its status
+``serve.http.request``  one HTTP request completed by ``repro serve``
 ==================  ====================================================
 """
 
@@ -57,100 +48,6 @@ class Event:
         for f in fields(self):
             out[f.name] = getattr(self, f.name)
         return out
-
-
-@dataclass(slots=True)
-class InstRetired(Event):
-    """Pipeline stage occupancy of one retired instruction."""
-
-    kind = "inst.retired"
-    seq: int            # retirement index (0-based)
-    pc: int
-    op: str             # mnemonic
-    issue: int          # EX cycle (IF = issue-2, ID = issue-1)
-    ready: int          # result-ready cycle (WB)
-    mem: int | None     # cache-access cycle for memory ops, else None
-    slot: int           # issue slot within the cycle (0..issue_width-1)
-
-
-@dataclass(slots=True)
-class FacPredict(Event):
-    """One speculative address calculation and its verification."""
-
-    kind = "fac.predict"
-    pc: int
-    cycle: int
-    is_store: bool
-    success: bool
-    reason: str | None  # primary failure reason, None on success
-
-
-@dataclass(slots=True)
-class FacReplay(Event):
-    """MEM-stage replay forced by a failed prediction."""
-
-    kind = "fac.replay"
-    pc: int
-    cycle: int          # the replay (MEM) cycle
-    penalty: int        # extra result-latency cycles (1)
-
-
-@dataclass(slots=True)
-class MemAccess(Event):
-    """One data-cache access as the pipeline timed it."""
-
-    kind = "mem.access"
-    pc: int
-    cycle: int          # issue (EX) cycle
-    ea: int
-    is_store: bool
-    hit: bool
-    speculated: bool    # attempted in EX via fast address calculation
-    fac_success: bool | None  # None when not speculated
-    fac_reason: str | None
-    result_ready: int
-
-
-@dataclass(slots=True)
-class CacheAccess(Event):
-    """Tag-store activity on one cache."""
-
-    kind = "cache.access"
-    level: str          # config.name: 'icache', 'dcache', ...
-    address: int
-    is_write: bool
-    hit: bool
-    evicted: bool       # a victim block was replaced
-    writeback: bool     # ... and it was dirty
-
-
-@dataclass(slots=True)
-class TlbAccess(Event):
-    kind = "tlb.access"
-    address: int
-    hit: bool
-
-
-@dataclass(slots=True)
-class StoreBufferInsert(Event):
-    kind = "sb.insert"
-    cycle: int
-    occupancy: int      # entries after the insert
-
-
-@dataclass(slots=True)
-class StoreBufferFullStall(Event):
-    kind = "sb.full_stall"
-    cycle: int
-
-
-@dataclass(slots=True)
-class BranchResolved(Event):
-    kind = "branch"
-    pc: int
-    cycle: int
-    taken: bool
-    mispredicted: bool
 
 
 @dataclass(slots=True)
@@ -296,9 +193,7 @@ class HttpRequestServed(Event):
 EVENT_TYPES = {
     cls.kind: cls
     for cls in (
-        InstRetired, FacPredict, FacReplay, MemAccess, CacheAccess,
-        TlbAccess, StoreBufferInsert, StoreBufferFullStall,
-        BranchResolved, Syscall,
+        Syscall,
         FarmJobScheduled, FarmJobStarted, FarmJobFinished, FarmJobFailed,
         FarmJobCrashed, FarmJobTimeout, FarmJobRetry,
         SpanStarted, SpanEnded,

@@ -1,21 +1,19 @@
-"""Pipeline flight recorder: a bounded ring buffer of recent pipeline
-activity, rendered as an ANSI waterfall (``repro pipeview``) or exported
-to the Chrome-trace sink with named per-stage tracks.
+"""Pipeline flight recorder: the timing model's one per-instruction
+hook. A bounded ring buffer of recent pipeline activity is rendered as
+an ANSI waterfall (``repro pipeview``) or exported to the Chrome-trace
+sink with named per-stage tracks; an unbounded recorder keeps every
+instruction and feeds ``repro trace`` (:mod:`repro.obs.trace`) and the
+Figure 1 stage charts (:mod:`repro.pipeline.tracer`).
 
 The recorder is a ``run_trace`` *consumer* that taps a
-:class:`~repro.pipeline.pipeline.PipelineSimulator` rather than an event
-sink attached to it: an attached :class:`~repro.obs.events.EventBus`
-forces the pipeline's ``trace_plain`` fast lane into the record-building
-slow path, while the tap keeps the zero-allocation contract. The
-recorder hands the pipeline a preallocated ring (``pipe._flight``) whose
-slots the pipeline's own hot loops overwrite in place -- a handful of
-int stores per retired instruction, no call frames, no allocation; the
-detached pipeline pays one attribute test per instruction for the hook.
-Without ``--around`` triggers the recorder's consumer hooks *are* the
-pipeline's bound methods, so recording adds zero dispatch overhead.
-(The tapped pipeline must be built with ``obs=None`` and no ``trace``
-list for the fast lane to stay fast; the recorder works either way, it
-is just no longer free.)
+:class:`~repro.pipeline.pipeline.PipelineSimulator`. It hands the
+pipeline a preallocated ring (``pipe._flight``) whose slots the
+pipeline's own hot loops overwrite in place -- a handful of int stores
+per retired instruction, no call frames, no allocation, and the
+``trace_plain`` fast lane stays record-free; the detached pipeline pays
+one attribute test per instruction for the hook. Without ``--around``
+triggers the bounded recorder's consumer hooks *are* the pipeline's
+bound methods, so recording adds zero dispatch overhead.
 
 Each ring slot captures, per retired instruction:
 
@@ -37,13 +35,21 @@ additionally clips to the trailing ``window_cycles`` of issue cycles.
 after the trigger pc retires, a cycle trigger freezes once issue passes
 ``cycle + window/2``; in both cases the recorder keeps *driving* the
 wrapped pipeline so timing is unaffected.
+
+With ``window_cycles=None`` the recorder keeps every instruction: its
+hooks wrap the pipeline's and, each time the ring fills, decode it in
+retirement order and hand the chunk to ``on_drain`` (by default kept
+for ``entries()``; ``repro trace`` writes each chunk out instead, so
+memory stays bounded). Sequence numbers, stall gaps and issue slots
+continue across drains; call :meth:`FlightRecorder.flush` after the run
+to drain the partly filled ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cpu.executor import CPU
+from repro.cpu.executor import CPU, TraceRecord
 from repro.fac.config import FacConfig
 from repro.isa.disassembler import disassemble
 from repro.isa.program import Program
@@ -67,10 +73,14 @@ FAC_CODES = {FAC_NONE: "-", FAC_NOSPEC: "nospec",
              FAC_PREDICT: "predict", FAC_REPLAY: "replay"}
 
 # Ring slot field indices (written by the pipeline's inline ring tap,
-# see PipelineSimulator._flight). Neither the retirement sequence number
-# nor the issue-frontier advance is stored: slots are placed at
-# ``seq % cap``, so both fall out of the ring position at decode time.
+# see PipelineSimulator._flight). The retirement sequence number, the
+# issue-frontier advance and the issue slot are not stored: slots are
+# placed at ``seq % cap`` and issue is in order, so all three fall out
+# of the ring position at decode time.
 _PC, _PAYLOAD, _KIND, _ISSUE, _READY, _MEM, _FAC, _FLAG = range(8)
+
+# Ring size of an unbounded recorder: it is drained each time it fills.
+_UNBOUNDED_SLOTS = 256
 
 
 @dataclass(frozen=True)
@@ -82,12 +92,20 @@ class FlightEntry:
     kind: int           # predecode kind: 0 plain, 1 mem, 2 ctrl
     disasm: str
     issue: int          # EX stage cycle; IF = issue-2, ID = issue-1
-    ready: int          # result-ready (WB) cycle
+    ready: int          # result-ready (WB) cycle; a store's is issue+1
     mem: int | None     # cache-access cycle (mem ops only)
     stall: int          # issue-frontier advance over the predecessor
     fac: int            # FAC_* code
     reason: str | None  # verification signal name (replays only)
     flag: int           # mem: 1 hit / 0 miss; ctrl: 1 mispredict; else -1
+    op: str             # mnemonic
+    is_store: bool
+    slot: int           # issue slot within the issue cycle; issue is in
+                        # order, so this is the entry's position among
+                        # entries with the same issue cycle (a bounded
+                        # window counts from its oldest surviving slot)
+    record: TraceRecord | None  # the CPU's record (mem and ctrl only):
+                                # ea, taken, operand values
 
     @property
     def fac_name(self) -> str:
@@ -99,15 +117,23 @@ class FlightRecorder:
 
     __slots__ = ("_pipe", "window_cycles", "_cap", "_slots", "_seqcell",
                  "_frozen", "_around_pc", "_freeze_cycle", "_countdown",
-                 "_watch", "_tp", "_feed",
+                 "_watch", "_tp", "_feed", "_disasm",
+                 "_drained", "_full_at", "_last", "_kept", "on_drain",
                  "trace_plain", "trace_mem", "trace_branch")
 
-    def __init__(self, pipe: PipelineSimulator, window_cycles: int = 256,
+    def __init__(self, pipe: PipelineSimulator,
+                 window_cycles: int | None = 256,
                  around_pc: int | None = None,
                  around_cycle: int | None = None):
         self._pipe = pipe
-        self.window_cycles = max(1, window_cycles)
-        cap = max(16, self.window_cycles * pipe.config.issue_width)
+        if window_cycles is None:
+            if around_pc is not None or around_cycle is not None:
+                raise ValueError("--around triggers need a bounded window")
+            self.window_cycles = None
+            cap = _UNBOUNDED_SLOTS
+        else:
+            self.window_cycles = max(1, window_cycles)
+            cap = max(16, self.window_cycles * pipe.config.issue_width)
         self._cap = cap
         # preallocated slots, overwritten in place at seq % cap; the
         # sentinel kind -1 marks never-written
@@ -124,10 +150,23 @@ class FlightRecorder:
         # bound hooks of the wrapped pipeline, looked up once
         self._tp = pipe.trace_plain
         self._feed = pipe.feed
+        self._disasm: dict[int, str] = {}   # pc -> disassembly
+        # unbounded mode: first undrained seq, the seq at which the ring
+        # is full, and the (issue, slot) of the last drained entry
+        self._drained = 0
+        self._full_at = cap
+        self._last: tuple[int | None, int] = (None, 0)
+        self._kept: list[FlightEntry] = []
+        #: unbounded mode: receives each drained chunk of entries
+        self.on_drain = self._kept.extend
         # hand the ring to the pipeline: its hot loops write the slots
         # inline (see PipelineSimulator._flight)
         pipe._flight = (self._slots, cap, self._seqcell)
-        if self._watch:
+        if self.window_cycles is None:
+            self.trace_plain = self._trace_plain_drain
+            self.trace_mem = self._trace_mem_drain
+            self.trace_branch = self._trace_mem_drain
+        elif self._watch:
             self.trace_plain = self._trace_plain_watch
             self.trace_mem = self._trace_mem_watch
             self.trace_branch = self._trace_branch_watch
@@ -138,6 +177,35 @@ class FlightRecorder:
             self.trace_plain = pipe.trace_plain
             self.trace_mem = pipe.feed
             self.trace_branch = pipe.feed
+
+    @property
+    def retired(self) -> int:
+        """Instructions written to the ring so far."""
+        return self._seqcell[0]
+
+    # -------------------------------------------------------------- #
+    # run_trace consumer hooks (unbounded mode): drain a full ring
+
+    def _trace_plain_drain(self, pc, inst) -> None:
+        self._tp(pc, inst)
+        if self._seqcell[0] == self._full_at:
+            self.flush()
+
+    def _trace_mem_drain(self, rec) -> None:
+        self._feed(rec)
+        if self._seqcell[0] == self._full_at:
+            self.flush()
+
+    def flush(self) -> None:
+        """Unbounded mode: decode the slots written since the last drain
+        and hand them to ``on_drain`` in retirement order."""
+        total = self._seqcell[0]
+        if total == self._drained:
+            return
+        chunk, self._last = self._decode(self._drained, total, self._last)
+        self._drained = total
+        self._full_at = total + self._cap
+        self.on_drain(chunk)
 
     # -------------------------------------------------------------- #
     # run_trace consumer hooks (``--around`` watch mode only)
@@ -180,69 +248,85 @@ class FlightRecorder:
     def entries(self) -> list[FlightEntry]:
         """Decode the ring into retirement order, clipped to the last
         ``window_cycles`` issue cycles. Lazy work (sequence numbers,
-        stall reconstruction, ready cycles for non-memory ops, FAC
-        failure signals, disassembly) happens here."""
-        pipe = self._pipe
-        facts = pipe._facts
+        stall and issue-slot reconstruction, FAC failure signals,
+        disassembly) happens here. An unbounded recorder drains the ring
+        and returns every entry kept so far (none when ``on_drain`` was
+        replaced)."""
+        if self.window_cycles is None:
+            self.flush()
+            return list(self._kept)
         total = self._seqcell[0]
         if total == 0:
             return []
+        first = max(0, total - self._cap)
+        out, _ = self._decode(first, total, (None, 0))
+        floor = out[-1].issue - self.window_cycles
+        return [e for e in out if e.issue > floor]
+
+    def _decode(self, first: int, total: int,
+                last: tuple[int | None, int]
+                ) -> tuple[list[FlightEntry], tuple[int | None, int]]:
+        """Decode ring positions ``first .. total - 1``. ``last`` is the
+        (issue cycle, issue slot) of the entry before ``first`` -- None
+        for none -- and the pair for the last decoded entry is returned
+        with the entries, so a drained run continues seamlessly."""
+        pipe = self._pipe
+        facts = pipe._facts
+        slots = self._slots
         cap = self._cap
-        count = cap if total > cap else total
-        first = total - count
-        newest = max(self._slots[s % cap][_ISSUE]
-                     for s in range(first, total))
-        floor = newest - self.window_cycles
+        disasm = self._disasm
+        prev_issue, issue_slot = last
         out = []
-        prev_issue = None
         for seq in range(first, total):
-            slot = self._slots[seq % cap]
+            slot = slots[seq % cap]
+            pc = slot[_PC]
             issue = slot[_ISSUE]
-            # the oldest surviving record has no predecessor to diff
-            stall = 0 if prev_issue is None else max(0, issue - prev_issue)
+            # issue is in order: an entry issuing in its predecessor's
+            # cycle takes the next slot, a later cycle starts at slot 0
+            if issue == prev_issue:
+                issue_slot += 1
+                stall = 0
+            else:
+                # the oldest decoded record has no predecessor to diff
+                stall = 0 if prev_issue is None else issue - prev_issue
+                issue_slot = 0
             prev_issue = issue
-            if issue <= floor:
-                continue
             kind = slot[_KIND]
             payload = slot[_PAYLOAD]
-            if kind == 0:
-                # plain slots leave _MEM/_FAC/_FLAG stale; the payload
-                # is the bare instruction on the record-free fast lane,
-                # or a full TraceRecord when the pipeline has a trace
-                # list or event bus attached
-                inst = getattr(payload, "inst", payload)
-                out.append(FlightEntry(
-                    seq=seq, pc=slot[_PC], kind=0,
-                    disasm=disassemble(inst), issue=issue,
-                    ready=slot[_READY], mem=None, stall=stall,
-                    fac=FAC_NONE, reason=None, flag=-1,
-                ))
-                continue
-            inst = payload.inst
+            # plain slots hold the bare instruction and leave
+            # _MEM/_FAC/_FLAG stale; the others hold the TraceRecord
+            record = None if kind == 0 else payload
+            inst = payload if kind == 0 else payload.inst
+            info = facts[id(inst)][1]
+            text = disasm.get(pc)
+            if text is None:
+                text = disasm[pc] = disassemble(inst)
+            fac = FAC_NONE
+            mem = None
+            reason = None
+            flag = -1
             if kind == 1:
                 success = slot[_FAC]
                 fac = (FAC_NOSPEC if success is None
                        else FAC_PREDICT if success else FAC_REPLAY)
                 mem = slot[_MEM]
-            else:
-                fac = FAC_NONE
-                mem = None
-            reason = None
-            if fac == FAC_REPLAY and pipe.fac is not None:
-                info = facts[id(inst)][1]
-                mode = info.mem_mode
-                offset = (payload.offset_value if mode == "c"
-                          else to_signed32(payload.offset_value))
-                prediction = pipe.fac.predict(payload.base_value, offset,
-                                              mode == "x")
-                reason = prediction.signals.primary_reason
+                flag = slot[_FLAG]
+                if fac == FAC_REPLAY:
+                    mode = info.mem_mode
+                    offset = (record.offset_value if mode == "c"
+                              else to_signed32(record.offset_value))
+                    prediction = pipe.fac.predict(record.base_value, offset,
+                                                  mode == "x")
+                    reason = prediction.signals.primary_reason
+            elif kind == 2:
+                flag = slot[_FLAG]
             out.append(FlightEntry(
-                seq=seq, pc=slot[_PC], kind=kind,
-                disasm=disassemble(inst), issue=issue,
+                seq=seq, pc=pc, kind=kind, disasm=text, issue=issue,
                 ready=slot[_READY], mem=mem, stall=stall, fac=fac,
-                reason=reason, flag=slot[_FLAG],
+                reason=reason, flag=flag, op=info.mnemonic,
+                is_store=info.is_store, slot=issue_slot, record=record,
             ))
-        return out
+        return out, (prev_issue, issue_slot)
 
     # -------------------------------------------------------------- #
     # text dump (golden-file tested: deterministic, no colour)

@@ -1,9 +1,15 @@
-"""Event sinks: null, collecting, JSONL, and Chrome trace-event JSON.
+"""Event sinks (null, collecting, JSONL, access log) and the Chrome
+trace-event JSON writer.
 
 Sinks implement one method, ``handle(event)``, plus an optional
 ``close()`` called by :meth:`repro.obs.events.EventBus.close`. Output is
 deterministic: events are written in emission order, dict fields in
-dataclass field order, and no wall-clock values are recorded.
+dataclass field order, and no wall-clock values are recorded (the
+access log, an operational record, is the one exception).
+
+:class:`ChromeTraceSink` is not a bus sink: producers write named tracks
+and slices to it directly (``repro trace``, ``repro pipeview --chrome``
+and the farm's run timeline).
 """
 
 from __future__ import annotations
@@ -12,14 +18,7 @@ import json
 import threading
 import time
 
-from repro.obs.events import (
-    Event,
-    FacReplay,
-    HttpRequestServed,
-    InstRetired,
-    MemAccess,
-    Syscall,
-)
+from repro.obs.events import Event, HttpRequestServed
 
 
 class NullSink:
@@ -111,31 +110,19 @@ class AccessLogSink:
 class ChromeTraceSink:
     """Chrome trace-event JSON, loadable in Perfetto / chrome://tracing.
 
-    Rendering model (one process, cycle == 1 microsecond):
-
-    * each retired instruction is a complete ("X") slice on the thread
-      of its issue slot, from IF (``issue - 2``) through WB,
-    * FAC replays, data/instruction cache misses, and syscalls are
-      instant ("i") events on dedicated threads,
-    * thread names are emitted as metadata ("M") events up front.
-
-    ``labels`` optionally maps pc -> display string (disassembly); when
-    absent the mnemonic is used.
+    Producers register named processes and tracks, then append complete
+    ("X") slices, instant ("i") events and begin/end ("B"/"E") pairs;
+    :meth:`close` writes one document with the naming and ordering
+    metadata ("M") events up front, followed by the events in the order
+    they were appended.
     """
 
-    _FAC_TID = 100
-    _MISS_TID = 101
-    _SYSCALL_TID = 102
-
-    def __init__(self, stream, labels: dict[int, str] | None = None):
+    def __init__(self, stream):
         self.stream = stream
-        self.labels = labels or {}
         self._events: list[dict] = []
-        self._tids: set[int] = set()
         self._closed = False
-        # explicitly registered tracks: (pid, tid) -> (name, sort_index)
-        # and pid -> (name, sort_index); auto-discovered tids on pid 0
-        # get default labels in _metadata()
+        # registered tracks: (pid, tid) -> (name, sort_index) and
+        # pid -> (name, sort_index)
         self._tracks: dict[tuple[int, int], tuple[str, int]] = {}
         self._processes: dict[int, tuple[str, int]] = {}
         # per-track stacks of open "B" events, so an aborted run can be
@@ -144,8 +131,7 @@ class ChromeTraceSink:
         self._last_ts = 0
 
     # -------------------------------------------------------------- #
-    # explicit track registration (used by FlightRecorder.to_chrome and
-    # any producer that wants named, ordered tracks in Perfetto)
+    # track registration: Perfetto shows named, ordered tracks
 
     def register_process(self, pid: int, name: str,
                          sort_index: int | None = None) -> None:
@@ -212,75 +198,16 @@ class ChromeTraceSink:
 
     # -------------------------------------------------------------- #
 
-    def handle(self, event: Event) -> None:
-        if isinstance(event, InstRetired):
-            start = event.issue - 2
-            end = max(event.ready, event.issue + 1)
-            name = self.labels.get(event.pc) or event.op
-            args = {
-                "pc": f"0x{event.pc:08x}",
-                "issue": event.issue,
-                "ready": event.ready,
-            }
-            if event.mem is not None:
-                args["mem"] = event.mem
-            self._tids.add(event.slot)
-            self._events.append({
-                "name": name, "cat": "pipeline", "ph": "X",
-                "ts": start, "dur": end - start,
-                "pid": 0, "tid": event.slot, "args": args,
-            })
-        elif isinstance(event, FacReplay):
-            self._tids.add(self._FAC_TID)
-            self._events.append({
-                "name": "FAC replay", "cat": "fac", "ph": "i", "s": "t",
-                "ts": event.cycle, "pid": 0, "tid": self._FAC_TID,
-                "args": {"pc": f"0x{event.pc:08x}",
-                         "penalty": event.penalty},
-            })
-        elif isinstance(event, MemAccess):
-            if not event.hit:
-                self._tids.add(self._MISS_TID)
-                self._events.append({
-                    "name": "dcache miss", "cat": "cache",
-                    "ph": "i", "s": "t", "ts": event.cycle, "pid": 0,
-                    "tid": self._MISS_TID,
-                    "args": {"pc": f"0x{event.pc:08x}",
-                             "ea": f"0x{event.ea:08x}",
-                             "write": event.is_store},
-                })
-        elif isinstance(event, Syscall):
-            self._tids.add(self._SYSCALL_TID)
-            self._events.append({
-                "name": f"syscall {event.name}", "cat": "os",
-                "ph": "i", "s": "t", "ts": 0, "pid": 0,
-                "tid": self._SYSCALL_TID,
-                "args": {"pc": f"0x{event.pc:08x}",
-                         "service": event.service},
-            })
-
-    # -------------------------------------------------------------- #
-
     def _metadata(self) -> list[dict]:
         """Process/thread naming + ordering metadata ("M") events.
 
         Perfetto shows bare numeric pids/tids unless a trace carries
         ``process_name`` / ``thread_name`` metadata, and orders tracks
-        arbitrarily without ``*_sort_index`` -- so every track this sink
-        ever touched gets all of name, process label, and sort index.
+        arbitrarily without ``*_sort_index`` -- so every registered track
+        gets all of name, process label, and sort index.
         """
-        names = {
-            self._FAC_TID: "FAC replays",
-            self._MISS_TID: "cache misses",
-            self._SYSCALL_TID: "syscalls",
-        }
         processes = dict(self._processes)
-        if self._tids or not processes:
-            processes.setdefault(0, ("repro pipeline", 0))
-        tracks = dict(self._tracks)
-        for tid in self._tids:
-            tracks.setdefault(
-                (0, tid), (names.get(tid, f"issue slot {tid}"), tid))
+        tracks = self._tracks
         for pid, _tid in tracks:
             processes.setdefault(pid, (f"process {pid}", pid))
 

@@ -1,7 +1,8 @@
 """Cycle-by-cycle pipeline diagrams (the paper's Figure 1).
 
-Attach a trace list to a :class:`PipelineSimulator`, feed it a program,
-and render the classic stage chart::
+Run a program under an unbounded flight recorder
+(:class:`~repro.obs.flight.FlightRecorder`, ``window_cycles=None``) and
+render the classic stage chart::
 
     cycle            1    2    3    4    5    6    7
     add $t2,...      IF   ID   EX   WB
@@ -19,7 +20,6 @@ calculation the cache access moves into EX and the stall disappears.
 from __future__ import annotations
 
 from repro.cpu.executor import CPU
-from repro.isa.disassembler import disassemble
 from repro.isa.program import Program
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.pipeline import PipelineSimulator
@@ -29,7 +29,7 @@ class TracedRun:
     """The recorded trace of one simulation, with a renderer."""
 
     def __init__(self, entries: list, cycles: int):
-        self.entries = entries  # (rec, issue, ready, mem_access or None)
+        self.entries = entries  # (disassembly, issue, ready, mem or None)
         self.cycles = cycles
 
     def render(self, first: int = 0, count: int = 10, label_width: int = 22) -> str:
@@ -47,7 +47,7 @@ class TracedRun:
         )
         lines = [header]
         prev_issue = None
-        for rec, issue, ready, access in window:
+        for text, issue, ready, access in window:
             stages: dict[int, str] = {issue - 2: "IF", issue - 1: "ID", issue: "EX"}
             if access is not None and access != issue:
                 stages[access] = "MEM"
@@ -60,7 +60,7 @@ class TracedRun:
                 for stalled in range(prev_issue + 1, issue):
                     stages.setdefault(stalled, "--")
             prev_issue = issue
-            label = disassemble(rec.inst)[:label_width - 1]
+            label = text[:label_width - 1]
             row = label.ljust(label_width)
             for cycle in range(start_cycle, end_cycle + 1):
                 row += stages.get(cycle, "").center(width)
@@ -74,11 +74,13 @@ class TracedRun:
 def trace_program(program: Program, config: MachineConfig | None = None,
                   max_instructions: int = 100_000) -> TracedRun:
     """Run ``program`` and record every instruction's pipeline timing."""
+    from repro.obs.flight import FlightRecorder  # imports this package
+
     cpu = CPU(program)
     pipe = PipelineSimulator(config)
-    pipe.trace = []
-    # an attached trace list makes the pipeline's plain-instruction
-    # fast lane fall back to full feed(), so every entry is recorded
-    cpu.run_trace(pipe, max_instructions)
+    recorder = FlightRecorder(pipe, window_cycles=None)
+    cpu.run_trace(recorder, max_instructions)
     result = pipe.finalize()
-    return TracedRun(pipe.trace, result.cycles)
+    entries = [(e.disasm, e.issue, e.ready, e.mem)
+               for e in recorder.entries()]
+    return TracedRun(entries, result.cycles)

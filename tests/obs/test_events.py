@@ -8,38 +8,44 @@ import pytest
 from repro.obs.events import (
     EVENT_TYPES,
     EventBus,
-    FacPredict,
-    FacReplay,
-    InstRetired,
-    MemAccess,
+    FarmJobFailed,
+    FarmJobFinished,
+    FarmJobStarted,
     Syscall,
     subscribe_async,
 )
 from repro.obs.sinks import CollectingSink, NullSink
 
 
+def started(worker, attempt):
+    return FarmJobStarted(job_id="sim-1", job_kind="sim", worker=worker,
+                          attempt=attempt)
+
+
 class TestEvents:
     def test_as_dict_carries_kind_and_fields(self):
-        event = FacPredict(pc=0x400000, cycle=7, is_store=False,
-                           success=False, reason="carry-into-index")
+        event = FarmJobFailed(job_id="sim-1", job_kind="sim",
+                              error="worker crashed", attempts=3)
         payload = event.as_dict()
-        assert payload["event"] == "fac.predict"
-        assert payload["pc"] == 0x400000
-        assert payload["reason"] == "carry-into-index"
+        assert payload["event"] == "farm.failed"
+        assert payload["job_id"] == "sim-1"
+        assert payload["error"] == "worker crashed"
 
     def test_as_dict_field_order_is_declaration_order(self):
-        event = FacReplay(pc=1, cycle=2, penalty=1)
-        assert list(event.as_dict()) == ["event", "pc", "cycle", "penalty"]
+        event = started(1, 2)
+        assert list(event.as_dict()) == ["event", "job_id", "job_kind",
+                                         "worker", "attempt"]
 
     def test_event_types_registry_covers_kinds(self):
-        assert EVENT_TYPES["inst.retired"] is InstRetired
-        assert EVENT_TYPES["mem.access"] is MemAccess
+        assert EVENT_TYPES["farm.finished"] is FarmJobFinished
         assert EVENT_TYPES["syscall"] is Syscall
         for kind, cls in EVENT_TYPES.items():
             assert cls.kind == kind
+        # the timing model's per-instruction hook is the flight ring
+        assert "inst.retired" not in EVENT_TYPES
 
     def test_events_are_slotted(self):
-        event = FacReplay(pc=1, cycle=2, penalty=1)
+        event = started(1, 2)
         with pytest.raises((AttributeError, TypeError)):
             event.arbitrary = 1
 
@@ -48,14 +54,14 @@ class TestEventBus:
     def test_fan_out_to_every_sink(self):
         one, two = CollectingSink(), CollectingSink()
         bus = EventBus([one, two])
-        bus.emit(FacReplay(pc=1, cycle=2, penalty=1))
+        bus.emit(started(1, 2))
         assert len(one.events) == len(two.events) == 1
 
     def test_attach_and_by_kind(self):
         bus = EventBus()
         sink = CollectingSink()
         bus.attach(sink)
-        bus.emit(FacReplay(pc=1, cycle=2, penalty=1))
+        bus.emit(started(1, 2))
         bus.emit(Syscall(pc=4, service=10, name="exit"))
         assert [e.kind for e in sink.by_kind("syscall")] == ["syscall"]
 
@@ -67,9 +73,9 @@ class TestEventBus:
         bus = EventBus()
         sink = CollectingSink()
         bus.attach(sink)
-        bus.emit(FacReplay(pc=1, cycle=2, penalty=1))
+        bus.emit(started(1, 2))
         bus.detach(sink)
-        bus.emit(FacReplay(pc=2, cycle=3, penalty=1))
+        bus.emit(started(2, 3))
         assert len(sink.events) == 1
 
     def test_detach_unknown_sink_is_ignored(self):
@@ -92,7 +98,7 @@ class TestEventBus:
 
         def publish(worker: int) -> None:
             for i in range(per_thread):
-                bus.emit(FacReplay(pc=worker, cycle=i, penalty=1))
+                bus.emit(started(worker, i))
 
         def churn() -> None:
             while not stop.is_set():
@@ -113,8 +119,8 @@ class TestEventBus:
 
         assert len(stable.events) == per_thread * threads
         for worker in range(threads):
-            cycles = [e.cycle for e in stable.events if e.pc == worker]
-            assert cycles == list(range(per_thread))  # per-thread order
+            attempts = [e.attempt for e in stable.events if e.worker == worker]
+            assert attempts == list(range(per_thread))  # per-thread order
         assert bus.sinks == (stable,)
 
 
@@ -124,19 +130,19 @@ class TestSubscribeAsync:
             bus = EventBus()
             sub = subscribe_async(bus)
             for i in range(5):
-                bus.emit(FacReplay(pc=i, cycle=i, penalty=1))
+                bus.emit(started(i, i))
             got = [await sub.get() for _ in range(5)]
             sub.close()
             return got
 
         events = asyncio.run(scenario())
-        assert [e.pc for e in events] == list(range(5))
+        assert [e.worker for e in events] == list(range(5))
 
     def test_close_ends_iteration_and_detaches(self):
         async def scenario():
             bus = EventBus()
             sub = subscribe_async(bus)
-            bus.emit(FacReplay(pc=1, cycle=1, penalty=1))
+            bus.emit(started(1, 1))
             sub.close()
             drained = []
             async for event in sub:
@@ -145,7 +151,7 @@ class TestSubscribeAsync:
 
         sinks, drained = asyncio.run(scenario())
         assert sinks == ()
-        assert [e.pc for e in drained] == [1]  # buffered before close
+        assert [e.worker for e in drained] == [1]  # buffered before close
 
     def test_get_returns_none_after_close(self):
         async def scenario():
@@ -167,7 +173,7 @@ class TestSubscribeAsync:
 
             def publish(worker: int) -> None:
                 for i in range(per_thread):
-                    bus.emit(FacReplay(pc=worker, cycle=i, penalty=1))
+                    bus.emit(started(worker, i))
 
             workers = [threading.Thread(target=publish, args=(w,))
                        for w in range(threads)]
@@ -181,15 +187,15 @@ class TestSubscribeAsync:
         events = asyncio.run(scenario())
         assert len(events) == per_thread * threads
         for worker in range(threads):
-            cycles = [e.cycle for e in events if e.pc == worker]
-            assert cycles == list(range(per_thread))
+            attempts = [e.attempt for e in events if e.worker == worker]
+            assert attempts == list(range(per_thread))
 
     def test_emit_after_close_is_dropped(self):
         async def scenario():
             bus = EventBus()
             sub = subscribe_async(bus)
             sub.close()
-            bus.emit(FacReplay(pc=9, cycle=9, penalty=1))
+            bus.emit(started(9, 9))
             return await sub.get()
 
         assert asyncio.run(scenario()) is None

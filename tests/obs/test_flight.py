@@ -1,15 +1,19 @@
 """FlightRecorder: ring windowing, triggers, timing fidelity, export.
 
-The recorder wraps the pipeline rather than observing it through an
-event bus, so the core contracts tested here are (a) it never perturbs
-the timing result, (b) its reconstructed issue/ready cycles agree with
-the pipeline's own instruction trace, and (c) the window semantics --
-ring capacity, trailing-cycle clip, ``--around`` triggers -- hold.
+The recorder is the timing model's one per-instruction hook, so the
+core contracts tested here are (a) it never perturbs the timing result,
+(b) its reconstructed cycles agree with the spec feed loop and the
+golden ``repro trace`` records, (c) the window semantics -- ring
+capacity, trailing-cycle clip, ``--around`` triggers -- hold, and (d)
+an unbounded recorder keeps every instruction across ring drains.
 """
 
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from repro.fac.predictor import SIGNAL_LABELS
 from repro.isa.assembler import assemble
@@ -26,6 +30,8 @@ from repro.pipeline import MachineConfig, PipelineSimulator
 from repro.pipeline.pipeline import simulate_program
 from repro.cpu.executor import CPU
 from repro.fac import FacConfig
+from repro.workloads.suite import build_benchmark
+from tests.obs.test_determinism import PREFIX_INSTRUCTIONS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -125,26 +131,32 @@ class TestTimingFidelity:
         assert recorded.fac_mispredicted == plain.fac_mispredicted
 
     def test_cycles_agree_with_pipeline_trace(self):
-        """issue/ready per instruction must match the pipeline's own
-        ``trace`` list (the recorder reconstructs them from deltas)."""
-        program = loop_program()
+        """Over the compress golden prefix, each entry's issue cycle is
+        what the spec loop's ``feed(cpu.step())`` returns, and its pc,
+        ready, mem and issue slot are the golden ``inst.retired``
+        record's (written by the event-bus exporter the ring replaced)."""
+        program = build_benchmark("compress")
         cpu = CPU(program)
         pipe = PipelineSimulator(fac_machine())
-        pipe.trace = []
-        cpu.run_trace(pipe, 1_000_000)
-        reference = pipe.trace
+        issues = [pipe.feed(cpu.step()) for _ in range(PREFIX_INSTRUCTIONS)]
+        golden = [json.loads(line) for line in
+                  (GOLDEN_DIR / "trace_compress_fac.jsonl")
+                  .read_text().splitlines()
+                  if '"inst.retired"' in line]
 
-        recorder, _ = record_flight(program, window_cycles=4096)
+        recorder = FlightRecorder(PipelineSimulator(fac_machine()),
+                                  window_cycles=None)
+        CPU(program).run_trace(recorder, PREFIX_INSTRUCTIONS)
         entries = recorder.entries()
-        assert len(entries) == len(reference)
-        for entry, (rec, issue, ready, access) in zip(entries, reference):
-            assert entry.pc == rec.pc
-            assert entry.issue == issue
-            assert entry.mem == access
-            if not (entry.kind == 1 and entry.disasm.startswith("s")):
-                # stores retire at issue+1 in the recorder's model; the
-                # pipeline trace tracks the store-buffer drain instead
-                assert entry.ready == ready, entry
+        assert len(entries) == len(issues) == len(golden)
+        for entry, issue, record in zip(entries, issues, golden):
+            assert entry.seq == record["seq"]
+            assert entry.pc == record["pc"]
+            assert entry.op == record["op"]
+            assert entry.issue == issue == record["issue"]
+            assert entry.ready == record["ready"]
+            assert entry.mem == record["mem"]
+            assert entry.slot == record["slot"]
 
 
 class TestFacAnnotations:
@@ -237,3 +249,40 @@ class TestChromeExport:
                   if e.get("args", {}).get("fac") == "replay"]
         assert tagged
         assert all(e["args"]["reason"] == "block-carry-out" for e in tagged)
+
+
+class TestUnbounded:
+    def test_keeps_every_instruction_across_drains(self):
+        pipe = PipelineSimulator(fac_machine())
+        recorder = FlightRecorder(pipe, window_cycles=None)
+        program = build_benchmark("compress")
+        CPU(program).run_trace(recorder, PREFIX_INSTRUCTIONS)
+        entries = recorder.entries()
+        assert len(entries) == PREFIX_INSTRUCTIONS > 2 * recorder._cap
+        assert [e.seq for e in entries] == list(range(len(entries)))
+        bounded, _ = record_flight(program, window_cycles=4096,
+                                   max_instructions=PREFIX_INSTRUCTIONS)
+        # records are fresh objects per run; every other field agrees
+        assert ([replace(e, record=None) for e in entries]
+                == [replace(e, record=None) for e in bounded.entries()])
+
+    def test_on_drain_receives_full_rings_then_the_tail(self):
+        pipe = PipelineSimulator(fac_machine())
+        recorder = FlightRecorder(pipe, window_cycles=None)
+        chunks = []
+        recorder.on_drain = chunks.append
+        CPU(build_benchmark("compress")).run_trace(recorder,
+                                                   PREFIX_INSTRUCTIONS)
+        assert len(chunks) == PREFIX_INSTRUCTIONS // recorder._cap
+        assert all(len(chunk) == recorder._cap for chunk in chunks)
+        recorder.flush()
+        recorder.flush()  # nothing new: no empty chunk
+        assert len(chunks[-1]) == PREFIX_INSTRUCTIONS % recorder._cap
+        assert [e.seq for chunk in chunks for e in chunk] == \
+            list(range(PREFIX_INSTRUCTIONS))
+        assert recorder.entries() == []   # handed out, not kept
+
+    def test_triggers_need_a_bounded_window(self):
+        with pytest.raises(ValueError):
+            FlightRecorder(PipelineSimulator(fac_machine()),
+                           window_cycles=None, around_cycle=10)

@@ -8,10 +8,10 @@ import pytest
 from repro.obs.events import (
     EVENT_TYPES,
     EventBus,
-    FacReplay,
+    FarmJobFinished,
+    FarmJobScheduled,
+    FarmJobStarted,
     HttpRequestServed,
-    InstRetired,
-    MemAccess,
     Syscall,
 )
 from repro.obs.sinks import (
@@ -21,16 +21,15 @@ from repro.obs.sinks import (
     JsonlSink,
     NullSink,
 )
+from repro.obs.trace import trace_program
+from tests.obs.test_determinism import golden_program
 
 
 def sample_events():
     return [
-        InstRetired(seq=0, pc=0x400000, op="lw", issue=3, ready=5,
-                    mem=4, slot=0),
-        MemAccess(pc=0x400000, cycle=4, ea=0x7FFF0000, is_store=False,
-                  hit=False, speculated=True, fac_success=False,
-                  fac_reason="carry-into-index", result_ready=10),
-        FacReplay(pc=0x400000, cycle=5, penalty=1),
+        FarmJobScheduled(job_id="sim-1", job_kind="sim"),
+        FarmJobStarted(job_id="sim-1", job_kind="sim", worker=0, attempt=1),
+        FarmJobFinished(job_id="sim-1", job_kind="sim", cached=False),
         Syscall(pc=0x400010, service=10, name="exit"),
     ]
 
@@ -47,7 +46,7 @@ class TestNullAndCollecting:
         for event in events:
             sink.handle(event)
         assert sink.events == events
-        assert len(sink.by_kind("mem.access")) == 1
+        assert len(sink.by_kind("farm.started")) == 1
 
 
 class TestJsonlSink:
@@ -60,7 +59,7 @@ class TestJsonlSink:
         assert len(lines) == sink.count == len(sample_events())
         payloads = [json.loads(line) for line in lines]
         assert [p["event"] for p in payloads] == [
-            "inst.retired", "mem.access", "fac.replay", "syscall"]
+            "farm.scheduled", "farm.started", "farm.finished", "syscall"]
 
     def test_events_reconstructable_via_registry(self):
         stream = io.StringIO()
@@ -88,7 +87,7 @@ class TestAccessLogSink:
         path = tmp_path / "access.jsonl"
         sink = AccessLogSink(path, clock=lambda: 1700000000.5)
         sink.handle(self._request())
-        sink.handle(FacReplay(pc=1, cycle=2, penalty=1))  # ignored
+        sink.handle(sample_events()[0])  # ignored
         sink.handle(self._request(status=404, route="OTHER"))
         sink.close()
         lines = [json.loads(line)
@@ -117,58 +116,75 @@ class TestAccessLogSink:
 
 
 class TestChromeTraceSink:
-    def _document(self, events):
+    def _document(self):
         stream = io.StringIO()
-        sink = ChromeTraceSink(stream, labels={0x400000: "lw $t0, 0($a0)"})
-        for event in events:
-            sink.handle(event)
+        sink = ChromeTraceSink(stream)
+        sink.register_process(0, "repro pipeline", 0)
+        sink.register_track(0, 0, "issue slot 0", 0)
+        sink.register_track(0, 100, "FAC replays", 100)
+        sink.emit_slice("lw $t0, 0($a0)", "pipeline", 1, 4, 0, 0,
+                        {"pc": "0x00400000", "mem": 4})
+        sink.emit_instant("FAC replay", "fac", 5, 0, 100, {"penalty": 1})
+        sink.emit_instant("dcache miss", "cache", 4, 0, 101, {"ea": "0x0"})
+        sink.emit_instant("syscall exit", "os", 0, 0, 102)
         sink.close()
         return json.loads(stream.getvalue())
 
     def test_valid_document_with_metadata(self):
-        doc = self._document(sample_events())
+        doc = self._document()
         assert doc["displayTimeUnit"] == "ms"
         meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
         names = {e["args"]["name"] for e in meta
                  if e["name"] in ("process_name", "thread_name")}
-        assert {"repro pipeline", "FAC replays", "cache misses",
-                "syscalls"} <= names
+        assert {"repro pipeline", "issue slot 0", "FAC replays"} <= names
         # every named track also carries an ordering hint for Perfetto
         sorted_tracks = {(e["pid"], e["tid"]) for e in meta
                          if e["name"] == "thread_sort_index"}
         named_tracks = {(e["pid"], e["tid"]) for e in meta
                         if e["name"] == "thread_name"}
         assert sorted_tracks == named_tracks
+        # metadata comes first, then the events in the order appended
+        phases = [e["ph"] for e in doc["traceEvents"]]
+        assert phases[-4:] == ["X", "i", "i", "i"]
+        assert set(phases[:-4]) == {"M"}
+        # tracks only get names when registered
+        named = {e["tid"] for e in meta if e["name"] == "thread_name"}
+        assert named == {0, 100}
 
     def test_retired_instruction_becomes_complete_slice(self):
-        doc = self._document(sample_events())
+        doc = self._document()
         slices = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert len(slices) == 1
         slice_ = slices[0]
-        assert slice_["name"] == "lw $t0, 0($a0)"  # label wins over op
+        assert slice_["name"] == "lw $t0, 0($a0)"
         assert slice_["ts"] == 1 and slice_["dur"] == 4  # IF..WB
+        assert (slice_["pid"], slice_["tid"]) == (0, 0)
         assert slice_["args"]["mem"] == 4
 
     def test_replays_and_misses_are_instants(self):
-        doc = self._document(sample_events())
+        doc = self._document()
         instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
         by_name = {e["name"]: e for e in instants}
         assert by_name["FAC replay"]["tid"] == 100
+        assert by_name["FAC replay"]["args"] == {"penalty": 1}
         assert by_name["dcache miss"]["tid"] == 101
-        assert by_name["syscall exit"]["tid"] == 102
+        assert "args" not in by_name["syscall exit"]  # none given
         assert all(e["s"] == "t" for e in instants)
 
     def test_cache_hits_not_recorded(self):
-        hit = MemAccess(pc=0x400000, cycle=4, ea=0, is_store=False,
-                        hit=True, speculated=False, fac_success=None,
-                        fac_reason=None, result_ready=5)
-        doc = self._document([hit])
-        assert [e for e in doc["traceEvents"] if e["ph"] == "i"] == []
+        """``repro trace`` draws one D-cache miss instant per miss and
+        none for hits."""
+        stream = io.StringIO()
+        result = trace_program(golden_program(), stream, fmt="chrome")
+        doc = json.loads(stream.getvalue())
+        misses = [e for e in doc["traceEvents"] if e["name"] == "dcache miss"]
+        assert len(misses) == result.dcache_misses
+        assert result.dcache_misses < result.dcache_accesses
 
     def test_close_is_idempotent(self):
         stream = io.StringIO()
         sink = ChromeTraceSink(stream)
-        sink.handle(FacReplay(pc=1, cycle=2, penalty=1))
+        sink.emit_instant("FAC replay", "fac", 2, 0, 100)
         sink.close()
         first = stream.getvalue()
         sink.close()
