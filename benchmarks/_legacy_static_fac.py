@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analysis.static_fac import knownbits as kb
+from repro.analysis.absint import knownbits as kb
 from repro.analysis.static_fac.classify import (
     Classification,
     Geometry,

@@ -19,7 +19,7 @@ sweep costs.
 from __future__ import annotations
 
 import json
-import platform
+import sys
 import time
 from pathlib import Path
 
@@ -32,20 +32,15 @@ from repro.cpu.coltrace import decode_tracefile
 from repro.cpu.tracefile import record_trace, replay_into
 from repro.workloads import build_benchmark
 
+sys.path.insert(0, str(Path(__file__).parent))
+from _host import fingerprint  # noqa: E402
+
 BASELINE_PATH = Path(__file__).parent / "analysis_baseline.json"
 BASELINE_SCHEMA = "repro.analysis-baseline/1"
 #: The suite's largest traces (record count) -- the gate workloads.
 WORKLOADS = ("compress", "tomcatv")
 SPEEDUP_TARGET = 10.0
 REPEATS = 3
-
-
-def fingerprint() -> dict:
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "machine": platform.machine(),
-    }
 
 
 @pytest.fixture(scope="module")
@@ -152,8 +147,7 @@ def test_trace_decode_throughput(benchmark, traced):
 
 
 def test_batch_analyzer_throughput(benchmark, traced):
-    """The analyzer alone, decode amortized out (the farm path: columns
-    come from the coltrace artifact)."""
+    """The analyzer alone, decode measured separately above."""
     program, path, count = traced[0]
     cols = decode_tracefile(program, path)
 

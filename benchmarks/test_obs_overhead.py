@@ -24,7 +24,7 @@ regression is present in every repeat, including the calm ones.
 from __future__ import annotations
 
 import json
-import platform
+import sys
 import time
 from pathlib import Path
 
@@ -34,6 +34,9 @@ from repro.obs.flight import FlightRecorder
 from repro.pipeline import MachineConfig, PipelineSimulator, SiteCounters
 from repro.workloads import build_benchmark
 
+sys.path.insert(0, str(Path(__file__).parent))
+from _host import fingerprint  # noqa: E402
+
 BASELINE_PATH = Path(__file__).parent / "obs_baseline.json"
 BASELINE_SCHEMA = "repro.obs-baseline/2"
 WORKLOADS = ("compress", "xlisp", "tomcatv")
@@ -42,14 +45,6 @@ MAX_FLIGHT_OVERHEAD = 0.10     # flight recorder vs detached predecode
 MAX_SITE_TAP_OVERHEAD = 0.10   # site counter tap vs detached predecode
 REPEATS = 3
 RELATIVE_REPEATS = 5
-
-
-def fingerprint() -> dict:
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "machine": platform.machine(),
-    }
 
 
 def _programs():

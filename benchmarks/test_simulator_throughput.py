@@ -23,7 +23,7 @@ rates for both engines and the predictor circuit.
 from __future__ import annotations
 
 import json
-import platform
+import sys
 import time
 from pathlib import Path
 
@@ -32,20 +32,15 @@ from repro.fac import FacConfig, FastAddressCalculator
 from repro.pipeline import MachineConfig, PipelineSimulator
 from repro.workloads import build_benchmark
 
+sys.path.insert(0, str(Path(__file__).parent))
+from _host import fingerprint  # noqa: E402
+
 BASELINE_PATH = Path(__file__).parent / "sim_baseline.json"
 BASELINE_SCHEMA = "repro.sim-baseline/1"
 WORKLOADS = ("yacr2", "compress")
 FUNCTIONAL_TARGET = 2.5
 TIMING_TARGET = 1.5
 REPEATS = 3
-
-
-def fingerprint() -> dict:
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "machine": platform.machine(),
-    }
 
 
 def _programs():

@@ -19,7 +19,7 @@ from repro.cpu.executor import TraceRecord
 from repro.isa.opcodes import OP_INFO
 from repro.isa.registers import Reg
 from repro.utils.bits import to_signed32
-from repro.utils.stats import Histogram
+from repro.obs.metrics import Histogram
 
 # Figure 3's x axis: offset size in bits 0..15, then "More", plus "Neg".
 OFFSET_BUCKETS = tuple(range(16)) + ("More", "Neg")

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.analysis.static_fac import knownbits as kb
+from repro.analysis.absint import knownbits as kb
 from repro.fac.config import FacConfig
 from repro.utils.bits import MASK32
 

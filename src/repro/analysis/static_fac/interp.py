@@ -39,12 +39,7 @@ from typing import Optional
 
 from repro.analysis.absint import build_cfg, solve
 from repro.analysis.absint import knownbits as kb
-from repro.analysis.absint.knownbits_domain import (  # noqa: F401  (compat)
-    PRESERVED_ACROSS_CALLS,
-    KnownBitsDomain,
-    State,
-    transfer,
-)
+from repro.analysis.absint.knownbits_domain import KnownBitsDomain
 from repro.analysis.static_fac.classify import (
     Classification,
     Geometry,
@@ -57,13 +52,6 @@ from repro.fac.config import FacConfig
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OP_INFO
 from repro.isa.program import Program
-
-
-def call_summary(state: State) -> State:
-    """Abstract effect of a completed call, assuming the O32 convention
-    (kept for backward compatibility; the domain's clobber-aware method
-    supersedes it)."""
-    return KnownBitsDomain().call_summary(state, None)
 
 
 @dataclass

@@ -11,14 +11,12 @@ passes over the columns instead of millions of interpreter callbacks.
 A live analysis skips the file: :func:`record_columns` writes the same
 record stream to memory and decodes it with the same code.
 
-Columns serialize to a versioned on-disk container
+Columns serialize to a versioned byte container
 (:data:`COLTRACE_SCHEMA` = ``repro.coltrace/1``): a fixed header, a
 JSON descriptor with sorted keys, then the raw little-endian column
 buffers in descriptor order. The encoding is deterministic -- a pure
-function of the trace -- so the farm can cache the artifact
-content-addressed next to its parent tracefile and columnarize each
-trace exactly once per sweep (see ``ensure_coltrace`` in
-:mod:`repro.farm.jobs`).
+function of the trace. The farm stores only the tracefile; its
+analysis cell decodes that straight into columns.
 """
 
 from __future__ import annotations
@@ -55,10 +53,8 @@ from repro.cpu.tracefile import (
 from repro.errors import SimulationError
 from repro.isa.program import Program
 
-#: Version tag of the on-disk columnar container. Bump when the column
-#: set or encoding changes incompatibly; the farm folds it into the
-#: coltrace artifact fingerprint, so a bump invalidates exactly the
-#: derived columnar artifacts (never the parent tracefiles).
+#: Version tag of the columnar byte container. Bump when the column
+#: set or encoding changes incompatibly.
 COLTRACE_SCHEMA = "repro.coltrace/1"
 
 _COL_MAGIC = b"FACL"   # Fast Address Calculation coLumns
@@ -243,7 +239,7 @@ def _decode_v1(program: Program, blob, path: str) -> TraceColumns:
 
 
 # ------------------------------------------------------------------ #
-# on-disk container (repro.coltrace/1)
+# byte container (repro.coltrace/1)
 
 def columns_to_bytes(cols: TraceColumns) -> bytes:
     """Serialize columns as a deterministic ``repro.coltrace/1`` blob."""
@@ -318,15 +314,3 @@ def columns_from_bytes(data: bytes, label: str = "<bytes>") -> TraceColumns:
         **{name: arrays[name] for name, __ in _COLUMNS},
     )
 
-
-def load_columns(program: Program, path: str) -> TraceColumns:
-    """Read a ``repro.coltrace/1`` file and verify it against ``program``."""
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as exc:
-        raise SimulationError(f"{path}: cannot read columnar trace "
-                              f"({exc})") from exc
-    cols = columns_from_bytes(data, label=path)
-    cols.verify(program)
-    return cols

@@ -369,14 +369,13 @@ def cmd_farm_timeline(args) -> int:
 
 def cmd_farm_gc(args) -> int:
     store = _store_for(args)
-    budget = args.max_bytes if args.max_bytes is not None else args.max_size
-    if not args.all and budget is None:
+    if not args.all and args.max_bytes is None:
         print("farm gc: pass --max-bytes SIZE or --all", file=sys.stderr)
         return 2
     if args.all:
         evicted, freed = store.gc(clear=True)
     else:
-        evicted, freed = store.gc(max_bytes=parse_size(budget))
+        evicted, freed = store.gc(max_bytes=parse_size(args.max_bytes))
     print(f"[farm] evicted {evicted} artifacts, freed {freed / 1024:.1f} KiB")
     return 0
 
@@ -459,8 +458,6 @@ def add_farm_parser(sub) -> None:
     p_gc.add_argument("--max-bytes", default=None, metavar="SIZE",
                       help="evict LRU-first until the store fits SIZE "
                            "(K/M/G suffixes)")
-    p_gc.add_argument("--max-size", default=None, metavar="SIZE",
-                      help="alias for --max-bytes (historical name)")
     p_gc.add_argument("--all", action="store_true",
                       help="remove every artifact")
     p_gc.add_argument("--store", default=None, metavar="DIR")

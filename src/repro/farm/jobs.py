@@ -7,11 +7,11 @@ job kinds::
 
     build(name, software)                 -> build manifest (program CRC)
       trace(name, software)               -> functional trace artifact
-        coltrace(name, software)          -> columnar decode (derived)
-          analysis(name, software)        -> repro.metrics/1 snapshot
+        analysis(name, software)          -> repro.metrics/1 snapshot
         sim(name, software, machine)      -> repro.metrics/1 snapshot
 
-One functional capture (the trace) drives every timing replay -- the
+One functional capture (the trace) drives every timing replay and the
+build's analysis, which decodes it straight into numpy columns -- the
 decoupled access/execute split that makes the sweep embarrassingly
 parallel. Execution is *store-idempotent*: every ``ensure_*`` function
 first consults the :class:`~repro.farm.store.ArtifactStore` and only
@@ -35,7 +35,6 @@ from repro.farm.store import ArtifactStore
 from repro.pipeline.config import MachineConfig
 
 TRACE_PAYLOAD = "trace.fact.gz"
-COLTRACE_PAYLOAD = "trace.facl"
 SNAPSHOT_PAYLOAD = "snapshot.json"
 
 #: Analyzer geometry baked into analysis artifacts (the Tables 3/4
@@ -190,15 +189,6 @@ def trace_key(name: str, software: bool, program_crc: int,
                        benchmark_options(software), max_instructions)
 
 
-def coltrace_key(name: str, software: bool, program_crc: int,
-                 max_instructions: int, source: str | None = None) -> str:
-    from repro.cpu.coltrace import COLTRACE_SCHEMA
-
-    return fingerprint("coltrace", _content_label(name, source),
-                       program_crc, benchmark_options(software),
-                       max_instructions, COLTRACE_SCHEMA)
-
-
 def analysis_key(name: str, software: bool, program_crc: int,
                  max_instructions: int, source: str | None = None) -> str:
     return fingerprint("analysis", _content_label(name, source),
@@ -325,76 +315,14 @@ def ensure_trace(store: ArtifactStore, name: str, software: bool,
     return key, meta
 
 
-def ensure_coltrace(store: ArtifactStore, name: str, software: bool,
-                    max_instructions: int,
-                    source: str | None = None) -> tuple[str, dict]:
-    """Decode (or find) the columnar form of one build's trace.
-
-    The ``coltrace`` artifact is a pure re-encoding of its parent
-    ``trace`` (``repro.coltrace/1`` column arrays), stored so each
-    trace is columnarized exactly once per sweep; the gc treats it as
-    derived and evicts it before anything expensive (see
-    :data:`repro.farm.store.DERIVED_KINDS`).
-    """
-    from repro.cpu.coltrace import (
-        COLTRACE_SCHEMA,
-        columns_to_bytes,
-        decode_tracefile,
-    )
-
-    manifest = ensure_manifest(store, name, software, source)
-    key = coltrace_key(name, software, manifest["program_crc"],
-                       max_instructions, source)
-    meta = store.get_meta("coltrace", key)
-    if meta is not None and \
-            store.payload_path("coltrace", key, COLTRACE_PAYLOAD):
-        return key, meta
-    tkey, tmeta = ensure_trace(store, name, software, max_instructions,
-                               source)
-    store.pin("trace", tkey)
-    try:
-        program = build_program(name, software, source)
-        trace_path = store.payload_path("trace", tkey, TRACE_PAYLOAD)
-        cols = decode_tracefile(program, str(trace_path))
-        meta = {
-            "schema": FARM_SCHEMA,
-            "kind": "coltrace",
-            "format": COLTRACE_SCHEMA,
-            "name": name,
-            "software_support": software,
-            "program_crc": manifest["program_crc"],
-            "max_instructions": max_instructions,
-            "records": cols.count,
-            "trace_key": tkey,
-        }
-        store.put("coltrace", key, meta,
-                  payloads={COLTRACE_PAYLOAD: columns_to_bytes(cols)})
-    finally:
-        store.unpin("trace", tkey)
-    return key, meta
-
-
-def _analysis_columns(store: ArtifactStore, ckey: str, tkey: str, program):
-    """The columns behind a pinned analysis cell: the stored coltrace
-    payload when present, else a direct decode of the parent trace (a
-    concurrent gc may have raced the payload away before the pin)."""
-    from repro.cpu.coltrace import columns_from_bytes, decode_tracefile
-
-    blob = store.get_bytes("coltrace", ckey, COLTRACE_PAYLOAD)
-    if blob is not None:
-        return columns_from_bytes(blob, label=f"coltrace:{ckey[:12]}")
-    trace_path = store.payload_path("trace", tkey, TRACE_PAYLOAD)
-    return decode_tracefile(program, str(trace_path))
-
-
 def ensure_analysis(store: ArtifactStore, name: str, software: bool,
                     max_instructions: int,
                     source: str | None = None) -> tuple[str, dict]:
     """Compute (or find) the trace analysis snapshot of one build.
 
-    The cell goes through the ``coltrace`` artifact and the vectorized
-    batch analyzer, whose snapshot the test suite holds byte-identical
-    to the scalar spec analyzer's.
+    The cell decodes the stored trace straight into columns and runs
+    the vectorized batch analyzer, whose snapshot the test suite holds
+    byte-identical to the scalar spec analyzer's.
     """
     manifest = ensure_manifest(store, name, software, source)
     key = analysis_key(name, software, manifest["program_crc"],
@@ -404,24 +332,22 @@ def ensure_analysis(store: ArtifactStore, name: str, software: bool,
         return key, snapshot
     # imported on a miss only: a store hit must not pay for numpy
     from repro.analysis.batch import analyze_trace_columns
+    from repro.cpu.coltrace import decode_tracefile
 
     tkey, tmeta = ensure_trace(store, name, software, max_instructions,
                                source)
     program = build_program(name, software, source)
-    ckey, _ = ensure_coltrace(store, name, software, max_instructions,
-                              source)
-    # pin the inputs for the duration of the cell: a size-budgeted gc
+    # pin the input for the duration of the cell: a size-budgeted gc
     # running between jobs must not evict what we are reading
     store.pin("trace", tkey)
-    store.pin("coltrace", ckey)
     try:
-        cols = _analysis_columns(store, ckey, tkey, program)
+        trace_path = store.payload_path("trace", tkey, TRACE_PAYLOAD)
+        cols = decode_tracefile(program, str(trace_path))
         analysis = analyze_trace_columns(
             program, cols, block_sizes=ANALYSIS_BLOCK_SIZES,
             memory_usage=tmeta["memory_usage"], stdout=tmeta["stdout"],
         )
     finally:
-        store.unpin("coltrace", ckey)
         store.unpin("trace", tkey)
     snapshot = analysis_to_snapshot(analysis, meta={
         "cell": "analysis",

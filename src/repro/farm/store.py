@@ -8,16 +8,11 @@ Layout (all under one root directory, default ``.repro-farm/``)::
     <root>/serve/                                      # repro.serve state
     <root>/tmp/                                        # staging area
 
-``kind`` is one of ``build``, ``trace``, ``coltrace``, ``analysis``,
-``sim``; ``key``
-is a fingerprint hex digest (see :mod:`repro.farm.fingerprint`), and
-``<k2>``/``<k4>`` are its first and second byte (``key[:2]``,
-``key[2:4]``) -- two-level fan-out keeps directories small when
-thousands of tenants share one warm cache through ``repro serve``
-(65536 leaf shards instead of 256). Stores written before the second
-level existed (``objects/<kind>/<k2>/<key>``) stay readable: every
-lookup falls back to the legacy path, so old artifacts remain warm
-cache hits and age out through the same LRU gc.
+``kind`` is one of :data:`KINDS`; ``key`` is a fingerprint hex digest
+(see :mod:`repro.farm.fingerprint`), and ``<k2>``/``<k4>`` are its
+first and second byte (``key[:2]``, ``key[2:4]``) -- two-level fan-out
+keeps directories small when thousands of tenants share one warm cache
+through ``repro serve`` (65536 leaf shards instead of 256).
 
 Writes are atomic: an artifact is staged under ``tmp/`` and published
 with a single ``os.rename``, so concurrent workers computing the same
@@ -38,13 +33,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 _META = "meta.json"
-KINDS = ("build", "trace", "coltrace", "analysis", "sim")
 
-#: Kinds that are cheap re-derivations of another stored artifact
-#: (a ``coltrace`` is decoded from its parent ``trace`` in tens of
-#: milliseconds). The size-budgeted gc evicts these before anything
-#: it would be expensive to recompute.
-DERIVED_KINDS = ("coltrace",)
+#: Every artifact kind the farm stores (one per job kind).
+KINDS = ("build", "trace", "analysis", "sim")
 
 #: Environment variable naming the store root.
 ENV_DIR = "REPRO_FARM_DIR"
@@ -111,24 +102,9 @@ class ArtifactStore:
     # paths
 
     def _object_dir(self, kind: str, key: str) -> Path:
-        """Canonical (two-level sharded) home of an artifact."""
+        """Home of an artifact (two-level sharded)."""
         return (self.root / "objects" / kind
                 / (key[:2] or "__") / (key[2:4] or "__") / key)
-
-    def _legacy_object_dir(self, kind: str, key: str) -> Path:
-        """Pre-sharding (single-level) location, still honoured on read."""
-        return self.root / "objects" / kind / (key[:2] or "__") / key
-
-    def _find_object_dir(self, kind: str, key: str) -> Path:
-        """Where the artifact lives: the sharded path, the legacy path
-        when only it exists, else the sharded path (for error paths)."""
-        sharded = self._object_dir(kind, key)
-        if (sharded / _META).is_file():
-            return sharded
-        legacy = self._legacy_object_dir(kind, key)
-        if (legacy / _META).is_file():
-            return legacy
-        return sharded
 
     def _tmp_dir(self) -> Path:
         tmp = self.root / "tmp"
@@ -149,7 +125,7 @@ class ArtifactStore:
     # reads
 
     def has(self, kind: str, key: str) -> bool:
-        return (self._find_object_dir(kind, key) / _META).is_file()
+        return (self._object_dir(kind, key) / _META).is_file()
 
     def get_meta(self, kind: str, key: str) -> dict | None:
         """Load an artifact's metadata, touching it for LRU purposes."""
@@ -161,7 +137,7 @@ class ArtifactStore:
         return self._get_meta(kind, key)
 
     def _get_meta(self, kind: str, key: str) -> dict | None:
-        meta_path = self._find_object_dir(kind, key) / _META
+        meta_path = self._object_dir(kind, key) / _META
         try:
             with open(meta_path) as handle:
                 meta = json.load(handle)
@@ -175,14 +151,14 @@ class ArtifactStore:
 
     def payload_path(self, kind: str, key: str, name: str) -> Path | None:
         """Path of a payload file, or None when absent."""
-        path = self._find_object_dir(kind, key) / name
+        path = self._object_dir(kind, key) / name
         return path if path.is_file() else None
 
     def get_json(self, kind: str, key: str, name: str = "snapshot.json"):
         """Load a JSON payload (with the LRU touch), or None."""
         if self.get_meta(kind, key) is None:
             return None
-        path = self._find_object_dir(kind, key) / name
+        path = self._object_dir(kind, key) / name
         try:
             with open(path) as handle:
                 return json.load(handle)
@@ -190,7 +166,7 @@ class ArtifactStore:
             return None
 
     def get_bytes(self, kind: str, key: str, name: str) -> bytes | None:
-        path = self._find_object_dir(kind, key) / name
+        path = self._object_dir(kind, key) / name
         try:
             return path.read_bytes()
         except OSError:
@@ -215,10 +191,9 @@ class ArtifactStore:
 
     def _put(self, kind: str, key: str, meta: dict,
              payloads: dict[str, str | Path | bytes] | None = None) -> Path:
-        existing = self._find_object_dir(kind, key)
-        if (existing / _META).is_file():
-            return existing
         final = self._object_dir(kind, key)
+        if (final / _META).is_file():
+            return final
         stage = self._tmp_dir() / f"{os.getpid()}-{kind}-{key[:16]}"
         if stage.exists():
             shutil.rmtree(stage, ignore_errors=True)
@@ -256,24 +231,9 @@ class ArtifactStore:
     # enumeration / gc
 
     def _iter_object_dirs(self, kind_dir: Path):
-        """Every object directory under one kind, both layouts.
-
-        A first-level entry holding ``meta.json`` directly is a legacy
-        (single-level) artifact; otherwise it is a shard whose children
-        are second-level shards holding the sharded artifacts.
-        """
-        for shard in sorted(kind_dir.iterdir()):
-            if not shard.is_dir():
-                continue
-            for entry in sorted(shard.iterdir()):
-                if not entry.is_dir():
-                    continue
-                if (entry / _META).is_file():    # legacy: objects/k/ab/KEY
-                    yield entry
-                    continue
-                for obj in sorted(entry.iterdir()):
-                    if obj.is_dir() and (obj / _META).is_file():
-                        yield obj                # sharded: objects/k/ab/cd/KEY
+        """Every object directory (``<k2>/<k4>/<key>``) under one kind."""
+        for obj in sorted(kind_dir.glob("*/*/*/" + _META)):
+            yield obj.parent
 
     def ls(self) -> list[ArtifactInfo]:
         objects = self.root / "objects"
@@ -317,24 +277,18 @@ class ArtifactStore:
             for kind_dir in sorted(objects.iterdir()):
                 if not kind_dir.is_dir():
                     continue
-                shards: dict[str, int] = {}
-                legacy = 0
+                shards: dict[Path, int] = {}
                 for obj in self._iter_object_dirs(kind_dir):
-                    shard = obj.parent
-                    if shard.parent == kind_dir:    # legacy single-level
-                        legacy += 1
-                    shards[str(shard.relative_to(kind_dir))] = \
-                        shards.get(str(shard.relative_to(kind_dir)), 0) + 1
+                    shards[obj.parent] = shards.get(obj.parent, 0) + 1
                 kinds[kind_dir.name] = {
                     "objects": sum(shards.values()),
                     "shards": len(shards),
                     "max_per_shard": max(shards.values(), default=0),
-                    "legacy_objects": legacy,
                 }
         return {"levels": 2, "kinds": kinds}
 
     def remove(self, kind: str, key: str) -> bool:
-        path = self._find_object_dir(kind, key)
+        path = self._object_dir(kind, key)
         if not path.is_dir():
             return False
         shutil.rmtree(path, ignore_errors=True)
@@ -359,21 +313,17 @@ class ArtifactStore:
     def pinned(self, kind: str, key: str) -> bool:
         return (kind, key) in self._pins
 
-    def gc(self, max_bytes: int | None = None, clear: bool = False,
-           *, max_size: int | None = None) -> tuple[int, int]:
+    def gc(self, max_bytes: int | None = None,
+           clear: bool = False) -> tuple[int, int]:
         """Evict artifacts; returns ``(evicted_count, freed_bytes)``.
 
         ``clear=True`` removes everything (except pinned artifacts).
         Otherwise artifacts are evicted least-recently-used first until
-        the store fits within ``max_bytes``. ``max_size`` is the
-        historical name for the same budget and remains an alias. The
-        staging area is always emptied; pinned artifacts are never
-        evicted (their bytes still count toward the budget, so a pin
-        can make the budget unreachable -- by design: in-flight results
-        beat the quota).
+        the store fits within ``max_bytes``. The staging area is always
+        emptied; pinned artifacts are never evicted (their bytes still
+        count toward the budget, so a pin can make the budget
+        unreachable -- by design: in-flight results beat the quota).
         """
-        if max_bytes is None:
-            max_bytes = max_size
         shutil.rmtree(self.root / "tmp", ignore_errors=True)
         artifacts = self.ls()
         evicted = freed = 0
@@ -388,11 +338,7 @@ class ArtifactStore:
         if max_bytes is None:
             return 0, 0
         total = sum(info.size for info in artifacts)
-        # derived artifacts first (they are cheap to recompute from
-        # their parents), then least-recently-used within each class
-        for info in sorted(artifacts,
-                           key=lambda i: (i.kind not in DERIVED_KINDS,
-                                          i.mtime, i.key)):
+        for info in sorted(artifacts, key=lambda i: (i.mtime, i.key)):
             if total <= max_bytes:
                 break
             if (info.kind, info.key) in self._pins:

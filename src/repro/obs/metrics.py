@@ -21,9 +21,6 @@ layer need:
                        quantile estimates (request latency, queue
                        wait); mergeable across shards like the rest.
 
-These are the canonical definitions; :mod:`repro.utils.stats` re-exports
-them for backwards compatibility.
-
 A :class:`MetricsRegistry` names metrics hierarchically with dot-separated
 paths (``"fac.replay_penalty"``) and serializes to a **versioned snapshot**
 (:data:`SNAPSHOT_VERSION`); the structural schema lives in

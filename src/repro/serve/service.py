@@ -46,7 +46,7 @@ from repro.farm.ledger import LEDGER_SCHEMA
 from repro.obs.events import HttpRequestServed
 from repro.obs.metrics import SNAPSHOT_VERSION
 from repro.obs.sinks import AccessLogSink
-from repro.farm.store import ArtifactStore
+from repro.farm.store import KINDS, ArtifactStore
 from repro.serve.metrics import ServeMetrics
 from repro.serve.queue import DONE, FAILED, RUNNING, PersistentQueue, QuotaExceeded
 from repro.serve.schemas import (
@@ -469,8 +469,7 @@ class ServeService:
 
     async def _get_artifact(self, writer, ctx: RequestContext,
                             kind: str, key: str) -> None:
-        meta = self.store.get_meta(kind, key) \
-            if kind in ("build", "trace", "analysis", "sim") else None
+        meta = self.store.get_meta(kind, key) if kind in KINDS else None
         if meta is None:
             await self._send_json(writer, 404, error_doc(
                 "unknown-artifact", f"no {kind} artifact {key[:16]}..."),

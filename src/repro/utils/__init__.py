@@ -1,4 +1,4 @@
-"""Shared low-level helpers: bit manipulation and statistics containers.
+"""Shared low-level helpers: bit manipulation.
 
 Note: the :mod:`repro.utils.bits` module is accessed as a module (it has
 a function also named ``bits``, which would shadow the module if it were
@@ -16,7 +16,6 @@ from repro.utils.bits import (
     to_signed32,
     to_unsigned32,
 )
-from repro.utils.stats import Counter, Histogram, RatioStat
 
 __all__ = [
     "align_down",
@@ -28,7 +27,4 @@ __all__ = [
     "sext",
     "to_signed32",
     "to_unsigned32",
-    "Counter",
-    "Histogram",
-    "RatioStat",
 ]

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.analysis import analyze_program, analyze_static, check_soundness
-from repro.analysis.static_fac import knownbits as kb
+from repro.analysis.absint import knownbits as kb
 from repro.analysis.static_fac.classify import (
     Geometry,
     Verdict,

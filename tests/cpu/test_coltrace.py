@@ -10,7 +10,6 @@ from repro.cpu.coltrace import (
     columns_from_bytes,
     columns_to_bytes,
     decode_tracefile,
-    load_columns,
     record_columns,
 )
 from repro.cpu import CPU
@@ -143,15 +142,6 @@ class TestContainer:
                                   getattr(columns, name))
         assert (again.text_base, again.entry, again.crc) == \
             (columns.text_base, columns.entry, columns.crc)
-
-    def test_load_columns_verifies(self, program, columns, tmp_path):
-        path = tmp_path / "cols.facl"
-        path.write_bytes(columns_to_bytes(columns))
-        loaded = load_columns(program, str(path))
-        assert loaded.count == columns.count
-        other = compile_and_link(OTHER_SOURCE)
-        with pytest.raises(SimulationError, match="different program"):
-            load_columns(other, str(path))
 
     def test_schema_tag_present(self, columns):
         blob = columns_to_bytes(columns)

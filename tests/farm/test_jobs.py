@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from repro.farm import Cell, plan_jobs
+from repro.farm import Cell, plan_jobs, run_graph
 from repro.farm import jobs as farm_jobs
 from repro.farm.snapshots import analysis_to_snapshot
 from repro.farm.store import ArtifactStore
@@ -154,34 +154,40 @@ class TestEnsure:
 
 
 class TestColtrace:
-    """The derived columnar-trace artifact and the columnar analysis
-    cell built on it."""
+    """The analysis cell decodes the stored trace straight into
+    columns; the trace is the only artifact between the build and the
+    analysis."""
 
     @pytest.fixture(scope="class")
     def store(self, tmp_path_factory):
-        return ArtifactStore(tmp_path_factory.mktemp("coltrace-store"))
+        return ArtifactStore(tmp_path_factory.mktemp("analysis-store"))
 
-    def test_coltrace_artifact_stored_with_meta(self, store):
-        key, meta = farm_jobs.ensure_coltrace(store, BENCH, False,
-                                              MAX_INSTRUCTIONS)
-        assert meta["kind"] == "coltrace"
-        assert meta["format"] == "repro.coltrace/1"
-        assert meta["records"] > 0
-        assert store.has("trace", meta["trace_key"])
-        assert store.payload_path("coltrace", key,
-                                  farm_jobs.COLTRACE_PAYLOAD)
-
-    def test_decoded_exactly_once(self, store, monkeypatch):
-        farm_jobs.ensure_coltrace(store, BENCH, False, MAX_INSTRUCTIONS)
+    def test_decoded_exactly_once(self, tmp_path, monkeypatch):
+        """A cold sweep of one benchmark's analysis and sim cells stores
+        one artifact per job kind and decodes the trace once."""
         import repro.cpu.coltrace as coltrace_mod
 
-        def boom(program, path):  # pragma: no cover - must not run
-            raise AssertionError("re-decoded a cached coltrace")
+        # workers are forked, so they count into a file
+        decodes = tmp_path / "decodes"
+        decodes.touch()
+        real = coltrace_mod.decode_tracefile
 
-        monkeypatch.setattr(coltrace_mod, "decode_tracefile", boom)
-        key, meta = farm_jobs.ensure_coltrace(store, BENCH, False,
-                                              MAX_INSTRUCTIONS)
-        assert meta["records"] > 0
+        def counted(program, path):
+            with open(decodes, "a") as handle:
+                handle.write(f"{path}\n")
+            return real(program, path)
+
+        monkeypatch.setattr(coltrace_mod, "decode_tracefile", counted)
+        store = ArtifactStore(tmp_path / "store")
+        graph = plan_jobs(
+            {Cell("analysis", BENCH), Cell("sim", BENCH, False, "base")},
+            MACHINES, MAX_INSTRUCTIONS)
+        result = run_graph(graph, store, jobs=1)
+        assert result.ok, result.summary()["errors"]
+        assert {kind: entry["count"]
+                for kind, entry in store.stats()["kinds"].items()} == {
+            "build": 1, "trace": 1, "analysis": 1, "sim": 1}
+        assert len(decodes.read_text().splitlines()) == 1
 
     def test_engines_share_key_and_snapshot(self, store):
         """The columnar cell's snapshot equals the spec analyzer's
@@ -225,9 +231,7 @@ class TestColtrace:
     def test_inputs_pinned_while_analysis_in_flight(self, store,
                                                     monkeypatch):
         """A size-budgeted gc that fires mid-cell must not evict the
-        trace or coltrace the analysis is reading."""
-        key, _ = farm_jobs.ensure_coltrace(store, BENCH, False,
-                                           MAX_INSTRUCTIONS)
+        trace the analysis is reading."""
         akey = farm_jobs.ensure_analysis(
             store, BENCH, False, MAX_INSTRUCTIONS)[0]
         store.remove("analysis", akey)
@@ -248,22 +252,14 @@ class TestColtrace:
             farm_jobs.ensure_manifest(store, BENCH, False)["program_crc"],
             MAX_INSTRUCTIONS)
         farm_jobs.ensure_analysis(store, BENCH, False, MAX_INSTRUCTIONS)
-        assert "evicted" in fired
+        assert fired["evicted"] > 0
         assert store.has("trace", tkey)
-        assert store.has("coltrace", key)
-        # pins were released afterwards: nothing survives a clear now
+        # the pin was released afterwards: nothing survives a clear now
         store.gc(clear=True)
-        assert not store.has("coltrace", key)
+        assert not store.has("trace", tkey)
 
     def test_no_pins_leak(self, store):
         farm_jobs.ensure_analysis(store, BENCH, False, MAX_INSTRUCTIONS)
         assert not store.pinned("trace", "x")  # sanity: API present
         for info in store.ls():
             assert not store.pinned(info.kind, info.key)
-
-    def test_coltrace_key_differs_from_trace_key(self):
-        crc = 1
-        assert farm_jobs.coltrace_key(BENCH, False, crc, 1000) != \
-            farm_jobs.trace_key(BENCH, False, crc, 1000)
-        assert farm_jobs.coltrace_key(BENCH, False, crc, 1000) != \
-            farm_jobs.coltrace_key(BENCH, False, crc, 2000)

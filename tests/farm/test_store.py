@@ -94,6 +94,14 @@ class TestGc:
         assert evicted == 2 and freed > 0
         assert store.ls() == []
 
+    def test_clear_removes_kinds_no_longer_written(self, store):
+        # earlier versions also stored a "coltrace" kind; a store they
+        # filled must still empty completely
+        store.put("coltrace", "30" * 32, {}, payloads={"trace.facl": b"x"})
+        store.put("trace", "40" * 32, {})
+        assert store.gc(clear=True)[0] == 2
+        assert not any((store.root / "objects").glob("*/*/*/*"))
+
     def test_lru_eviction_order(self, store):
         for index, key in enumerate(("aa" * 32, "bb" * 32, "cc" * 32)):
             store.put("sim", key, {"i": index})
@@ -105,10 +113,10 @@ class TestGc:
         store.get_meta("sim", "bb" * 32)
         sizes = {info.key: info.size for info in store.ls()}
         total = sum(sizes.values())
-        evicted, freed = store.gc(max_size=total - 1)
+        evicted, freed = store.gc(max_bytes=total - 1)
         assert evicted == 1 and freed == sizes["aa" * 32]
         assert not store.has("sim", "aa" * 32)
-        evicted, _ = store.gc(max_size=sizes["bb" * 32])
+        evicted, _ = store.gc(max_bytes=sizes["bb" * 32])
         assert evicted == 1
         assert not store.has("sim", "cc" * 32)
         assert store.has("sim", "bb" * 32)
@@ -138,42 +146,27 @@ class TestSharding:
         home = store.root / "objects" / "sim" / "ab" / "__" / "ab"
         assert (home / "meta.json").is_file()
 
-    def test_legacy_single_level_artifacts_still_read(self, store):
-        # hand-plant an artifact at the pre-sharding location
+    def test_legacy_single_level_artifacts_are_misses(self, store):
+        # an artifact at the pre-sharding location is not read: the
+        # farm recomputes it into the sharded layout
         key = "fe" * 32
         legacy = store.root / "objects" / "sim" / key[:2] / key
         legacy.mkdir(parents=True)
         (legacy / "meta.json").write_text(json.dumps({"vintage": True}))
-        (legacy / "snapshot.json").write_text(json.dumps({"cycles": 9}))
-        assert store.has("sim", key)
-        assert store.get_meta("sim", key) == {"vintage": True}
-        assert store.get_json("sim", key) == {"cycles": 9}
-
-    def test_legacy_artifacts_enumerate_and_evict(self, store):
-        key = "fe" * 32
-        legacy = store.root / "objects" / "sim" / key[:2] / key
-        legacy.mkdir(parents=True)
-        (legacy / "meta.json").write_text("{}")
-        store.put("sim", "ab" * 32, {})
-        assert {i.key for i in store.ls()} == {key, "ab" * 32}
-        assert store.stats()["total"]["count"] == 2
-        store.remove("sim", key)
         assert not store.has("sim", key)
-        assert not legacy.exists()
+        assert store.get_meta("sim", key) is None
+        assert store.ls() == []
+        store.put("sim", key, {"vintage": False})
+        assert store.get_meta("sim", key) == {"vintage": False}
 
     def test_shard_stats(self, store):
         for key in ("ab" * 32, "ac" + "aa" * 31, "ba" * 32):
             store.put("sim", key, {})
-        legacy_key = "fe" * 32
-        legacy = store.root / "objects" / "sim" / legacy_key[:2] / legacy_key
-        legacy.mkdir(parents=True)
-        (legacy / "meta.json").write_text("{}")
         stats = store.shard_stats()
         assert stats["levels"] == 2
         sim = stats["kinds"]["sim"]
-        assert sim["objects"] == 4
-        assert sim["legacy_objects"] == 1
-        assert sim["shards"] == 4  # the legacy dir counts as one shard
+        assert sim["objects"] == 3
+        assert sim["shards"] == 3
         assert sim["max_per_shard"] == 1
 
 
@@ -206,68 +199,6 @@ class TestPinning:
 
     def test_unpin_without_pin_is_noop(self, store):
         store.unpin("sim", "cc" * 32)  # must not raise
-
-    def test_max_bytes_and_max_size_are_aliases(self, store):
-        for key in ("aa" * 32, "bb" * 32):
-            store.put("sim", key, {"k": key})
-        sizes = {i.key: i.size for i in store.ls()}
-        assert store.gc(max_bytes=sum(sizes.values())) == (0, 0)
-        evicted, _ = store.gc(max_size=sizes["bb" * 32])
-        assert evicted == 1
-
-
-class TestDerivedKinds:
-    """Columnar trace artifacts are derived caches: cheap to rebuild
-    from their parent tracefile, so budget GC sheds them first."""
-
-    def test_coltrace_is_a_registered_derived_kind(self):
-        from repro.farm.store import DERIVED_KINDS, KINDS
-
-        assert "coltrace" in KINDS
-        assert set(DERIVED_KINDS) <= set(KINDS)
-        assert "coltrace" in DERIVED_KINDS
-
-    def test_derived_evicted_before_newer_parents(self, store):
-        store.put("coltrace", "aa" * 32, {})
-        store.put("trace", "bb" * 32, {})
-        # make the trace the LRU-oldest artifact: without the derived
-        # rule it would be the first eviction candidate
-        meta = store._object_dir("trace", "bb" * 32) / "meta.json"
-        os.utime(meta, (meta.stat().st_mtime - 500,) * 2)
-        evicted, _ = store.gc(max_bytes=1)
-        assert evicted == 2
-        # but with a budget that only needs one eviction, the derived
-        # coltrace goes and the older tracefile stays
-        store.put("coltrace", "aa" * 32, {})
-        store.put("trace", "bb" * 32, {})
-        meta = store._object_dir("trace", "bb" * 32) / "meta.json"
-        os.utime(meta, (meta.stat().st_mtime - 500,) * 2)
-        sizes = {(i.kind, i.key): i.size for i in store.ls()}
-        evicted, _ = store.gc(
-            max_bytes=sum(sizes.values()) - 1)
-        assert evicted == 1
-        assert store.has("trace", "bb" * 32)
-        assert not store.has("coltrace", "aa" * 32)
-
-    def test_derived_keep_lru_order_among_themselves(self, store):
-        for age, key in ((300, "aa" * 32), (100, "bb" * 32)):
-            store.put("coltrace", key, {})
-            meta = store._object_dir("coltrace", key) / "meta.json"
-            os.utime(meta, (meta.stat().st_mtime - age,) * 2)
-        sizes = {i.key: i.size for i in store.ls()}
-        evicted, _ = store.gc(max_bytes=sum(sizes.values()) - 1)
-        assert evicted == 1
-        assert not store.has("coltrace", "aa" * 32)
-        assert store.has("coltrace", "bb" * 32)
-
-    def test_pinned_coltrace_survives_budget_gc(self, store):
-        store.put("coltrace", "aa" * 32, {})
-        store.put("trace", "bb" * 32, {})
-        store.pin("coltrace", "aa" * 32)
-        evicted, _ = store.gc(max_bytes=1)
-        assert evicted == 1
-        assert store.has("coltrace", "aa" * 32)
-        assert not store.has("trace", "bb" * 32)
 
 
 class TestEnvironment:

@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.utils.stats import Counter, Histogram, RatioStat
+from repro.obs.metrics import Counter, Histogram, RatioStat
 
 
 class TestCounter:
