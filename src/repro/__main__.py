@@ -5,7 +5,7 @@ Commands:
 * ``run FILE.mc``      -- compile and run a MiniC program
 * ``asm FILE.s``       -- assemble, link, and run raw assembly
 * ``suite``            -- list the benchmark registry
-* ``bench NAME``       -- run one benchmark and report timing/prediction
+* ``stats NAME``       -- run one benchmark and report timing/prediction
 * ``lint TARGET``      -- static FAC-predictability lint of a MiniC file,
                           assembly file, or benchmark name
 * ``sanitize TARGET``  -- whole-program static sanitizer: calling
@@ -92,7 +92,7 @@ def cmd_suite(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
+def cmd_stats(args) -> int:
     from repro.workloads import BENCHMARKS, build_benchmark
 
     if args.name not in BENCHMARKS:
@@ -445,14 +445,14 @@ def main(argv=None) -> int:
     p_suite = sub.add_parser("suite", help="list the benchmark suite")
     p_suite.set_defaults(func=cmd_suite)
 
-    p_bench = sub.add_parser("bench", help="run one benchmark with timing")
-    p_bench.add_argument("name")
-    p_bench.add_argument("--software-support", action="store_true")
-    p_bench.add_argument("--snapshot", nargs="?", const="BENCH_obs.json",
+    p_stats = sub.add_parser("stats", help="run one benchmark with timing")
+    p_stats.add_argument("name")
+    p_stats.add_argument("--software-support", action="store_true")
+    p_stats.add_argument("--snapshot", nargs="?", const="BENCH_obs.json",
                          default=None, metavar="FILE",
                          help="write a versioned metrics snapshot "
                               "(default FILE: BENCH_obs.json)")
-    p_bench.set_defaults(func=cmd_bench)
+    p_stats.set_defaults(func=cmd_stats)
 
     p_lint = sub.add_parser(
         "lint", help="static FAC-predictability lint (repro.analysis.static_fac)"

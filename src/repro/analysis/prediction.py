@@ -180,13 +180,13 @@ class TraceAnalyzer:
     # ------------------------------------------------------------------ #
     # streaming trace protocol (CPU.run_trace / tracefile.replay_into)
 
-    trace_mem = observe
-    trace_branch = observe
-
-    def trace_plain(self, pc, inst) -> None:
-        """Record-free fast lane: for a non-memory, non-branch
-        instruction :meth:`observe` only counts it and probes the
-        icache model."""
+    def retire(self, pc, inst, rec) -> None:
+        """:meth:`observe` ``rec``; for a record-free (plain)
+        instruction that reduces to counting it and probing the icache
+        model."""
+        if rec is not None:
+            self.observe(rec)
+            return
         self.profile.instructions += 1
         iblock = pc >> 5
         if iblock != self._last_iblock:

@@ -1,6 +1,6 @@
 """Plain-text table and series rendering for the experiment harnesses,
 plus the machine-readable schemas shared by ``repro lint --json`` and
-the observability layer (``repro bench --snapshot``, ``repro profile
+the observability layer (``repro stats --snapshot``, ``repro profile
 --json`` -- see :mod:`repro.obs.metrics` and :mod:`repro.obs.profile`)."""
 
 from __future__ import annotations

@@ -88,8 +88,10 @@ class TraceColumns:
 
     ``flags`` keeps the stream's record-type bits verbatim (far-target
     bits are resolved into ``next_pc`` and cleared), so the record kind
-    masks below recover exactly the three replay lanes of
-    :func:`repro.cpu.tracefile.replay_into`.
+    masks below recover exactly which records
+    :func:`repro.cpu.tracefile.replay_into` hands over as a
+    :class:`~repro.cpu.executor.TraceRecord` (memory and branch) and
+    which as None (the rest).
     """
 
     text_base: int
@@ -120,12 +122,12 @@ class TraceColumns:
 
     @property
     def is_mem(self) -> np.ndarray:
-        """Memory-record mask (the ``trace_mem`` lane)."""
+        """Memory-record mask (loads and stores)."""
         return (self.flags & _FLAG_HAS_EA) != 0
 
     @property
     def is_branch(self) -> np.ndarray:
-        """Branch-record mask (the ``trace_branch`` lane)."""
+        """Branch-record mask (branches and jumps)."""
         return ((self.flags & _FLAG_HAS_TAKEN) != 0) & ~self.is_mem
 
     @property

@@ -111,24 +111,18 @@ class CPU:
     def run_trace(self, consumer=None, max_instructions: int = 100_000_000) -> int:
         """Drive the predecoded engine, streaming outcomes to ``consumer``.
 
-        The consumer declares what it needs by providing any of three
-        optional methods (looked up once, before the loop starts):
+        The consumer protocol is one optional method, looked up once
+        before the loop starts: ``retire(pc, inst, rec)``, called after
+        every retired instruction. ``rec`` is a :class:`TraceRecord` for
+        loads, stores, branches and jumps -- identical, field for field,
+        to what the spec ``step()`` would have returned -- and None for
+        every other instruction, for which no record is allocated.
 
-        * ``trace_plain(pc, inst)`` -- called after every retired
-          instruction that is neither a memory op nor a branch/jump; no
-          :class:`TraceRecord` is allocated for these,
-        * ``trace_mem(rec)`` -- called with a full :class:`TraceRecord`
-          for every load/store,
-        * ``trace_branch(rec)`` -- called with a full record for every
-          branch/jump.
-
-        A record handed to a hook is identical (field for field) to what
-        the spec ``step()`` would have returned for that instruction.
-        With ``consumer=None`` (or a consumer with none of the hooks)
-        the loop runs architecture-only at full speed. Returns the
-        number of instructions retired by this call; stops on halt or
-        when ``max_instructions`` is reached, leaving ``state.pc`` ready
-        for a subsequent ``step()``/``run_trace()``.
+        With ``consumer=None`` (or any consumer without ``retire``) the
+        loop runs architecture-only at full speed. Returns the number of
+        instructions retired by this call; stops on halt or when
+        ``max_instructions`` is reached, leaving ``state.pc`` ready for
+        a subsequent ``step()``/``run_trace()``.
         """
         from repro.cpu.predecode import HALT, OFF_TEXT
 
@@ -149,13 +143,11 @@ class CPU:
         if limit > 0 and not 0 <= index < n_insts:
             raise SimulationError(f"pc 0x{pc:08x} outside text segment")
 
-        plain_cb = getattr(consumer, "trace_plain", None)
-        mem_cb = getattr(consumer, "trace_mem", None)
-        branch_cb = getattr(consumer, "trace_branch", None)
+        retire = getattr(consumer, "retire", None)
 
         n = 0
         try:
-            if plain_cb is None and mem_cb is None and branch_cb is None:
+            if retire is None:
                 while index >= 0 and n < limit:
                     index = run_table[index]()
                     n += 1
@@ -166,32 +158,23 @@ class CPU:
                         i0 = index
                         index = run_table[i0]()
                         n += 1
-                        if plain_cb is not None:
-                            plain_cb(pcs[i0], insts[i0])
+                        retire(pcs[i0], insts[i0], None)
                     elif kind == 1:
-                        if mem_cb is not None:
-                            rec = trace_table[index]()
-                            index += 1
-                            n += 1
-                            mem_cb(rec)
-                        else:
-                            index = run_table[index]()
-                            n += 1
+                        rec = trace_table[index]()
+                        index += 1
+                        n += 1
+                        retire(rec.pc, rec.inst, rec)
                     else:
-                        if branch_cb is not None:
-                            rec = trace_table[index]()
-                            n += 1
-                            branch_cb(rec)
-                            npc = rec.next_pc
-                            idx = (npc - text_base) >> 2
-                            if 0 <= idx < n_insts:
-                                index = idx
-                            else:
-                                state.pc = npc
-                                index = OFF_TEXT
+                        rec = trace_table[index]()
+                        n += 1
+                        retire(rec.pc, rec.inst, rec)
+                        npc = rec.next_pc
+                        idx = (npc - text_base) >> 2
+                        if 0 <= idx < n_insts:
+                            index = idx
                         else:
-                            index = run_table[index]()
-                            n += 1
+                            state.pc = npc
+                            index = OFF_TEXT
         except IndexError:
             # a plain/memory handler fell off the end of the text segment
             if index >= n_insts:

@@ -12,9 +12,9 @@ segment guards against replaying a trace into the wrong binary.
 
 Format: gzip-compressed stream of fixed-size little-endian records after
 a small header. ~19 bytes/record before compression. Two readers share
-one header check: :func:`replay_into` streams records into trace hooks,
-and :func:`repro.cpu.coltrace.decode_tracefile` decodes them into
-columns.
+one header check: :func:`replay_into` streams records into a consumer's
+``retire`` hook, and :func:`repro.cpu.coltrace.decode_tracefile`
+decodes them into columns.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ def program_crc(program: Program) -> int:
 
 
 class _TraceWriter:
-    """Streaming consumer (see :meth:`CPU.run_trace`) that serializes
-    records as they retire.
+    """Streaming ``retire`` consumer (see :meth:`CPU.run_trace`) that
+    serializes records as they retire.
 
     A plain record's bytes depend only on its pc -- ``(index, 0, 0, 0,
     flags=0, delta=1)`` -- so they are packed once per static
@@ -72,48 +72,40 @@ class _TraceWriter:
         self._chunks: list[bytes] = []
         self.count = 0
 
-    def trace_plain(self, pc, inst) -> None:
-        data = self._plain.get(pc)
-        if data is None:
-            data = self._plain[pc] = _RECORD.pack(
-                (pc - self._text_base) >> 2, 0, 0, 0, 0, 1)
+    def retire(self, pc, inst, rec) -> None:
         chunks = self._chunks
-        chunks.append(data)
+        if rec is None:
+            data = self._plain.get(pc)
+            if data is None:
+                data = self._plain[pc] = _RECORD.pack(
+                    (pc - self._text_base) >> 2, 0, 0, 0, 0, 1)
+            chunks.append(data)
+        else:
+            flags = 0
+            ea = 0
+            if rec.ea is not None:
+                flags |= _FLAG_HAS_EA
+                ea = rec.ea
+            if rec.taken is not None:
+                flags |= _FLAG_HAS_TAKEN
+                if rec.taken:
+                    flags |= _FLAG_TAKEN
+            delta = rec.next_pc - pc
+            far = not (-32768 <= delta // 4 < 32768) or delta % 4 != 0
+            if far:
+                flags |= _FLAG_FAR_TARGET
+            chunks.append(_RECORD.pack(
+                (pc - self._text_base) >> 2, ea, rec.base_value,
+                rec.offset_value if -(2**31) <= rec.offset_value < 2**31
+                else rec.offset_value - 2**32,
+                flags, 0 if far else delta // 4,
+            ))
+            if far:
+                chunks.append(_U32.pack(rec.next_pc))
         self.count += 1
         if len(chunks) >= self._FLUSH_EVERY:
             self._stream.write(b"".join(chunks))
             del chunks[:]
-
-    def _append(self, rec) -> None:
-        flags = 0
-        ea = 0
-        if rec.ea is not None:
-            flags |= _FLAG_HAS_EA
-            ea = rec.ea
-        if rec.taken is not None:
-            flags |= _FLAG_HAS_TAKEN
-            if rec.taken:
-                flags |= _FLAG_TAKEN
-        delta = rec.next_pc - rec.pc
-        far = not (-32768 <= delta // 4 < 32768) or delta % 4 != 0
-        if far:
-            flags |= _FLAG_FAR_TARGET
-        chunks = self._chunks
-        chunks.append(_RECORD.pack(
-            (rec.pc - self._text_base) >> 2, ea, rec.base_value,
-            rec.offset_value if -(2**31) <= rec.offset_value < 2**31
-            else rec.offset_value - 2**32,
-            flags, 0 if far else delta // 4,
-        ))
-        if far:
-            chunks.append(_U32.pack(rec.next_pc))
-        self.count += 1
-        if len(chunks) >= self._FLUSH_EVERY:
-            self._stream.write(b"".join(chunks))
-            del chunks[:]
-
-    trace_mem = _append
-    trace_branch = _append
 
     def flush(self) -> None:
         if self._chunks:
@@ -178,20 +170,18 @@ def _check_header(header: bytes, path: str, program: Program) -> None:
 
 
 def replay_into(program: Program, path: str, consumer) -> int:
-    """Stream a recorded trace into ``consumer``'s trace hooks.
+    """Stream a recorded trace into ``consumer.retire(pc, inst, rec)``.
 
-    The consumer protocol matches :meth:`CPU.run_trace`: optional
-    ``trace_plain(pc, inst)`` / ``trace_mem(rec)`` / ``trace_branch(rec)``
-    methods, looked up once. No :class:`TraceRecord` is allocated for
-    plain records (nor for any record whose hook is absent), and the
-    stream is parsed from a buffered window instead of two reads per
-    record. Returns the total number of records in the trace.
+    The consumer protocol is :meth:`CPU.run_trace`'s: ``rec`` is a
+    :class:`TraceRecord` for loads, stores, branches and jumps and None
+    for every other instruction, for which no record is allocated. A
+    consumer without ``retire`` only has the trace decoded and counted.
+    The stream is parsed from a buffered window instead of two reads
+    per record. Returns the total number of records in the trace.
     """
     instructions = program.instructions
     text_base = program.text_base
-    plain_cb = getattr(consumer, "trace_plain", None)
-    mem_cb = getattr(consumer, "trace_mem", None)
-    branch_cb = getattr(consumer, "trace_branch", None)
+    retire = getattr(consumer, "retire", None)
     # index-register offsets are register *values*: restore the
     # executor's unsigned view (constants stay signed)
     is_x = [OP_INFO[inst.op].mem_mode == "x" for inst in instructions]
@@ -226,19 +216,20 @@ def replay_into(program: Program, path: str, consumer) -> int:
             else:
                 next_pc = pc + delta * 4
             count += 1
+            if retire is None:
+                continue
+            inst = instructions[index]
             if flags & _FLAG_HAS_EA:
-                if mem_cb is not None:
-                    if offset < 0 and is_x[index]:
-                        offset &= 0xFFFFFFFF
-                    mem_cb(TraceRecord(pc, instructions[index], ea, base,
-                                       offset, None, next_pc))
+                if offset < 0 and is_x[index]:
+                    offset &= 0xFFFFFFFF
+                retire(pc, inst, TraceRecord(pc, inst, ea, base, offset,
+                                             None, next_pc))
             elif flags & _FLAG_HAS_TAKEN:
-                if branch_cb is not None:
-                    branch_cb(TraceRecord(pc, instructions[index], None,
-                                          base, offset,
-                                          bool(flags & _FLAG_TAKEN), next_pc))
-            elif plain_cb is not None:
-                plain_cb(pc, instructions[index])
+                retire(pc, inst, TraceRecord(pc, inst, None, base, offset,
+                                             bool(flags & _FLAG_TAKEN),
+                                             next_pc))
+            else:
+                retire(pc, inst, None)
 
 
 def simulate_trace(program: Program, path: str, config=None,

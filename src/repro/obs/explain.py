@@ -149,7 +149,8 @@ class ExplainReport:
 
 
 class _Collector:
-    """run_trace consumer: only ``trace_mem``, everything else free."""
+    """run_trace consumer: tallies the FAC verdict of every load and
+    store; other instructions return at once."""
 
     def __init__(self, fac: FastAddressCalculator, want: set[int] | None,
                  collect_eas: bool = False):
@@ -159,8 +160,9 @@ class _Collector:
         # per-site effective-address streams for the analytical sweep
         self.eas: dict[int, list[int]] | None = {} if collect_eas else None
 
-    def trace_mem(self, rec) -> None:
-        pc = rec.pc
+    def retire(self, pc, inst, rec) -> None:
+        if rec is None or rec.ea is None:
+            return
         if self.want is not None and pc not in self.want:
             return
         site = self.sites.get(pc)

@@ -8,12 +8,12 @@ Figure 1 stage charts (:mod:`repro.pipeline.tracer`).
 The recorder is a ``run_trace`` *consumer* that taps a
 :class:`~repro.pipeline.pipeline.PipelineSimulator`. It hands the
 pipeline a preallocated ring (``pipe._flight``) whose slots the
-pipeline's own hot loops overwrite in place -- a handful of int stores
-per retired instruction, no call frames, no allocation, and the
-``trace_plain`` fast lane stays record-free; the detached pipeline pays
-one attribute test per instruction for the hook. Without ``--around``
-triggers the bounded recorder's consumer hooks *are* the pipeline's
-bound methods, so recording adds zero dispatch overhead.
+pipeline's ``retire`` overwrites in place -- a handful of int stores
+per retired instruction, no call frames, no allocation, and plain
+instructions stay record-free; the detached pipeline pays one
+attribute test per instruction for the hook. Without ``--around``
+triggers the bounded recorder's ``retire`` *is* the pipeline's bound
+method, so recording adds zero dispatch overhead.
 
 Each ring slot captures, per retired instruction:
 
@@ -37,8 +37,8 @@ after the trigger pc retires, a cycle trigger freezes once issue passes
 wrapped pipeline so timing is unaffected.
 
 With ``window_cycles=None`` the recorder keeps every instruction: its
-hooks wrap the pipeline's and, each time the ring fills, decode it in
-retirement order and hand the chunk to ``on_drain`` (by default kept
+``retire`` wraps the pipeline's and, each time the ring fills, decodes
+it in retirement order and hands the chunk to ``on_drain`` (by default kept
 for ``entries()``; ``repro trace`` writes each chunk out instead, so
 memory stays bounded). Sequence numbers, stall gaps and issue slots
 continue across drains; call :meth:`FlightRecorder.flush` after the run
@@ -117,9 +117,9 @@ class FlightRecorder:
 
     __slots__ = ("_pipe", "window_cycles", "_cap", "_slots", "_seqcell",
                  "_frozen", "_around_pc", "_freeze_cycle", "_countdown",
-                 "_watch", "_tp", "_feed", "_disasm",
+                 "_watch", "_retire", "_disasm",
                  "_drained", "_full_at", "_last", "_kept", "on_drain",
-                 "trace_plain", "trace_mem", "trace_branch")
+                 "retire")
 
     def __init__(self, pipe: PipelineSimulator,
                  window_cycles: int | None = 256,
@@ -147,9 +147,8 @@ class FlightRecorder:
                               else around_cycle + self.window_cycles // 2)
         self._countdown = -1
         self._watch = around_pc is not None or around_cycle is not None
-        # bound hooks of the wrapped pipeline, looked up once
-        self._tp = pipe.trace_plain
-        self._feed = pipe.feed
+        # the wrapped pipeline's bound hook, looked up once
+        self._retire = pipe.retire
         self._disasm: dict[int, str] = {}   # pc -> disassembly
         # unbounded mode: first undrained seq, the seq at which the ring
         # is full, and the (issue, slot) of the last drained entry
@@ -163,20 +162,14 @@ class FlightRecorder:
         # inline (see PipelineSimulator._flight)
         pipe._flight = (self._slots, cap, self._seqcell)
         if self.window_cycles is None:
-            self.trace_plain = self._trace_plain_drain
-            self.trace_mem = self._trace_mem_drain
-            self.trace_branch = self._trace_mem_drain
+            self.retire = self._retire_drain
         elif self._watch:
-            self.trace_plain = self._trace_plain_watch
-            self.trace_mem = self._trace_mem_watch
-            self.trace_branch = self._trace_branch_watch
+            self.retire = self._retire_watch
         else:
             # no trigger can ever freeze the ring, so the recorder adds
             # nothing at all on top of the pipeline's inline ring tap:
-            # run_trace drives the pipeline's own hooks directly
-            self.trace_plain = pipe.trace_plain
-            self.trace_mem = pipe.feed
-            self.trace_branch = pipe.feed
+            # run_trace drives the pipeline's own hook directly
+            self.retire = pipe.retire
 
     @property
     def retired(self) -> int:
@@ -184,15 +177,10 @@ class FlightRecorder:
         return self._seqcell[0]
 
     # -------------------------------------------------------------- #
-    # run_trace consumer hooks (unbounded mode): drain a full ring
+    # run_trace consumer hook (unbounded mode): drain a full ring
 
-    def _trace_plain_drain(self, pc, inst) -> None:
-        self._tp(pc, inst)
-        if self._seqcell[0] == self._full_at:
-            self.flush()
-
-    def _trace_mem_drain(self, rec) -> None:
-        self._feed(rec)
+    def _retire_drain(self, pc, inst, rec) -> None:
+        self._retire(pc, inst, rec)
         if self._seqcell[0] == self._full_at:
             self.flush()
 
@@ -208,23 +196,16 @@ class FlightRecorder:
         self.on_drain(chunk)
 
     # -------------------------------------------------------------- #
-    # run_trace consumer hooks (``--around`` watch mode only)
+    # run_trace consumer hook (``--around`` watch mode only)
     #
-    # The ring itself is written by the pipeline; these wrappers only
-    # watch for the trigger and detach the ring tap once the trailing
-    # half-window has been captured.
+    # The ring itself is written by the pipeline; this wrapper only
+    # watches for the trigger and detaches the ring tap once the
+    # trailing half-window has been captured.
 
-    def _trace_plain_watch(self, pc, inst) -> None:
-        self._tp(pc, inst)
+    def _retire_watch(self, pc, inst, rec) -> None:
+        issue = self._retire(pc, inst, rec)
         if self._watch:
-            self._check_trigger(pc, self._pipe._cur_cycle)
-
-    def _trace_mem_watch(self, rec) -> None:
-        issue = self._feed(rec)
-        if self._watch:
-            self._check_trigger(rec.pc, issue)
-
-    _trace_branch_watch = _trace_mem_watch
+            self._check_trigger(pc, issue)
 
     def _freeze(self) -> None:
         self._frozen = True

@@ -14,7 +14,7 @@ Combines three views of one program into a per-site table:
   counter tap (:class:`~repro.pipeline.pipeline.SiteCounters`) attached.
   The tap supplies cache misses, FAC replays and load latencies as the
   pipeline actually scheduled them, and costs the pipeline nothing on
-  its non-memory fast lane;
+  instructions that are not loads or stores;
 * the **static** pass (:func:`repro.analysis.analyze_static`) supplies
   the lint verdict for each site, so hot mispredicting sites can be
   cross-checked against ``repro lint`` (an ALWAYS site with a measured

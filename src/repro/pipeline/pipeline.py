@@ -73,7 +73,7 @@ class SiteCounters:
     store pc, counted inline by :meth:`PipelineSimulator._execute_memory`.
 
     Attach with ``pipe.sites = SiteCounters()``. Only memory ops touch
-    the tap, so a tapped pipeline keeps its ``trace_plain`` fast lane.
+    the tap: other instructions pay nothing for it.
     """
 
     __slots__ = ("per_pc", "load_latency")
@@ -86,7 +86,8 @@ class SiteCounters:
 
 
 class PipelineSimulator:
-    """Issue-cycle assignment engine; feed() one trace record at a time."""
+    """Issue-cycle assignment engine: ``retire`` (or ``feed``) one
+    retired instruction at a time, in program order."""
 
     def __init__(self, config: MachineConfig | None = None):
         self.config = config or MachineConfig()
@@ -128,12 +129,12 @@ class PipelineSimulator:
         self._final_cycle = 0
         # The pipeline's two observation points, both None when detached.
         # The flight-recorder ring tap, (slots, cap, seq_cell), is the one
-        # per-instruction hook (see repro.obs.flight): the hot loops
-        # write ring slots inline, so the recorder adds no call frames;
+        # per-instruction hook (see repro.obs.flight): ``retire`` writes
+        # ring slots inline, so the recorder adds no call frames;
         # detached cost is one attribute test per instruction.
         self._flight: tuple | None = None
         # per-site counter tap (SiteCounters); detached cost is one
-        # attribute test per memory op, none on the fast lane
+        # attribute test per memory op
         self.sites: SiteCounters | None = None
         # FAC outcome of the last memory op: None (not speculated),
         # True (prediction held) or False (replayed)
@@ -171,13 +172,6 @@ class PipelineSimulator:
         usage = self._ports.get(cycle)
         return usage is None or (usage[0] == 0 and usage[1] == 0)
 
-    def _advance_cycle(self, cycle: int) -> None:
-        if cycle > self._cur_cycle:
-            self._cur_cycle = cycle
-            self._issued_in_cycle = 0
-            for key in self._fu_used:
-                self._fu_used[key] = 0
-
     def _drain_store_buffer(self, upto: int) -> None:
         """Retire buffered stores during unused cache cycles before ``upto``."""
         if not self._store_buffer:
@@ -194,162 +188,50 @@ class PipelineSimulator:
     # per-instruction facts
 
     def _make_facts(self, inst) -> tuple:
-        """Precompute everything ``feed`` needs that is static per
-        instruction: functional unit, limits, latency, dependence slots.
+        """Precompute everything ``retire`` needs that is static per
+        instruction: functional unit, limits, latency, dependence slots
+        and the predecode kind (0 plain, 1 memory, 2 branch/jump).
         Cached by ``id(inst)``; the tuple holds ``inst`` to pin the id."""
         info = OP_INFO[inst.op]
         klass = info.klass
         fu = _FU_CLASS[klass]
         sources, dests = sources_and_dests(inst)
+        kind = (1 if info.is_load or info.is_store
+                else 2 if klass is OpClass.BRANCH or klass is OpClass.JUMP
+                else 0)
         facts = (
             inst, info, fu, self._fu_limit[fu],
             self.config.result_latency(klass),
             klass in self._non_pipelined,       # occupies its unit
             fu in self._unit_free,              # unit has a busy-until
-            sources, dests,
-            info.is_load, info.is_store,
-            klass is OpClass.BRANCH or klass is OpClass.JUMP,
+            sources, dests, kind, info.is_store,
         )
         self._facts[id(inst)] = facts
         return facts
 
     # ------------------------------------------------------------------ #
 
-    def feed(self, rec: TraceRecord) -> int:
-        """Assign an issue cycle to one retired instruction."""
-        cfg = self.config
-        inst = rec.inst
+    def retire(self, pc, inst, rec) -> int:
+        """Assign an issue cycle to one retired instruction and return it.
+
+        The ``CPU.run_trace`` / ``replay_into`` consumer hook: ``rec`` is
+        the :class:`TraceRecord` for loads, stores, branches and jumps
+        and None for every other instruction (a record passed for one
+        of those is ignored)."""
         facts = self._facts.get(id(inst))
         if facts is None:
             facts = self._make_facts(inst)
         (_, info, fu, fu_limit, latency, non_pipelined, unit_tracked,
-         sources, dests, is_load, is_store, is_ctrl) = facts
-
-        # ---- fetch constraints ------------------------------------------
-        iblock = rec.pc >> self._iblock_shift
-        if iblock != self._last_iblock:
-            self._last_iblock = iblock
-            self.result.icache_accesses += 1
-            if not self.icache.access(rec.pc):
-                self.result.icache_misses += 1
-                self._fetch_ready = max(self._fetch_ready, self._cur_cycle) \
-                    + cfg.icache.miss_latency
-
-        earliest = max(self._fetch_ready, self._cur_cycle)
-        # ---- data hazards ------------------------------------------------
-        reg_ready = self._reg_ready
-        for slot in sources:
-            ready = reg_ready[slot]
-            if ready > earliest:
-                earliest = ready
-
-        # ---- structural hazards -----------------------------------------
-        cycle = earliest
-        while True:
-            if cycle <= self._cur_cycle and (
-                    self._issued_in_cycle >= cfg.issue_width
-                    or self._fu_used[fu] >= fu_limit):
-                cycle += 1
-                continue
-            if unit_tracked and self._unit_free[fu] > cycle:
-                cycle = self._unit_free[fu]
-                continue
-            if is_load or is_store:
-                plan = self._plan_access(rec, cycle, is_store, info)
-                if plan is None:
-                    cycle += 1
-                    continue
-                if is_store and len(self._store_buffer) >= cfg.store_buffer_entries:
-                    self._drain_store_buffer(cycle)
-                    if len(self._store_buffer) >= cfg.store_buffer_entries:
-                        # forced retirement stalls the pipeline one cycle
-                        self.result.store_buffer_full_stalls += 1
-                        self._store_buffer.popleft()
-                        cycle += 1
-                        continue
-                self._mem_plan = plan
-            break
-
-        self._advance_cycle(cycle)
-        self._issued_in_cycle += 1
-        self._fu_used[fu] += 1
-        if non_pipelined:
-            self._unit_free[fu] = cycle + latency
-
-        # ---- execute ------------------------------------------------------
-        fr = self._flight
-        pre = 0
-        if is_load or is_store:
-            if fr is not None:
-                pre = self.result.dcache_misses
-            ready = self._execute_memory(rec, cycle, is_store, info)
-            if is_load:
-                self.result.load_latency_sum += ready - cycle
-        else:
-            ready = cycle + latency
-            if is_ctrl:
-                if fr is not None:
-                    pre = self.result.branch_mispredicts
-                self._execute_branch(rec, cycle)
-        for slot in dests:
-            reg_ready[slot] = ready
-
-        self.result.instructions += 1
-        if fr is not None:
-            slots, cap, cell = fr
-            seq = cell[0]
-            slot = slots[seq % cap]
-            slot[0] = rec.pc
-            slot[3] = cycle
-            slot[4] = ready
-            if is_load or is_store:
-                slot[1] = rec
-                slot[2] = 1
-                slot[5] = self._mem_plan[1]
-                slot[6] = self._fac_outcome
-                slot[7] = 0 if self.result.dcache_misses != pre else 1
-            elif is_ctrl:
-                slot[1] = rec
-                slot[2] = 2
-                slot[6] = None
-                slot[7] = 1 if self.result.branch_mispredicts != pre else 0
-            else:
-                slot[1] = rec.inst
-                slot[2] = 0
-            cell[0] = seq + 1
-        if ready > self._final_cycle:
-            self._final_cycle = ready
-        if cycle + 1 > self._final_cycle:
-            self._final_cycle = cycle + 1
-        self._drain_store_buffer(cycle)
-        return cycle
-
-    # ------------------------------------------------------------------ #
-    # streaming trace protocol (CPU.run_trace consumers)
-
-    # memory and control-flow instructions need the full record; the
-    # generic path already handles them
-    trace_mem = feed
-    trace_branch = feed
-
-    def trace_plain(self, pc, inst) -> None:
-        """Record-free fast lane for instructions that are neither
-        memory ops nor branches: the ALU/mult/FP/system subset of
-        :meth:`feed`, cycle-for-cycle identical, with the memory and
-        control-flow arms compiled out."""
-        facts = self._facts.get(id(inst))
-        if facts is None:
-            facts = self._make_facts(inst)
-        (_, _, fu, fu_limit, latency, non_pipelined, unit_tracked,
-         sources, dests, _, _, _) = facts
+         sources, dests, kind, is_store) = facts
+        result = self.result
 
         # ---- fetch constraints ----
         iblock = pc >> self._iblock_shift
         if iblock != self._last_iblock:
             self._last_iblock = iblock
-            self.result.icache_accesses += 1
+            result.icache_accesses += 1
             if not self.icache.access(pc):
-                self.result.icache_misses += 1
+                result.icache_misses += 1
                 self._fetch_ready = max(self._fetch_ready, self._cur_cycle) \
                     + self.config.icache.miss_latency
 
@@ -375,10 +257,26 @@ class PipelineSimulator:
             if unit_tracked and self._unit_free[fu] > cycle:
                 cycle = self._unit_free[fu]
                 continue
+            if kind == 1:
+                plan = self._plan_access(cycle, is_store, info)
+                if plan is None:
+                    cycle += 1
+                    continue
+                if is_store and len(self._store_buffer) \
+                        >= self.config.store_buffer_entries:
+                    self._drain_store_buffer(cycle)
+                    if len(self._store_buffer) \
+                            >= self.config.store_buffer_entries:
+                        # forced retirement stalls the pipeline one cycle
+                        result.store_buffer_full_stalls += 1
+                        self._store_buffer.popleft()
+                        cycle += 1
+                        continue
+                self._mem_plan = plan
             break
 
+        # ---- issue bookkeeping ----
         if cycle > cur:
-            # inlined _advance_cycle + the issue bookkeeping
             self._cur_cycle = cycle
             self._issued_in_cycle = 1
             fu_used = self._fu_used
@@ -392,10 +290,22 @@ class PipelineSimulator:
             self._unit_free[fu] = cycle + latency
 
         # ---- execute ----
-        ready = cycle + latency
+        fr = self._flight
+        if kind == 1:
+            if fr is not None:
+                pre = result.dcache_misses
+            ready = self._execute_memory(rec, cycle, is_store, info)
+            if not is_store:
+                result.load_latency_sum += ready - cycle
+        else:
+            ready = cycle + latency
+            if kind == 2:
+                if fr is not None:
+                    pre = result.branch_mispredicts
+                self._execute_branch(rec, cycle)
         for slot in dests:
             reg_ready[slot] = ready
-        self.result.instructions += 1
+        result.instructions += 1
         if ready > self._final_cycle:
             self._final_cycle = ready
         if cycle + 1 > self._final_cycle:
@@ -404,23 +314,39 @@ class PipelineSimulator:
             self._drain_store_buffer(cycle)
         elif cycle > self._sb_cursor:
             self._sb_cursor = cycle
-        fr = self._flight
+
+        # ---- flight-recorder ring tap ----
         if fr is not None:
             slots, cap, cell = fr
             seq = cell[0]
             slot = slots[seq % cap]
             slot[0] = pc
-            slot[1] = inst
-            slot[2] = 0
+            slot[2] = kind
             slot[3] = cycle
             slot[4] = ready
+            if kind == 0:
+                slot[1] = inst
+            elif kind == 1:
+                slot[1] = rec
+                slot[5] = self._mem_plan[1]
+                slot[6] = self._fac_outcome
+                slot[7] = 0 if result.dcache_misses != pre else 1
+            else:
+                slot[1] = rec
+                slot[6] = None
+                slot[7] = 1 if result.branch_mispredicts != pre else 0
             cell[0] = seq + 1
+        return cycle
+
+    def feed(self, rec: TraceRecord) -> int:
+        """:meth:`retire` for step-driven callers holding a full record."""
+        return self.retire(rec.pc, rec.inst, rec)
 
     # ------------------------------------------------------------------ #
     # memory
 
-    def _plan_access(self, rec: TraceRecord, cycle: int,
-                     is_store: bool, info) -> tuple[bool, int] | None:
+    def _plan_access(self, cycle: int, is_store: bool,
+                     info) -> tuple[bool, int] | None:
         """Decide (speculate?, cache-access cycle) for an access issuing
         at ``cycle``, honouring port availability.
 
@@ -433,14 +359,14 @@ class PipelineSimulator:
         port_free = self._store_port_free if is_store else self._load_port_free
         if self.config.one_cycle_loads:
             return (False, cycle) if port_free(cycle) else None
-        if self.fac is not None and self._would_speculate(rec, cycle, info) \
+        if self.fac is not None and self._would_speculate(cycle, info) \
                 and port_free(cycle):
             return (True, cycle)
         if port_free(cycle + 1):
             return (False, cycle + 1)
         return None
 
-    def _would_speculate(self, rec: TraceRecord, cycle: int, info) -> bool:
+    def _would_speculate(self, cycle: int, info) -> bool:
         if info.mem_mode == "p":
             return True  # address is the raw base register: always exact
         if not self.fac.should_speculate(info.mem_mode == "x", info.is_store):
@@ -579,7 +505,7 @@ def simulate_program(
 ) -> SimResult:
     """Run ``program`` functionally and time it on the pipeline model:
     the predecoded interpreter streams straight into the pipeline's
-    trace hooks."""
+    ``retire`` hook."""
     cpu = CPU(program)
     pipe = PipelineSimulator(config)
     cpu.run_trace(pipe, max_instructions)

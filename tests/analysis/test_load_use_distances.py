@@ -37,7 +37,7 @@ class ScalarDistanceTracker:
         self._index = 0
         self._deps: dict[int, tuple] = {}   # id(inst) -> (srcs, dests, load)
 
-    def _track(self, inst) -> None:
+    def retire(self, pc, inst, rec) -> None:
         deps = self._deps.get(id(inst))
         if deps is None:
             sources, dests = sources_and_dests(inst)
@@ -56,14 +56,6 @@ class ScalarDistanceTracker:
             for slot in dests:
                 pending.pop(slot, None)
         self._index = index + 1
-
-    def trace_plain(self, pc, inst) -> None:
-        self._track(inst)
-
-    def trace_mem(self, rec) -> None:
-        self._track(rec.inst)
-
-    trace_branch = trace_mem
 
 
 def scalar_distances(program) -> Histogram:

@@ -12,10 +12,11 @@ import pytest
 from repro.compiler import compile_and_link
 from repro.cpu import CPU
 from repro.errors import SimulationError
-from repro.isa.opcodes import OP_INFO
 from tests.oracles import (
     MODES_ASM,
+    RetireLog,
     asm_program,
+    assert_retire_stream,
     record_fields,
     run_trace_records,
     step_records,
@@ -144,24 +145,15 @@ __start:
 
 
 class TestRunTraceProtocol:
-    def test_partial_consumer_sees_only_memory(self):
+    def test_retire_sees_the_step_stream(self):
+        """``retire`` gets every ``step()`` record in order: the record
+        itself for memory ops and branches, None for the rest."""
         program = asm_program(MODES_ASM)
-
-        class MemOnly:
-            def __init__(self):
-                self.records = []
-
-            def trace_mem(self, rec):
-                self.records.append(rec)
-
-        consumer = MemOnly()
+        consumer = RetireLog()
         CPU(program).run_trace(consumer, 1_000_000)
         _, reference = step_records(program)
-        expected = [r for r in reference if OP_INFO[r.inst.op].mem_width]
-        assert len(consumer.records) == len(expected)
-        for got, want in zip(consumer.records, expected):
-            assert (got.pc, got.ea, got.base_value, got.offset_value) == \
-                (want.pc, want.ea, want.base_value, want.offset_value)
+        assert any(rec is None for _, _, rec in consumer.calls)
+        assert_retire_stream(consumer.calls, reference)
 
     def test_hookless_consumer_runs_pure(self):
         program = compile_and_link(MINIC_SOURCE)

@@ -14,8 +14,9 @@ from repro.errors import SimulationError
 from repro.fac import FacConfig
 from repro.pipeline import MachineConfig, simulate_program
 from tests.oracles import (
+    RetireLog,
     StepEngine,
-    hook_of,
+    assert_retire_stream,
     record_fields,
     replay_records,
     step_records,
@@ -68,7 +69,7 @@ class TestRoundTrip:
 class TestEngines:
     """The streaming writer must produce the same bytes whether the
     predecoded engine or the spec step loop drives it, and
-    ``replay_into`` must hand each hook the records ``CPU.step``
+    ``replay_into`` must hand ``retire`` the records ``CPU.step``
     returns."""
 
     def test_engines_write_identical_bytes(self, program, tmp_path):
@@ -91,46 +92,11 @@ class TestEngines:
     def test_replay_into_matches_replay_trace(self, program, trace_path):
         # the spec step loop is the reference the deleted generator
         # form (replay_trace) used to stand in for
-        class Full:
-            def __init__(self):
-                self.records = []
-
-            def trace_plain(self, pc, inst):
-                self.records.append(("trace_plain", pc, inst, None, None))
-
-            def trace_mem(self, rec):
-                self.records.append(
-                    ("trace_mem", rec.pc, rec.inst, rec.ea, rec.taken))
-
-            def trace_branch(self, rec):
-                self.records.append(
-                    ("trace_branch", rec.pc, rec.inst, rec.ea, rec.taken))
-
-        consumer = Full()
+        consumer = RetireLog()
         count = replay_into(program, trace_path, consumer)
         _, reference = step_records(program)
         assert count == len(reference)
-        assert len(consumer.records) == len(reference)
-        for (hook, pc, inst, ea, taken), want in zip(consumer.records,
-                                                     reference):
-            assert hook == hook_of(want)
-            assert pc == want.pc and inst is want.inst
-            assert ea == want.ea and taken == want.taken
-
-    def test_replay_into_partial_consumer(self, program, trace_path):
-        class MemOnly:
-            def __init__(self):
-                self.eas = []
-
-            def trace_mem(self, rec):
-                self.eas.append(rec.ea)
-
-        consumer = MemOnly()
-        count = replay_into(program, trace_path, consumer)
-        _, reference = step_records(program)
-        assert count == len(reference)
-        assert consumer.eas == \
-            [r.ea for r in reference if r.ea is not None]
+        assert_retire_stream(consumer.calls, reference)
 
     def test_replay_into_validates_program(self, trace_path):
         other = compile_and_link("int main() { return 1; }")

@@ -228,6 +228,38 @@ class TestColtrace:
                                 capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
 
+    def test_timing_and_planning_paths_stay_numpy_free(self, tmp_path):
+        """Planning every harness's cells and a cold trace + sim of an
+        inline program never import numpy, whose import alone costs
+        more than planning a whole sweep slice."""
+        source = ("int v[16];\n"
+                  "int main() { int i, s = 0;\n"
+                  "  for (i = 0; i < 16; i++) { v[i] = i; s += v[i]; }\n"
+                  "  print_int(s); return 0; }\n")
+        code = (
+            "import importlib, sys\n"
+            "from repro.experiments import common\n"
+            "from repro.farm import jobs\n"
+            "from repro.farm.cli import HARNESSES\n"
+            "from repro.farm.store import ArtifactStore\n"
+            "cells = set()\n"
+            "for module_name, _ in HARNESSES.values():\n"
+            "    module = importlib.import_module(\n"
+            "        'repro.experiments.' + module_name)\n"
+            "    cells |= module.farm_cells(['compress', 'tomcatv'])\n"
+            "jobs.plan_jobs(cells, common.MACHINES, common.MAX_INSTRUCTIONS)\n"
+            f"store = ArtifactStore({str(tmp_path / 'store')!r})\n"
+            f"jobs.ensure_trace(store, 'inline', False, 100000, {source!r})\n"
+            "key, _ = jobs.ensure_sim(store, 'inline', False, 'fac32',\n"
+            "                         common.MACHINES['fac32'], 100000,\n"
+            f"                        {source!r})\n"
+            "assert store.has('sim', key)\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+
     def test_inputs_pinned_while_analysis_in_flight(self, store,
                                                     monkeypatch):
         """A size-budgeted gc that fires mid-cell must not evict the

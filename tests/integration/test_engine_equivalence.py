@@ -78,10 +78,16 @@ def test_analysis_snapshots_identical(program, tmp_path):
 
 
 def test_sim_snapshots_identical(program, tmp_path):
+    """``feed(step())`` -- plain instructions arrive with a record --
+    equals ``retire`` driven live (``rec`` None for them) and from the
+    tracefile, on the baseline, FAC, 1-cycle-load and perfect-D-cache
+    machines."""
     path = tmp_path / "trace.fact.gz"
     cpu = CPU(program)
     record_trace(program, str(path), BUDGET, cpu=cpu)
-    for machine in (MachineConfig(), MachineConfig(fac=FacConfig())):
+    for machine in (MachineConfig(), MachineConfig(fac=FacConfig()),
+                    MachineConfig(one_cycle_loads=True),
+                    MachineConfig(perfect_dcache=True)):
         spec = canon(sim_to_snapshot(
             step_simulation(program, machine, BUDGET),
             meta={"cell": "equivalence"}))

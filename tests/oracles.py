@@ -68,36 +68,51 @@ def asm_program(source):
     return link([assemble(source, "t")], LinkOptions())
 
 
-class _Collector:
-    """Trace-hook consumer that reconstructs the step() record stream."""
+def retire_arg(rec):
+    """The ``rec`` that ``retire`` receives for the instruction whose
+    step() record is ``rec``: the record itself for loads and stores
+    (an ``ea``) and branches and jumps (a ``taken``), None for the
+    rest."""
+    if rec.ea is None and rec.taken is None:
+        return None
+    return rec
+
+
+class RetireLog:
+    """``retire`` consumer that logs every call's arguments."""
 
     def __init__(self):
-        self.records = []
+        self.calls = []
 
-    def trace_plain(self, pc, inst):
-        self.records.append(TraceRecord(pc, inst, None, 0, 0, None, pc + 4))
+    def retire(self, pc, inst, rec):
+        self.calls.append((pc, inst, rec))
 
-    def trace_mem(self, rec):
-        self.records.append(rec)
+    def records(self):
+        """The step() record stream: the record-free calls filled in
+        with the fields ``step()`` gives a plain instruction."""
+        return [TraceRecord(pc, inst, None, 0, 0, None, pc + 4)
+                if rec is None else rec
+                for pc, inst, rec in self.calls]
 
-    trace_branch = trace_mem
 
-
-def hook_of(rec) -> str:
-    """The ``run_trace`` hook that receives ``rec``: loads and stores go
-    to ``trace_mem``, branches and jumps to ``trace_branch``, the rest
-    to ``trace_plain``."""
-    if rec.ea is not None:
-        return "trace_mem"
-    if rec.taken is not None:
-        return "trace_branch"
-    return "trace_plain"
+def assert_retire_stream(calls, reference):
+    """``calls`` (a :class:`RetireLog`'s) are exactly the ``reference``
+    step() records as the ``retire`` protocol hands them over: same pc
+    and instruction, ``rec`` None iff :func:`retire_arg` says so and
+    otherwise equal to the step record field for field."""
+    assert len(calls) == len(reference)
+    for (pc, inst, rec), want in zip(calls, reference):
+        assert pc == want.pc and inst is want.inst
+        if retire_arg(want) is None:
+            assert rec is None
+        else:
+            assert record_fields(rec) == record_fields(want)
 
 
 class StepEngine:
     """The spec interpreter behind the ``CPU.run_trace`` consumer
-    protocol: each ``CPU.step`` record goes to the hook that
-    :func:`hook_of` names. Pass one as ``record_trace``'s ``cpu`` to
+    protocol: each ``CPU.step`` record goes to ``retire`` as
+    :func:`retire_arg` says. Pass one as ``record_trace``'s ``cpu`` to
     write a tracefile from the step loop."""
 
     def __init__(self, program):
@@ -105,18 +120,13 @@ class StepEngine:
 
     def run_trace(self, consumer, max_instructions):
         cpu = self.cpu
+        retire = getattr(consumer, "retire", None)
         count = 0
         while not cpu.halted and count < max_instructions:
             rec = cpu.step()
             count += 1
-            name = hook_of(rec)
-            hook = getattr(consumer, name, None)
-            if hook is None:
-                continue
-            if name == "trace_plain":
-                hook(rec.pc, rec.inst)
-            else:
-                hook(rec)
+            if retire is not None:
+                retire(rec.pc, rec.inst, retire_arg(rec))
         return count
 
 
@@ -137,15 +147,15 @@ def step_records(program, budget=1_000_000):
 
 def run_trace_records(program, budget=1_000_000):
     cpu = CPU(program)
-    collector = _Collector()
-    cpu.run_trace(collector, budget)
-    return cpu, collector.records
+    log = RetireLog()
+    cpu.run_trace(log, budget)
+    return cpu, log.records()
 
 
 def replay_records(program, path):
-    collector = _Collector()
-    replay_into(program, path, collector)
-    return collector.records
+    log = RetireLog()
+    replay_into(program, path, log)
+    return log.records()
 
 
 def step_analysis(program, block_sizes=(16, 32), per_pc=False,

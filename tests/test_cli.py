@@ -55,14 +55,21 @@ class TestSuite:
 
 
 class TestBench:
+    """``repro stats``: one benchmark's timing and prediction report."""
+
     def test_bench_runs(self, capsys):
-        assert main(["bench", "yacr2"]) == 0
+        assert main(["stats", "yacr2"]) == 0
         out = capsys.readouterr().out
         assert "speedup" in out
         assert "prediction fail" in out
 
     def test_bench_unknown(self, capsys):
-        assert main(["bench", "nope"]) == 2
+        assert main(["stats", "nope"]) == 2
+
+    def test_old_command_name_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bench", "yacr2"])
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestExperiment:

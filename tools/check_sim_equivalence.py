@@ -17,9 +17,9 @@ bit:
    ``simulate_program`` and from the trace-replay path, across several
    machine flavours.
 
-Run with no arguments for one representative benchmark (the CI
-``sim-equivalence`` job), name benchmarks explicitly, or pass ``all``
-for the full 19-program suite::
+Run with no arguments for one representative benchmark, name
+benchmarks explicitly (the CI ``sim-equivalence`` job checks
+``compress tomcatv``), or pass ``all`` for the full 19-program suite::
 
     python tools/check_sim_equivalence.py
     python tools/check_sim_equivalence.py compress tomcatv
@@ -85,13 +85,11 @@ class StepLockstep:
         if fields(self.cpu.step()) != got:
             self.mismatches += 1
 
-    def trace_plain(self, pc, inst) -> None:
-        self._check((pc, id(inst), None, 0, 0, None, pc + 4))
-
-    def trace_mem(self, rec) -> None:
-        self._check(fields(rec))
-
-    trace_branch = trace_mem
+    def retire(self, pc, inst, rec) -> None:
+        if rec is None:
+            self._check((pc, id(inst), None, 0, 0, None, pc + 4))
+        else:
+            self._check(fields(rec))
 
 
 def check_benchmark(name: str, max_instructions: int, scratch: str) -> list[str]:
