@@ -2,11 +2,12 @@
 isolation, ledger completeness, and the span-overhead gate on a real
 experiment grid.
 
-The grid is 4 benchmarks x 4 machine flavours (16 sim cells plus the
-shared build/trace chains). The speedup assertion compares a 4-worker
-pool against a single worker and requires >= 2x on the same grid; on
-hosts without enough cores to make that physically possible the speedup
-test skips (the cache and isolation properties still run everywhere).
+The grid is 4 benchmarks x 4 machine flavours: 16 sim cells, timed by
+one sim job per benchmark, plus the shared build/trace chains. The
+speedup assertion compares a 4-worker pool against a single worker and
+requires >= 2x on the same grid; on hosts without enough cores to make
+that physically possible the speedup test skips (the cache and
+isolation properties still run everywhere).
 """
 
 from __future__ import annotations
@@ -43,12 +44,19 @@ def build_graph():
     return plan_jobs(grid_cells(), MACHINES, MAX_INSTRUCTIONS)
 
 
+def sim_job(name: str) -> str:
+    """The one sim job timing every grid flavour of ``name``."""
+    return f"sim:{name}:{','.join(sorted(GRID_FLAVOURS))}"
+
+
 def test_grid_is_large_enough():
     graph = build_graph()
     assert len(GRID_BENCHMARKS) >= 4 and len(GRID_FLAVOURS) >= 4
     assert len(graph.cell_jobs) == 16
-    # plus one build and one trace per benchmark
-    assert len(graph.jobs) == 16 + 2 * len(GRID_BENCHMARKS)
+    # one sim job per benchmark, plus one build and one trace each
+    assert len(graph.jobs) == 3 * len(GRID_BENCHMARKS)
+    assert {graph.cell_jobs[cell] for cell in grid_cells()} == \
+        {sim_job(name) for name in GRID_BENCHMARKS}
 
 
 @pytest.mark.slow
@@ -97,7 +105,7 @@ def test_warm_rerun_recomputes_nothing(tmp_path):
 @pytest.mark.slow
 def test_injected_crash_leaves_sweep_completed(tmp_path, monkeypatch):
     # kill every worker attempt of one build: its chain fails, the other
-    # 3 benchmarks' 12 sim cells all complete
+    # 3 benchmarks' sim jobs (12 sim cells) all complete
     monkeypatch.setenv("REPRO_FARM_TEST_CRASH", "build:espresso")
     graph = build_graph()
     store = ArtifactStore(tmp_path / "store")
@@ -105,14 +113,14 @@ def test_injected_crash_leaves_sweep_completed(tmp_path, monkeypatch):
     assert not result.ok
     failed_ids = {o.job_id for o in result.failed}
     assert failed_ids == {
-        "build:espresso", "trace:espresso",
-        *(f"sim:espresso:{flavour}" for flavour in GRID_FLAVOURS),
+        "build:espresso", "trace:espresso", sim_job("espresso"),
     }
     for name in GRID_BENCHMARKS:
         if name == "espresso":
             continue
-        for flavour in GRID_FLAVOURS:
-            assert result.outcomes[f"sim:{name}:{flavour}"].ok
+        assert result.outcomes[sim_job(name)].ok
+        assert len(result.outcomes[sim_job(name)].keys) == \
+            len(GRID_FLAVOURS)
 
 
 @pytest.mark.slow

@@ -14,7 +14,10 @@ Format: gzip-compressed stream of fixed-size little-endian records after
 a small header. ~19 bytes/record before compression. Two readers share
 one header check: :func:`replay_into` streams records into a consumer's
 ``retire`` hook, and :func:`repro.cpu.coltrace.decode_tracefile`
-decodes them into columns.
+decodes them into columns. :func:`simulate_trace` times a trace on the
+shared-front engine of :mod:`repro.pipeline.replay`, whose front is a
+``replay_into`` consumer: one decode serves every machine flavour that
+shares the caches and the BTB.
 """
 
 from __future__ import annotations
@@ -232,17 +235,24 @@ def replay_into(program: Program, path: str, consumer) -> int:
                 retire(pc, inst, None)
 
 
-def simulate_trace(program: Program, path: str, config=None,
+def simulate_trace(program: Program, trace, config=None,
                    memory_usage: int = 0):
-    """Time a recorded trace on the pipeline model.
+    """Time a recorded trace on one machine flavour.
+
+    ``trace`` is a trace file path, or a
+    :class:`~repro.pipeline.replay.Front` shared by several flavours of
+    the same build (see :func:`~repro.pipeline.replay.time_flavours`),
+    in which case the trace is decoded once for all of them.
 
     ``memory_usage`` is not in the trace (it is a property of the
     functional run, not of any one record); callers that captured it at
     record time pass it through so the resulting
     :class:`~repro.pipeline.result.SimResult` matches a live
     :func:`~repro.pipeline.pipeline.simulate_program` run exactly."""
-    from repro.pipeline.pipeline import PipelineSimulator
+    from repro.pipeline.config import MachineConfig
+    from repro.pipeline.replay import Front
 
-    pipe = PipelineSimulator(config)
-    replay_into(program, path, pipe)
-    return pipe.finalize(memory_usage=memory_usage)
+    config = config or MachineConfig()
+    if not isinstance(trace, Front):
+        trace = Front(program, trace, (config,))
+    return trace.result(config, memory_usage)

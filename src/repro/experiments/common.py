@@ -15,7 +15,12 @@ All cells execute on the predecoded fast-dispatch engine
 :meth:`CPU.run_trace` and replayed through
 :func:`repro.cpu.tracefile.replay_into`, which is bit-for-bit equivalent
 to the ``step()`` spec interpreter (see docs/performance.md) -- snapshots
-produced before this engine existed remain valid cache hits.
+produced before this engine existed remain valid cache hits. The farm
+times each build on all of its requested :data:`MACHINES` in one job:
+the trace is decoded once and the cache, BTB and FAC outcomes, which
+no flavour's issue timing can change, are shared across flavours
+(:mod:`repro.pipeline.replay`); each flavour's snapshot keeps its own
+key.
 
 Set ``REPRO_SUITE`` to a comma-separated subset (e.g.
 ``REPRO_SUITE=compress,alvinn``) to bound harness run time,

@@ -129,8 +129,8 @@ def sim_for(name: str, software: bool, machine: MachineConfig,
     if cached is not None:
         _memo.move_to_end(key)
         return cached
-    _, snapshot = farm_jobs.ensure_sim(store, name, software, label,
-                                       machine, max_instructions)
+    [(_, snapshot)] = farm_jobs.ensure_sims(
+        store, name, software, ((label, machine),), max_instructions)
     result = sim_from_snapshot(snapshot)
     _memoize(key, result)
     return result

@@ -8,15 +8,20 @@ job kinds::
     build(name, software)                 -> build manifest (program CRC)
       trace(name, software)               -> functional trace artifact
         analysis(name, software)          -> repro.metrics/1 snapshot
-        sim(name, software, machine)      -> repro.metrics/1 snapshot
+        sim(name, software, machines)     -> one repro.metrics/1
+                                             snapshot per machine
 
-One functional capture (the trace) drives every timing replay and the
-build's analysis, which decodes it straight into numpy columns -- the
+One functional capture (the trace) drives the build's timing job and
+its analysis, which decodes it straight into numpy columns -- the
 decoupled access/execute split that makes the sweep embarrassingly
-parallel. Execution is *store-idempotent*: every ``ensure_*`` function
-first consults the :class:`~repro.farm.store.ArtifactStore` and only
-computes on a miss, so the same functions serve the in-process API
-(:mod:`repro.farm.api`), the worker pool, and warm re-runs.
+parallel. There is one timing job per build, whatever the number of
+flavours: it decodes the trace once, shares the cache, BTB and FAC
+outcomes across flavours, and writes each flavour's snapshot under its
+own :func:`sim_key` (see :mod:`repro.pipeline.replay`). Execution is
+*store-idempotent*: every ``ensure_*`` function first consults the
+:class:`~repro.farm.store.ArtifactStore` and only computes on a miss,
+so the same functions serve the in-process API (:mod:`repro.farm.api`),
+the worker pool, and warm re-runs.
 """
 
 from __future__ import annotations
@@ -72,6 +77,9 @@ class JobSpec:
     set, ``name`` is just a display label: fingerprints hash the source
     text itself, so two tenants submitting identical programs share
     every artifact regardless of what they called them.
+
+    ``machines`` holds a sim job's ``(label, MachineConfig)`` flavours,
+    sorted by label; the job writes one artifact per flavour.
     """
 
     job_id: str
@@ -79,15 +87,15 @@ class JobSpec:
     name: str
     software: bool
     max_instructions: int
-    machine_label: str | None = None
-    machine: MachineConfig | None = None
+    machines: tuple[tuple[str, MachineConfig], ...] = ()
     deps: tuple[str, ...] = ()
     source: str | None = None
 
 
 @dataclass
 class JobGraph:
-    """The lowered sweep: specs by id, plus the cell -> job mapping."""
+    """The lowered sweep: specs by id, plus the cell -> job mapping
+    (every sim cell of one build maps to that build's sim job)."""
 
     jobs: dict[str, JobSpec] = field(default_factory=dict)
     cell_jobs: dict[Cell, str] = field(default_factory=dict)
@@ -101,43 +109,55 @@ def _tag(name: str, software: bool) -> str:
 
 
 def plan_jobs(cells, machines: dict[str, MachineConfig],
-              max_instructions: int) -> JobGraph:
+              max_instructions: int, source: str | None = None) -> JobGraph:
     """Lower a set of :class:`Cell` requests onto a job graph.
 
     ``machines`` maps flavour labels (as used in sim cells) to their
     :class:`MachineConfig`; unknown labels raise ``KeyError`` here, at
-    planning time, not inside a worker.
+    planning time, not inside a worker. Each build gets one sim job
+    covering all its requested flavours, with id
+    ``sim:<tag>:<labels, sorted and ","-joined>``. ``source`` is the
+    inline MiniC text every job of the graph builds from (see
+    :class:`JobSpec`).
     """
+    cells = sorted(set(cells))
     graph = JobGraph()
-    builds_needed = sorted({(c.name, c.software) for c in cells})
-    for name, software in builds_needed:
+    # each build's flavour labels, in sorted order as the cells are
+    flavours: dict[tuple[str, bool], list[str]] = {}
+    for cell in cells:
+        if cell.kind == "sim":
+            flavours.setdefault((cell.name, cell.software), []).append(
+                cell.machine)
+    for name, software in sorted({(c.name, c.software) for c in cells}):
         tag = _tag(name, software)
         build_id = f"build:{tag}"
         trace_id = f"trace:{tag}"
         graph.jobs[build_id] = JobSpec(
             job_id=build_id, kind="build", name=name, software=software,
-            max_instructions=max_instructions)
+            max_instructions=max_instructions, source=source)
         graph.jobs[trace_id] = JobSpec(
             job_id=trace_id, kind="trace", name=name, software=software,
-            max_instructions=max_instructions, deps=(build_id,))
-    for cell in sorted(set(cells)):
+            max_instructions=max_instructions, deps=(build_id,),
+            source=source)
+    for cell in cells:
         tag = _tag(cell.name, cell.software)
-        trace_id = f"trace:{tag}"
         if cell.kind == "analysis":
             job_id = f"analysis:{tag}"
-            spec = JobSpec(job_id=job_id, kind="analysis", name=cell.name,
-                           software=cell.software,
-                           max_instructions=max_instructions,
-                           deps=(trace_id,))
+            graph.jobs[job_id] = JobSpec(
+                job_id=job_id, kind="analysis", name=cell.name,
+                software=cell.software, max_instructions=max_instructions,
+                deps=(f"trace:{tag}",), source=source)
         else:
-            job_id = f"sim:{tag}:{cell.machine}"
-            spec = JobSpec(job_id=job_id, kind="sim", name=cell.name,
-                           software=cell.software,
-                           max_instructions=max_instructions,
-                           machine_label=cell.machine,
-                           machine=machines[cell.machine],
-                           deps=(trace_id,))
-        graph.jobs[job_id] = spec
+            labels = flavours[(cell.name, cell.software)]
+            job_id = f"sim:{tag}:{','.join(labels)}"
+            if job_id not in graph.jobs:
+                graph.jobs[job_id] = JobSpec(
+                    job_id=job_id, kind="sim", name=cell.name,
+                    software=cell.software,
+                    max_instructions=max_instructions,
+                    machines=tuple((label, machines[label])
+                                   for label in labels),
+                    deps=(f"trace:{tag}",), source=source)
         graph.cell_jobs[cell] = job_id
     return graph
 
@@ -205,42 +225,46 @@ def sim_key(name: str, software: bool, program_crc: int,
                        machine_label, config_digest(machine))
 
 
-def resolve_key(spec: JobSpec, store: ArtifactStore) -> str | None:
-    """Compute a job's artifact key *without building anything*.
+def resolve_keys(spec: JobSpec,
+                 store: ArtifactStore) -> tuple[str, ...] | None:
+    """A job's artifact keys (one per flavour for a sim job, else one),
+    computed *without building anything*.
 
     Build keys derive from source text alone. Downstream keys need the
     program CRC from the build manifest; returns None when the manifest
     is not in the store yet (the job must then run on a worker, which
-    rebuilds and re-derives the key itself).
+    rebuilds and re-derives the keys itself).
     """
     if spec.kind == "build":
-        return manifest_key(spec.name, spec.software, spec.source)
+        return (manifest_key(spec.name, spec.software, spec.source),)
     manifest = store.get_meta(
         "build", manifest_key(spec.name, spec.software, spec.source))
     if manifest is None:
         return None
     crc = manifest["program_crc"]
     if spec.kind == "trace":
-        return trace_key(spec.name, spec.software, crc,
-                         spec.max_instructions, spec.source)
+        return (trace_key(spec.name, spec.software, crc,
+                          spec.max_instructions, spec.source),)
     if spec.kind == "analysis":
-        return analysis_key(spec.name, spec.software, crc,
-                            spec.max_instructions, spec.source)
-    return sim_key(spec.name, spec.software, crc, spec.machine_label,
-                   spec.machine, spec.max_instructions, spec.source)
+        return (analysis_key(spec.name, spec.software, crc,
+                             spec.max_instructions, spec.source),)
+    return tuple(sim_key(spec.name, spec.software, crc, label, machine,
+                         spec.max_instructions, spec.source)
+                 for label, machine in spec.machines)
 
 
-def artifact_ready(spec: JobSpec, store: ArtifactStore) -> str | None:
-    """The job's key when its artifact is already in the store."""
-    key = resolve_key(spec, store)
-    if key is None:
+def artifact_ready(spec: JobSpec,
+                   store: ArtifactStore) -> tuple[str, ...] | None:
+    """The job's keys when all of its artifacts are already stored."""
+    keys = resolve_keys(spec, store)
+    if keys is None:
         return None
     if spec.kind == "trace":
-        if store.has("trace", key) and \
-                store.payload_path("trace", key, TRACE_PAYLOAD):
-            return key
+        if store.has("trace", keys[0]) and \
+                store.payload_path("trace", keys[0], TRACE_PAYLOAD):
+            return keys
         return None
-    return key if store.has(spec.kind, key) else None
+    return keys if all(store.has(spec.kind, key) for key in keys) else None
 
 
 # ------------------------------------------------------------------ #
@@ -366,46 +390,58 @@ def ensure_analysis(store: ArtifactStore, name: str, software: bool,
     return key, snapshot
 
 
-def ensure_sim(store: ArtifactStore, name: str, software: bool,
-               machine_label: str, machine: MachineConfig,
-               max_instructions: int,
-               source: str | None = None) -> tuple[str, dict]:
-    """Replay (or find) one timing simulation snapshot."""
-    from repro.cpu.tracefile import simulate_trace
+def ensure_sims(store: ArtifactStore, name: str, software: bool,
+                machines, max_instructions: int,
+                source: str | None = None) -> list[tuple[str, dict]]:
+    """Time (or find) one build on several machine flavours.
 
+    ``machines`` is a sequence of ``(label, MachineConfig)``. Only the
+    flavours missing from the store are computed, all from one decode
+    of the trace (:func:`repro.pipeline.replay.time_flavours`); each
+    snapshot lands under its own :func:`sim_key`. Returns ``(key,
+    snapshot)`` per flavour, in ``machines`` order.
+    """
     manifest = ensure_manifest(store, name, software, source)
-    key = sim_key(name, software, manifest["program_crc"], machine_label,
-                  machine, max_instructions, source)
-    snapshot = store.get_json("sim", key)
-    if snapshot is not None:
-        return key, snapshot
-    tkey, tmeta = ensure_trace(store, name, software, max_instructions,
-                               source)
-    program = build_program(name, software, source)
-    trace_path = store.payload_path("trace", tkey, TRACE_PAYLOAD)
-    result = simulate_trace(program, str(trace_path), machine,
-                            memory_usage=tmeta["memory_usage"])
-    snapshot = sim_to_snapshot(result, meta={
-        "cell": "sim",
-        "name": name,
-        "software_support": software,
-        "machine": machine_label,
-        "max_instructions": max_instructions,
-    })
-    store.put_json("sim", key, snapshot, meta={
-        "schema": FARM_SCHEMA,
-        "kind": "sim",
-        "name": name,
-        "software_support": software,
-        "machine": machine_label,
-        "program_crc": manifest["program_crc"],
-        "max_instructions": max_instructions,
-    })
-    return key, snapshot
+    crc = manifest["program_crc"]
+    keys = [sim_key(name, software, crc, label, machine, max_instructions,
+                    source)
+            for label, machine in machines]
+    snapshots = [store.get_json("sim", key) for key in keys]
+    missing = [i for i, snapshot in enumerate(snapshots) if snapshot is None]
+    if missing:
+        from repro.pipeline.replay import time_flavours
+
+        tkey, tmeta = ensure_trace(store, name, software, max_instructions,
+                                   source)
+        program = build_program(name, software, source)
+        trace_path = store.payload_path("trace", tkey, TRACE_PAYLOAD)
+        results = time_flavours(program, str(trace_path),
+                                [machines[i][1] for i in missing],
+                                memory_usage=tmeta["memory_usage"])
+        for i, result in zip(missing, results):
+            label = machines[i][0]
+            snapshots[i] = sim_to_snapshot(result, meta={
+                "cell": "sim",
+                "name": name,
+                "software_support": software,
+                "machine": label,
+                "max_instructions": max_instructions,
+            })
+            store.put_json("sim", keys[i], snapshots[i], meta={
+                "schema": FARM_SCHEMA,
+                "kind": "sim",
+                "name": name,
+                "software_support": software,
+                "machine": label,
+                "program_crc": crc,
+                "max_instructions": max_instructions,
+            })
+    return list(zip(keys, snapshots))
 
 
-def execute_job(spec: JobSpec, store: ArtifactStore) -> str:
-    """Run one job against the store; returns the artifact key.
+def execute_job(spec: JobSpec, store: ArtifactStore) -> tuple[str, ...]:
+    """Run one job against the store; returns its artifact keys (one
+    per flavour for a sim job).
 
     Each job re-ensures its own inputs through the store, so a worker
     can execute any job without payload plumbing -- dependencies exist
@@ -413,18 +449,17 @@ def execute_job(spec: JobSpec, store: ArtifactStore) -> str:
     """
     if spec.kind == "build":
         ensure_manifest(store, spec.name, spec.software, spec.source)
-        return manifest_key(spec.name, spec.software, spec.source)
+        return (manifest_key(spec.name, spec.software, spec.source),)
     if spec.kind == "trace":
         key, _ = ensure_trace(store, spec.name, spec.software,
                               spec.max_instructions, spec.source)
-        return key
+        return (key,)
     if spec.kind == "analysis":
         key, _ = ensure_analysis(store, spec.name, spec.software,
                                  spec.max_instructions, spec.source)
-        return key
+        return (key,)
     if spec.kind == "sim":
-        key, _ = ensure_sim(store, spec.name, spec.software,
-                            spec.machine_label, spec.machine,
-                            spec.max_instructions, spec.source)
-        return key
+        return tuple(key for key, _ in ensure_sims(
+            store, spec.name, spec.software, spec.machines,
+            spec.max_instructions, spec.source))
     raise ValueError(f"unknown job kind {spec.kind!r}")

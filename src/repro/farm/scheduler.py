@@ -94,7 +94,7 @@ class JobOutcome:
     job_id: str
     kind: str
     status: str             # 'hit' | 'done' | 'failed'
-    key: str | None = None
+    keys: tuple[str, ...] = ()  # artifact keys (a sim job: one per flavour)
     error: str | None = None
     attempts: int = 0
     wall: float = 0.0       # seconds across all attempts (hit: store check)
@@ -168,10 +168,10 @@ def _worker_main(worker_id: int, store_root: str, task_q, result_q) -> None:
         try:
             with tracker.span(f"execute:{spec.job_id}", parent=None,
                               cat="execute", attrs={"kind": spec.kind}):
-                key = execute_job(spec, store)
+                keys = execute_job(spec, store)
             status, error = "ok", None
         except BaseException as exc:  # noqa: BLE001 - reported, not raised
-            status, key, error = "error", None, f"{type(exc).__name__}: {exc}"
+            status, keys, error = "error", (), f"{type(exc).__name__}: {exc}"
         store.tracer = None
         cpu1, rss = _cpu_and_rss()
         usage = {
@@ -180,7 +180,7 @@ def _worker_main(worker_id: int, store_root: str, task_q, result_q) -> None:
             "max_rss": rss,
             "spans": tracker.export(),
         }
-        result_q.put((worker_id, spec.job_id, status, key, error, usage))
+        result_q.put((worker_id, spec.job_id, status, keys, error, usage))
 
 
 class _Worker:
@@ -300,11 +300,11 @@ class _GraphRun:
 
     # ---------------- completion ---------------- #
 
-    def _finish(self, spec: JobSpec, status: str, key: str | None = None,
+    def _finish(self, spec: JobSpec, status: str, keys: tuple[str, ...] = (),
                 error: str | None = None) -> None:
         totals = self.usage.get(spec.job_id, {})
         outcome = JobOutcome(
-            job_id=spec.job_id, kind=spec.kind, status=status, key=key,
+            job_id=spec.job_id, kind=spec.kind, status=status, keys=keys,
             error=error, attempts=self.attempts.get(spec.job_id, 0),
             wall=totals.get("wall", 0.0), cpu=totals.get("cpu", 0.0),
             max_rss=totals.get("max_rss", 0),
@@ -358,19 +358,19 @@ class _GraphRun:
     def _try_complete_from_store(self, spec: JobSpec) -> bool:
         check_start = time.monotonic()
         try:
-            key = artifact_ready(spec, self.store)
+            keys = artifact_ready(spec, self.store)
         except Exception:
             # e.g. an unknown benchmark name: let a worker run the job
             # and report the real error as that cell's failure
             return False
-        if key is None:
+        if keys is None:
             return False
         self._span_for(spec.job_id)
         totals = self.usage.setdefault(
             spec.job_id, {"wall": 0.0, "cpu": 0.0, "max_rss": 0,
                           "worker": -1})
         totals["wall"] += time.monotonic() - check_start
-        self._finish(spec, "hit", key=key)
+        self._finish(spec, "hit", keys=keys)
         return True
 
     def _idle_worker(self) -> _Worker | None:
@@ -432,7 +432,7 @@ class _GraphRun:
 
         try:
             while True:
-                worker_id, job_id, status, key, error, usage = \
+                worker_id, job_id, status, keys, error, usage = \
                     self.result_q.get(timeout=_POLL_SECONDS)
                 for worker in self.workers:
                     if worker.index == worker_id and worker.job is not None \
@@ -444,7 +444,7 @@ class _GraphRun:
                 self._charge(job_id, usage, worker_id)
                 spec = self.graph.jobs[job_id]
                 if status == "ok":
-                    self._finish(spec, "done", key=key)
+                    self._finish(spec, "done", keys=keys)
                 else:
                     self._finish(spec, "failed", error=error)
         except queue_mod.Empty:

@@ -1,10 +1,11 @@
 """The serve worker: one submission -> one farm sweep.
 
-:func:`plan_serve_graph` lowers a normalized submission onto the same
-build -> trace -> analysis/sim job graph ``repro farm run`` plans, with
-one addition: inline-source submissions carry their MiniC text on the
-:class:`~repro.farm.jobs.JobSpec` and fingerprint by content, so two
-tenants submitting the same program share every artifact.
+:func:`plan_serve_graph` turns a normalized submission into cells and
+lowers them with :func:`~repro.farm.jobs.plan_jobs`, the planner
+``repro farm run`` uses, with one addition: inline-source submissions
+carry their MiniC text on every :class:`~repro.farm.jobs.JobSpec` and
+fingerprint by content, so two tenants submitting the same program
+share every artifact.
 
 :func:`run_serve_job` is thread-side (the service calls it via
 ``asyncio.to_thread``): it drives the farm scheduler with a private
@@ -28,7 +29,7 @@ import time
 from dataclasses import dataclass
 
 from repro.farm import ledger as ledger_mod
-from repro.farm.jobs import Cell, JobGraph, JobSpec
+from repro.farm.jobs import Cell, JobGraph, plan_jobs
 from repro.farm.scheduler import run_graph
 from repro.farm.store import ArtifactStore
 from repro.obs.events import Event, EventBus, subscribe_async
@@ -200,36 +201,16 @@ def graft_request_spans(tracker: SpanTracker, record: dict,
 # planning and execution
 
 def plan_serve_graph(submission: dict, machines: dict) -> JobGraph:
-    """Lower one normalized submission onto a farm job graph."""
+    """Lower one normalized submission onto a farm job graph: its cells
+    go through :func:`~repro.farm.jobs.plan_jobs`, like a sweep's."""
     name = submission["name"]
     software = submission["software"]
-    source = submission["source"]
-    budget = submission["max_instructions"]
-    tag = f"{name}+sw" if software else name
-
-    graph = JobGraph()
-    build_id = f"build:{tag}"
-    trace_id = f"trace:{tag}"
-    graph.jobs[build_id] = JobSpec(
-        job_id=build_id, kind="build", name=name, software=software,
-        max_instructions=budget, source=source)
-    graph.jobs[trace_id] = JobSpec(
-        job_id=trace_id, kind="trace", name=name, software=software,
-        max_instructions=budget, deps=(build_id,), source=source)
+    cells = [Cell("sim", name, software, label)
+             for label in submission["machines"]]
     if submission["analysis"]:
-        job_id = f"analysis:{tag}"
-        graph.jobs[job_id] = JobSpec(
-            job_id=job_id, kind="analysis", name=name, software=software,
-            max_instructions=budget, deps=(trace_id,), source=source)
-        graph.cell_jobs[Cell("analysis", name, software)] = job_id
-    for label in submission["machines"]:
-        job_id = f"sim:{tag}:{label}"
-        graph.jobs[job_id] = JobSpec(
-            job_id=job_id, kind="sim", name=name, software=software,
-            max_instructions=budget, machine_label=label,
-            machine=machines[label], deps=(trace_id,), source=source)
-        graph.cell_jobs[Cell("sim", name, software, label)] = job_id
-    return graph
+        cells.append(Cell("analysis", name, software))
+    return plan_jobs(cells, machines, submission["max_instructions"],
+                     source=submission["source"])
 
 
 def run_serve_job(store: ArtifactStore, record: dict, log: JobEventLog,
@@ -259,12 +240,17 @@ def run_serve_job(store: ArtifactStore, record: dict, log: JobEventLog,
         artifacts = []
         results: dict = {"machines": {}}
         for cell, job_id in sorted(graph.cell_jobs.items(),
-                                   key=lambda kv: kv[1]):
+                                   key=lambda kv: (kv[1], kv[0])):
             outcome = result.outcomes[job_id]
-            if not outcome.ok or outcome.key is None:
+            if not outcome.ok or not outcome.keys:
                 continue
-            artifacts.append({"kind": cell.kind, "key": outcome.key})
-            snapshot = store.get_json(cell.kind, outcome.key)
+            if cell.kind == "analysis":
+                key = outcome.keys[0]
+            else:
+                labels = [label for label, _ in graph.jobs[job_id].machines]
+                key = outcome.keys[labels.index(cell.machine)]
+            artifacts.append({"kind": cell.kind, "key": key})
+            snapshot = store.get_json(cell.kind, key)
             if cell.kind == "analysis":
                 results["analysis"] = snapshot
             else:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.farm import ArtifactStore, Cell, plan_jobs, run_graph
 from repro.farm import api
-from repro.farm.jobs import SNAPSHOT_PAYLOAD, resolve_key
+from repro.farm.jobs import SNAPSHOT_PAYLOAD, resolve_keys
 from repro.fac import FacConfig
 from repro.pipeline.config import MachineConfig
 
@@ -51,12 +51,13 @@ def test_parallel_run_matches_serial_bytes(tmp_path):
 
     for cell in GRID:
         spec = graph.jobs[graph.cell_jobs[cell]]
-        serial_key = resolve_key(spec, serial_store)
-        parallel_key = resolve_key(spec, parallel_store)
-        assert serial_key == parallel_key, cell
-        serial_bytes = serial_store.get_bytes(
-            spec.kind, serial_key, SNAPSHOT_PAYLOAD)
-        parallel_bytes = parallel_store.get_bytes(
-            spec.kind, parallel_key, SNAPSHOT_PAYLOAD)
-        assert serial_bytes is not None, cell
-        assert serial_bytes == parallel_bytes, cell
+        serial_keys = resolve_keys(spec, serial_store)
+        parallel_keys = resolve_keys(spec, parallel_store)
+        assert serial_keys == parallel_keys, cell
+        for key in serial_keys:
+            serial_bytes = serial_store.get_bytes(
+                spec.kind, key, SNAPSHOT_PAYLOAD)
+            parallel_bytes = parallel_store.get_bytes(
+                spec.kind, key, SNAPSHOT_PAYLOAD)
+            assert serial_bytes is not None, cell
+            assert serial_bytes == parallel_bytes, cell

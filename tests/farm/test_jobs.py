@@ -2,17 +2,19 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from repro.farm import Cell, plan_jobs, run_graph
 from repro.farm import jobs as farm_jobs
-from repro.farm.snapshots import analysis_to_snapshot
+from repro.farm.snapshots import analysis_to_snapshot, sim_to_snapshot
 from repro.farm.store import ArtifactStore
 from repro.fac import FacConfig
 from repro.pipeline.config import MachineConfig
 from tests.oracles import replay_analysis
 
+REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 BENCH = "eqntott"
 MAX_INSTRUCTIONS = 10_000_000
 MACHINES = {"base": MachineConfig(), "fac32": MachineConfig(fac=FacConfig())}
@@ -52,12 +54,36 @@ class TestPlanning:
         graph = plan_jobs(cells, MACHINES, MAX_INSTRUCTIONS)
         assert set(graph.jobs) == {
             f"build:{BENCH}", f"trace:{BENCH}", f"analysis:{BENCH}",
-            f"sim:{BENCH}:base", f"sim:{BENCH}:fac32",
+            f"sim:{BENCH}:base,fac32",
         }
         assert graph.jobs[f"trace:{BENCH}"].deps == (f"build:{BENCH}",)
         assert graph.jobs[f"analysis:{BENCH}"].deps == (f"trace:{BENCH}",)
-        assert graph.jobs[f"sim:{BENCH}:base"].deps == (f"trace:{BENCH}",)
+        assert graph.jobs[f"sim:{BENCH}:base,fac32"].deps == \
+            (f"trace:{BENCH}",)
         assert len(graph.cell_jobs) == 3
+
+    def test_one_sim_job_per_build(self):
+        """Every flavour of a build lands on one sim job, its machines
+        sorted by label; a lone flavour keeps the per-flavour id."""
+        cells = {Cell("sim", BENCH, sw, label)
+                 for sw in (False, True) for label in ("fac32", "base")}
+        cells.add(Cell("sim", "compress", False, "fac32"))
+        graph = plan_jobs(cells, MACHINES, MAX_INSTRUCTIONS)
+        sims = {job_id: spec for job_id, spec in graph.jobs.items()
+                if spec.kind == "sim"}
+        assert set(sims) == {f"sim:{BENCH}:base,fac32",
+                             f"sim:{BENCH}+sw:base,fac32",
+                             "sim:compress:fac32"}
+        assert sims[f"sim:{BENCH}:base,fac32"].machines == (
+            ("base", MACHINES["base"]), ("fac32", MACHINES["fac32"]))
+        assert graph.cell_jobs[Cell("sim", BENCH, True, "base")] == \
+            f"sim:{BENCH}+sw:base,fac32"
+
+    def test_source_reaches_every_job(self):
+        graph = plan_jobs({Cell("sim", "inline", False, "base")},
+                          MACHINES, MAX_INSTRUCTIONS, source="int main;")
+        assert {spec.source for spec in graph.jobs.values()} == \
+            {"int main;"}
 
     def test_software_build_is_distinct(self):
         cells = {Cell("analysis", BENCH), Cell("analysis", BENCH, True)}
@@ -83,10 +109,10 @@ class TestKeys:
                           MACHINES, MAX_INSTRUCTIONS)
         sim_spec = graph.jobs[f"sim:{BENCH}:base"]
         build_spec = graph.jobs[f"build:{BENCH}"]
-        assert farm_jobs.resolve_key(sim_spec, store) is None
-        assert farm_jobs.resolve_key(build_spec, store) is not None
+        assert farm_jobs.resolve_keys(sim_spec, store) is None
+        assert farm_jobs.resolve_keys(build_spec, store) is not None
         farm_jobs.ensure_manifest(store, BENCH, False)
-        assert farm_jobs.resolve_key(sim_spec, store) is not None
+        assert len(farm_jobs.resolve_keys(sim_spec, store)) == 1
 
     def test_sim_keys_differ_by_machine(self, tmp_path):
         crc = 0xDEADBEEF
@@ -116,8 +142,9 @@ class TestEnsure:
 
     def test_second_call_reads_the_store(self, store, monkeypatch):
         farm_jobs.ensure_analysis(store, BENCH, False, MAX_INSTRUCTIONS)
-        farm_jobs.ensure_sim(store, BENCH, False, "base", MACHINES["base"],
-                             MAX_INSTRUCTIONS)
+        farm_jobs.ensure_sims(store, BENCH, False,
+                              (("base", MACHINES["base"]),),
+                              MAX_INSTRUCTIONS)
 
         def boom(name, software):  # pragma: no cover - must not run
             raise AssertionError("recomputed a cached artifact")
@@ -125,8 +152,9 @@ class TestEnsure:
         monkeypatch.setattr(farm_jobs, "build_program", boom)
         key_a, snap_a = farm_jobs.ensure_analysis(
             store, BENCH, False, MAX_INSTRUCTIONS)
-        key_s, snap_s = farm_jobs.ensure_sim(
-            store, BENCH, False, "base", MACHINES["base"], MAX_INSTRUCTIONS)
+        [(key_s, snap_s)] = farm_jobs.ensure_sims(
+            store, BENCH, False, (("base", MACHINES["base"]),),
+            MAX_INSTRUCTIONS)
         assert snap_a["metrics"]["profile.instructions"]["count"] > 0
         assert snap_s["metrics"]["sim.cycles"]["count"] > 0
 
@@ -142,8 +170,71 @@ class TestEnsure:
             {Cell("analysis", BENCH), Cell("sim", BENCH, False, "base")},
             MACHINES, MAX_INSTRUCTIONS)
         for spec in graph.jobs.values():
-            key = farm_jobs.execute_job(spec, store)
-            assert farm_jobs.artifact_ready(spec, store) == key
+            keys = farm_jobs.execute_job(spec, store)
+            assert farm_jobs.artifact_ready(spec, store) == keys
+
+    def test_ensure_sims_computes_only_missing_flavours(self, tmp_path,
+                                                        monkeypatch):
+        """A grouped sim job over a half-warm store times only the cold
+        flavour, under the key and with the bytes a lone job would, and
+        its artifacts are ready only once every flavour is stored."""
+        from repro.pipeline import replay
+
+        store = ArtifactStore(tmp_path / "store")
+        graph = plan_jobs({Cell("sim", BENCH, False, label)
+                           for label in MACHINES},
+                          MACHINES, MAX_INSTRUCTIONS)
+        spec = graph.jobs[f"sim:{BENCH}:base,fac32"]
+        [(base_key, base_snap)] = farm_jobs.ensure_sims(
+            store, BENCH, False, spec.machines[:1], MAX_INSTRUCTIONS)
+        assert farm_jobs.artifact_ready(spec, store) is None
+
+        timed = []
+        real = replay.time_flavours
+
+        def counted(program, path, machines, memory_usage=0):
+            timed.extend(machines)
+            return real(program, path, machines, memory_usage)
+
+        monkeypatch.setattr(replay, "time_flavours", counted)
+        keys = farm_jobs.execute_job(spec, store)
+        assert timed == [MACHINES["fac32"]]
+        assert keys[0] == base_key
+        assert farm_jobs.artifact_ready(spec, store) == keys
+        assert store.get_json("sim", base_key) == base_snap
+        alone = ArtifactStore(tmp_path / "alone")
+        [(fac_key, fac_snap)] = farm_jobs.ensure_sims(
+            alone, BENCH, False, spec.machines[1:], MAX_INSTRUCTIONS)
+        assert keys[1] == fac_key
+        assert store.get_json("sim", fac_key) == fac_snap
+
+    def test_grouped_snapshots_match_the_pipeline(self, store):
+        """Every flavour's snapshot from one grouped job equals the
+        scalar PipelineSimulator's replay of the same stored trace."""
+        from repro.cpu.tracefile import replay_into
+        from repro.experiments import common
+        from repro.pipeline.pipeline import PipelineSimulator
+
+        machines = tuple(common.MACHINES.items())
+        results = farm_jobs.ensure_sims(store, BENCH, True, machines,
+                                        MAX_INSTRUCTIONS)
+        tkey, tmeta = farm_jobs.ensure_trace(store, BENCH, True,
+                                             MAX_INSTRUCTIONS)
+        path = str(store.payload_path("trace", tkey,
+                                      farm_jobs.TRACE_PAYLOAD))
+        program = farm_jobs.build_program(BENCH, True)
+        for (label, machine), (_, snapshot) in zip(machines, results):
+            pipe = PipelineSimulator(machine)
+            replay_into(program, path, pipe)
+            oracle = sim_to_snapshot(
+                pipe.finalize(memory_usage=tmeta["memory_usage"]), meta={
+                    "cell": "sim",
+                    "name": BENCH,
+                    "software_support": True,
+                    "machine": label,
+                    "max_instructions": MAX_INSTRUCTIONS,
+                })
+            assert snapshot == oracle, label
 
     def test_execute_unknown_kind_rejected(self, store):
         spec = farm_jobs.JobSpec(job_id="x", kind="mystery", name=BENCH,
@@ -229,9 +320,9 @@ class TestColtrace:
         assert result.returncode == 0, result.stderr
 
     def test_timing_and_planning_paths_stay_numpy_free(self, tmp_path):
-        """Planning every harness's cells and a cold trace + sim of an
-        inline program never import numpy, whose import alone costs
-        more than planning a whole sweep slice."""
+        """Planning every harness's cells and a cold trace + grouped
+        two-flavour sim of an inline program never import numpy, whose
+        import alone costs more than planning a whole sweep slice."""
         source = ("int v[16];\n"
                   "int main() { int i, s = 0;\n"
                   "  for (i = 0; i < 16; i++) { v[i] = i; s += v[i]; }\n"
@@ -250,15 +341,37 @@ class TestColtrace:
             "jobs.plan_jobs(cells, common.MACHINES, common.MAX_INSTRUCTIONS)\n"
             f"store = ArtifactStore({str(tmp_path / 'store')!r})\n"
             f"jobs.ensure_trace(store, 'inline', False, 100000, {source!r})\n"
-            "key, _ = jobs.ensure_sim(store, 'inline', False, 'fac32',\n"
-            "                         common.MACHINES['fac32'], 100000,\n"
-            f"                        {source!r})\n"
-            "assert store.has('sim', key)\n"
+            "flavours = [(label, common.MACHINES[label])\n"
+            "            for label in ('base', 'fac32')]\n"
+            "done = jobs.ensure_sims(store, 'inline', False, flavours,\n"
+            f"                       100000, {source!r})\n"
+            "assert all(store.has('sim', key) for key, _ in done)\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
         )
         result = subprocess.run([sys.executable, "-c", code],
                                 capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
+
+    def test_sweep_setup_imports_do_not_grow(self):
+        """Planning a sweep in a fresh interpreter, as the benchmark's
+        set-up probe does, imports no ``repro`` module beyond the
+        committed list: a new import there is set-up time every sweep
+        pays before any job runs."""
+        code = (
+            "import runpy, sys\n"
+            "probe = runpy.run_path('perfbench/probe.py')\n"
+            "probe['main'](['sweep_cold', 'eqntott,ora'])\n"
+            "print('\\n'.join(sorted(m for m in sys.modules\n"
+            "                         if m.split('.')[0] == 'repro')))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True,
+                                timeout=300, cwd=REPO_ROOT)
+        assert result.returncode == 0, result.stderr
+        allowed = (Path(__file__).parent / "sweep_setup_modules.txt"
+                   ).read_text().split()
+        extra = set(result.stdout.split()) - set(allowed)
+        assert not extra, f"sweep set-up now imports {sorted(extra)}"
 
     def test_inputs_pinned_while_analysis_in_flight(self, store,
                                                     monkeypatch):

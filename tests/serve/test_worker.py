@@ -89,13 +89,22 @@ class TestPlanning:
         assert "trace:tmp-my-prog.mc" in graph.jobs
 
     def test_analysis_and_machines_fan_out(self):
+        """Every requested flavour is one cell; all of them share the
+        build's one sim job."""
         graph = plan_serve_graph(
-            normalized(inline_payload(machines=["base", "fac32"],
+            normalized(inline_payload(machines=["fac32", "base"],
                                       analysis=True)),
             MACHINES)
         kinds = sorted(spec.kind for spec in graph.jobs.values())
-        assert kinds == ["analysis", "build", "sim", "sim", "trace"]
+        assert kinds == ["analysis", "build", "sim", "trace"]
         assert len(graph.cell_jobs) == 3
+        sim = graph.jobs["sim:inline:base,fac32"]
+        assert [label for label, _ in sim.machines] == ["base", "fac32"]
+
+    def test_single_flavour_keeps_its_job_id(self):
+        graph = plan_serve_graph(normalized(inline_payload()), MACHINES)
+        assert set(graph.jobs) == {"build:inline", "trace:inline",
+                                   "sim:inline:base"}
 
 
 class TestExecution:
@@ -115,6 +124,23 @@ class TestExecution:
         assert run is not None
         assert run.meta["serve"] is True
         assert run.meta["tenant"] == "alice"
+
+    def test_grouped_sim_returns_every_machine(self, store, tmp_path):
+        """One sim job times both flavours; each machine's snapshot is
+        read from its own key and equals a single-flavour submission's."""
+        record = queue_record(tmp_path, inline_payload(
+            machines=["base", "fac32"]))
+        doc = run_serve_job(store, record, JobEventLog(), MACHINES)
+        assert doc["status"] == "done"
+        assert doc["summary"]["computed"] == 3
+        assert sorted(doc["results"]["machines"]) == ["base", "fac32"]
+        assert len({ref["key"] for ref in doc["artifacts"]}) == 2
+        alone = run_serve_job(
+            ArtifactStore(tmp_path / "alone"),
+            queue_record(tmp_path / "q2", inline_payload(machines=["fac32"])),
+            JobEventLog(), MACHINES)
+        assert alone["results"]["machines"]["fac32"] == \
+            doc["results"]["machines"]["fac32"]
 
     def test_warm_rerun_is_all_hits(self, store, tmp_path):
         first = queue_record(tmp_path, inline_payload())

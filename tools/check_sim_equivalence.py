@@ -14,8 +14,9 @@ bit:
    ``TraceAnalyzer``, from ``analyze_program`` (live, columnar) *and*
    from ``analyze_trace`` on the recorded tracefile,
 3. ``SimResult`` snapshots from a step-and-feed pipeline loop, from
-   ``simulate_program`` and from the trace-replay path, across several
-   machine flavours.
+   ``simulate_program`` and from the production timing job's shape --
+   one grouped ``time_flavours`` call that decodes the trace once for
+   all eight Table 5 flavours of ``repro.experiments.common.MACHINES``.
 
 Run with no arguments for one representative benchmark, name
 benchmarks explicitly (the CI ``sim-equivalence`` job checks
@@ -44,19 +45,12 @@ from repro.analysis.prediction import (
     analyze_trace,
 )
 from repro.cpu.executor import CPU
-from repro.cpu.tracefile import record_trace, replay_into, simulate_trace
-from repro.fac.config import FacConfig
+from repro.cpu.tracefile import record_trace, replay_into
+from repro.experiments.common import MACHINES
 from repro.farm.snapshots import analysis_to_snapshot, sim_to_snapshot
-from repro.pipeline.config import MachineConfig
 from repro.pipeline.pipeline import PipelineSimulator, simulate_program
+from repro.pipeline.replay import time_flavours
 from repro.workloads.suite import BENCHMARKS, build_benchmark
-
-MACHINES = {
-    "base": MachineConfig(),
-    "fac32": MachineConfig(fac=FacConfig(block_size=32)),
-    "fac16norr": MachineConfig(fac=FacConfig(block_size=16,
-                                             speculate_reg_reg=False)),
-}
 
 
 def canon(snapshot: dict) -> str:
@@ -134,26 +128,30 @@ def check_benchmark(name: str, max_instructions: int, scratch: str) -> list[str]
     if live != replayed:
         problems.append("analysis snapshot differs between live and replay")
 
-    # 3. timing snapshots: step-and-feed, live, replay; several flavours
-    for label, machine in MACHINES.items():
-        spec = CPU(program)
-        pipe = PipelineSimulator(machine)
-        budget = max_instructions
-        while not spec.halted and budget > 0:
-            pipe.feed(spec.step())
-            budget -= 1
+    # 3. timing snapshots on every flavour: one step loop feeding a
+    # pipeline per flavour, live runs, and one grouped replay
+    pipes = [PipelineSimulator(machine) for machine in MACHINES.values()]
+    spec = CPU(program)
+    budget = max_instructions
+    while not spec.halted and budget > 0:
+        rec = spec.step()
+        for pipe in pipes:
+            pipe.feed(rec)
+        budget -= 1
+    grouped = time_flavours(program, path, list(MACHINES.values()),
+                            memory_usage=cpu.memory_usage)
+    for (label, machine), pipe, traced in zip(MACHINES.items(), pipes,
+                                              grouped):
         stepped = canon(sim_to_snapshot(
             pipe.finalize(memory_usage=spec.memory_usage), meta=meta))
         live = canon(sim_to_snapshot(
             simulate_program(program, machine,
                              max_instructions=max_instructions), meta=meta))
-        traced = canon(sim_to_snapshot(
-            simulate_trace(program, path, machine,
-                           memory_usage=cpu.memory_usage), meta=meta))
         if stepped != live:
             problems.append(f"sim snapshot differs step vs live ({label})")
-        if live != traced:
-            problems.append(f"sim snapshot differs live vs replay ({label})")
+        if stepped != canon(sim_to_snapshot(traced, meta=meta)):
+            problems.append(
+                f"sim snapshot differs step vs grouped replay ({label})")
     return problems
 
 
