@@ -3,19 +3,21 @@
 Two kinds of contract are enforced here:
 
 **Against a recorded baseline** (absolute, machine-specific): the
-detached observation hooks (the flight ring and the site tap, both
-None) cost nearly nothing, so both the step-loop simulator and the
-predecoded ``run_trace`` engine must stay within 5% of the throughput
+detached flight ring (None) costs nearly nothing, so both the
+step-loop simulator and the predecoded ``run_trace`` engine must stay
+within 5% of the throughput
 recorded before/after instrumentation landed
 (``benchmarks/obs_baseline.json``). The baseline carries a host
 fingerprint; on a different interpreter or machine the gate re-records
 instead of failing. Delete the file to force re-recording.
 
 **Relative, in-process** (portable): the flight recorder taps the
-pipeline's ring hook and the per-site counter tap (``pipe.sites``,
-which ``repro profile`` runs on) fills its counters inline; each
-contract is <= 10% overhead over the detached predecode engine. Both
-comparisons run the variants adjacently within each repeat and gate on the *minimum* overhead ratio
+pipeline's ring hook, <= 10% over the detached predecode engine; the
+per-site outcome column that ``repro profile`` runs on (the live
+replay engine with a :class:`~repro.obs.profile.SiteTally` watching
+its memory accesses) is <= 10% over the same live engine without it.
+Both comparisons run the variants adjacently within each repeat and
+gate on the *minimum* overhead ratio
 across repeats: machine-load drift inflates or deflates any single
 repeat by far more than the effect under test, but a genuine
 regression is present in every repeat, including the calm ones.
@@ -31,7 +33,9 @@ from pathlib import Path
 from repro.cpu import CPU
 from repro.fac import FacConfig
 from repro.obs.flight import FlightRecorder
-from repro.pipeline import MachineConfig, PipelineSimulator, SiteCounters
+from repro.obs.profile import SiteTally
+from repro.pipeline import MachineConfig, PipelineSimulator
+from repro.pipeline.replay import time_live
 from repro.workloads import build_benchmark
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -42,7 +46,7 @@ BASELINE_SCHEMA = "repro.obs-baseline/2"
 WORKLOADS = ("compress", "xlisp", "tomcatv")
 MAX_REGRESSION = 0.05          # vs recorded baseline, per engine
 MAX_FLIGHT_OVERHEAD = 0.10     # flight recorder vs detached predecode
-MAX_SITE_TAP_OVERHEAD = 0.10   # site counter tap vs detached predecode
+MAX_SITE_TAP_OVERHEAD = 0.10   # site outcome column vs plain live engine
 REPEATS = 3
 RELATIVE_REPEATS = 5
 
@@ -89,14 +93,18 @@ def _run_flight(program):
     return pipe.result.instructions, elapsed
 
 
-def _run_site_tap(program):
-    cpu = CPU(program)
-    pipe = PipelineSimulator(_config())
-    pipe.sites = SiteCounters()
+def _run_live(program, outcomes=False):
+    config = _config()
+    watch = {config: SiteTally(program, config)} if outcomes else None
     start = time.perf_counter()
-    cpu.run_trace(pipe, 50_000_000)
+    (result,), _ = time_live(program, (config,), 50_000_000,
+                             outcomes=watch)
     elapsed = time.perf_counter() - start
-    return pipe.result.instructions, elapsed
+    return result.instructions, elapsed
+
+
+def _run_site_tap(program):
+    return _run_live(program, outcomes=True)
 
 
 def _best_rate(runner, programs, repeats=REPEATS) -> float:
@@ -194,8 +202,8 @@ def test_flight_recorder_overhead_within_budget():
 
 
 def test_site_tap_overhead_within_budget():
-    overhead = _min_overhead(_run_predecode, _run_site_tap, _programs())
+    overhead = _min_overhead(_run_live, _run_site_tap, _programs())
     assert overhead <= MAX_SITE_TAP_OVERHEAD, (
-        f"site counter tap costs {100 * overhead:.1f}% over the detached "
-        f"predecode engine in every one of {RELATIVE_REPEATS} repeats "
+        f"site outcome column costs {100 * overhead:.1f}% over the live "
+        f"engine without it in every one of {RELATIVE_REPEATS} repeats "
         f"(> {100 * MAX_SITE_TAP_OVERHEAD:.0f}% budget)")

@@ -52,7 +52,7 @@ from repro.cpu import CPU
 from repro.fac import FacConfig
 from repro.isa.assembler import assemble
 from repro.linker import LinkOptions, link
-from repro.pipeline import MachineConfig, simulate_program
+from repro.pipeline import MachineConfig
 
 
 def _options(args) -> CompilerOptions:
@@ -93,6 +93,7 @@ def cmd_suite(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from repro.pipeline.replay import time_live
     from repro.workloads import BENCHMARKS, build_benchmark
 
     if args.name not in BENCHMARKS:
@@ -101,8 +102,9 @@ def cmd_stats(args) -> int:
         return 2
     program = build_benchmark(args.name, software_support=args.software_support)
     analysis = analyze_program(program)
-    base = simulate_program(program, MachineConfig())
-    fac = simulate_program(program, MachineConfig(fac=FacConfig()))
+    # one functional run times both flavours (they share a front)
+    (base, fac), _ = time_live(
+        program, (MachineConfig(), MachineConfig(fac=FacConfig())))
     stats = analysis.predictions[32]
     print(f"benchmark        : {args.name} "
           f"({'with' if args.software_support else 'no'} software support)")

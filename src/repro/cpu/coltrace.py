@@ -46,8 +46,8 @@ from repro.cpu.tracefile import (
     _FLAG_TAKEN,
     _HEADER,
     _RECORD,
+    _TraceWriter,
     _check_header,
-    _write_trace,
     program_crc,
 )
 from repro.errors import SimulationError
@@ -144,18 +144,42 @@ class TraceColumns:
             raise SimulationError("columns entry point mismatch")
 
 
+class ColumnRecorder:
+    """``retire`` consumer (see :meth:`CPU.run_trace`) that writes the
+    v1 record stream to memory (no gzip); :meth:`columns` decodes it
+    exactly as :func:`decode_tracefile` decodes a file. Hand it to a
+    run that also feeds other consumers (``repro profile`` times the
+    same run live) or use :func:`record_columns`."""
+
+    def __init__(self, program: Program):
+        self._program = program
+        self._buffer = io.BytesIO()
+        self._writer = _TraceWriter(self._buffer, program)
+        self.retire = self._writer.retire
+
+    def columns(self) -> TraceColumns:
+        """The recorded run, as columns. This ends the recording: the
+        stream's buffer is freed once it is decoded."""
+        self._writer.flush()
+        blob = self._buffer.getbuffer()
+        try:
+            return _decode_v1(self._program, blob, "<memory>")
+        finally:
+            blob.release()
+            self._buffer.close()
+
+
 def record_columns(program: Program, max_instructions: int = 50_000_000,
                    cpu: CPU | None = None) -> TraceColumns:
     """Execute ``program`` and return its trace as columns, without a
-    file: the v1 record stream is written to memory (no gzip) and
-    decoded exactly as :func:`decode_tracefile` decodes a file.
+    file (:class:`ColumnRecorder`).
 
     Pass a fresh ``cpu`` to keep the executor afterwards (memory usage,
     stdout)."""
-    buffer = io.BytesIO()
-    _write_trace(buffer, program, max_instructions,
-                 cpu if cpu is not None else CPU(program))
-    return _decode_v1(program, buffer.getbuffer(), "<memory>")
+    recorder = ColumnRecorder(program)
+    (cpu if cpu is not None else CPU(program)).run_trace(
+        recorder, max_instructions)
+    return recorder.columns()
 
 
 def decode_tracefile(program: Program, path: str) -> TraceColumns:

@@ -56,7 +56,7 @@ def program_crc(program: Program) -> int:
 
 class _TraceWriter:
     """Streaming ``retire`` consumer (see :meth:`CPU.run_trace`) that
-    serializes records as they retire.
+    writes the v1 header, then serializes records as they retire.
 
     A plain record's bytes depend only on its pc -- ``(index, 0, 0, 0,
     flags=0, delta=1)`` -- so they are packed once per static
@@ -68,9 +68,11 @@ class _TraceWriter:
 
     _FLUSH_EVERY = 4096  # records buffered between stream writes
 
-    def __init__(self, stream, text_base: int):
+    def __init__(self, stream, program: Program):
+        stream.write(_HEADER.pack(_MAGIC, _VERSION, 0, program_crc(program),
+                                  0, program.entry))
         self._stream = stream
-        self._text_base = text_base
+        self._text_base = program.text_base
         self._plain: dict[int, bytes] = {}
         self._chunks: list[bytes] = []
         self.count = 0
@@ -116,18 +118,6 @@ class _TraceWriter:
             del self._chunks[:]
 
 
-def _write_trace(stream, program: Program, max_instructions: int,
-                 cpu: CPU) -> int:
-    """Run ``cpu`` and write its v1 header and records to ``stream``;
-    returns the number of records written."""
-    stream.write(_HEADER.pack(_MAGIC, _VERSION, 0, program_crc(program),
-                              0, program.entry))
-    writer = _TraceWriter(stream, program.text_base)
-    cpu.run_trace(writer, max_instructions)
-    writer.flush()
-    return writer.count
-
-
 def record_trace(program: Program, path: str,
                  max_instructions: int = 50_000_000,
                  cpu: CPU | None = None) -> int:
@@ -142,8 +132,11 @@ def record_trace(program: Program, path: str,
     with open(path, "wb") as raw, \
             gzip.GzipFile(filename="", mode="wb", fileobj=raw,
                           mtime=0) as stream:
-        return _write_trace(stream, program, max_instructions,
-                            cpu if cpu is not None else CPU(program))
+        writer = _TraceWriter(stream, program)
+        (cpu if cpu is not None else CPU(program)).run_trace(
+            writer, max_instructions)
+        writer.flush()
+        return writer.count
 
 
 def _read(stream, size: int, path: str) -> bytes:

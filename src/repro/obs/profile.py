@@ -1,20 +1,25 @@
 """Source-level FAC profiling: the engine behind ``repro profile``.
 
-Combines three views of one program into a per-site table:
+One functional execution (:meth:`CPU.run_trace`) feeds two consumers
+at once, and a static pass adds the lint view; together they make a
+per-site table:
 
-* a **functional** pass records the execution once, in memory,
-  straight into numpy columns and runs the vectorized analyzer
+* the **functional** view: the run is recorded in memory straight into
+  numpy columns (:class:`repro.cpu.coltrace.ColumnRecorder`) and the
+  vectorized analyzer runs on them
   (:func:`repro.analysis.batch.analyze_trace_columns` with
   ``per_pc=True``). It supplies exact per-PC access and
   prediction-failure counts at every requested block size -- by
   construction these agree with the Tables 3/4 numbers, and the test
   suite asserts it;
-* a **timing** pass runs a detached
-  :class:`~repro.pipeline.pipeline.PipelineSimulator` with its per-site
-  counter tap (:class:`~repro.pipeline.pipeline.SiteCounters`) attached.
-  The tap supplies cache misses, FAC replays and load latencies as the
-  pipeline actually scheduled them, and costs the pipeline nothing on
-  instructions that are not loads or stores;
+* the **timing** view: the same run feeds the replay engine's front
+  live (:func:`repro.pipeline.replay.time_live`), on the FAC machine
+  at the primary block size. The recurrence reports each memory
+  access's outcome (accessed in EX, in MEM, or replayed) as a column,
+  and :class:`SiteTally` sums it per site with ``np.bincount``,
+  together with the front's static-index and D-miss columns, chunk by
+  chunk: cache misses, FAC replays and load latencies as the pipeline
+  actually scheduled them;
 * the **static** pass (:func:`repro.analysis.analyze_static`) supplies
   the lint verdict for each site, so hot mispredicting sites can be
   cross-checked against ``repro lint`` (an ALWAYS site with a measured
@@ -32,13 +37,12 @@ from dataclasses import dataclass, field
 
 from repro.analysis.prediction import TraceAnalysis
 from repro.analysis.static_fac import analyze_static
-from repro.cpu.executor import CPU
 from repro.fac.config import FacConfig
 from repro.isa.disassembler import disassemble
+from repro.isa.opcodes import OP_INFO
 from repro.isa.program import Program
 from repro.obs.metrics import Histogram, MetricsRegistry, safe_ratio
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.pipeline import PipelineSimulator, SiteCounters
 from repro.pipeline.result import SimResult
 
 #: Structural schema (JSON-Schema subset) for ``repro profile --json``;
@@ -239,22 +243,77 @@ class ProfileResult:
         return None
 
 
-def _functional_pass(program: Program, block_sizes: tuple[int, ...],
-                     cache_size: int, distances: Histogram,
-                     max_instructions: int) -> TraceAnalysis:
-    """Record the execution straight into columns (keeping the CPU for
-    memory usage and stdout), then run the vectorized analyzer and the
-    load-use kernel (which fills ``distances``)."""
-    from repro.analysis.batch import analyze_trace_columns, load_use_distances
-    from repro.cpu.coltrace import record_columns
+class SiteTally:
+    """Per-site timing counts of one flavour: a
+    :class:`~repro.pipeline.replay.Front` outcome watcher that sums each
+    chunk's static-index, D-miss and outcome columns with
+    ``np.bincount``."""
 
-    cpu = CPU(program)
-    cols = record_columns(program, max_instructions, cpu=cpu)
+    def __init__(self, program: Program, config: MachineConfig):
+        import numpy as np
+
+        infos = [OP_INFO[inst.op] for inst in program.instructions]
+        self._memory = np.array([i.is_load or i.is_store for i in infos])
+        self._load = np.array([i.is_load for i in infos])
+        size = len(infos)
+        #: per static instruction index: D-cache accesses, misses and
+        #: FAC replays
+        self.accesses = np.zeros(size, np.int64)
+        self.misses = np.zeros(size, np.int64)
+        self.replays = np.zeros(size, np.int64)
+        #: load latency in cycles (result ready - issue) -> load count
+        self.load_latency: dict[int, int] = {}
+        self._miss_latency = 0 if config.perfect_dcache \
+            else config.dcache.miss_latency
+
+    def __call__(self, indices, flags, outcomes) -> None:
+        import numpy as np
+
+        from repro.pipeline.replay import DMISS, IN_EX, REPLAYED
+
+        size = len(self.accesses)
+        index = np.frombuffer(indices, np.uint32)
+        memory = self._memory[index]
+        site = index[memory]
+        miss = np.frombuffer(flags, np.uint8)[memory] & DMISS != 0
+        outcome = np.frombuffer(outcomes, np.uint8)
+        self.accesses += np.bincount(site, minlength=size)
+        self.misses += np.bincount(site[miss], minlength=size)
+        self.replays += np.bincount(site[outcome == REPLAYED],
+                                    minlength=size)
+        # a load's result is ready 1 cycle after issue, one more when
+        # it is accessed in MEM or replayed, plus the miss latency
+        load = self._load[site]
+        latency = 1 + (outcome[load] != IN_EX) \
+            + miss[load] * self._miss_latency
+        counts = self.load_latency
+        for cycles, loads in enumerate(np.bincount(latency).tolist()):
+            if loads:
+                counts[cycles] = counts.get(cycles, 0) + loads
+
+
+def _execute(program: Program, machine: MachineConfig,
+             block_sizes: tuple[int, ...], cache_size: int,
+             distances: Histogram, max_instructions: int
+             ) -> tuple[TraceAnalysis, SimResult, SiteTally]:
+    """Execute ``program`` once: record the run into columns for the
+    vectorized analyzer and the load-use kernel (which fills
+    ``distances``), and time the same run live on ``machine`` with a
+    :class:`SiteTally` watching its memory accesses."""
+    from repro.analysis.batch import analyze_trace_columns, load_use_distances
+    from repro.cpu.coltrace import ColumnRecorder
+    from repro.pipeline.replay import time_live
+
+    recorder = ColumnRecorder(program)
+    tally = SiteTally(program, machine)
+    (sim,), cpu = time_live(program, (machine,), max_instructions,
+                            tee=recorder, outcomes={machine: tally})
+    cols = recorder.columns()
     analysis = analyze_trace_columns(
         program, cols, block_sizes=block_sizes, cache_size=cache_size,
         per_pc=True, memory_usage=cpu.memory_usage, stdout=cpu.stdout())
     load_use_distances(program, cols, distances)
-    return analysis
+    return analysis, sim, tally
 
 
 def profile_program(
@@ -269,22 +328,17 @@ def profile_program(
     if primary_block_size not in block_sizes:
         block_sizes = tuple(sorted(set(block_sizes) | {primary_block_size}))
 
-    # 1. functional pass: exact per-PC prediction counts + load-use hist
+    # 1. one execution: exact per-PC prediction counts and the load-use
+    # histogram from its columns, misses, replays and load latencies
+    # from timing it live
     registry = MetricsRegistry()
     distances = registry.histogram("profile.load_use_distance")
-    analysis = _functional_pass(program, block_sizes, cache_size, distances,
-                                max_instructions)
-
-    # 2. timing pass: dcache misses, replays and load latencies, counted
-    # by the site tap of a detached pipeline
     fac = FacConfig(cache_size=cache_size, block_size=primary_block_size)
-    sim_cpu = CPU(program)
-    pipe = PipelineSimulator(MachineConfig(fac=fac))
-    tap = pipe.sites = SiteCounters()
-    sim_cpu.run_trace(pipe, max_instructions)
-    sim = pipe.finalize(memory_usage=sim_cpu.memory_usage)
+    analysis, sim, tally = _execute(program, MachineConfig(fac=fac),
+                                    block_sizes, cache_size, distances,
+                                    max_instructions)
 
-    # 3. static pass: lint verdict per site
+    # 2. static pass: lint verdict per site
     static = analyze_static(program, fac)
 
     # ---- join the three views, one row per functionally-touched site
@@ -296,7 +350,10 @@ def profile_program(
         accesses, failures = primary[pc]
         site_report = static.by_addr.get(pc)
         source = program.source_of(pc)
-        timing_accesses, misses, replays = tap.per_pc.get(pc, (0, 0, 0))
+        index = (pc - program.text_base) >> 2
+        timing_accesses = int(tally.accesses[index])
+        misses = int(tally.misses[index])
+        replays = int(tally.replays[index])
         # a FAC replay re-runs the access in MEM: one cycle each
         replay_cycles = replays
         if replay_cycles:
@@ -319,7 +376,7 @@ def profile_program(
         ))
 
     load_latency = registry.histogram("profile.load_latency")
-    for cycles, loads in tap.load_latency.items():
+    for cycles, loads in tally.load_latency.items():
         load_latency.record(cycles, loads)
     sim.to_registry(registry, prefix="sim")
     return ProfileResult(

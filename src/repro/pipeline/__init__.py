@@ -4,7 +4,6 @@ from repro.pipeline.btb import BranchTargetBuffer
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.pipeline import (
     PipelineSimulator,
-    SiteCounters,
     simulate_program,
 )
 from repro.pipeline.result import SimResult
@@ -15,7 +14,6 @@ __all__ = [
     "MachineConfig",
     "PipelineSimulator",
     "SimResult",
-    "SiteCounters",
     "simulate_program",
     "TracedRun",
     "trace_program",

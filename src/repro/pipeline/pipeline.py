@@ -32,10 +32,14 @@ FAC, mispredicted               result ready at ``t + 2``
 A miss adds ``dcache.miss_latency`` cycles in every case (the cache is
 non-blocking: only dependents stall).
 
-The model has two observation points, both None when detached: the
+The model has one observation point, None when detached: the
 flight-recorder ring (``_flight``, :mod:`repro.obs.flight`), its one
-per-instruction hook, and the per-site counter tap (``sites``,
-:class:`SiteCounters`), filled per memory op. It emits no events.
+per-instruction hook. It emits no events.
+
+:func:`simulate_program` and the farm time on the columnar replay
+engine (:mod:`repro.pipeline.replay`), which matches this model cycle
+for cycle; :class:`PipelineSimulator` is its oracle and drives the
+flight recorder and the Figure 1 tracer.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.cache.cache import Cache
-from repro.cpu.executor import CPU, TraceRecord
+from repro.cpu.executor import TraceRecord
 from repro.fac.predictor import FastAddressCalculator
 from repro.isa.opcodes import Op, OpClass, OP_INFO
 from repro.isa.program import Program
@@ -66,23 +70,6 @@ _FU_CLASS = {
     OpClass.FPMULT: "fpm",
     OpClass.FPDIV: "fpm",
 }
-
-
-class SiteCounters:
-    """Per-site counter tap: what the pipeline scheduled at each load or
-    store pc, counted inline by :meth:`PipelineSimulator._execute_memory`.
-
-    Attach with ``pipe.sites = SiteCounters()``. Only memory ops touch
-    the tap: other instructions pay nothing for it.
-    """
-
-    __slots__ = ("per_pc", "load_latency")
-
-    def __init__(self):
-        #: pc -> [dcache accesses, dcache misses, FAC replays]
-        self.per_pc: dict[int, list[int]] = {}
-        #: load latency in cycles (result ready - issue) -> load count
-        self.load_latency: dict[int, int] = {}
 
 
 class PipelineSimulator:
@@ -127,15 +114,11 @@ class PipelineSimulator:
         self._mispredict_was_load = False
         self._mem_plan: tuple[bool, int] = (False, 0)
         self._final_cycle = 0
-        # The pipeline's two observation points, both None when detached.
-        # The flight-recorder ring tap, (slots, cap, seq_cell), is the one
-        # per-instruction hook (see repro.obs.flight): ``retire`` writes
-        # ring slots inline, so the recorder adds no call frames;
-        # detached cost is one attribute test per instruction.
+        # The flight-recorder ring tap, (slots, cap, seq_cell), None when
+        # detached, is the one per-instruction hook (see repro.obs.flight):
+        # ``retire`` writes ring slots inline, so the recorder adds no call
+        # frames; detached cost is one attribute test per instruction.
         self._flight: tuple | None = None
-        # per-site counter tap (SiteCounters); detached cost is one
-        # attribute test per memory op
-        self.sites: SiteCounters | None = None
         # FAC outcome of the last memory op: None (not speculated),
         # True (prediction held) or False (replayed)
         self._fac_outcome: bool | None = None
@@ -402,20 +385,6 @@ class PipelineSimulator:
         else:
             result_ready = self._execute_fac_memory(rec, cycle, is_store,
                                                     miss_penalty, info)
-        sites = self.sites
-        if sites is not None:
-            row = sites.per_pc.get(rec.pc)
-            if row is None:
-                row = sites.per_pc[rec.pc] = [0, 0, 0]
-            row[0] += 1
-            if not hit:
-                row[1] += 1
-            if self._fac_outcome is False:
-                row[2] += 1
-            if not is_store:
-                latency = sites.load_latency
-                cycles = result_ready - cycle
-                latency[cycles] = latency.get(cycles, 0) + 1
         if is_store:
             # the store's "result" is its tag probe; dependents (none,
             # stores write no register) are unaffected. Buffer the data.
@@ -503,10 +472,11 @@ def simulate_program(
     config: MachineConfig | None = None,
     max_instructions: int = 50_000_000,
 ) -> SimResult:
-    """Run ``program`` functionally and time it on the pipeline model:
-    the predecoded interpreter streams straight into the pipeline's
-    ``retire`` hook."""
-    cpu = CPU(program)
-    pipe = PipelineSimulator(config)
-    cpu.run_trace(pipe, max_instructions)
-    return pipe.finalize(memory_usage=cpu.memory_usage)
+    """Run ``program`` functionally and time it on ``config``: the
+    predecoded interpreter feeds the replay engine's front live
+    (:func:`repro.pipeline.replay.time_live`)."""
+    from repro.pipeline.replay import time_live
+
+    (result,), _ = time_live(program, (config or MachineConfig(),),
+                             max_instructions)
+    return result

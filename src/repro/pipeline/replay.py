@@ -1,13 +1,13 @@
-"""Time one recorded trace on many machine flavours from one decode.
+"""Time one run on many machine flavours from one pass over it.
 
-Timing a trace on the Table 5 machine splits into two halves:
+Timing a run on the Table 5 machine splits into two halves:
 
 * The **front** is the same on every flavour that shares the caches
   and the BTB. The I-cache, D-cache and BTB are touched in program
   order, and a FAC verdict (:meth:`FastAddressCalculator.fails`)
   depends only on an access's operands and the predictor geometry
-  ``(cache_size, block_size, full_tag_add)``. One :func:`replay_into`
-  consumer drives them once and emits compact per-record columns:
+  ``(cache_size, block_size, full_tag_add)``. One ``retire`` consumer
+  drives them once and emits compact per-record columns:
   the static instruction index, a flags byte (I-cache miss, D-cache
   miss, fetch redirect, BTB mispredict) and one fail bit per distinct
   FAC geometry. The front also yields every flavour-independent
@@ -23,13 +23,20 @@ every flavour's recurrence (a generator that keeps its state between
 chunks) consumes it, and the chunk is reused, so memory stays bounded
 whatever the trace length.
 
+A front is fed either by :func:`replay_into` from a recorded trace or
+live, by :meth:`CPU.run_trace` (:func:`time_live`): both speak the one
+``retire(pc, inst, rec)`` hook, so both feeds share the front and the
+recurrence. On request a recurrence also reports each memory access's
+outcome (see :data:`IN_MEM`), chunk by chunk, so per-site views are
+columns of the same run.
+
 The result is cycle-for-cycle that of
 :class:`~repro.pipeline.pipeline.PipelineSimulator`, which remains the
-live engine and the oracle (``tests/pipeline/test_replay.py`` and
+oracle (``tests/pipeline/test_replay.py`` and
 ``tools/check_sim_equivalence.py`` hold the snapshots identical).
-:func:`repro.cpu.tracefile.simulate_trace` times one flavour on this
-engine; :func:`time_flavours` times many, one front per distinct
-(caches, BTB) group.
+:func:`repro.cpu.tracefile.simulate_trace` times one flavour of a
+recorded trace; :func:`time_flavours` times many, one front per
+distinct (caches, BTB) group; :func:`time_live` times a live run.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from array import array
 from collections import deque
 
 from repro.cache.cache import Cache
+from repro.cpu.executor import CPU
 from repro.cpu.tracefile import replay_into
 from repro.fac.config import FacConfig
 from repro.fac.predictor import FastAddressCalculator
@@ -57,6 +65,11 @@ IMISS = 1        # I-cache miss on entering a new fetch block
 DMISS = 2        # D-cache miss
 REDIRECT = 4     # fetch resumes at issue + 1 (taken or direct jump)
 MISPREDICT = 8   # fetch resumes at issue + 1 + the mispredict penalty
+
+# outcome byte of one memory access (a recurrence's optional column)
+IN_EX = 0        # accessed in EX: a speculation that held, or 1-cycle loads
+IN_MEM = 1       # not speculated: accessed in MEM
+REPLAYED = 2     # speculated, mispredicted and re-accessed in MEM
 
 # functional units, by index: alu, ldst, imd, fpa, fpm
 _FU = {
@@ -86,7 +99,8 @@ def _geometry(fac: FacConfig) -> tuple[int, int, bool]:
 
 
 class _FrontTap:
-    """The front's :func:`replay_into` consumer.
+    """The front's ``retire`` consumer, fed by :func:`replay_into` or
+    live by :meth:`CPU.run_trace`.
 
     ``retire`` touches the caches, the BTB and every FAC geometry's
     verdict in program order and appends one record to the current
@@ -172,22 +186,38 @@ class _FrontTap:
 
 
 class Front:
-    """The shared half of timing one trace on a group of flavours.
+    """The shared half of timing one run on a group of flavours.
 
-    ``machines`` must share :func:`front_key`. The trace is decoded the
-    first time :meth:`result` is asked for, and every flavour's
-    recurrence runs in that same pass; later calls only read results.
+    ``machines`` must share :func:`front_key`. With a trace ``path``,
+    the trace is decoded the first time :meth:`result` is asked for and
+    every flavour's recurrence runs in that same pass; later calls only
+    read results. With ``path=None`` the front is fed live: :meth:`open`
+    returns its ``retire`` consumer for :meth:`CPU.run_trace` and
+    :meth:`close` ends the run.
+
+    ``outcomes`` maps flavours to callables that watch their flavour's
+    memory accesses: after the flavour's recurrence consumes a chunk,
+    the callable gets ``(indices, flags, outcomes)`` -- the front's
+    static-index and flags columns and a bytearray holding one outcome
+    byte (:data:`IN_EX`, :data:`IN_MEM` or :data:`REPLAYED`) per load
+    or store in the chunk, in record order. The columns are reused for
+    the next chunk, so the callable must not keep them.
     """
 
-    def __init__(self, program: Program, path, machines):
+    def __init__(self, program: Program, path, machines, outcomes=None):
         self.program = program
-        self.path = str(path)
+        self.path = None if path is None else str(path)
         self.machines = tuple(dict.fromkeys(machines))
         if len({front_key(m) for m in self.machines}) != 1:
             raise ValueError("one front times flavours that share their "
                              "caches and BTB")
+        self.outcomes = dict(outcomes or {})
+        if not self.outcomes.keys() <= set(self.machines):
+            raise ValueError("outcomes watch a machine this front does "
+                             "not time")
         self.geometries = tuple(dict.fromkeys(
             _geometry(m.fac) for m in self.machines if m.fac is not None))
+        self._running: tuple | None = None
         self._shared: dict | None = None
         self._own: dict = {}
         self._btb_accuracy = 0.0
@@ -198,13 +228,21 @@ class Front:
         if config not in self.machines:
             raise ValueError("this front was not built for that machine")
         if self._shared is None:
-            self._run()
+            if self.path is None:
+                raise ValueError("a live front has no result before close()")
+            tap = self.open()
+            self.close(replay_into(self.program, self.path, tap))
         result = SimResult(memory_usage=memory_usage, **self._shared,
                            **self._own[config])
         result.extras["btb_accuracy"] = self._btb_accuracy
         return result
 
-    def _run(self) -> None:
+    def open(self) -> _FrontTap:
+        """Start the run: set up the caches, the BTB, every geometry's
+        verdict and every flavour's recurrence, and return the
+        ``retire`` consumer to feed the run to, in program order."""
+        if self._running is not None or self._shared is not None:
+            raise ValueError("a front times one run")
         config = self.machines[0]
         icache = Cache(config.icache)
         dcache = Cache(config.dcache)
@@ -218,12 +256,19 @@ class Front:
         for machine in self.machines:
             fbit = 0 if machine.fac is None \
                 else 1 << self.geometries.index(_geometry(machine.fac))
-            flavour = _recurrence(self.program, machine, fbit)
+            flavour = _recurrence(self.program, machine, fbit,
+                                  self.outcomes.get(machine))
             next(flavour)
             flavours.append(flavour)
         tap = _FrontTap(self.program, config, icache, dcache, btb,
                         verdicts, flavours)
-        count = replay_into(self.program, self.path, tap)
+        self._running = (tap, icache, dcache, btb, flavours)
+        return tap
+
+    def close(self, count: int) -> None:
+        """End the run of ``count`` records fed to :meth:`open`'s tap."""
+        tap, icache, dcache, btb, flavours = self._running
+        self._running = None
         tap.flush()
         for machine, flavour in zip(self.machines, flavours):
             try:
@@ -244,6 +289,14 @@ class Front:
         self._btb_accuracy = btb.accuracy
 
 
+def _groups(machines) -> dict[tuple, list]:
+    """``machines`` by :func:`front_key`, in first-seen order."""
+    groups: dict[tuple, list] = {}
+    for machine in machines:
+        groups.setdefault(front_key(machine), []).append(machine)
+    return groups
+
+
 def time_flavours(program: Program, path, machines,
                   memory_usage: int = 0) -> list[SimResult]:
     """Time the trace at ``path`` on every machine in ``machines``.
@@ -255,14 +308,57 @@ def time_flavours(program: Program, path, machines,
     """
     from repro.cpu import tracefile
 
-    groups: dict[tuple, list] = {}
-    for machine in machines:
-        groups.setdefault(front_key(machine), []).append(machine)
     fronts = {key: Front(program, path, group)
-              for key, group in groups.items()}
+              for key, group in _groups(machines).items()}
     return [tracefile.simulate_trace(program, fronts[front_key(machine)],
                                      machine, memory_usage)
             for machine in machines]
+
+
+class _FanOut:
+    """One ``retire`` consumer that hands every record to several."""
+
+    __slots__ = ("retire",)
+
+    def __init__(self, consumers):
+        retires = tuple(consumer.retire for consumer in consumers)
+
+        def retire(pc, inst, rec):
+            for each in retires:
+                each(pc, inst, rec)
+
+        self.retire = retire
+
+
+def time_live(program: Program, machines,
+              max_instructions: int = 50_000_000, *, tee=None,
+              outcomes=None) -> tuple[list[SimResult], CPU]:
+    """Execute ``program`` once and time the run on every machine in
+    ``machines``, without a trace file.
+
+    One :meth:`CPU.run_trace` feeds a live :class:`Front` per (caches,
+    BTB) group and, when given, ``tee``: any other ``retire`` consumer
+    (a trace writer, say) that should see the same run. ``outcomes``
+    maps machines to :class:`Front` outcome watchers. Returns the
+    results in ``machines`` order, and the CPU (memory usage, stdout).
+    """
+    outcomes = outcomes or {}
+    if not outcomes.keys() <= set(machines):
+        raise ValueError("outcomes watch a machine that is not timed")
+    fronts = {key: Front(program, None, group,
+                         {m: outcomes[m] for m in group if m in outcomes})
+              for key, group in _groups(machines).items()}
+    consumers = [front.open() for front in fronts.values()]
+    if tee is not None:
+        consumers.append(tee)
+    cpu = CPU(program)
+    count = cpu.run_trace(
+        consumers[0] if len(consumers) == 1 else _FanOut(consumers),
+        max_instructions)
+    for front in fronts.values():
+        front.close(count)
+    return [fronts[front_key(machine)].result(machine, cpu.memory_usage)
+            for machine in machines], cpu
 
 
 # ------------------------------------------------------------------ #
@@ -329,10 +425,15 @@ def _drain(sb: deque, ports: dict, cursor: int, upto: int) -> int:
     return cycle
 
 
-def _recurrence(program: Program, config: MachineConfig, fbit: int):
+def _recurrence(program: Program, config: MachineConfig, fbit: int,
+                watch=None):
     """One flavour's issue recurrence, as a generator: send it column
-    chunks, then None; it returns the flavour's own counters."""
+    chunks, then None; it returns the flavour's own counters. With a
+    ``watch`` callable, each chunk's memory-access outcomes are
+    collected and handed to it (see :class:`Front`)."""
     facts = _static_facts(program, config)
+    outcomes = bytearray()
+    add_outcome = outcomes.append if watch is not None else None
     width = config.issue_width
     read_ports = config.dcache_read_ports
     write_ports = config.dcache_write_ports
@@ -461,6 +562,9 @@ def _recurrence(program: Program, config: MachineConfig, fbit: int):
                         (ports.get(cycle + 1)
                          or _new_ports(ports, cycle + 1, cur))[is_store] += 1
                         ready = cycle + 2 + miss
+                if add_outcome is not None:
+                    add_outcome(IN_EX if ready == cycle + 1 + miss
+                                else REPLAYED if speculate else IN_MEM)
                 if is_store:
                     sb.append(ready)
                     ready = cycle + 1
@@ -476,6 +580,9 @@ def _recurrence(program: Program, config: MachineConfig, fbit: int):
                 sb_cursor = _drain(sb, ports, sb_cursor, cycle)
             elif cycle > sb_cursor:
                 sb_cursor = cycle
+        if add_outcome is not None:
+            watch(chunk[0], chunk[1], outcomes)
+            del outcomes[:]
         chunk = yield
 
     # drain the store buffer

@@ -6,6 +6,7 @@ import pytest
 from repro.compiler import compile_and_link
 from repro.cpu.coltrace import (
     COLTRACE_SCHEMA,
+    ColumnRecorder,
     TraceColumns,
     columns_from_bytes,
     columns_to_bytes,
@@ -16,6 +17,8 @@ from repro.cpu import CPU
 from repro.cpu.tracefile import record_trace
 from repro.errors import SimulationError
 from repro.isa.opcodes import OP_INFO
+from repro.pipeline import MachineConfig
+from repro.pipeline.replay import time_live
 from tests.oracles import replay_records
 
 SOURCE = """
@@ -130,6 +133,18 @@ class TestRecordColumns:
         cpu = CPU(program)
         assert record_columns(program, 100, cpu=cpu).count == 100
         assert not cpu.halted
+
+    def test_recorder_shares_a_timed_run(self, program, columns):
+        """A recorder fed alongside the live timing engine records the
+        same columns as a run of its own."""
+        recorder = ColumnRecorder(program)
+        (result,), cpu = time_live(program, [MachineConfig()],
+                                   tee=recorder)
+        live = recorder.columns()
+        assert live.count == result.instructions == cpu.instructions_retired
+        for name in self.COLUMNS:
+            assert np.array_equal(getattr(live, name),
+                                  getattr(columns, name)), name
 
 
 class TestContainer:

@@ -178,11 +178,41 @@ def replay_analysis(program, path, block_sizes=(16, 32), per_pc=False,
     return analyzer.result(memory_usage=memory_usage, stdout=stdout)
 
 
-def step_simulation(program, config=None, budget=50_000_000):
-    """The pipeline fed record by record from the spec interpreter."""
+class SiteCounters(PipelineSimulator):
+    """The per-site counter tap: the pipeline counting, around each
+    ``_execute_memory``, what it scheduled at every load or store pc.
+    The oracle for ``repro profile``'s site columns."""
+
+    def __init__(self, config=None):
+        super().__init__(config)
+        #: pc -> [dcache accesses, dcache misses, FAC replays]
+        self.per_pc = {}
+        #: load latency in cycles (result ready - issue) -> load count
+        self.load_latency = {}
+
+    def _execute_memory(self, rec, cycle, is_store, info):
+        misses = self.result.dcache_misses
+        ready = super()._execute_memory(rec, cycle, is_store, info)
+        row = self.per_pc.setdefault(rec.pc, [0, 0, 0])
+        row[0] += 1
+        row[1] += self.result.dcache_misses - misses
+        row[2] += self._fac_outcome is False
+        if not is_store:
+            latency = self.load_latency
+            latency[ready - cycle] = latency.get(ready - cycle, 0) + 1
+        return ready
+
+
+def step_feed(pipe, program, budget=50_000_000):
+    """``pipe`` fed record by record from the spec interpreter; returns
+    its finalized :class:`SimResult`."""
     cpu = CPU(program)
-    pipe = PipelineSimulator(config)
     while not cpu.halted and budget > 0:
         pipe.feed(cpu.step())
         budget -= 1
     return pipe.finalize(memory_usage=cpu.memory_usage)
+
+
+def step_simulation(program, config=None, budget=50_000_000):
+    """The pipeline fed record by record from the spec interpreter."""
+    return step_feed(PipelineSimulator(config), program, budget)

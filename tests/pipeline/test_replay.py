@@ -1,9 +1,11 @@
-"""The shared-front trace timing engine against the scalar pipeline.
+"""The shared-front timing engine against the scalar pipeline.
 
-:mod:`repro.pipeline.replay` times one trace on many machine flavours
-from one decode. Its snapshots must equal, byte for byte, those of the
-:class:`PipelineSimulator` oracle fed from the ``step()`` spec
-interpreter, on every flavour of ``repro.experiments.common.MACHINES``.
+:mod:`repro.pipeline.replay` times one run on many machine flavours,
+its front fed from a recorded trace (one decode) or live by
+``CPU.run_trace``. Both feeds' snapshots must equal, byte for byte,
+those of the :class:`PipelineSimulator` oracle fed from the ``step()``
+spec interpreter, on every flavour of
+``repro.experiments.common.MACHINES``.
 """
 
 import json
@@ -21,9 +23,16 @@ from repro.isa.assembler import assemble
 from repro.linker import LinkOptions, link
 from repro.pipeline import MachineConfig
 from repro.pipeline import replay
-from repro.pipeline.replay import Front, time_flavours
+from repro.pipeline.replay import Front, time_flavours, time_live
 from repro.workloads import build_benchmark
-from tests.oracles import MODES_ASM, asm_program, step_simulation
+from tests.oracles import (
+    MODES_ASM,
+    RetireLog,
+    asm_program,
+    record_fields,
+    run_trace_records,
+    step_simulation,
+)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "store_burst.s"
 
@@ -40,12 +49,18 @@ def recorded(program, tmp_path, budget=50_000_000):
 
 
 def assert_grouped_equals_step(program, tmp_path, budget=50_000_000):
+    """The trace-fed and the live-fed engine both equal the step-fed
+    pipeline on every flavour."""
     path, memory_usage = recorded(program, tmp_path, budget)
-    grouped = time_flavours(program, path, list(MACHINES.values()),
+    machines = list(MACHINES.values())
+    grouped = time_flavours(program, path, machines,
                             memory_usage=memory_usage)
-    for (label, machine), result in zip(MACHINES.items(), grouped):
-        oracle = step_simulation(program, machine, budget)
-        assert canon(result) == canon(oracle), label
+    live, _ = time_live(program, machines, budget)
+    for (label, machine), traced, fed in zip(MACHINES.items(), grouped,
+                                             live):
+        oracle = canon(step_simulation(program, machine, budget))
+        assert canon(traced) == oracle, label
+        assert canon(fed) == oracle, label
     return grouped
 
 
@@ -83,6 +98,51 @@ class TestGroupedEqualsStep:
         assert_grouped_equals_step(
             build_benchmark(name, software_support=software), tmp_path,
             budget=40_000)
+
+
+class TestLiveFeed:
+    def test_run_cut_in_the_middle_of_a_chunk(self, tmp_path,
+                                              monkeypatch):
+        """Many full chunks, then ``max_instructions`` stops the run
+        part way into the next one."""
+        monkeypatch.setattr(replay, "CHUNK", 1000)
+        assert_grouped_equals_step(build_benchmark("compress"), tmp_path,
+                                   budget=40_500)
+
+    def test_cache_groups_share_one_run(self, burst):
+        """A flavour with another D-cache gets its own front, fed by
+        the same execution."""
+        small = MachineConfig(
+            dcache=CacheConfig(size=4096, block_size=16, name="dcache"),
+            fac=FacConfig(cache_size=4096, block_size=16))
+        machines = [MACHINES["fac32"], small, MACHINES["base"]]
+        results, cpu = time_live(burst, machines)
+        assert cpu.halted
+        assert [canon(r) for r in results] == \
+            [canon(step_simulation(burst, m)) for m in machines]
+
+    def test_tee_sees_the_same_run(self):
+        program = asm_program(MODES_ASM)
+        log = RetireLog()
+        (result,), cpu = time_live(program, [MACHINES["fac32"]], tee=log)
+        reference_cpu, reference = run_trace_records(program)
+        assert [record_fields(r) for r in log.records()] == \
+            [record_fields(r) for r in reference]
+        assert cpu.stdout() == reference_cpu.stdout()
+        assert result.memory_usage == reference_cpu.memory_usage
+
+    def test_outcomes_watch_one_of_its_machines(self, burst):
+        with pytest.raises(ValueError):
+            time_live(burst, [MACHINES["base"]],
+                      outcomes={MACHINES["fac32"]: print})
+
+    def test_live_front_has_no_result_before_close(self, burst):
+        front = Front(burst, None, [MACHINES["base"]])
+        with pytest.raises(ValueError):
+            front.result(MACHINES["base"])
+        front.open()
+        with pytest.raises(ValueError):
+            front.open()
 
 
 class TestFront:

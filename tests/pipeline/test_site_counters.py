@@ -1,43 +1,70 @@
-"""The pipeline's per-site counter tap (:class:`SiteCounters`).
+"""Per-site timing counts from the replay engine's columns.
 
-The tap splits the run's aggregate memory counters by load/store pc,
-so its per-site rows must sum back to the :class:`SimResult` totals,
-and attaching it must never change what the pipeline schedules.
+``repro profile`` splits the run's memory counters by load/store pc
+from the live engine's static-index and D-miss columns and the
+recurrence's outcome column (:class:`repro.obs.profile.SiteTally`).
+Its rows must equal the step-fed pipeline's counter tap
+(:class:`tests.oracles.SiteCounters`), sum back to the
+:class:`SimResult` totals, and asking for them must never change what
+the engine schedules.
 """
 
 from functools import lru_cache
 
 import pytest
 
-from repro.cpu.executor import CPU
 from repro.fac.config import FacConfig
-from repro.pipeline import MachineConfig, PipelineSimulator, SiteCounters
+from repro.obs.profile import SiteTally
+from repro.pipeline import MachineConfig
+from repro.pipeline.replay import time_live
 from repro.workloads.suite import build_benchmark
+from tests.oracles import SiteCounters, step_feed
 
 WORKLOADS = ("compress", "xlisp", "tomcatv")
 CONFIG = MachineConfig(fac=FacConfig(block_size=32))
-
-
-def run(name, sites=None):
-    program = build_benchmark(name)
-    cpu = CPU(program)
-    pipe = PipelineSimulator(CONFIG)
-    pipe.sites = sites
-    cpu.run_trace(pipe, 10_000_000)
-    return pipe.finalize(memory_usage=cpu.memory_usage)
+BUDGET = 10_000_000
 
 
 @lru_cache(maxsize=None)
-def tapped(name):
-    sites = SiteCounters()
-    return run(name, sites), sites
+def program(name):
+    return build_benchmark(name)
+
+
+@lru_cache(maxsize=None)
+def tallied(name):
+    """The engine's result and per-site rows ({pc: [accesses, misses,
+    replays]}, load latency -> loads)."""
+    prog = program(name)
+    tally = SiteTally(prog, CONFIG)
+    (result,), _ = time_live(prog, (CONFIG,), BUDGET,
+                             outcomes={CONFIG: tally})
+    rows = {prog.text_base + 4 * index: [int(tally.accesses[index]),
+                                         int(tally.misses[index]),
+                                         int(tally.replays[index])]
+            for index in tally.accesses.nonzero()[0]}
+    return result, rows, tally.load_latency
+
+
+@lru_cache(maxsize=None)
+def oracle(name):
+    tap = SiteCounters(CONFIG)
+    return step_feed(tap, program(name), BUDGET), tap
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_site_rows_equal_oracle_tap(name):
+    result, rows, latency = tallied(name)
+    stepped, tap = oracle(name)
+    assert result.as_dict() == stepped.as_dict()
+    assert rows == tap.per_pc
+    assert latency == tap.load_latency
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_site_rows_sum_to_run_totals(name):
-    result, sites = tapped(name)
+    result, rows, _ = tallied(name)
     accesses, misses, replays = (sum(column) for column
-                                 in zip(*sites.per_pc.values()))
+                                 in zip(*rows.values()))
     assert accesses == result.dcache_accesses
     assert misses == result.dcache_misses
     assert replays == result.fac_mispredicted
@@ -46,8 +73,7 @@ def test_site_rows_sum_to_run_totals(name):
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_latency_counts_cover_every_load(name):
-    result, sites = tapped(name)
-    latency = sites.load_latency
+    result, _, latency = tallied(name)
     assert sum(latency.values()) == result.loads
     assert sum(cycles * loads for cycles, loads in latency.items()) \
         == result.load_latency_sum
@@ -55,9 +81,6 @@ def test_latency_counts_cover_every_load(name):
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_tap_never_perturbs_timing(name):
-    result, _ = tapped(name)
-    assert result.as_dict() == run(name).as_dict()
-
-
-def test_detached_by_default():
-    assert PipelineSimulator(CONFIG).sites is None
+    result, _, _ = tallied(name)
+    (plain,), _ = time_live(program(name), (CONFIG,), BUDGET)
+    assert result.as_dict() == plain.as_dict()

@@ -14,9 +14,13 @@ bit:
    ``TraceAnalyzer``, from ``analyze_program`` (live, columnar) *and*
    from ``analyze_trace`` on the recorded tracefile,
 3. ``SimResult`` snapshots from a step-and-feed pipeline loop, from
-   ``simulate_program`` and from the production timing job's shape --
-   one grouped ``time_flavours`` call that decodes the trace once for
-   all eight Table 5 flavours of ``repro.experiments.common.MACHINES``.
+   ``simulate_program`` (the live-fed engine) and from the production
+   timing job's shape -- one grouped ``time_flavours`` call that
+   decodes the trace once for all eight Table 5 flavours of
+   ``repro.experiments.common.MACHINES``,
+4. ``profile_program``'s per-site D-cache accesses, misses and FAC
+   replays and its ``profile.load_latency`` histogram, against the
+   step-fed pipeline's counter tap (``tests.oracles.SiteCounters``).
 
 Run with no arguments for one representative benchmark, name
 benchmarks explicitly (the CI ``sim-equivalence`` job checks
@@ -38,6 +42,9 @@ import sys
 import tempfile
 
 os.environ.setdefault("REPRO_FARM", "off")
+# the shared oracles live in the repository's test package
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))))
 
 from repro.analysis.prediction import (
     TraceAnalyzer,
@@ -47,10 +54,18 @@ from repro.analysis.prediction import (
 from repro.cpu.executor import CPU
 from repro.cpu.tracefile import record_trace, replay_into
 from repro.experiments.common import MACHINES
+from repro.fac.config import FacConfig
 from repro.farm.snapshots import analysis_to_snapshot, sim_to_snapshot
+from repro.obs.profile import profile_program
+from repro.pipeline.config import MachineConfig
 from repro.pipeline.pipeline import PipelineSimulator, simulate_program
 from repro.pipeline.replay import time_flavours
 from repro.workloads.suite import BENCHMARKS, build_benchmark
+from tests.oracles import SiteCounters
+
+#: the machine ``profile_program`` times on (its defaults)
+PROFILE_MACHINE = MachineConfig(fac=FacConfig(cache_size=16 * 1024,
+                                              block_size=32))
 
 
 def canon(snapshot: dict) -> str:
@@ -129,8 +144,11 @@ def check_benchmark(name: str, max_instructions: int, scratch: str) -> list[str]
         problems.append("analysis snapshot differs between live and replay")
 
     # 3. timing snapshots on every flavour: one step loop feeding a
-    # pipeline per flavour, live runs, and one grouped replay
+    # pipeline per flavour (and the site tap on the profiler's machine),
+    # live runs, and one grouped replay
     pipes = [PipelineSimulator(machine) for machine in MACHINES.values()]
+    tap = SiteCounters(PROFILE_MACHINE)
+    pipes.append(tap)
     spec = CPU(program)
     budget = max_instructions
     while not spec.halted and budget > 0:
@@ -152,6 +170,17 @@ def check_benchmark(name: str, max_instructions: int, scratch: str) -> list[str]
         if stepped != canon(sim_to_snapshot(traced, meta=meta)):
             problems.append(
                 f"sim snapshot differs step vs grouped replay ({label})")
+
+    # 4. the profiler's per-site rows and load latencies
+    profile = profile_program(program, name=name,
+                              max_instructions=max_instructions)
+    rows = {site.pc: [site.timing_accesses, site.misses, site.replays]
+            for site in profile.sites}
+    if rows != tap.per_pc:
+        problems.append("profile site rows differ from the step site tap")
+    latency = profile.registry.histogram("profile.load_latency")
+    if dict(latency.items()) != tap.load_latency:
+        problems.append("profile load latencies differ from the step tap")
     return problems
 
 
