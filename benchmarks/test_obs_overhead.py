@@ -3,7 +3,7 @@
 Two kinds of contract are enforced here:
 
 **Against a recorded baseline** (absolute, machine-specific): the
-detached flight ring (None) costs nearly nothing, so both the
+pipeline oracle carries no observation hook, so both the
 step-loop simulator and the predecoded ``run_trace`` engine must stay
 within 5% of the throughput
 recorded before/after instrumentation landed
@@ -11,8 +11,9 @@ recorded before/after instrumentation landed
 fingerprint; on a different interpreter or machine the gate re-records
 instead of failing. Delete the file to force re-recording.
 
-**Relative, in-process** (portable): the flight recorder taps the
-pipeline's ring hook, <= 10% over the detached predecode engine; the
+**Relative, in-process** (portable): the live replay engine with a
+``window_cycles=256`` flight recorder attached (a tee plus a column
+watcher) is <= 10% over the same live engine without it; the
 per-site outcome column that ``repro profile`` runs on (the live
 replay engine with a :class:`~repro.obs.profile.SiteTally` watching
 its memory accesses) is <= 10% over the same live engine without it.
@@ -45,7 +46,7 @@ BASELINE_PATH = Path(__file__).parent / "obs_baseline.json"
 BASELINE_SCHEMA = "repro.obs-baseline/2"
 WORKLOADS = ("compress", "xlisp", "tomcatv")
 MAX_REGRESSION = 0.05          # vs recorded baseline, per engine
-MAX_FLIGHT_OVERHEAD = 0.10     # flight recorder vs detached predecode
+MAX_FLIGHT_OVERHEAD = 0.10     # flight recorder vs plain live engine
 MAX_SITE_TAP_OVERHEAD = 0.10   # site outcome column vs plain live engine
 REPEATS = 3
 RELATIVE_REPEATS = 5
@@ -84,13 +85,11 @@ def _run_predecode(program):
 
 
 def _run_flight(program):
-    cpu = CPU(program)
-    pipe = PipelineSimulator(_config())
-    recorder = FlightRecorder(pipe, window_cycles=256)
+    recorder = FlightRecorder(program, _config(), window_cycles=256)
     start = time.perf_counter()
-    cpu.run_trace(recorder, 50_000_000)
+    result = recorder.run(50_000_000)
     elapsed = time.perf_counter() - start
-    return pipe.result.instructions, elapsed
+    return result.instructions, elapsed
 
 
 def _run_live(program, outcomes=False):
@@ -194,10 +193,10 @@ def test_predecode_detached_within_budget():
 
 
 def test_flight_recorder_overhead_within_budget():
-    overhead = _min_overhead(_run_predecode, _run_flight, _programs())
+    overhead = _min_overhead(_run_live, _run_flight, _programs())
     assert overhead <= MAX_FLIGHT_OVERHEAD, (
-        f"flight recorder costs {100 * overhead:.1f}% over the detached "
-        f"predecode engine in every one of {RELATIVE_REPEATS} repeats "
+        f"flight recorder costs {100 * overhead:.1f}% over the live "
+        f"engine without it in every one of {RELATIVE_REPEATS} repeats "
         f"(> {100 * MAX_FLIGHT_OVERHEAD:.0f}% budget)")
 
 

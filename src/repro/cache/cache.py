@@ -6,10 +6,11 @@ contents are decoupled, as in trace-driven simulators). The baseline
 machine of Table 5 uses 16 KB direct-mapped caches with 32-byte blocks
 and a 6-cycle miss latency.
 
-Statistics live in :mod:`repro.obs.metrics` containers (the uniform
-``as_dict()``/``merge()`` protocol). Per-access activity is not streamed:
-the timing model's D-cache outcomes reach observers through the
-pipeline's flight-recorder ring (:mod:`repro.obs.flight`).
+Statistics are plain int counters, cheap on every access; they are
+served as :mod:`repro.obs.metrics` containers (the uniform
+``as_dict()``/``merge()`` protocol) when asked for. Per-access activity
+is not streamed: the timing engine's D-cache outcomes reach observers
+as the replay engine's flags column (:mod:`repro.pipeline.replay`).
 """
 
 from __future__ import annotations
@@ -66,10 +67,7 @@ class Cache:
         self._assoc = cfg.assoc
         # Per set: list of [tag, dirty] entries ordered most-recent first.
         self._sets: list[list[list]] = [[] for _ in range(cfg.num_sets)]
-        self._accesses = RatioStat(f"{cfg.name}.accesses")  # hit = True
-        self._writebacks = Counter(f"{cfg.name}.writebacks")
-        self._reads = Counter(f"{cfg.name}.reads")
-        self._writes = Counter(f"{cfg.name}.writes")
+        self.reset_stats()
 
     # ------------------------------------------------------------------ #
 
@@ -89,23 +87,25 @@ class Cache:
         write-allocate policy); a dirty eviction increments
         ``writebacks``.
         """
-        (self._writes if is_write else self._reads).incr()
+        if is_write:
+            self.write_accesses += 1
+        else:
+            self.read_accesses += 1
         index, tag = self._locate(address)
         entries = self._sets[index]
         for position, entry in enumerate(entries):
             if entry[0] == tag:
-                self._accesses.record(True)
                 if is_write:
                     entry[1] = True
                 if position != 0:
                     entries.insert(0, entries.pop(position))
                 return True
-        self._accesses.record(False)
+        self.misses += 1
         if not (is_write and not self.config.write_allocate):
             if len(entries) >= self._assoc:
                 victim = entries.pop()
                 if victim[1]:
-                    self._writebacks.incr()
+                    self.writebacks += 1
             entries.insert(0, [tag, is_write and self.config.write_back])
         return False
 
@@ -113,43 +113,34 @@ class Cache:
         self._sets = [[] for _ in range(self.config.num_sets)]
 
     # ------------------------------------------------------------------ #
-    # statistics (metrics-protocol containers with legacy accessors)
-
-    @property
-    def hits(self) -> int:
-        return self._accesses.hits
-
-    @property
-    def misses(self) -> int:
-        return self._accesses.misses
-
-    @property
-    def writebacks(self) -> int:
-        return self._writebacks.count
-
-    @property
-    def read_accesses(self) -> int:
-        return self._reads.count
-
-    @property
-    def write_accesses(self) -> int:
-        return self._writes.count
+    # statistics: plain counters, served as metrics-protocol containers
 
     @property
     def accesses(self) -> int:
-        return self._accesses.total
+        return self.read_accesses + self.write_accesses
+
+    @property
+    def hits(self) -> int:
+        return self.accesses - self.misses
 
     @property
     def miss_ratio(self) -> float:
-        return self._accesses.miss_ratio
+        accesses = self.accesses
+        return 1.0 - self.hits / accesses if accesses else 0.0
 
     def metrics(self) -> dict[str, object]:
-        """The stat containers, keyed by metric path."""
-        return {
-            metric.name: metric
-            for metric in (self._accesses, self._writebacks,
-                           self._reads, self._writes)
-        }
+        """The stat containers, keyed by metric path (built per call)."""
+        name = self.config.name
+        accesses = RatioStat(f"{name}.accesses")  # hit = True
+        accesses.hits, accesses.total = self.hits, self.accesses
+        counters = []
+        for stat, count in (("writebacks", self.writebacks),
+                            ("reads", self.read_accesses),
+                            ("writes", self.write_accesses)):
+            counter = Counter(f"{name}.{stat}")
+            counter.count = count
+            counters.append(counter)
+        return {metric.name: metric for metric in (accesses, *counters)}
 
     def as_dict(self) -> dict:
         """Uniform protocol: every stat container, serialized."""
@@ -158,16 +149,14 @@ class Cache:
 
     def merge_stats(self, other: "Cache") -> None:
         """Absorb another cache's counters (sharded-run aggregation)."""
-        self._accesses.merge(other._accesses)
-        self._writebacks.merge(other._writebacks)
-        self._reads.merge(other._reads)
-        self._writes.merge(other._writes)
+        self.read_accesses += other.read_accesses
+        self.write_accesses += other.write_accesses
+        self.misses += other.misses
+        self.writebacks += other.writebacks
 
     def reset_stats(self) -> None:
-        self._accesses.reset()
-        self._writebacks.reset()
-        self._reads.reset()
-        self._writes.reset()
+        self.read_accesses = self.write_accesses = 0
+        self.misses = self.writebacks = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         cfg = self.config

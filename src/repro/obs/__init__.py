@@ -19,18 +19,19 @@ Higher-level drivers live in submodules imported on demand (they pull in
 the whole simulator stack): :mod:`repro.obs.profile` for source-level FAC
 profiling (``repro profile``), :mod:`repro.obs.trace` for per-instruction
 trace export (``repro trace``), :mod:`repro.obs.flight` for the pipeline
-flight recorder (``repro pipeview``, and the unbounded ring behind
+flight recorder (``repro pipeview``, and the unbounded recorder behind
 ``repro trace``), :mod:`repro.obs.explain` for the misprediction
 root-cause explainer (``repro explain``), :mod:`repro.obs.diff` for gated
 snapshot comparison (``repro diff``), and :mod:`repro.obs.report` for the
 static HTML dashboard (``repro report``).
 
-The default is observability *off*. The timing model has two taps, both
-None when detached: the flight-recorder ring (one attribute test per
-instruction) and the per-site counter tap (one per memory op);
-``benchmarks/test_obs_overhead.py`` bounds what each costs when
-attached. Event producers take ``obs=None`` and guard each emission with
-one attribute test.
+The default is observability *off*. The timing engine is observed
+through columns that a watched recurrence emits (per-record issue and
+ready cycles, per-access outcomes), read by the flight recorder and the
+per-site tally; an unwatched recurrence pays one test per record and
+one per memory access, and ``benchmarks/test_obs_overhead.py`` bounds
+what each watcher costs when attached. Event producers take
+``obs=None`` and guard each emission with one attribute test.
 """
 
 from repro.obs.events import (

@@ -6,11 +6,11 @@ trackers, the serve layer) hold an optional :class:`EventBus` and guard
 every emission with ``if obs is not None``, so a detached producer pays
 one attribute test.
 
-The timing model emits no events: its one per-instruction hook is the
-flight-recorder ring (:mod:`repro.obs.flight`), and ``repro trace``
-(:mod:`repro.obs.trace`) writes its ``inst.retired``, ``fac.*``,
-``mem.access`` and ``branch`` records from ring entries rather than
-from event objects.
+The timing engine emits no events: per-instruction timing is read from
+its columns by the flight recorder (:mod:`repro.obs.flight`), and
+``repro trace`` (:mod:`repro.obs.trace`) writes its ``inst.retired``,
+``fac.*``, ``mem.access`` and ``branch`` records from recorder entries
+rather than from event objects.
 
 Event taxonomy (full field reference in docs/observability.md):
 

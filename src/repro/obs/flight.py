@@ -1,70 +1,61 @@
-"""Pipeline flight recorder: the timing model's one per-instruction
-hook. A bounded ring buffer of recent pipeline activity is rendered as
-an ANSI waterfall (``repro pipeview``) or exported to the Chrome-trace
-sink with named per-stage tracks; an unbounded recorder keeps every
+"""Pipeline flight recorder: per-instruction views of one timed run.
+
+A bounded window of recent pipeline activity is rendered as an ANSI
+waterfall (``repro pipeview``) or exported to the Chrome-trace sink
+with named per-stage tracks; an unbounded recorder keeps every
 instruction and feeds ``repro trace`` (:mod:`repro.obs.trace`) and the
 Figure 1 stage charts (:mod:`repro.pipeline.tracer`).
 
-The recorder is a ``run_trace`` *consumer* that taps a
-:class:`~repro.pipeline.pipeline.PipelineSimulator`. It hands the
-pipeline a preallocated ring (``pipe._flight``) whose slots the
-pipeline's ``retire`` overwrites in place -- a handful of int stores
-per retired instruction, no call frames, no allocation, and plain
-instructions stay record-free; the detached pipeline pays one
-attribute test per instruction for the hook. Without ``--around``
-triggers the bounded recorder's ``retire`` *is* the pipeline's bound
-method, so recording adds zero dispatch overhead.
+The recorder times nothing itself. It rides on the replay engine's live
+run (:func:`repro.pipeline.replay.time_live`) as a *tee*
+(:attr:`FlightRecorder.retire`), which keeps the CPU's
+:class:`TraceRecord` of each record of the current chunk (effective
+address, branch outcome, operand values), and an *outcome watcher* (the
+recorder itself), which receives each chunk's static-index, flags,
+per-access outcome, issue and result-ready columns. An entry's stages
+follow from them: IF = issue-2, ID = issue-1, EX = issue, MEM = the
+cache-access cycle (issue, or issue + 1 for an access in MEM), WB =
+ready; a replay's verification signal is recomputed lazily from its
+recorded operands.
 
-Each ring slot captures, per retired instruction:
+A bounded recorder keeps the raw column entries of the trailing
+``window_cycles * issue_width`` retirements and decodes them lazily;
+``entries()`` additionally clips to the trailing ``window_cycles`` of
+issue cycles. ``--around``: a pc trigger ends the window half a window
+of retirements after the pc first retires, a cycle trigger at the first
+retirement issuing at ``cycle + window/2`` or later; the run goes on
+to its end, so timing is unaffected.
 
-* the five-stage occupancy window IF/ID/EX/MEM/WB, reconstructed from
-  the issue cycle the pipeline assigned (IF = issue-2, ID = issue-1,
-  EX = issue), the planned cache-access cycle, and the result-ready
-  cycle,
-* the issue-frontier advance since the previous instruction (hazard /
-  structural stalls show up as advances greater than the steady-state
-  group rotation),
-* the FAC outcome -- not speculated, predicted, or replayed -- and, for
-  replays, the *specific* verification signal that fired (recomputed
-  lazily at dump time from the recorded :class:`TraceRecord`, so the
-  record path stays allocation-free).
-
-The ring holds ``window_cycles * issue_width`` slots; ``entries()``
-additionally clips to the trailing ``window_cycles`` of issue cycles.
-``--around`` support: a pc trigger keeps recording for half a window
-after the trigger pc retires, a cycle trigger freezes once issue passes
-``cycle + window/2``; in both cases the recorder keeps *driving* the
-wrapped pipeline so timing is unaffected.
-
-With ``window_cycles=None`` the recorder keeps every instruction: its
-``retire`` wraps the pipeline's and, each time the ring fills, decodes
-it in retirement order and hands the chunk to ``on_drain`` (by default kept
-for ``entries()``; ``repro trace`` writes each chunk out instead, so
-memory stays bounded). Sequence numbers, stall gaps and issue slots
-continue across drains; call :meth:`FlightRecorder.flush` after the run
-to drain the partly filled ring.
+With ``window_cycles=None`` the recorder keeps every instruction: it
+decodes each column chunk as it arrives and hands it to ``on_drain``
+(by default kept for ``entries()``; ``repro trace`` writes each chunk
+out instead, so memory stays bounded). Sequence numbers, stall gaps and
+issue slots continue across chunks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 
 from repro.cpu.executor import CPU, TraceRecord
 from repro.fac.config import FacConfig
+from repro.fac.predictor import FastAddressCalculator
 from repro.isa.disassembler import disassemble
+from repro.isa.opcodes import OP_INFO, OpClass
 from repro.isa.program import Program
 from repro.obs.sinks import ChromeTraceSink
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.pipeline import PipelineSimulator
+from repro.pipeline.replay import DMISS, IN_MEM, MISPREDICT, time_live
 from repro.pipeline.result import SimResult
 from repro.utils.bits import to_signed32
 
 #: Pipeline stages, in track order for the Chrome export.
 STAGE_NAMES = ("IF", "ID", "EX", "MEM", "WB")
 
-# FAC outcome codes, decoded into :class:`FlightEntry.fac`. The ring
-# slot itself stores the pipeline's raw success flag (None / True /
-# False); the mapping happens at decode time.
+# FAC outcome codes, decoded into :class:`FlightEntry.fac` from the
+# recurrence's outcome byte and the machine.
 FAC_NONE = 0      # not a memory access
 FAC_NOSPEC = 1    # access not speculated (policy, or FAC-less machine)
 FAC_PREDICT = 2   # speculated, verification passed
@@ -72,20 +63,10 @@ FAC_REPLAY = 3    # speculated, verification failed -> MEM-stage replay
 FAC_CODES = {FAC_NONE: "-", FAC_NOSPEC: "nospec",
              FAC_PREDICT: "predict", FAC_REPLAY: "replay"}
 
-# Ring slot field indices (written by the pipeline's inline ring tap,
-# see PipelineSimulator._flight). The retirement sequence number, the
-# issue-frontier advance and the issue slot are not stored: slots are
-# placed at ``seq % cap`` and issue is in order, so all three fall out
-# of the ring position at decode time.
-_PC, _PAYLOAD, _KIND, _ISSUE, _READY, _MEM, _FAC, _FLAG = range(8)
-
-# Ring size of an unbounded recorder: it is drained each time it fills.
-_UNBOUNDED_SLOTS = 256
-
 
 @dataclass(frozen=True)
 class FlightEntry:
-    """One decoded ring slot, in retirement order."""
+    """One decoded retirement, in retirement order."""
 
     seq: int            # retirement sequence number (monotonic)
     pc: int
@@ -103,7 +84,7 @@ class FlightEntry:
     slot: int           # issue slot within the issue cycle; issue is in
                         # order, so this is the entry's position among
                         # entries with the same issue cycle (a bounded
-                        # window counts from its oldest surviving slot)
+                        # window counts from its oldest surviving entry)
     record: TraceRecord | None  # the CPU's record (mem and ctrl only):
                                 # ea, taken, operand values
 
@@ -113,155 +94,182 @@ class FlightEntry:
 
 
 class FlightRecorder:
-    """Bounded recorder of recent per-instruction pipeline activity."""
+    """Recorder of per-instruction pipeline activity of one run of
+    ``program`` on ``config`` (the FAC machine by default): a
+    :func:`~repro.pipeline.replay.time_live` tee (:attr:`retire`) and
+    outcome watcher (the recorder). :meth:`run` drives the run."""
 
-    __slots__ = ("_pipe", "window_cycles", "_cap", "_slots", "_seqcell",
-                 "_frozen", "_around_pc", "_freeze_cycle", "_countdown",
-                 "_watch", "_retire", "_disasm",
-                 "_drained", "_full_at", "_last", "_kept", "on_drain",
-                 "retire")
-
-    def __init__(self, pipe: PipelineSimulator,
+    def __init__(self, program: Program,
+                 config: MachineConfig | None = None,
                  window_cycles: int | None = 256,
                  around_pc: int | None = None,
                  around_cycle: int | None = None):
-        self._pipe = pipe
+        self.program = program
+        self.config = config = config or MachineConfig(fac=FacConfig())
         if window_cycles is None:
             if around_pc is not None or around_cycle is not None:
                 raise ValueError("--around triggers need a bounded window")
-            self.window_cycles = None
-            cap = _UNBOUNDED_SLOTS
+            self.window_cycles = self.capacity = None
         else:
             self.window_cycles = max(1, window_cycles)
-            cap = max(16, self.window_cycles * pipe.config.issue_width)
-        self._cap = cap
-        # preallocated slots, overwritten in place at seq % cap; the
-        # sentinel kind -1 marks never-written
-        self._slots = [[0, None, -1, 0, 0, -1, None, -1]
-                       for _ in range(cap)]
-        # ring cursor in a cell shared with the pipeline's ring tap
-        self._seqcell = [0]
-        self._frozen = False
-        self._around_pc = around_pc
+            self.capacity = max(16, self.window_cycles * config.issue_width)
+        # the trigger pc as a static index (None: it never retires)
+        self._around_index = None
+        if around_pc is not None:
+            index, misaligned = divmod(around_pc - program.text_base, 4)
+            if not misaligned and 0 <= index < len(program.instructions):
+                self._around_index = index
         self._freeze_cycle = (None if around_cycle is None
                               else around_cycle + self.window_cycles // 2)
-        self._countdown = -1
-        self._watch = around_pc is not None or around_cycle is not None
-        # the wrapped pipeline's bound hook, looked up once
-        self._retire = pipe.retire
+        #: the seq of the retirement the window ends at, once a trigger
+        #: has fixed it; ``frozen`` once the run has reached it
+        self._freeze_at: int | None = None
+        self.frozen = False
+        self._fac = FastAddressCalculator(config.fac) \
+            if config.fac is not None else None
+        # outcome byte -> FAC code: only a machine that speculates turns
+        # an access in EX into a prediction
+        self._fac_codes = ((FAC_PREDICT, FAC_NOSPEC, FAC_REPLAY)
+                           if config.fac is not None
+                           and not config.one_cycle_loads
+                           else (FAC_NOSPEC,) * 3)
+        infos = (OP_INFO[inst.op] for inst in program.instructions)
+        self._kind = [1 if info.is_load or info.is_store
+                      else 2 if info.klass in (OpClass.BRANCH, OpClass.JUMP)
+                      else 0 for info in infos]
         self._disasm: dict[int, str] = {}   # pc -> disassembly
-        # unbounded mode: first undrained seq, the seq at which the ring
-        # is full, and the (issue, slot) of the last drained entry
-        self._drained = 0
-        self._full_at = cap
+        # the tee's records of the current chunk, and the seq of the first
+        self._records: list = []
+        self._seq = 0
+        # bounded: the raw entries of the trailing ``capacity`` records
+        self._window: deque = deque(maxlen=self.capacity)
+        # unbounded: the (issue, slot) of the last decoded entry
         self._last: tuple[int | None, int] = (None, 0)
         self._kept: list[FlightEntry] = []
-        #: unbounded mode: receives each drained chunk of entries
+        #: unbounded mode: receives each decoded chunk of entries
         self.on_drain = self._kept.extend
-        # hand the ring to the pipeline: its hot loops write the slots
-        # inline (see PipelineSimulator._flight)
-        pipe._flight = (self._slots, cap, self._seqcell)
-        if self.window_cycles is None:
-            self.retire = self._retire_drain
-        elif self._watch:
-            self.retire = self._retire_watch
-        else:
-            # no trigger can ever freeze the ring, so the recorder adds
-            # nothing at all on top of the pipeline's inline ring tap:
-            # run_trace drives the pipeline's own hook directly
-            self.retire = pipe.retire
+
+        add = self._records.append
+
+        def retire(pc, inst, rec):
+            add(rec)
+
+        #: the tee: one record (or None) per retired instruction
+        self.retire = retire
 
     @property
     def retired(self) -> int:
-        """Instructions written to the ring so far."""
-        return self._seqcell[0]
+        """Instructions teed so far."""
+        return self._seq + len(self._records)
+
+    def run(self, max_instructions: int = 50_000_000,
+            cpu: CPU | None = None) -> SimResult:
+        """Execute the program (on ``cpu``, a fresh :class:`CPU` by
+        default) and time it live with the recorder attached; returns
+        the timing result."""
+        (result,), _ = time_live(self.program, (self.config,),
+                                 max_instructions, tee=self,
+                                 outcomes={self.config: self}, cpu=cpu)
+        return result
 
     # -------------------------------------------------------------- #
-    # run_trace consumer hook (unbounded mode): drain a full ring
+    # outcome watcher
 
-    def _retire_drain(self, pc, inst, rec) -> None:
-        self._retire(pc, inst, rec)
-        if self._seqcell[0] == self._full_at:
-            self.flush()
+    def __call__(self, indices, flags, outcomes, issues, readies) -> None:
+        """Take one chunk's columns (and the tee's records for it)."""
+        first = self._seq
+        count = len(indices)
+        self._seq = first + count
+        if self.window_cycles is None:
+            entries, self._last = self._decode(
+                self._raw(first, indices, flags, outcomes, issues,
+                          readies, 0, count), self._last)
+            self.on_drain(entries)
+        elif not self.frozen:
+            end = count
+            if self._freeze_at is None:
+                self._trigger(first, indices, issues)
+            if self._freeze_at is not None and self._freeze_at < first + count:
+                end = self._freeze_at - first + 1
+                self.frozen = True
+            self._window.extend(self._raw(
+                first, indices, flags, outcomes, issues, readies,
+                max(0, end - self.capacity), end))
+        del self._records[:count]
 
-    def flush(self) -> None:
-        """Unbounded mode: decode the slots written since the last drain
-        and hand them to ``on_drain`` in retirement order."""
-        total = self._seqcell[0]
-        if total == self._drained:
-            return
-        chunk, self._last = self._decode(self._drained, total, self._last)
-        self._drained = total
-        self._full_at = total + self._cap
-        self.on_drain(chunk)
+    def _trigger(self, first: int, indices, issues) -> None:
+        """Fix the retirement the window ends at if a trigger fires in
+        this chunk: a cycle trigger at the first retirement issuing at
+        its cycle or later, the pc trigger half a window after the pc
+        first retires; the earlier trigger wins, the pc trigger a tie."""
+        at_pc = at_cycle = len(indices)
+        if self._around_index is not None:
+            try:
+                at_pc = indices.index(self._around_index)
+            except ValueError:
+                pass
+        if self._freeze_cycle is not None:
+            # issue is in order: bisect for the first late issue
+            at_cycle = bisect_left(issues, self._freeze_cycle, 0, at_pc)
+        if at_cycle < at_pc:
+            self._freeze_at = first + at_cycle
+        elif at_pc < len(indices):
+            self._freeze_at = first + at_pc + self.capacity // 2 + 1
 
-    # -------------------------------------------------------------- #
-    # run_trace consumer hook (``--around`` watch mode only)
-    #
-    # The ring itself is written by the pipeline; this wrapper only
-    # watches for the trigger and detaches the ring tap once the
-    # trailing half-window has been captured.
-
-    def _retire_watch(self, pc, inst, rec) -> None:
-        issue = self._retire(pc, inst, rec)
-        if self._watch:
-            self._check_trigger(pc, issue)
-
-    def _freeze(self) -> None:
-        self._frozen = True
-        self._watch = False
-        self._pipe._flight = None   # stop recording, keep simulating
-
-    def _check_trigger(self, pc: int, issue: int) -> None:
-        if self._countdown >= 0:
-            self._countdown -= 1
-            if self._countdown < 0:
-                self._freeze()
-        elif self._around_pc is not None and pc == self._around_pc:
-            self._countdown = self._cap // 2
-            self._around_pc = None
-        elif self._freeze_cycle is not None and issue >= self._freeze_cycle:
-            self._freeze()
+    def _raw(self, first, indices, flags, outcomes, issues, readies,
+             start, end):
+        """Raw entries ``(seq, index, flags, outcome, issue, ready,
+        record)`` of chunk positions ``start .. end - 1``; ``outcome``
+        is -1 for a record that is not a memory access."""
+        kind = self._kind
+        records = self._records
+        # the outcome column holds one byte per memory access: find the
+        # first at or after ``start`` by counting back from the end
+        k = len(outcomes) - sum(kind[index] == 1
+                                for index in indices[start:]) \
+            if start else 0
+        for pos in range(start, end):
+            index = indices[pos]
+            outcome = -1
+            if kind[index] == 1:
+                outcome = outcomes[k]
+                k += 1
+            yield (first + pos, index, flags[pos], outcome, issues[pos],
+                   readies[pos], records[pos])
 
     # -------------------------------------------------------------- #
     # decoding
 
     def entries(self) -> list[FlightEntry]:
-        """Decode the ring into retirement order, clipped to the last
-        ``window_cycles`` issue cycles. Lazy work (sequence numbers,
-        stall and issue-slot reconstruction, FAC failure signals,
-        disassembly) happens here. An unbounded recorder drains the ring
-        and returns every entry kept so far (none when ``on_drain`` was
-        replaced)."""
+        """Decode the window into retirement order, clipped to the last
+        ``window_cycles`` issue cycles. Lazy work (stall and issue-slot
+        reconstruction, FAC failure signals, disassembly) happens here.
+        An unbounded recorder returns every entry kept so far (none when
+        ``on_drain`` was replaced)."""
         if self.window_cycles is None:
-            self.flush()
             return list(self._kept)
-        total = self._seqcell[0]
-        if total == 0:
+        if not self._window:
             return []
-        first = max(0, total - self._cap)
-        out, _ = self._decode(first, total, (None, 0))
+        out, _ = self._decode(self._window, (None, 0))
         floor = out[-1].issue - self.window_cycles
         return [e for e in out if e.issue > floor]
 
-    def _decode(self, first: int, total: int,
-                last: tuple[int | None, int]
+    def _decode(self, raw, last: tuple[int | None, int]
                 ) -> tuple[list[FlightEntry], tuple[int | None, int]]:
-        """Decode ring positions ``first .. total - 1``. ``last`` is the
-        (issue cycle, issue slot) of the entry before ``first`` -- None
-        for none -- and the pair for the last decoded entry is returned
-        with the entries, so a drained run continues seamlessly."""
-        pipe = self._pipe
-        facts = pipe._facts
-        slots = self._slots
-        cap = self._cap
+        """Decode raw entries. ``last`` is the (issue cycle, issue slot)
+        of the entry before the first -- None for none -- and the pair
+        for the last decoded entry is returned with the entries, so an
+        unbounded run continues seamlessly across chunks."""
+        program = self.program
+        text_base = program.text_base
+        instructions = program.instructions
+        kinds = self._kind
+        fac_codes = self._fac_codes
         disasm = self._disasm
         prev_issue, issue_slot = last
         out = []
-        for seq in range(first, total):
-            slot = slots[seq % cap]
-            pc = slot[_PC]
-            issue = slot[_ISSUE]
+        for seq, index, flags, outcome, issue, ready, record in raw:
+            pc = text_base + (index << 2)
             # issue is in order: an entry issuing in its predecessor's
             # cycle takes the next slot, a later cycle starts at slot 0
             if issue == prev_issue:
@@ -272,40 +280,35 @@ class FlightRecorder:
                 stall = 0 if prev_issue is None else issue - prev_issue
                 issue_slot = 0
             prev_issue = issue
-            kind = slot[_KIND]
-            payload = slot[_PAYLOAD]
-            # plain slots hold the bare instruction and leave
-            # _MEM/_FAC/_FLAG stale; the others hold the TraceRecord
-            record = None if kind == 0 else payload
-            inst = payload if kind == 0 else payload.inst
-            info = facts[id(inst)][1]
+            inst = instructions[index]
+            info = OP_INFO[inst.op]
             text = disasm.get(pc)
             if text is None:
                 text = disasm[pc] = disassemble(inst)
+            kind = kinds[index]
             fac = FAC_NONE
             mem = None
             reason = None
             flag = -1
             if kind == 1:
-                success = slot[_FAC]
-                fac = (FAC_NOSPEC if success is None
-                       else FAC_PREDICT if success else FAC_REPLAY)
-                mem = slot[_MEM]
-                flag = slot[_FLAG]
+                fac = fac_codes[outcome]
+                mem = issue + (outcome == IN_MEM)
+                flag = 0 if flags & DMISS else 1
                 if fac == FAC_REPLAY:
                     mode = info.mem_mode
                     offset = (record.offset_value if mode == "c"
                               else to_signed32(record.offset_value))
-                    prediction = pipe.fac.predict(record.base_value, offset,
-                                                  mode == "x")
+                    prediction = self._fac.predict(record.base_value,
+                                                   offset, mode == "x")
                     reason = prediction.signals.primary_reason
             elif kind == 2:
-                flag = slot[_FLAG]
+                flag = 1 if flags & MISPREDICT else 0
             out.append(FlightEntry(
                 seq=seq, pc=pc, kind=kind, disasm=text, issue=issue,
-                ready=slot[_READY], mem=mem, stall=stall, fac=fac,
+                ready=ready, mem=mem, stall=stall, fac=fac,
                 reason=reason, flag=flag, op=info.mnemonic,
-                is_store=info.is_store, slot=issue_slot, record=record,
+                is_store=info.is_store, slot=issue_slot,
+                record=None if kind == 0 else record,
             ))
         return out, (prev_issue, issue_slot)
 
@@ -455,12 +458,6 @@ def record_flight(
     """Run ``program`` on the FAC machine with a flight recorder
     attached; returns the recorder (holding the trailing window) and
     the timing result."""
-    if config is None:
-        config = MachineConfig(fac=FacConfig())
-    cpu = CPU(program)
-    pipe = PipelineSimulator(config)
-    recorder = FlightRecorder(pipe, window_cycles=window_cycles,
+    recorder = FlightRecorder(program, config, window_cycles=window_cycles,
                               around_pc=around_pc, around_cycle=around_cycle)
-    cpu.run_trace(recorder, max_instructions)
-    result = pipe.finalize(memory_usage=cpu.memory_usage)
-    return recorder, result
+    return recorder, recorder.run(max_instructions)

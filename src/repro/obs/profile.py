@@ -244,10 +244,10 @@ class ProfileResult:
 
 
 class SiteTally:
-    """Per-site timing counts of one flavour: a
+    """Per-site timing counts of ``config``: a
     :class:`~repro.pipeline.replay.Front` outcome watcher that sums each
-    chunk's static-index, D-miss and outcome columns with
-    ``np.bincount``."""
+    chunk's static-index, D-miss, outcome and issue/ready columns with
+    ``np.bincount``. The columns carry all of ``config``'s timing."""
 
     def __init__(self, program: Program, config: MachineConfig):
         import numpy as np
@@ -263,13 +263,11 @@ class SiteTally:
         self.replays = np.zeros(size, np.int64)
         #: load latency in cycles (result ready - issue) -> load count
         self.load_latency: dict[int, int] = {}
-        self._miss_latency = 0 if config.perfect_dcache \
-            else config.dcache.miss_latency
 
-    def __call__(self, indices, flags, outcomes) -> None:
+    def __call__(self, indices, flags, outcomes, issues, readies) -> None:
         import numpy as np
 
-        from repro.pipeline.replay import DMISS, IN_EX, REPLAYED
+        from repro.pipeline.replay import DMISS, REPLAYED
 
         size = len(self.accesses)
         index = np.frombuffer(indices, np.uint32)
@@ -281,11 +279,9 @@ class SiteTally:
         self.misses += np.bincount(site[miss], minlength=size)
         self.replays += np.bincount(site[outcome == REPLAYED],
                                     minlength=size)
-        # a load's result is ready 1 cycle after issue, one more when
-        # it is accessed in MEM or replayed, plus the miss latency
-        load = self._load[site]
-        latency = 1 + (outcome[load] != IN_EX) \
-            + miss[load] * self._miss_latency
+        load = self._load[index]
+        latency = np.frombuffer(readies, np.int64)[load] \
+            - np.frombuffer(issues, np.int64)[load]
         counts = self.load_latency
         for cycles, loads in enumerate(np.bincount(latency).tolist()):
             if loads:

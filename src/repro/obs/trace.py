@@ -1,11 +1,12 @@
 """Per-instruction trace export: the engine behind ``repro trace``.
 
-Runs one timing simulation with an unbounded flight recorder
-(:class:`~repro.obs.flight.FlightRecorder` with ``window_cycles=None``)
-and writes every retired instruction, chunk by chunk as the ring
-drains, to a file-like object: either as JSON Lines (one record per
-line, in retirement order) or as a Chrome trace-event JSON document
-loadable in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
+Times one live run on the replay engine with an unbounded flight
+recorder (:class:`~repro.obs.flight.FlightRecorder` with
+``window_cycles=None``) attached and writes every retired instruction,
+chunk by chunk as the engine's columns arrive, to a file-like object:
+either as JSON Lines (one record per line, in retirement order) or as
+a Chrome trace-event JSON document loadable in Perfetto
+(https://ui.perfetto.dev) or ``chrome://tracing``.
 
 Per instruction the JSONL stream holds, in this order: ``fac.predict``
 (one speculative EX-stage address calculation; post-increment accesses,
@@ -15,9 +16,10 @@ then ``inst.retired``. The functional CPU's ``syscall`` events arrive
 through an :class:`~repro.obs.events.EventBus` and are written just
 before their own instruction's ``inst.retired``.
 
-The ring records neither tag-store activity nor store-buffer occupancy,
-so there are no ``cache.access``, ``sb.insert`` or ``sb.full_stall``
-records; ``SimResult.store_buffer_full_stalls`` still counts the stalls.
+The engine's columns carry neither tag-store activity nor store-buffer
+occupancy, so there are no ``cache.access``, ``sb.insert`` or
+``sb.full_stall`` records; ``SimResult.store_buffer_full_stalls`` still
+counts the stalls.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from repro.obs.events import EventBus
 from repro.obs.flight import FAC_NOSPEC, FAC_REPLAY, FlightRecorder
 from repro.obs.sinks import ChromeTraceSink
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.pipeline import PipelineSimulator
 from repro.pipeline.result import SimResult
 
 FORMATS = ("chrome", "jsonl")
@@ -53,8 +54,8 @@ _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 class _SyscallTap:
     """Bus sink that tags each syscall with the retirement seq of its own
-    instruction: the CPU runs the handler before the pipeline retires
-    the instruction, so the ring's count is that instruction's seq."""
+    instruction: the CPU runs the handler before the recorder's tee sees
+    the instruction, so the tee's count is that instruction's seq."""
 
     __slots__ = ("recorder", "pending")
 
@@ -67,7 +68,7 @@ class _SyscallTap:
 
 
 class _Writer:
-    """Writes drained ring entries, each preceded by its syscalls."""
+    """Writes decoded entries, each preceded by its syscalls."""
 
     def __init__(self, stream, config: MachineConfig, pending: deque):
         self.stream = stream
@@ -191,14 +192,12 @@ def trace_program(
         raise ValueError(f"unknown trace format {fmt!r}; choose from {FORMATS}")
     if config is None:
         config = MachineConfig(fac=FacConfig())
-    pipe = PipelineSimulator(config)
-    recorder = FlightRecorder(pipe, window_cycles=None)
+    recorder = FlightRecorder(program, config, window_cycles=None)
     syscalls = _SyscallTap(recorder)
-    cpu = CPU(program, obs=EventBus([syscalls]))
     writer_cls = _ChromeWriter if fmt == "chrome" else _JsonlWriter
     writer = writer_cls(stream, config, syscalls.pending)
     recorder.on_drain = writer.write
-    cpu.run_trace(recorder, max_instructions)
-    recorder.flush()
+    result = recorder.run(max_instructions,
+                          CPU(program, obs=EventBus([syscalls])))
     writer.close()
-    return pipe.finalize(memory_usage=cpu.memory_usage)
+    return result

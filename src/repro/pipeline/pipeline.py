@@ -32,14 +32,13 @@ FAC, mispredicted               result ready at ``t + 2``
 A miss adds ``dcache.miss_latency`` cycles in every case (the cache is
 non-blocking: only dependents stall).
 
-The model has one observation point, None when detached: the
-flight-recorder ring (``_flight``, :mod:`repro.obs.flight`), its one
-per-instruction hook. It emits no events.
-
-:func:`simulate_program` and the farm time on the columnar replay
-engine (:mod:`repro.pipeline.replay`), which matches this model cycle
-for cycle; :class:`PipelineSimulator` is its oracle and drives the
-flight recorder and the Figure 1 tracer.
+Every production timing path -- :func:`simulate_program`, the farm,
+``repro stats``/``profile``/``trace``/``pipeview`` and the Figure 1
+tracer -- runs on the columnar replay engine
+(:mod:`repro.pipeline.replay`), which matches this model cycle for
+cycle. :class:`PipelineSimulator` is that engine's oracle: the
+equivalence tests and tools feed it record by record, and it has no
+observation hooks.
 """
 
 from __future__ import annotations
@@ -114,14 +113,6 @@ class PipelineSimulator:
         self._mispredict_was_load = False
         self._mem_plan: tuple[bool, int] = (False, 0)
         self._final_cycle = 0
-        # The flight-recorder ring tap, (slots, cap, seq_cell), None when
-        # detached, is the one per-instruction hook (see repro.obs.flight):
-        # ``retire`` writes ring slots inline, so the recorder adds no call
-        # frames; detached cost is one attribute test per instruction.
-        self._flight: tuple | None = None
-        # FAC outcome of the last memory op: None (not speculated),
-        # True (prediction held) or False (replayed)
-        self._fac_outcome: bool | None = None
 
     # ------------------------------------------------------------------ #
     # resource helpers
@@ -273,18 +264,13 @@ class PipelineSimulator:
             self._unit_free[fu] = cycle + latency
 
         # ---- execute ----
-        fr = self._flight
         if kind == 1:
-            if fr is not None:
-                pre = result.dcache_misses
             ready = self._execute_memory(rec, cycle, is_store, info)
             if not is_store:
                 result.load_latency_sum += ready - cycle
         else:
             ready = cycle + latency
             if kind == 2:
-                if fr is not None:
-                    pre = result.branch_mispredicts
                 self._execute_branch(rec, cycle)
         for slot in dests:
             reg_ready[slot] = ready
@@ -297,28 +283,6 @@ class PipelineSimulator:
             self._drain_store_buffer(cycle)
         elif cycle > self._sb_cursor:
             self._sb_cursor = cycle
-
-        # ---- flight-recorder ring tap ----
-        if fr is not None:
-            slots, cap, cell = fr
-            seq = cell[0]
-            slot = slots[seq % cap]
-            slot[0] = pc
-            slot[2] = kind
-            slot[3] = cycle
-            slot[4] = ready
-            if kind == 0:
-                slot[1] = inst
-            elif kind == 1:
-                slot[1] = rec
-                slot[5] = self._mem_plan[1]
-                slot[6] = self._fac_outcome
-                slot[7] = 0 if result.dcache_misses != pre else 1
-            else:
-                slot[1] = rec
-                slot[6] = None
-                slot[7] = 1 if result.branch_mispredicts != pre else 0
-            cell[0] = seq + 1
         return cycle
 
     def feed(self, rec: TraceRecord) -> int:
@@ -380,7 +344,6 @@ class PipelineSimulator:
             self._claim_port(is_store, access_cycle)
             if self.fac is not None and not cfg.one_cycle_loads:
                 self.result.fac_not_speculated += 1
-            self._fac_outcome = None
             result_ready = access_cycle + 1 + miss_penalty
         else:
             result_ready = self._execute_fac_memory(rec, cycle, is_store,
@@ -404,18 +367,13 @@ class PipelineSimulator:
         if info.mem_mode == "p":
             # post-increment: the effective address IS the base register.
             self._claim_port(is_store, cycle)
-            self._fac_outcome = True
             return cycle + 1 + miss_penalty
         offset = rec.offset_value if info.mem_mode == "c" \
             else to_signed32(rec.offset_value)
-        # allocation-free verdict; the full Prediction (with its
-        # FailureSignals) is rebuilt from the recorded operands when a
-        # flight-recorder entry is decoded
         failed = self.fac.fails(rec.base_value, offset, info.mem_mode == "x")
         self.result.fac_speculated += 1
         self._claim_port(is_store, cycle)
         if not failed:
-            self._fac_outcome = True
             return cycle + 1 + miss_penalty
         # replay with the non-speculative address in MEM
         self.result.fac_mispredicted += 1
@@ -426,7 +384,6 @@ class PipelineSimulator:
         self._mispredict_cycle = cycle
         self._mispredict_was_load = not is_store
         self._claim_port(is_store, cycle + 1)
-        self._fac_outcome = False
         return cycle + 2 + miss_penalty
 
     # ------------------------------------------------------------------ #

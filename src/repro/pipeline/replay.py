@@ -26,8 +26,10 @@ whatever the trace length.
 A front is fed either by :func:`replay_into` from a recorded trace or
 live, by :meth:`CPU.run_trace` (:func:`time_live`): both speak the one
 ``retire(pc, inst, rec)`` hook, so both feeds share the front and the
-recurrence. On request a recurrence also reports each memory access's
-outcome (see :data:`IN_MEM`), chunk by chunk, so per-site views are
+recurrence. On request a recurrence also reports, chunk by chunk,
+each record's issue and result-ready cycles and each memory access's
+outcome (see :data:`IN_MEM`), so per-site and per-instruction views
+(``repro profile``, ``repro trace``, ``repro pipeview``, Figure 1) are
 columns of the same run.
 
 The result is cycle-for-cycle that of
@@ -196,12 +198,14 @@ class Front:
     :meth:`close` ends the run.
 
     ``outcomes`` maps flavours to callables that watch their flavour's
-    memory accesses: after the flavour's recurrence consumes a chunk,
-    the callable gets ``(indices, flags, outcomes)`` -- the front's
-    static-index and flags columns and a bytearray holding one outcome
+    run: after the flavour's recurrence consumes a chunk, the callable
+    gets ``(indices, flags, outcomes, issues, readies)`` -- the front's
+    static-index and flags columns, a bytearray holding one outcome
     byte (:data:`IN_EX`, :data:`IN_MEM` or :data:`REPLAYED`) per load
-    or store in the chunk, in record order. The columns are reused for
-    the next chunk, so the callable must not keep them.
+    or store in the chunk, in record order, and per record the issue
+    cycle and the result-ready cycle (``array('q')``; a store's ready
+    cycle is issue + 1, as its dependents see it). The columns are
+    reused for the next chunk, so the callable must not keep them.
     """
 
     def __init__(self, program: Program, path, machines, outcomes=None):
@@ -332,15 +336,19 @@ class _FanOut:
 
 def time_live(program: Program, machines,
               max_instructions: int = 50_000_000, *, tee=None,
-              outcomes=None) -> tuple[list[SimResult], CPU]:
+              outcomes=None, cpu: CPU | None = None
+              ) -> tuple[list[SimResult], CPU]:
     """Execute ``program`` once and time the run on every machine in
     ``machines``, without a trace file.
 
-    One :meth:`CPU.run_trace` feeds a live :class:`Front` per (caches,
-    BTB) group and, when given, ``tee``: any other ``retire`` consumer
-    (a trace writer, say) that should see the same run. ``outcomes``
-    maps machines to :class:`Front` outcome watchers. Returns the
-    results in ``machines`` order, and the CPU (memory usage, stdout).
+    One :meth:`CPU.run_trace` of ``cpu`` (a fresh :class:`CPU` by
+    default) feeds a live :class:`Front` per (caches, BTB) group and,
+    when given, ``tee``: any other ``retire`` consumer (a trace writer,
+    say) that should see the same run. The tee sees each record before
+    the fronts do, so a watcher that a full chunk reaches mid-``retire``
+    finds the chunk's last record already teed. ``outcomes`` maps
+    machines to :class:`Front` outcome watchers. Returns the results in
+    ``machines`` order, and the CPU (memory usage, stdout).
     """
     outcomes = outcomes or {}
     if not outcomes.keys() <= set(machines):
@@ -350,8 +358,9 @@ def time_live(program: Program, machines,
               for key, group in _groups(machines).items()}
     consumers = [front.open() for front in fronts.values()]
     if tee is not None:
-        consumers.append(tee)
-    cpu = CPU(program)
+        consumers.insert(0, tee)
+    if cpu is None:
+        cpu = CPU(program)
     count = cpu.run_trace(
         consumers[0] if len(consumers) == 1 else _FanOut(consumers),
         max_instructions)
@@ -429,11 +438,15 @@ def _recurrence(program: Program, config: MachineConfig, fbit: int,
                 watch=None):
     """One flavour's issue recurrence, as a generator: send it column
     chunks, then None; it returns the flavour's own counters. With a
-    ``watch`` callable, each chunk's memory-access outcomes are
-    collected and handed to it (see :class:`Front`)."""
+    ``watch`` callable, each chunk's memory-access outcomes and issue
+    and ready cycles are collected and handed to it (see
+    :class:`Front`)."""
     facts = _static_facts(program, config)
-    outcomes = bytearray()
-    add_outcome = outcomes.append if watch is not None else None
+    outcomes, issues, readies = bytearray(), array("q"), array("q")
+    add_outcome = add_issue = add_ready = None
+    if watch is not None:
+        add_outcome, add_issue, add_ready = \
+            outcomes.append, issues.append, readies.append
     width = config.issue_width
     read_ports = config.dcache_read_ports
     write_ports = config.dcache_write_ports
@@ -572,6 +585,9 @@ def _recurrence(program: Program, config: MachineConfig, fbit: int,
                     latency_sum += ready - cycle
             for slot in dests:
                 reg_ready[slot] = ready
+            if add_issue is not None:
+                add_issue(cycle)
+                add_ready(ready)
             if ready > final:
                 final = ready
             if cycle >= final:
@@ -580,9 +596,9 @@ def _recurrence(program: Program, config: MachineConfig, fbit: int,
                 sb_cursor = _drain(sb, ports, sb_cursor, cycle)
             elif cycle > sb_cursor:
                 sb_cursor = cycle
-        if add_outcome is not None:
-            watch(chunk[0], chunk[1], outcomes)
-            del outcomes[:]
+        if watch is not None:
+            watch(chunk[0], chunk[1], outcomes, issues, readies)
+            del outcomes[:], issues[:], readies[:]
         chunk = yield
 
     # drain the store buffer

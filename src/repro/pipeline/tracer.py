@@ -1,8 +1,8 @@
 """Cycle-by-cycle pipeline diagrams (the paper's Figure 1).
 
-Run a program under an unbounded flight recorder
-(:class:`~repro.obs.flight.FlightRecorder`, ``window_cycles=None``) and
-render the classic stage chart::
+Time a program live on the replay engine under an unbounded flight
+recorder (:class:`~repro.obs.flight.FlightRecorder`,
+``window_cycles=None``) and render the classic stage chart::
 
     cycle            1    2    3    4    5    6    7
     add $t2,...      IF   ID   EX   WB
@@ -19,10 +19,8 @@ calculation the cache access moves into EX and the stall disappears.
 
 from __future__ import annotations
 
-from repro.cpu.executor import CPU
 from repro.isa.program import Program
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.pipeline import PipelineSimulator
 
 
 class TracedRun:
@@ -73,14 +71,15 @@ class TracedRun:
 
 def trace_program(program: Program, config: MachineConfig | None = None,
                   max_instructions: int = 100_000) -> TracedRun:
-    """Run ``program`` and record every instruction's pipeline timing."""
-    from repro.obs.flight import FlightRecorder  # imports this package
+    """Run ``program`` and record every instruction's pipeline timing
+    on ``config`` (the baseline machine by default)."""
+    # the recorder imports the replay engine and this package; Figure 1
+    # is planned in every sweep, so neither loads until a trace is drawn
+    from repro.obs.flight import FlightRecorder
 
-    cpu = CPU(program)
-    pipe = PipelineSimulator(config)
-    recorder = FlightRecorder(pipe, window_cycles=None)
-    cpu.run_trace(recorder, max_instructions)
-    result = pipe.finalize()
+    recorder = FlightRecorder(program, config or MachineConfig(),
+                              window_cycles=None)
+    result = recorder.run(max_instructions)
     entries = [(e.disasm, e.issue, e.ready, e.mem)
                for e in recorder.entries()]
     return TracedRun(entries, result.cycles)

@@ -24,8 +24,7 @@ from repro.workloads.suite import build_benchmark
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-# Prefix goldens: (file stem, benchmark, machine). Each prefix spans
-# several refills of the unbounded flight ring (256 slots).
+# Prefix goldens: (file stem, benchmark, machine).
 PREFIX_INSTRUCTIONS = 1100
 PREFIX_GOLDENS = (
     ("trace_compress_fac", "compress", lambda: MachineConfig(fac=FacConfig())),
@@ -105,7 +104,7 @@ class TestGoldenFiles:
                  .read_text().splitlines()}
         assert {"inst.retired", "mem.access", "fac.predict",
                 "syscall"} <= kinds
-        # the flight ring carries no tag-store or store-buffer activity
+        # the engine's columns carry no tag-store or store-buffer activity
         assert kinds.isdisjoint({"cache.access", "sb.insert",
                                  "sb.full_stall", "tlb.access"})
 

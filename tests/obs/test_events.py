@@ -41,7 +41,7 @@ class TestEvents:
         assert EVENT_TYPES["syscall"] is Syscall
         for kind, cls in EVENT_TYPES.items():
             assert cls.kind == kind
-        # the timing model's per-instruction hook is the flight ring
+        # per-instruction timing comes from the engine's columns
         assert "inst.retired" not in EVENT_TYPES
 
     def test_events_are_slotted(self):

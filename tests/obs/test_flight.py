@@ -1,11 +1,11 @@
-"""FlightRecorder: ring windowing, triggers, timing fidelity, export.
+"""FlightRecorder: windowing, triggers, timing fidelity, export.
 
-The recorder is the timing model's one per-instruction hook, so the
-core contracts tested here are (a) it never perturbs the timing result,
-(b) its reconstructed cycles agree with the spec feed loop and the
-golden ``repro trace`` records, (c) the window semantics -- ring
+The recorder is a view of the replay engine's per-record columns, so
+the core contracts tested here are (a) it never perturbs the timing
+result, (b) its reconstructed cycles agree with the spec feed loop and
+the golden ``repro trace`` records, (c) the window semantics --
 capacity, trailing-cycle clip, ``--around`` triggers -- hold, and (d)
-an unbounded recorder keeps every instruction across ring drains.
+an unbounded recorder keeps every instruction across column chunks.
 """
 
 import io
@@ -27,11 +27,13 @@ from repro.obs.flight import (
     record_flight,
 )
 from repro.pipeline import MachineConfig, PipelineSimulator
+from repro.pipeline import replay
 from repro.pipeline.pipeline import simulate_program
 from repro.cpu.executor import CPU
 from repro.fac import FacConfig
 from repro.workloads.suite import build_benchmark
 from tests.obs.test_determinism import PREFIX_INSTRUCTIONS
+from tests.oracles import FlightTap, flight_rows, step_feed
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -90,7 +92,7 @@ class TestWindow:
 
     def test_ring_capacity_bounds_entry_count(self):
         recorder, _ = record_flight(loop_program(), window_cycles=8)
-        assert len(recorder.entries()) <= recorder._cap
+        assert len(recorder.entries()) <= recorder.capacity
 
 
 class TestTriggers:
@@ -101,17 +103,25 @@ class TestTriggers:
         recorder, _ = record_flight(program, window_cycles=16,
                                     around_pc=target)
         entries = recorder.entries()
-        assert recorder._frozen
+        assert recorder.frozen
         assert any(e.pc == target for e in entries)
-        # froze long before the program ended
+        # the window ends half a window of retirements after the target
+        # first retires, long before the program ended
+        first = next(e.seq for e in full.entries() if e.pc == target)
+        assert entries[-1].seq == first + recorder.capacity // 2 + 1
         assert entries[-1].seq < full.entries()[-1].seq
 
     def test_around_cycle_freezes_past_cycle(self):
         recorder, result = record_flight(loop_program(), window_cycles=16,
                                          around_cycle=20)
-        assert recorder._frozen
+        assert recorder.frozen
         newest = max(e.issue for e in recorder.entries())
         assert newest < result.cycles
+        # it ends at the first retirement issuing at cycle + window/2
+        full, _ = record_flight(loop_program(), window_cycles=4096)
+        last = recorder.entries()[-1].seq
+        assert [e.seq for e in full.entries() if e.issue >= 20 + 8][0] \
+            == last
 
     def test_frozen_recorder_still_drives_pipeline(self):
         plain = simulate_program(loop_program(), fac_machine())
@@ -134,7 +144,7 @@ class TestTimingFidelity:
         """Over the compress golden prefix, each entry's issue cycle is
         what the spec loop's ``feed(cpu.step())`` returns, and its pc,
         ready, mem and issue slot are the golden ``inst.retired``
-        record's (written by the event-bus exporter the ring replaced)."""
+        record's (first written by the event-bus exporter)."""
         program = build_benchmark("compress")
         cpu = CPU(program)
         pipe = PipelineSimulator(fac_machine())
@@ -144,9 +154,9 @@ class TestTimingFidelity:
                   .read_text().splitlines()
                   if '"inst.retired"' in line]
 
-        recorder = FlightRecorder(PipelineSimulator(fac_machine()),
+        recorder = FlightRecorder(program, fac_machine(),
                                   window_cycles=None)
-        CPU(program).run_trace(recorder, PREFIX_INSTRUCTIONS)
+        recorder.run(PREFIX_INSTRUCTIONS)
         entries = recorder.entries()
         assert len(entries) == len(issues) == len(golden)
         for entry, issue, record in zip(entries, issues, golden):
@@ -175,9 +185,9 @@ class TestFacAnnotations:
                 assert e.fac == FAC_NONE
 
     def test_fac_less_machine_never_speculates(self):
-        recorder = FlightRecorder(PipelineSimulator(MachineConfig()),
+        recorder = FlightRecorder(loop_program(), MachineConfig(),
                                   window_cycles=4096)
-        CPU(loop_program()).run_trace(recorder, 1_000_000)
+        recorder.run(1_000_000)
         assert all(e.fac != FAC_PREDICT and e.fac != FAC_REPLAY
                    for e in recorder.entries())
 
@@ -204,7 +214,7 @@ class TestRendering:
         assert "\x1b[32mS\x1b[0m" in recorder.render(color=True)
 
     def test_empty_recorder_renders_placeholder(self):
-        recorder = FlightRecorder(PipelineSimulator(fac_machine()))
+        recorder = FlightRecorder(loop_program(), fac_machine())
         assert recorder.dump() == ""
         assert "empty" in recorder.render()
 
@@ -252,13 +262,14 @@ class TestChromeExport:
 
 
 class TestUnbounded:
-    def test_keeps_every_instruction_across_drains(self):
-        pipe = PipelineSimulator(fac_machine())
-        recorder = FlightRecorder(pipe, window_cycles=None)
+    def test_keeps_every_instruction_across_drains(self, monkeypatch):
+        monkeypatch.setattr(replay, "CHUNK", 256)
         program = build_benchmark("compress")
-        CPU(program).run_trace(recorder, PREFIX_INSTRUCTIONS)
+        recorder = FlightRecorder(program, fac_machine(),
+                                  window_cycles=None)
+        recorder.run(PREFIX_INSTRUCTIONS)
         entries = recorder.entries()
-        assert len(entries) == PREFIX_INSTRUCTIONS > 2 * recorder._cap
+        assert len(entries) == PREFIX_INSTRUCTIONS > 2 * replay.CHUNK
         assert [e.seq for e in entries] == list(range(len(entries)))
         bounded, _ = record_flight(program, window_cycles=4096,
                                    max_instructions=PREFIX_INSTRUCTIONS)
@@ -266,23 +277,29 @@ class TestUnbounded:
         assert ([replace(e, record=None) for e in entries]
                 == [replace(e, record=None) for e in bounded.entries()])
 
-    def test_on_drain_receives_full_rings_then_the_tail(self):
-        pipe = PipelineSimulator(fac_machine())
-        recorder = FlightRecorder(pipe, window_cycles=None)
+    def test_on_drain_receives_full_rings_then_the_tail(self, monkeypatch):
+        """Each full column chunk, then the tail, decoded in order. A
+        full chunk reaches the recorder inside the front's ``retire``:
+        its last record must already be teed."""
+        monkeypatch.setattr(replay, "CHUNK", 1000)
+        program = build_benchmark("compress")
+        recorder = FlightRecorder(program, fac_machine(),
+                                  window_cycles=None)
         chunks = []
         recorder.on_drain = chunks.append
-        CPU(build_benchmark("compress")).run_trace(recorder,
-                                                   PREFIX_INSTRUCTIONS)
-        assert len(chunks) == PREFIX_INSTRUCTIONS // recorder._cap
-        assert all(len(chunk) == recorder._cap for chunk in chunks)
-        recorder.flush()
-        recorder.flush()  # nothing new: no empty chunk
-        assert len(chunks[-1]) == PREFIX_INSTRUCTIONS % recorder._cap
+        recorder.run(2500)
+        assert [len(chunk) for chunk in chunks] == [1000, 1000, 500]
         assert [e.seq for chunk in chunks for e in chunk] == \
-            list(range(PREFIX_INSTRUCTIONS))
+            list(range(2500))
         assert recorder.entries() == []   # handed out, not kept
+        entries = [e for chunk in chunks for e in chunk]
+        tap = FlightTap(fac_machine())
+        step_feed(tap, program, 2500)
+        assert flight_rows(entries) == tap.rows
+        assert all(e.record.pc == e.pc if e.kind else e.record is None
+                   for e in entries)
 
     def test_triggers_need_a_bounded_window(self):
         with pytest.raises(ValueError):
-            FlightRecorder(PipelineSimulator(fac_machine()),
+            FlightRecorder(loop_program(), fac_machine(),
                            window_cycles=None, around_cycle=10)

@@ -14,6 +14,12 @@ from repro.cpu.executor import TraceRecord
 from repro.cpu.tracefile import replay_into
 from repro.isa.assembler import assemble
 from repro.linker import LinkOptions, link
+from repro.obs.flight import (
+    FAC_NONE,
+    FAC_NOSPEC,
+    FAC_PREDICT,
+    FAC_REPLAY,
+)
 from repro.pipeline import PipelineSimulator
 
 # every addressing mode, FP memory, mult/div, and branch flavours
@@ -192,15 +198,62 @@ class SiteCounters(PipelineSimulator):
 
     def _execute_memory(self, rec, cycle, is_store, info):
         misses = self.result.dcache_misses
+        replays = self.result.fac_mispredicted
         ready = super()._execute_memory(rec, cycle, is_store, info)
         row = self.per_pc.setdefault(rec.pc, [0, 0, 0])
         row[0] += 1
         row[1] += self.result.dcache_misses - misses
-        row[2] += self._fac_outcome is False
+        row[2] += self.result.fac_mispredicted - replays
         if not is_store:
             latency = self.load_latency
             latency[ready - cycle] = latency.get(ready - cycle, 0) + 1
         return ready
+
+
+class FlightTap(PipelineSimulator):
+    """The per-instruction tap: the pipeline noting, for every retired
+    instruction, ``(pc, issue, ready, mem, fac, flag)`` as the
+    :class:`~repro.obs.flight.FlightEntry` fields define them. The
+    oracle for the flight recorder's entries."""
+
+    def __init__(self, config=None):
+        super().__init__(config)
+        self.rows = []
+
+    def retire(self, pc, inst, rec):
+        # a plain instruction's row; the memory and branch steps replace it
+        self._row = (None, None, FAC_NONE, -1)
+        issue = super().retire(pc, inst, rec)
+        ready, mem, fac, flag = self._row
+        if ready is None:
+            # not a memory access: the result is ready after the latency
+            ready = issue + self._facts[id(inst)][4]
+        self.rows.append((pc, issue, ready, mem, fac, flag))
+        return issue
+
+    def _execute_memory(self, rec, cycle, is_store, info):
+        misses = self.result.dcache_misses
+        replays = self.result.fac_mispredicted
+        ready = super()._execute_memory(rec, cycle, is_store, info)
+        speculated, access = self._mem_plan
+        fac = (FAC_NOSPEC if not speculated
+               else FAC_REPLAY if self.result.fac_mispredicted != replays
+               else FAC_PREDICT)
+        self._row = (ready, access, fac,
+                     0 if self.result.dcache_misses != misses else 1)
+        return ready
+
+    def _execute_branch(self, rec, cycle):
+        mispredicts = self.result.branch_mispredicts
+        super()._execute_branch(rec, cycle)
+        self._row = (None, None, FAC_NONE,
+                     1 if self.result.branch_mispredicts != mispredicts
+                     else 0)
+
+
+def flight_rows(entries):
+    """Flight-recorder entries as :class:`FlightTap` rows."""
+    return [(e.pc, e.issue, e.ready, e.mem, e.fac, e.flag) for e in entries]
 
 
 def step_feed(pipe, program, budget=50_000_000):

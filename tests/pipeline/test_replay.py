@@ -5,7 +5,9 @@ its front fed from a recorded trace (one decode) or live by
 ``CPU.run_trace``. Both feeds' snapshots must equal, byte for byte,
 those of the :class:`PipelineSimulator` oracle fed from the ``step()``
 spec interpreter, on every flavour of
-``repro.experiments.common.MACHINES``.
+``repro.experiments.common.MACHINES``; so must a watched run's
+per-instruction columns, as the flight recorder decodes them, equal
+the oracle's per-instruction tap (:class:`tests.oracles.FlightTap`).
 """
 
 import json
@@ -21,16 +23,20 @@ from repro.fac import FacConfig
 from repro.farm.snapshots import sim_to_snapshot
 from repro.isa.assembler import assemble
 from repro.linker import LinkOptions, link
+from repro.obs.flight import FlightRecorder
 from repro.pipeline import MachineConfig
 from repro.pipeline import replay
 from repro.pipeline.replay import Front, time_flavours, time_live
 from repro.workloads import build_benchmark
 from tests.oracles import (
     MODES_ASM,
+    FlightTap,
     RetireLog,
     asm_program,
+    flight_rows,
     record_fields,
     run_trace_records,
+    step_feed,
     step_simulation,
 )
 
@@ -50,17 +56,27 @@ def recorded(program, tmp_path, budget=50_000_000):
 
 def assert_grouped_equals_step(program, tmp_path, budget=50_000_000):
     """The trace-fed and the live-fed engine both equal the step-fed
-    pipeline on every flavour."""
+    pipeline on every flavour, and so does a live run watched by a
+    flight recorder per flavour, whose entries equal the step-fed
+    per-instruction tap."""
     path, memory_usage = recorded(program, tmp_path, budget)
     machines = list(MACHINES.values())
     grouped = time_flavours(program, path, machines,
                             memory_usage=memory_usage)
     live, _ = time_live(program, machines, budget)
-    for (label, machine), traced, fed in zip(MACHINES.items(), grouped,
-                                             live):
-        oracle = canon(step_simulation(program, machine, budget))
+    recorders = [FlightRecorder(program, machine, window_cycles=None)
+                 for machine in machines]
+    watched, _ = time_live(program, machines, budget,
+                           tee=replay._FanOut(recorders),
+                           outcomes=dict(zip(machines, recorders)))
+    for (label, machine), traced, fed, seen, recorder in zip(
+            MACHINES.items(), grouped, live, watched, recorders):
+        tap = FlightTap(machine)
+        oracle = canon(step_feed(tap, program, budget))
         assert canon(traced) == oracle, label
         assert canon(fed) == oracle, label
+        assert canon(seen) == oracle, label
+        assert flight_rows(recorder.entries()) == tap.rows, label
     return grouped
 
 
@@ -130,6 +146,22 @@ class TestLiveFeed:
             [record_fields(r) for r in reference]
         assert cpu.stdout() == reference_cpu.stdout()
         assert result.memory_usage == reference_cpu.memory_usage
+
+    def test_tee_has_a_chunk_before_its_watcher(self, monkeypatch):
+        """A full chunk flushes inside the front's ``retire``: by then
+        the tee has seen the chunk's last record."""
+        monkeypatch.setattr(replay, "CHUNK", 1000)
+        log = RetireLog()
+        watched = []
+
+        def watch(indices, flags, outcomes, issues, readies):
+            watched.append(len(indices))
+            assert len(log.calls) == sum(watched)
+            assert len(issues) == len(readies) == len(indices)
+
+        time_live(build_benchmark("compress"), [MACHINES["fac32"]],
+                  2500, tee=log, outcomes={MACHINES["fac32"]: watch})
+        assert watched == [1000, 1000, 500]
 
     def test_outcomes_watch_one_of_its_machines(self, burst):
         with pytest.raises(ValueError):

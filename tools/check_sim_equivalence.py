@@ -20,7 +20,11 @@ bit:
    ``repro.experiments.common.MACHINES``,
 4. ``profile_program``'s per-site D-cache accesses, misses and FAC
    replays and its ``profile.load_latency`` histogram, against the
-   step-fed pipeline's counter tap (``tests.oracles.SiteCounters``).
+   step-fed pipeline's counter tap (``tests.oracles.SiteCounters``),
+5. ``repro trace --format jsonl`` (``repro.obs.trace.trace_program``):
+   each instruction's pc, issue, ready and cache-access cycles, FAC
+   outcome and hit/mispredict flag, against the step-fed pipeline's
+   per-instruction tap (``tests.oracles.FlightTap``).
 
 Run with no arguments for one representative benchmark, name
 benchmarks explicitly (the CI ``sim-equivalence`` job checks
@@ -56,16 +60,21 @@ from repro.cpu.tracefile import record_trace, replay_into
 from repro.experiments.common import MACHINES
 from repro.fac.config import FacConfig
 from repro.farm.snapshots import analysis_to_snapshot, sim_to_snapshot
+from repro.isa.opcodes import Op
+from repro.obs.flight import FAC_NONE, FAC_NOSPEC, FAC_PREDICT, FAC_REPLAY
 from repro.obs.profile import profile_program
+from repro.obs.trace import trace_program
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.pipeline import PipelineSimulator, simulate_program
 from repro.pipeline.replay import time_flavours
 from repro.workloads.suite import BENCHMARKS, build_benchmark
-from tests.oracles import SiteCounters
+from tests.oracles import FlightTap, SiteCounters
 
 #: the machine ``profile_program`` times on (its defaults)
 PROFILE_MACHINE = MachineConfig(fac=FacConfig(cache_size=16 * 1024,
                                               block_size=32))
+#: the machine ``repro trace`` times on (its default)
+TRACE_MACHINE = MachineConfig(fac=FacConfig())
 
 
 def canon(snapshot: dict) -> str:
@@ -99,6 +108,33 @@ class StepLockstep:
             self._check((pc, id(inst), None, 0, 0, None, pc + 4))
         else:
             self._check(fields(rec))
+
+
+def trace_rows(program, lines):
+    """``repro trace`` JSONL lines as :class:`FlightTap` rows: each
+    ``inst.retired`` with the ``mem.access`` or ``branch`` record
+    written before it (a direct jump has neither; its flag is 0)."""
+    before = None
+    for line in lines:
+        record = json.loads(line)
+        event = record["event"]
+        if event in ("mem.access", "branch"):
+            before = record
+        elif event == "inst.retired":
+            pc = record["pc"]
+            fac, flag = FAC_NONE, -1
+            if before is not None and before["event"] == "mem.access":
+                fac = (FAC_NOSPEC if not before["speculated"]
+                       else FAC_PREDICT if before["fac_success"]
+                       else FAC_REPLAY)
+                flag = int(before["hit"])
+            elif before is not None:
+                flag = int(before["mispredicted"])
+            elif program.instruction_at(pc).op in (Op.J, Op.JAL):
+                flag = 0
+            yield (pc, record["issue"], record["ready"], record["mem"],
+                   fac, flag)
+            before = None
 
 
 def check_benchmark(name: str, max_instructions: int, scratch: str) -> list[str]:
@@ -144,11 +180,13 @@ def check_benchmark(name: str, max_instructions: int, scratch: str) -> list[str]
         problems.append("analysis snapshot differs between live and replay")
 
     # 3. timing snapshots on every flavour: one step loop feeding a
-    # pipeline per flavour (and the site tap on the profiler's machine),
-    # live runs, and one grouped replay
+    # pipeline per flavour (and the site tap on the profiler's machine,
+    # the per-instruction tap on the tracer's), live runs, and one
+    # grouped replay
     pipes = [PipelineSimulator(machine) for machine in MACHINES.values()]
     tap = SiteCounters(PROFILE_MACHINE)
-    pipes.append(tap)
+    flight = FlightTap(TRACE_MACHINE)
+    pipes += [tap, flight]
     spec = CPU(program)
     budget = max_instructions
     while not spec.halted and budget > 0:
@@ -181,6 +219,17 @@ def check_benchmark(name: str, max_instructions: int, scratch: str) -> list[str]
     latency = profile.registry.histogram("profile.load_latency")
     if dict(latency.items()) != tap.load_latency:
         problems.append("profile load latencies differ from the step tap")
+
+    # 5. repro trace's per-instruction records
+    jsonl = os.path.join(scratch, f"{name}.trace.jsonl")
+    with open(jsonl, "w") as stream:
+        trace_program(program, stream, fmt="jsonl",
+                      max_instructions=max_instructions)
+    with open(jsonl) as stream:
+        if list(trace_rows(program, stream)) != flight.rows:
+            problems.append("repro trace records differ from the step "
+                            "per-instruction tap")
+    os.unlink(jsonl)
     return problems
 
 
