@@ -94,7 +94,7 @@ def _run_flight(program):
 
 def _run_live(program, outcomes=False):
     config = _config()
-    watch = {config: SiteTally(program, config)} if outcomes else None
+    watch = {config: SiteTally(program)} if outcomes else None
     start = time.perf_counter()
     (result,), _ = time_live(program, (config,), 50_000_000,
                              outcomes=watch)

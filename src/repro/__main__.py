@@ -125,7 +125,7 @@ def cmd_stats(args) -> int:
             "benchmark": args.name,
             "software_support": bool(args.software_support),
         })
-        path = args.snapshot or "BENCH_obs.json"
+        path = args.snapshot or "stats_snapshot.json"
         with open(path, "w") as handle:
             json.dump(snapshot, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -450,10 +450,10 @@ def main(argv=None) -> int:
     p_stats = sub.add_parser("stats", help="run one benchmark with timing")
     p_stats.add_argument("name")
     p_stats.add_argument("--software-support", action="store_true")
-    p_stats.add_argument("--snapshot", nargs="?", const="BENCH_obs.json",
+    p_stats.add_argument("--snapshot", nargs="?", const="stats_snapshot.json",
                          default=None, metavar="FILE",
                          help="write a versioned metrics snapshot "
-                              "(default FILE: BENCH_obs.json)")
+                              "(default FILE: stats_snapshot.json)")
     p_stats.set_defaults(func=cmd_stats)
 
     p_lint = sub.add_parser(

@@ -12,8 +12,7 @@ The framework factors the dataflow core that originally lived inside
   one function's blocks;
 * :mod:`~repro.analysis.absint.knownbits` /
   :mod:`~repro.analysis.absint.knownbits_domain` — the known-bits
-  lattice and domain driving ``repro lint``;
-* :mod:`~repro.analysis.absint.ranges` — unsigned value-range domain.
+  lattice and domain driving ``repro lint``.
 
 Clients: ``repro lint`` (FAC predictability, ``static_fac``) and
 ``repro sanitize`` (whole-program sanitizer, ``repro.analysis.sanitize``).
@@ -26,7 +25,6 @@ from repro.analysis.absint.knownbits_domain import (
     PRESERVED_ACROSS_CALLS,
     KnownBitsDomain,
 )
-from repro.analysis.absint.ranges import RangeDomain
 from repro.analysis.absint.solver import Solution, solve, solve_function
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "FunctionSpan",
     "KnownBitsDomain",
     "PRESERVED_ACROSS_CALLS",
-    "RangeDomain",
     "Solution",
     "build_cfg",
     "solve",

@@ -12,9 +12,8 @@ of abstract machine states:
   propagating past them).
 
 States are deliberately opaque to the solver: the known-bits domain
-uses a flat list of 32 ``(mask, value)`` pairs, the value-range domain
-a list of intervals, and the calling-convention domain a
-``(registers, frame)`` pair. The only structural requirement is that
+uses a flat list of 32 ``(mask, value)`` pairs and the
+calling-convention domain a ``(registers, frame)`` pair. The only structural requirement is that
 ``join_into`` is monotone with finite ascending chains, which makes the
 fixpoint terminate.
 

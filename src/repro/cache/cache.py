@@ -6,11 +6,10 @@ contents are decoupled, as in trace-driven simulators). The baseline
 machine of Table 5 uses 16 KB direct-mapped caches with 32-byte blocks
 and a 6-cycle miss latency.
 
-Statistics are plain int counters, cheap on every access; they are
-served as :mod:`repro.obs.metrics` containers (the uniform
-``as_dict()``/``merge()`` protocol) when asked for. Per-access activity
-is not streamed: the timing engine's D-cache outcomes reach observers
-as the replay engine's flags column (:mod:`repro.pipeline.replay`).
+Statistics are plain int counters, cheap on every access. Per-access
+activity is not streamed: the timing engine's D-cache outcomes reach
+observers as the replay engine's flags column
+(:mod:`repro.pipeline.replay`).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.obs.metrics import Counter, RatioStat
 from repro.utils.bits import is_pow2, log2_exact
 
 
@@ -67,7 +65,8 @@ class Cache:
         self._assoc = cfg.assoc
         # Per set: list of [tag, dirty] entries ordered most-recent first.
         self._sets: list[list[list]] = [[] for _ in range(cfg.num_sets)]
-        self.reset_stats()
+        self.read_accesses = self.write_accesses = 0
+        self.misses = self.writebacks = 0
 
     # ------------------------------------------------------------------ #
 
@@ -113,7 +112,7 @@ class Cache:
         self._sets = [[] for _ in range(self.config.num_sets)]
 
     # ------------------------------------------------------------------ #
-    # statistics: plain counters, served as metrics-protocol containers
+    # statistics
 
     @property
     def accesses(self) -> int:
@@ -127,36 +126,6 @@ class Cache:
     def miss_ratio(self) -> float:
         accesses = self.accesses
         return 1.0 - self.hits / accesses if accesses else 0.0
-
-    def metrics(self) -> dict[str, object]:
-        """The stat containers, keyed by metric path (built per call)."""
-        name = self.config.name
-        accesses = RatioStat(f"{name}.accesses")  # hit = True
-        accesses.hits, accesses.total = self.hits, self.accesses
-        counters = []
-        for stat, count in (("writebacks", self.writebacks),
-                            ("reads", self.read_accesses),
-                            ("writes", self.write_accesses)):
-            counter = Counter(f"{name}.{stat}")
-            counter.count = count
-            counters.append(counter)
-        return {metric.name: metric for metric in (accesses, *counters)}
-
-    def as_dict(self) -> dict:
-        """Uniform protocol: every stat container, serialized."""
-        return {name: metric.as_dict()
-                for name, metric in sorted(self.metrics().items())}
-
-    def merge_stats(self, other: "Cache") -> None:
-        """Absorb another cache's counters (sharded-run aggregation)."""
-        self.read_accesses += other.read_accesses
-        self.write_accesses += other.write_accesses
-        self.misses += other.misses
-        self.writebacks += other.writebacks
-
-    def reset_stats(self) -> None:
-        self.read_accesses = self.write_accesses = 0
-        self.misses = self.writebacks = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         cfg = self.config

@@ -11,8 +11,6 @@ Replacement uses a deterministic xorshift PRNG so runs are repeatable.
 
 from __future__ import annotations
 
-from repro.obs.metrics import RatioStat
-
 
 class TLB:
     """Fully-associative TLB with random replacement."""
@@ -26,7 +24,7 @@ class TLB:
         self._pages: set[int] = set()
         self._order: list[int] = []
         self._rng_state = seed or 1
-        self._accesses = RatioStat("tlb.accesses")
+        self.accesses = self.misses = 0
 
     def _rand(self) -> int:
         # xorshift32
@@ -39,11 +37,11 @@ class TLB:
 
     def access(self, address: int) -> bool:
         """Translate one address; returns True on TLB hit."""
+        self.accesses += 1
         page = address >> self.page_shift
         if page in self._pages:
-            self._accesses.record(True)
             return True
-        self._accesses.record(False)
+        self.misses += 1
         if len(self._order) >= self.capacity:
             victim_slot = self._rand() % self.capacity
             victim = self._order[victim_slot]
@@ -56,26 +54,9 @@ class TLB:
 
     @property
     def hits(self) -> int:
-        return self._accesses.hits
-
-    @property
-    def misses(self) -> int:
-        return self._accesses.misses
-
-    @property
-    def accesses(self) -> int:
-        return self._accesses.total
+        return self.accesses - self.misses
 
     @property
     def miss_ratio(self) -> float:
-        return self._accesses.miss_ratio
-
-    def as_dict(self) -> dict:
-        """Uniform metrics protocol (see :mod:`repro.obs.metrics`)."""
-        return {self._accesses.name: self._accesses.as_dict()}
-
-    def merge_stats(self, other: "TLB") -> None:
-        self._accesses.merge(other._accesses)
-
-    def reset_stats(self) -> None:
-        self._accesses.reset()
+        accesses = self.accesses
+        return 1.0 - self.hits / accesses if accesses else 0.0

@@ -112,7 +112,7 @@ def cmd_farm_run(args) -> int:
     bus = EventBus()
     progress = ProgressSink(sys.stderr, enabled=not args.quiet)
     bus.attach(progress)
-    tracker = None if args.no_spans else SpanTracker(obs=None)
+    tracker = None if args.no_spans else SpanTracker()
     try:
         result = run_graph(graph, store, jobs=args.jobs,
                            timeout=args.timeout, retries=args.retries,

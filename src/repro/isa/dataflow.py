@@ -1,91 +1,25 @@
-"""Per-instruction dataflow metadata for static analyses.
+"""Per-instruction control-flow metadata for static analyses.
 
 These helpers answer, from the :class:`~repro.isa.instruction.Instruction`
-record alone, which integer registers an instruction reads and writes and
-how it transfers control. They are the ISA-level foundation of the
-fast-address-calculation static analyzer
-(:mod:`repro.analysis.static_fac`), which must know exactly which
-register defines reach each memory access.
-
-Floating-point registers are deliberately out of scope: effective
-addresses are always formed from integer registers, so FP dataflow never
-influences predictability.
+record alone, how an instruction transfers control: whether it is a
+conditional branch or a return, whether it ends a basic block, and which
+targets it encodes. The CFG builder and solver of
+:mod:`repro.analysis.absint` and the sanitizer's checks are built on
+them. Register def/use for the timing model, the oracle and the
+load-use kernel comes from :func:`repro.pipeline.deps.sources_and_dests`.
 """
 
 from __future__ import annotations
 
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Op, OpClass, OP_INFO
+from repro.isa.opcodes import Op
 from repro.isa.registers import Reg
 
-# Opcode groups, derived once from the metadata table.
-_R3_OPS = frozenset(op for op, info in OP_INFO.items() if info.fmt == "r3")
-_SHIFT_IMM_OPS = frozenset((Op.SLL, Op.SRL, Op.SRA))
-_IMM_OPS = frozenset(op for op, info in OP_INFO.items() if info.fmt == "i2")
-_BRANCH2_OPS = frozenset((Op.BEQ, Op.BNE))
-_BRANCH1_OPS = frozenset((Op.BLEZ, Op.BGTZ, Op.BLTZ, Op.BGEZ))
-_FP_BRANCH_OPS = frozenset((Op.BC1T, Op.BC1F))
-
-CONDITIONAL_BRANCHES = _BRANCH2_OPS | _BRANCH1_OPS | _FP_BRANCH_OPS
-
-
-def int_regs_read(inst: Instruction) -> tuple[int, ...]:
-    """Integer registers whose values this instruction consumes."""
-    op = inst.op
-    info = OP_INFO[op]
-    if op in _R3_OPS:
-        return (inst.rs, inst.rt)
-    if op in _SHIFT_IMM_OPS:
-        return (inst.rt,)
-    if op in _IMM_OPS:
-        return (inst.rs,)
-    if op == Op.LUI:
-        return ()
-    if op in (Op.MULT, Op.MULTU, Op.DIV, Op.DIVU):
-        return (inst.rs, inst.rt)
-    if info.mem_width:
-        regs = [inst.rs]
-        if info.mem_mode == "x":
-            regs.append(inst.rx)
-        if info.is_store and not info.mem_fp:
-            regs.append(inst.rt)
-        return tuple(regs)
-    if op in _BRANCH2_OPS:
-        return (inst.rs, inst.rt)
-    if op in _BRANCH1_OPS:
-        return (inst.rs,)
-    if op in (Op.JR, Op.JALR):
-        return (inst.rs,)
-    if op == Op.MTC1:
-        return (inst.rt,)
-    if op == Op.SYSCALL:
-        # service selector plus the widest argument set any service uses
-        return (Reg.V0, Reg.A0)
-    return ()
-
-
-def int_regs_written(inst: Instruction) -> tuple[int, ...]:
-    """Integer registers this instruction defines (excluding $zero)."""
-    op = inst.op
-    info = OP_INFO[op]
-    written: tuple[int, ...]
-    if op in _R3_OPS or op in _SHIFT_IMM_OPS or op in (Op.MFHI, Op.MFLO, Op.MFC1):
-        written = (inst.rd,)
-    elif op in _IMM_OPS or op == Op.LUI:
-        written = (inst.rt,)
-    elif info.is_load and not info.mem_fp:
-        written = (inst.rt, inst.rs) if info.mem_mode == "p" else (inst.rt,)
-    elif info.mem_width and info.mem_mode == "p":
-        written = (inst.rs,)          # post-increment store updates the base
-    elif op == Op.JAL:
-        written = (Reg.RA,)
-    elif op == Op.JALR:
-        written = (inst.rd,)
-    elif op == Op.SYSCALL:
-        written = (Reg.V0,)           # sbrk returns the old break in $v0
-    else:
-        written = ()
-    return tuple(r for r in written if r != Reg.ZERO)
+CONDITIONAL_BRANCHES = frozenset((
+    Op.BEQ, Op.BNE,
+    Op.BLEZ, Op.BGTZ, Op.BLTZ, Op.BGEZ,
+    Op.BC1T, Op.BC1F,
+))
 
 
 def is_branch(inst: Instruction) -> bool:
@@ -93,19 +27,9 @@ def is_branch(inst: Instruction) -> bool:
     return inst.op in CONDITIONAL_BRANCHES
 
 
-def is_call(inst: Instruction) -> bool:
-    """Subroutine call that is expected to return to the next slot."""
-    return inst.op in (Op.JAL, Op.JALR)
-
-
 def is_return(inst: Instruction) -> bool:
     """``jr $ra`` -- the conventional function return."""
     return inst.op == Op.JR and inst.rs == Reg.RA
-
-
-def is_indirect_jump(inst: Instruction) -> bool:
-    """Computed transfer whose target is not in the instruction."""
-    return inst.op == Op.JALR or (inst.op == Op.JR and inst.rs != Reg.RA)
 
 
 def ends_block(inst: Instruction) -> bool:

@@ -4,11 +4,9 @@ Four pillars:
 
 * :mod:`repro.obs.events` -- typed structured events and the
   :class:`~repro.obs.events.EventBus` that carries them from the
-  functional CPU (syscalls), the farm, span trackers and the serve
-  layer,
-* :mod:`repro.obs.metrics` -- the hierarchical metrics registry with the
-  uniform ``as_dict()``/``merge()`` container protocol and versioned
-  snapshots,
+  functional CPU (syscalls), the farm and the serve layer,
+* :mod:`repro.obs.metrics` -- the hierarchical metrics registry, its
+  four container types and versioned snapshots,
 * :mod:`repro.obs.sinks` -- pluggable event consumers: null, in-memory,
   JSONL, access log, and Chrome trace-event JSON (Perfetto-loadable),
 * :mod:`repro.obs.spans` -- hierarchical wall-clock spans

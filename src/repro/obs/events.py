@@ -1,8 +1,8 @@
 """Typed structured events and the bus that carries them.
 
 Every event is a small dataclass with a class-level ``kind`` tag.
-Producers (the functional CPU's syscalls, the farm scheduler, span
-trackers, the serve layer) hold an optional :class:`EventBus` and guard
+Producers (the functional CPU's syscalls, the farm scheduler, the
+serve layer) hold an optional :class:`EventBus` and guard
 every emission with ``if obs is not None``, so a detached producer pays
 one attribute test.
 
@@ -25,8 +25,6 @@ kind                meaning
 ``farm.job.crashed``  a worker died mid-job (signal/OOM), reason attached
 ``farm.job.timeout``  a job attempt exceeded the per-job timeout
 ``farm.job.retry``    a crashed/timed-out job was requeued for another try
-``span.start``      a hierarchical span opened (repro.obs.spans)
-``span.end``        a span closed, with its status
 ``serve.http.request``  one HTTP request completed by ``repro serve``
 ==================  ====================================================
 """
@@ -141,30 +139,6 @@ class FarmJobRetry(Event):
     next_attempt: int   # the attempt number the retry will run as
 
 
-# ------------------------------------------------------------------ #
-# hierarchical spans (repro.obs.spans)
-
-@dataclass(slots=True)
-class SpanStarted(Event):
-    """A span opened; ``parent_id`` links the causal tree."""
-
-    kind = "span.start"
-    span_id: int
-    parent_id: int | None
-    name: str
-    cat: str
-    t0: float           # monotonic seconds
-
-
-@dataclass(slots=True)
-class SpanEnded(Event):
-    kind = "span.end"
-    span_id: int
-    name: str
-    t1: float
-    status: str         # 'ok' | 'error' | ...
-
-
 # --------------------------------------------------------------------- #
 # serving-layer events
 
@@ -196,7 +170,6 @@ EVENT_TYPES = {
         Syscall,
         FarmJobScheduled, FarmJobStarted, FarmJobFinished, FarmJobFailed,
         FarmJobCrashed, FarmJobTimeout, FarmJobRetry,
-        SpanStarted, SpanEnded,
         HttpRequestServed,
     )
 }

@@ -4,9 +4,10 @@ Every metric implements the same small protocol:
 
 * ``as_dict()``  -- a JSON-serializable, self-describing dict
                     (``{"type": ..., ...}``),
-* ``merge(other)`` -- absorb another instance of the same type
-                    (sharded / multi-run aggregation),
 * ``reset()``    -- zero the metric in place.
+
+:class:`Histogram` also has ``merge(other)``: the farm folds per-class
+offset histograms together when it stores and loads an analysis.
 
 Four concrete metrics cover everything the simulators and the serving
 layer need:
@@ -19,7 +20,7 @@ layer need:
                        distances),
 * :class:`TimingHistogram` -- log-bucketed duration histogram with
                        quantile estimates (request latency, queue
-                       wait); mergeable across shards like the rest.
+                       wait).
 
 A :class:`MetricsRegistry` names metrics hierarchically with dot-separated
 paths (``"fac.replay_penalty"``) and serializes to a **versioned snapshot**
@@ -87,9 +88,6 @@ class Counter:
     def as_dict(self) -> dict:
         return {"type": self.kind, "count": self.count}
 
-    def merge(self, other: "Counter") -> None:
-        self.count += other.count
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Counter({self.name}={self.count})"
 
@@ -129,10 +127,6 @@ class RatioStat:
 
     def as_dict(self) -> dict:
         return {"type": self.kind, "hits": self.hits, "total": self.total}
-
-    def merge(self, other: "RatioStat") -> None:
-        self.hits += other.hits
-        self.total += other.total
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"RatioStat({self.name}: {self.hits}/{self.total})"
@@ -220,8 +214,7 @@ class TimingHistogram:
     makes it safe to gate SLOs on.
 
     Count, sum, min, and max are tracked exactly. The sparse
-    ``{bucket_index: count}`` layout merges and snapshots like
-    :class:`Histogram`.
+    ``{bucket_index: count}`` layout snapshots like :class:`Histogram`.
     """
 
     kind = "timing"
@@ -309,15 +302,6 @@ class TimingHistogram:
             "buckets": {str(k): v for k, v in sorted(self._counts.items())},
         }
 
-    def merge(self, other: "TimingHistogram") -> None:
-        self.count += other.count
-        self.sum += other.sum
-        if other.count:
-            self.min = min(self.min, other.min)
-            self.max = max(self.max, other.max)
-        for index, amount in other._counts.items():
-            self._counts[index] += amount
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"TimingHistogram({self.name}, n={self.count})"
 
@@ -381,11 +365,6 @@ class MetricsRegistry:
         dotted = prefix + "."
         return {p: m for p, m in sorted(self._metrics.items())
                 if p.startswith(dotted)}
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Absorb ``other``; same-path metrics must be the same type."""
-        for path, metric in other._metrics.items():
-            self._get(path, type(metric)).merge(metric)
 
     def reset(self) -> None:
         for metric in self._metrics.values():

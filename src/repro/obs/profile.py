@@ -244,12 +244,12 @@ class ProfileResult:
 
 
 class SiteTally:
-    """Per-site timing counts of ``config``: a
+    """Per-site timing counts of one flavour: a
     :class:`~repro.pipeline.replay.Front` outcome watcher that sums each
     chunk's static-index, D-miss, outcome and issue/ready columns with
-    ``np.bincount``. The columns carry all of ``config``'s timing."""
+    ``np.bincount``. The columns carry all of the flavour's timing."""
 
-    def __init__(self, program: Program, config: MachineConfig):
+    def __init__(self, program: Program):
         import numpy as np
 
         infos = [OP_INFO[inst.op] for inst in program.instructions]
@@ -301,7 +301,7 @@ def _execute(program: Program, machine: MachineConfig,
     from repro.pipeline.replay import time_live
 
     recorder = ColumnRecorder(program)
-    tally = SiteTally(program, machine)
+    tally = SiteTally(program)
     (sim,), cpu = time_live(program, (machine,), max_instructions,
                             tee=recorder, outcomes={machine: tally})
     cols = recorder.columns()

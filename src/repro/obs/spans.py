@@ -1,16 +1,13 @@
-"""Hierarchical spans: causally-linked timing on top of the event bus.
+"""Hierarchical spans: causally-linked wall-clock timing.
 
 A :class:`SpanTracker` hands out integer span ids, records monotonic
-start/end timestamps, and keeps the parent link that turns a flat event
-stream into a tree -- sweep -> cell -> build/trace/analysis job -> store
-get/put. Producers that already hold an :class:`~repro.obs.events.EventBus`
-can pass it in; every ``start``/``end`` is then mirrored as a
-``span.start`` / ``span.end`` event for live sinks (``repro farm top``,
-JSONL logs) while the tracker itself keeps the authoritative record the
-run ledger persists (:mod:`repro.farm.ledger`).
+start/end timestamps, and keeps the parent link that turns them into a
+tree -- sweep -> cell -> build/trace/analysis job -> store get/put. The
+tracker keeps the record the run ledger persists
+(:mod:`repro.farm.ledger`).
 
-Spans cross process boundaries by value: a worker builds its own tracker
-(no bus), wraps its work in spans, and ships ``export()`` -- a list of
+Spans cross process boundaries by value: a worker builds its own
+tracker, wraps its work in spans, and ships ``export()`` -- a list of
 plain dicts -- back over the result queue. The parent then calls
 :meth:`SpanTracker.adopt` to splice those records under the job's span,
 remapping ids so they stay unique within the run. On Linux
@@ -26,8 +23,6 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-
-from repro.obs.events import SpanEnded, SpanStarted
 
 #: ``status`` of a span that was still open when the tracker exported.
 OPEN = "open"
@@ -79,13 +74,10 @@ class Span:
 class SpanTracker:
     """Issues, times, and retains spans for one run.
 
-    ``obs`` is an optional :class:`~repro.obs.events.EventBus`; when set,
-    every start/end is mirrored as a live event. ``clock`` defaults to
-    ``time.monotonic`` and is injectable for tests.
+    ``clock`` defaults to ``time.monotonic`` and is injectable for tests.
     """
 
-    def __init__(self, obs=None, clock=time.monotonic):
-        self.obs = obs
+    def __init__(self, clock=time.monotonic):
         self.clock = clock
         self._next_id = 1
         self.spans: dict[int, Span] = {}
@@ -101,9 +93,6 @@ class SpanTracker:
         span = Span(span_id=span_id, parent_id=parent, name=name, cat=cat,
                     t0=self.clock(), attrs=dict(attrs or {}))
         self.spans[span_id] = span
-        if self.obs is not None:
-            self.obs.emit(SpanStarted(span_id=span_id, parent_id=parent,
-                                      name=name, cat=cat, t0=span.t0))
         return span_id
 
     def end(self, span_id: int, status: str = "ok",
@@ -114,9 +103,6 @@ class SpanTracker:
             span.status = status
         if attrs:
             span.attrs.update(attrs)
-        if self.obs is not None:
-            self.obs.emit(SpanEnded(span_id=span_id, name=span.name,
-                                    t1=span.t1, status=span.status))
         return span
 
     def annotate(self, span_id: int, attrs: dict) -> None:

@@ -56,6 +56,10 @@ from repro.pipeline.deps import NUM_SLOTS, sources_and_dests
 from repro.pipeline.result import SimResult
 from repro.utils.bits import to_signed32
 
+#: Port-table size at which stale cycles are pruned; the oracle's copy
+#: of :data:`repro.pipeline.replay.PORT_LIMIT`.
+PORT_LIMIT = 128
+
 _FU_CLASS = {
     OpClass.ALU: "alu",
     OpClass.BRANCH: "alu",
@@ -120,10 +124,10 @@ class PipelineSimulator:
     def _ports_at(self, cycle: int) -> list[int]:
         usage = self._ports.get(cycle)
         if usage is None:
-            usage = [0, 0]
-            self._ports[cycle] = usage
-            if len(self._ports) > 128:
-                floor = self._cur_cycle
+            usage = self._ports[cycle] = [0, 0]
+            # the engine's prune rule (repro.pipeline.replay._new_ports)
+            if not len(self._ports) % PORT_LIMIT:
+                floor = min(self._cur_cycle, self._sb_cursor)
                 for key in [k for k in self._ports if k < floor]:
                     del self._ports[key]
         return usage

@@ -62,6 +62,10 @@ from repro.utils.bits import to_signed32
 #: Records per column chunk.
 CHUNK = 1 << 16
 
+#: Each time the port table (cycle -> [loads, stores]) reaches a
+#: multiple of this many cycles, it forgets those no reader can reach.
+PORT_LIMIT = 128
+
 # flags byte of one record
 IMISS = 1        # I-cache miss on entering a new fetch block
 DMISS = 2        # D-cache miss
@@ -406,11 +410,16 @@ def _static_facts(program: Program, config: MachineConfig) -> list[tuple]:
     return facts
 
 
-def _new_ports(ports: dict, cycle: int, floor: int) -> list[int]:
-    """Start ``cycle``'s [loads, stores] port usage; past 128 tracked
-    cycles, forget those before ``floor`` (the current issue cycle)."""
+def _new_ports(ports: dict, cycle: int, cur: int,
+               sb_cursor: int) -> list[int]:
+    """Start ``cycle``'s [loads, stores] port usage. When the table
+    reaches a multiple of :data:`PORT_LIMIT` cycles, forget those before
+    both the current issue cycle ``cur`` and the store-buffer drain's
+    cursor: no port check or drain reads them again, so the prune is
+    unobservable."""
     usage = ports[cycle] = [0, 0]
-    if len(ports) > 128:
+    if not len(ports) % PORT_LIMIT:
+        floor = cur if cur < sb_cursor else sb_cursor
         for key in [k for k in ports if k < floor]:
             del ports[key]
     return usage
@@ -504,7 +513,7 @@ def _recurrence(program: Program, config: MachineConfig, fbit: int,
                     access = cycle if speculate or one_cycle else cycle + 1
                     while True:
                         usage = ports.get(access) \
-                            or _new_ports(ports, access, cur)
+                            or _new_ports(ports, access, cur, sb_cursor)
                         if is_store:
                             free = not usage[0] and usage[1] < write_ports
                         else:
@@ -549,13 +558,15 @@ def _recurrence(program: Program, config: MachineConfig, fbit: int,
             else:
                 miss = dmiss_latency if flags & DMISS else 0
                 if not speculate:
-                    (ports.get(access) or _new_ports(ports, access, cur)
+                    (ports.get(access)
+                     or _new_ports(ports, access, cur, sb_cursor)
                      )[is_store] += 1
                     if count_unspeculated:
                         unspeculated += 1
                     ready = access + 1 + miss
                 else:
-                    (ports.get(cycle) or _new_ports(ports, cycle, cur)
+                    (ports.get(cycle)
+                     or _new_ports(ports, cycle, cur, sb_cursor)
                      )[is_store] += 1
                     if spec == 2:
                         ready = cycle + 1 + miss
@@ -573,7 +584,8 @@ def _recurrence(program: Program, config: MachineConfig, fbit: int,
                         mis_cycle = cycle
                         mis_load = not is_store
                         (ports.get(cycle + 1)
-                         or _new_ports(ports, cycle + 1, cur))[is_store] += 1
+                         or _new_ports(ports, cycle + 1, cur, sb_cursor)
+                         )[is_store] += 1
                         ready = cycle + 2 + miss
                 if add_outcome is not None:
                     add_outcome(IN_EX if ready == cycle + 1 + miss

@@ -78,34 +78,6 @@ class SimResult:
         """Execution-time speedup of this run relative to ``baseline``."""
         return safe_ratio(baseline.cycles, self.cycles)
 
-    # ------------------------------------------------------------------ #
-    # uniform metrics protocol (see repro.obs.metrics)
-
-    def as_dict(self) -> dict:
-        """Every raw counter field as a metrics-protocol dict.
-
-        Derived ratios are intentionally excluded: they are recomputed
-        from the merged counters, never averaged.
-        """
-        out = {}
-        for f in fields(self):
-            if f.name == "extras":
-                continue
-            out[f.name] = {"type": "counter", "value": getattr(self, f.name)}
-        return out
-
-    def merge(self, other: "SimResult") -> None:
-        """Sum another run's counters into this one (sharded workloads).
-
-        ``cycles`` adds as if the runs were executed back-to-back;
-        ``extras`` entries from ``other`` win on key collision.
-        """
-        for f in fields(self):
-            if f.name == "extras":
-                continue
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        self.extras.update(other.extras)
-
     def to_registry(self, registry, prefix: str = "sim") -> None:
         """Record every counter into a
         :class:`~repro.obs.metrics.MetricsRegistry` under ``prefix``."""

@@ -1,18 +1,16 @@
 """Tests for the abstract-interpretation framework
 (:mod:`repro.analysis.absint`): CFG construction, the worklist solver,
-the value-range domain, and clobber-aware call summaries."""
+and clobber-aware call summaries."""
 
 from __future__ import annotations
 
 from repro.analysis.absint import (
     KnownBitsDomain,
-    RangeDomain,
     build_cfg,
     solve,
     solve_function,
 )
 from repro.analysis.absint import knownbits as kb
-from repro.analysis.absint import ranges as rng
 from repro.isa.assembler import assemble
 from repro.isa.opcodes import Op
 from repro.isa.registers import Reg
@@ -157,65 +155,3 @@ def test_solve_function_is_intraprocedural():
                for bid in start_span.blocks
                if bid not in span.blocks)
 
-
-# ---------------------------------------------------------------------- #
-# value-range domain
-
-def test_range_lattice_ops():
-    assert rng.add(rng.const(3), rng.const(4)) == (7, 7)
-    assert rng.add((0, rng.MASK32), (1, 1)) == rng.TOP        # may wrap
-    assert rng.sub(rng.const(3), rng.const(4)) == rng.TOP     # may go neg
-    assert rng.sub((8, 16), (1, 2)) == (6, 15)
-    assert rng.shl((1, 2), 4) == (16, 32)
-    assert rng.shl((0, rng.MASK32), 1) == rng.TOP
-    assert rng.join((1, 5), (3, 9)) == (1, 9)
-    # widening jumps a growing bound to the extreme
-    assert rng.widen((1, 5), (0, 5)) == (0, 5)
-    assert rng.widen((1, 5), (1, 6)) == (1, rng.MASK32)
-    assert rng.contains((4, 8), 6) and not rng.contains((4, 8), 9)
-
-
-def test_range_domain_tracks_constants_through_arithmetic():
-    program = _program("""
-.text
-__start:
-    addiu $t0, $zero, 5
-    sll $t1, $t0, 2
-    addiu $t2, $t1, -4
-    li $v0, 10
-    syscall
-""")
-    cfg = build_cfg(program)
-    solution = solve(cfg, RangeDomain())
-    # the exit syscall itself is visited with state None (the walk kills
-    # the state at the halting instruction), so probe at the preceding
-    # `li $v0, 10`
-    at_exit = _state_at(
-        solution, cfg,
-        lambda inst: inst.op is Op.ADDIU and inst.rt == Reg.V0)
-    assert at_exit[8] == (5, 5)       # $t0
-    assert at_exit[9] == (20, 20)     # $t1 = 5 << 2
-    assert at_exit[10] == (16, 16)    # $t2 = 20 - 4
-    assert at_exit[Reg.SP] == rng.const(program.sp_value)
-
-
-def test_range_domain_widens_loops_to_termination():
-    program = _program("""
-.text
-__start:
-    addiu $t0, $zero, 0
-loop:
-    addiu $t0, $t0, 1
-    slti $t1, $t0, 10
-    bne $t1, $zero, loop
-    li $v0, 10
-    syscall
-""")
-    cfg = build_cfg(program)
-    solution = solve(cfg, RangeDomain())   # must terminate via widening
-    at_exit = _state_at(
-        solution, cfg,
-        lambda inst: inst.op is Op.ADDIU and inst.rt == Reg.V0)
-    lo, hi = at_exit[8]                    # $t0
-    assert lo >= 0 and hi == rng.MASK32    # widened upper bound
-    assert at_exit[9] == (0, 1)            # slti result stays boolean

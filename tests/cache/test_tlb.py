@@ -9,6 +9,7 @@ class TestTLB:
         assert not tlb.access(0x1000)
         assert tlb.access(0x1FFF)  # same page
         assert not tlb.access(0x2000)
+        assert (tlb.accesses, tlb.hits, tlb.misses) == (3, 1, 2)
 
     def test_capacity_and_replacement(self):
         tlb = TLB(entries=4)
@@ -33,12 +34,6 @@ class TestTLB:
         for __ in range(10):
             tlb.access(0x5000)
         assert abs(tlb.miss_ratio - 0.1) < 1e-12
-
-    def test_reset_stats(self):
-        tlb = TLB()
-        tlb.access(0x1000)
-        tlb.reset_stats()
-        assert tlb.accesses == 0
 
     def test_page_size_validation(self):
         import pytest

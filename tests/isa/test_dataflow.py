@@ -1,7 +1,9 @@
-"""Def/use metadata (:mod:`repro.isa.dataflow`) cross-checked, for every
-opcode, against the assembler operand-format table (``OpInfo.fmt``).
+"""Control-flow metadata (:mod:`repro.isa.dataflow`) and the integer
+def/use table (:func:`repro.pipeline.deps.sources_and_dests`) cross-checked,
+for every opcode, against the assembler operand-format table
+(``OpInfo.fmt``).
 
-The expectations below restate, independently of the dataflow module's
+The expectations below restate, independently of the def/use table's
 implementation, which integer register *fields* each assembler format
 populates and which of those an execution reads or writes. Any opcode
 added to ``OP_INFO`` without a matching entry here fails loudly.
@@ -15,6 +17,7 @@ from repro.isa import dataflow as df
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OP_INFO, Op
 from repro.isa.registers import Reg
+from repro.pipeline.deps import sources_and_dests
 
 # Sentinel register numbers, all distinct, none $zero.
 RD, RS, RT, RX = 10, 11, 12, 13
@@ -23,6 +26,11 @@ RD, RS, RT, RX = 10, 11, 12, 13
 def _inst(op: Op) -> Instruction:
     return Instruction(op, rd=RD, rs=RS, rt=RT, rx=RX,
                        fd=2, fs=4, ft=6, imm=8, target=0x400000)
+
+
+def _int_slots(slots: tuple[int, ...]) -> set[int]:
+    """The integer-register slots (1-31) of a scoreboard slot tuple."""
+    return {s for s in slots if 1 <= s <= 31}
 
 
 def _expected(op: Op) -> tuple[set[int], set[int]]:
@@ -78,26 +86,23 @@ def _expected(op: Op) -> tuple[set[int], set[int]]:
 def test_def_use_matches_operand_table(op):
     inst = _inst(op)
     reads, writes = _expected(op)
-    assert set(df.int_regs_read(inst)) == reads
-    assert set(df.int_regs_written(inst)) == writes
+    sources, dests = sources_and_dests(inst)
+    assert _int_slots(sources) == reads
+    assert _int_slots(dests) == writes
 
 
 @pytest.mark.parametrize("op", sorted(OP_INFO), ids=lambda op: op.name)
 def test_zero_register_never_written(op):
     inst = Instruction(op, rd=0, rs=0, rt=0, rx=0)
-    assert Reg.ZERO not in df.int_regs_written(inst)
+    assert Reg.ZERO not in sources_and_dests(inst)[1]
 
 
 def test_control_flow_predicates():
     assert df.is_branch(_inst(Op.BEQ))
     assert df.is_branch(_inst(Op.BC1F))
     assert not df.is_branch(_inst(Op.J))
-    assert df.is_call(_inst(Op.JAL)) and df.is_call(_inst(Op.JALR))
-    ret = Instruction(Op.JR, rs=Reg.RA)
-    assert df.is_return(ret) and not df.is_indirect_jump(ret)
-    switch = Instruction(Op.JR, rs=RS)
-    assert df.is_indirect_jump(switch) and not df.is_return(switch)
-    assert df.is_indirect_jump(_inst(Op.JALR))
+    assert df.is_return(Instruction(Op.JR, rs=Reg.RA))
+    assert not df.is_return(Instruction(Op.JR, rs=RS))
 
 
 @pytest.mark.parametrize("op", sorted(OP_INFO), ids=lambda op: op.name)

@@ -1,9 +1,7 @@
-"""Metrics containers, registry, and the uniform protocol adopters."""
+"""Metrics containers, the registry, and ``SimResult.to_registry``."""
 
 import pytest
 
-from repro.cache.cache import Cache, CacheConfig
-from repro.cache.tlb import TLB
 from repro.obs.metrics import (
     SNAPSHOT_VERSION,
     Counter,
@@ -26,10 +24,6 @@ class TestContainers:
         counter.incr()
         counter.incr(4)
         assert counter.as_dict() == {"type": "counter", "count": 5}
-        other = Counter("x")
-        other.incr(2)
-        counter.merge(other)
-        assert counter.count == 7
         counter.reset()
         assert counter.count == 0
 
@@ -40,10 +34,6 @@ class TestContainers:
         ratio.record(True)
         assert ratio.hit_ratio == pytest.approx(2 / 3)
         assert ratio.as_dict() == {"type": "ratio", "hits": 2, "total": 3}
-        other = RatioStat("hits")
-        other.record(False)
-        ratio.merge(other)
-        assert (ratio.hits, ratio.total) == (2, 4)
 
     def test_histogram_protocol(self):
         hist = Histogram("h")
@@ -95,17 +85,11 @@ class TestTimingHistogram:
         with pytest.raises(ValueError):
             hist.quantile(1.5)
 
-    def test_merge_and_reset(self):
-        a, b = TimingHistogram("t"), TimingHistogram("t")
+    def test_reset(self):
+        a = TimingHistogram("t")
         a.record(0.01)
-        b.record(0.02)
-        b.record(0.0000001)  # underflow bucket
-        a.merge(b)
-        assert a.count == 3
-        assert (a.min, a.max) == (0.0000001, 0.02)
+        a.record(0.0000001)  # underflow bucket
         assert dict(a.buckets())[0] == 1
-        a.merge(TimingHistogram("empty"))  # empty merge keeps min intact
-        assert a.min == 0.0000001
         a.reset()
         assert a.count == 0 and a.as_dict()["min"] == 0.0
 
@@ -154,27 +138,9 @@ class TestRegistry:
             MetricsRegistry.from_snapshot({"schema": "repro.metrics/999",
                                            "meta": {}, "metrics": {}})
 
-    def test_registry_merge(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("n").incr(1)
-        b.counter("n").incr(2)
-        b.counter("m").incr(5)
-        a.merge(b)
-        assert a.counter("n").count == 3
-        assert a.counter("m").count == 5
-
 
 class TestProtocolAdopters:
-    """pipeline/result.py and the cache models share the same protocol."""
-
-    def test_simresult_as_dict_and_merge(self):
-        a = SimResult(cycles=10, instructions=8, loads=2)
-        b = SimResult(cycles=5, instructions=4, loads=1)
-        payload = a.as_dict()
-        assert payload["cycles"] == {"type": "counter", "value": 10}
-        assert "extras" not in payload
-        a.merge(b)
-        assert (a.cycles, a.instructions, a.loads) == (15, 12, 3)
+    """``SimResult`` records its counters into a registry."""
 
     def test_simresult_to_registry(self):
         result = SimResult(cycles=10, instructions=8,
@@ -184,23 +150,3 @@ class TestProtocolAdopters:
         assert registry.counter("sim.cycles").count == 10
         assert registry.ratio("sim.dcache").hit_ratio == 0.75
 
-    def test_cache_metrics_protocol(self):
-        cache = Cache(CacheConfig(size=256, block_size=16, name="d"))
-        cache.access(0)
-        cache.access(0)
-        cache.access(4096, is_write=True)
-        payload = cache.as_dict()
-        assert payload["d.accesses"] == {"type": "ratio", "hits": 1,
-                                         "total": 3}
-        other = Cache(CacheConfig(size=256, block_size=16, name="d"))
-        other.access(0)
-        cache.merge_stats(other)
-        assert cache.accesses == 4
-
-    def test_tlb_and_storebuffer_protocol(self):
-        """The TLB half; the store-buffer model left ``repro.cache`` (the
-        pipeline's own store buffer is timed in tests/pipeline)."""
-        tlb = TLB(entries=4)
-        tlb.access(0)
-        tlb.access(0)
-        assert tlb.as_dict()["tlb.accesses"]["total"] == 2

@@ -1,9 +1,7 @@
-"""SpanTracker: hierarchy, context nesting, export/adopt, bus mirroring."""
+"""SpanTracker: hierarchy, context nesting, export/adopt."""
 
 import pytest
 
-from repro.obs.events import EventBus
-from repro.obs.sinks import CollectingSink
 from repro.obs.spans import OPEN, SpanTracker, orphan_spans, span_roots
 
 
@@ -123,17 +121,3 @@ class TestExportAdopt:
         assert orphan_spans(records) == [2]
         assert [r["span_id"] for r in span_roots(records)] == [1]
 
-
-class TestBusMirroring:
-    def test_start_and_end_emit_live_events(self):
-        sink = CollectingSink()
-        tracker = SpanTracker(obs=EventBus([sink]), clock=FakeClock())
-        with tracker.span("traced", cat="job"):
-            pass
-        kinds = [e.kind for e in sink.events]
-        assert kinds == ["span.start", "span.end"]
-        started, ended = sink.events
-        assert started.name == ended.name == "traced"
-        assert started.span_id == ended.span_id
-        assert ended.status == "ok"
-        assert ended.t1 > started.t0

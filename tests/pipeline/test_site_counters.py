@@ -35,7 +35,7 @@ def tallied(name):
     """The engine's result and per-site rows ({pc: [accesses, misses,
     replays]}, load latency -> loads)."""
     prog = program(name)
-    tally = SiteTally(prog, CONFIG)
+    tally = SiteTally(prog)
     (result,), _ = time_live(prog, (CONFIG,), BUDGET,
                              outcomes={CONFIG: tally})
     rows = {prog.text_base + 4 * index: [int(tally.accesses[index]),
@@ -55,7 +55,7 @@ def oracle(name):
 def test_site_rows_equal_oracle_tap(name):
     result, rows, latency = tallied(name)
     stepped, tap = oracle(name)
-    assert result.as_dict() == stepped.as_dict()
+    assert result == stepped
     assert rows == tap.per_pc
     assert latency == tap.load_latency
 
@@ -83,4 +83,4 @@ def test_latency_counts_cover_every_load(name):
 def test_tap_never_perturbs_timing(name):
     result, _, _ = tallied(name)
     (plain,), _ = time_live(program(name), (CONFIG,), BUDGET)
-    assert result.as_dict() == plain.as_dict()
+    assert result == plain
