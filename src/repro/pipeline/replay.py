@@ -18,6 +18,16 @@ Timing a run on the Table 5 machine splits into two halves:
   in locals. No :class:`TraceRecord` is built; the only calls are to
   claim a new cycle's cache ports and to scan a non-empty store buffer.
 
+A recurrence takes a chunk window by window: a window starts at a
+record and grows by whole straight-line runs until it holds
+:data:`WINDOW` records. Its key is the window's static-index, flags
+and fail-bit columns plus every piece of state its records can read,
+counted from the issue cycle ``cur`` and clamped where an earlier
+value acts like ``cur``. The first time a key is met the window is
+stepped and its state changes are kept; later they are replayed. Each
+flavour's memo holds at most :data:`MEMO_LIMIT` windows, and a window
+that would cross the end of its chunk is stepped.
+
 Records flow in chunks of :data:`CHUNK`: the front fills one chunk,
 every flavour's recurrence (a generator that keeps its state between
 chunks) consumes it, and the chunk is reused, so memory stays bounded
@@ -43,6 +53,7 @@ distinct (caches, BTB) group; :func:`time_live` times a live run.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import deque
 
@@ -65,6 +76,16 @@ CHUNK = 1 << 16
 #: Each time the port table (cycle -> [loads, stores]) reaches a
 #: multiple of this many cycles, it forgets those no reader can reach.
 PORT_LIMIT = 128
+
+#: A memo window grows by whole straight-line runs until it holds at
+#: least this many records.
+WINDOW = 32
+
+#: Entries one flavour's memo may hold; 0 steps every record.
+MEMO_LIMIT = 1 << 11
+
+# no memo while the port cycles a window could read span more than this
+_MAX_SPAN = 8
 
 # flags byte of one record
 IMISS = 1        # I-cache miss on entering a new fetch block
@@ -89,6 +110,9 @@ _TRACKED_FUS = (2, 4)   # units with a busy-until (non-pipelined divides)
 
 # what the front does with a record, per static instruction
 _PLAIN, _LOAD, _STORE, _JUMP, _BRANCH = range(5)
+
+# the classes that end a straight-line run
+_ENDS_RUN = frozenset((OpClass.BRANCH, OpClass.JUMP, OpClass.SYSTEM))
 
 
 def front_key(config: MachineConfig) -> tuple:
@@ -210,6 +234,10 @@ class Front:
     cycle and the result-ready cycle (``array('q')``; a store's ready
     cycle is issue + 1, as its dependents see it). The columns are
     reused for the next chunk, so the callable must not keep them.
+
+    After the run, :attr:`memo_stats` maps each flavour to its
+    recurrence's memo statistics: the windows looked up, the hits and
+    the entries held (kept out of :class:`SimResult`).
     """
 
     def __init__(self, program: Program, path, machines, outcomes=None):
@@ -228,6 +256,7 @@ class Front:
         self._running: tuple | None = None
         self._shared: dict | None = None
         self._own: dict = {}
+        self.memo_stats: dict = {}
         self._btb_accuracy = 0.0
 
     def result(self, config: MachineConfig,
@@ -260,12 +289,13 @@ class Front:
                 cache_size=size, block_size=block,
                 full_tag_add=full)).fails
             for size, block, full in self.geometries)
+        paths = _Paths(self.program)
         flavours = []
         for machine in self.machines:
             fbit = 0 if machine.fac is None \
                 else 1 << self.geometries.index(_geometry(machine.fac))
             flavour = _recurrence(self.program, machine, fbit,
-                                  self.outcomes.get(machine))
+                                  self.outcomes.get(machine), paths)
             next(flavour)
             flavours.append(flavour)
         tap = _FrontTap(self.program, config, icache, dcache, btb,
@@ -282,7 +312,7 @@ class Front:
             try:
                 flavour.send(None)
             except StopIteration as done:
-                self._own[machine] = done.value
+                self._own[machine], self.memo_stats[machine] = done.value
         self._shared = {
             "instructions": count,
             "loads": dcache.read_accesses,
@@ -330,10 +360,16 @@ class _FanOut:
 
     def __init__(self, consumers):
         retires = tuple(consumer.retire for consumer in consumers)
+        if len(retires) == 2:       # a tee and one front: no loop
+            first, second = retires
 
-        def retire(pc, inst, rec):
-            for each in retires:
-                each(pc, inst, rec)
+            def retire(pc, inst, rec):
+                first(pc, inst, rec)
+                second(pc, inst, rec)
+        else:
+            def retire(pc, inst, rec):
+                for each in retires:
+                    each(pc, inst, rec)
 
         self.retire = retire
 
@@ -378,7 +414,51 @@ def time_live(program: Program, machines,
 # recurrence
 
 
-def _static_facts(program: Program, config: MachineConfig) -> list[tuple]:
+class _Paths:
+    """What the memo needs of a program's text, built once per front
+    and shared by its flavours: ``runs[i]`` counts the instructions
+    from static index ``i`` to the end of its straight-line run (a
+    BRANCH, JUMP or SYSTEM instruction ends one), ``deps[i]`` holds its
+    (source slots, dest slots), and :meth:`slots` caches, per window
+    path, the register slots the window reads and writes."""
+
+    __slots__ = ("runs", "deps", "_known")
+
+    def __init__(self, program: Program):
+        self.deps = [sources_and_dests(inst) for inst in program.instructions]
+        runs = [0] * len(self.deps)
+        run = 0
+        for index in range(len(runs) - 1, -1, -1):
+            run = 1 if OP_INFO[program.instructions[index].op].klass \
+                in _ENDS_RUN else run + 1
+            runs[index] = run
+        self.runs = runs
+        self._known: dict[bytes, tuple] = {}
+
+    def slots(self, path: bytes) -> tuple[bytes, tuple, tuple]:
+        """``(path, live-in slots, written slots)`` of the window whose
+        static-index column is ``path``: the slots read before the
+        window writes them, and every slot it writes. The path returned
+        is the first one seen, so every flavour's memo keys share it."""
+        known = self._known.get(path)
+        if known is None:
+            deps = self.deps
+            live: list[int] = []
+            written: set[int] = set()
+            for index in array("I", path):
+                sources, dests = deps[index]
+                for slot in sources:
+                    if slot not in written and slot not in live:
+                        live.append(slot)
+                written.update(dests)
+            known = (path, tuple(live), tuple(sorted(written)))
+            if len(self._known) < MEMO_LIMIT:
+                self._known[path] = known
+        return known
+
+
+def _static_facts(program: Program, config: MachineConfig,
+                  deps: list) -> list[tuple]:
     """Per static instruction: (memory?, unit, unit limit, latency,
     non-pipelined?, unit has a busy-until?, source slots, dest slots,
     store?, speculation code). The code is 0 (never speculated), 1
@@ -391,7 +471,7 @@ def _static_facts(program: Program, config: MachineConfig) -> list[tuple]:
     fac = FastAddressCalculator(config.fac) \
         if config.fac is not None else None
     facts = []
-    for inst in program.instructions:
+    for inst, (sources, dests) in zip(program.instructions, deps):
         info = OP_INFO[inst.op]
         klass = info.klass
         fu = _FU[klass]
@@ -403,7 +483,6 @@ def _static_facts(program: Program, config: MachineConfig) -> list[tuple]:
         else:
             spec = 1 if fac.should_speculate(info.mem_mode == "x",
                                              info.is_store) else 0
-        sources, dests = sources_and_dests(inst)
         facts.append((memory, fu, limits[fu], config.result_latency(klass),
                        klass in non_pipelined, fu in _TRACKED_FUS,
                        sources, dests, int(info.is_store), spec))
@@ -443,14 +522,46 @@ def _drain(sb: deque, ports: dict, cursor: int, upto: int) -> int:
     return cycle
 
 
+def _busy_ports(ports: dict, floor: int, cur: int, origin: int) -> tuple:
+    """The non-zero port entries from ``floor`` to ``cur + 1``, as
+    (cycle - ``origin``, loads, stores)."""
+    busy = []
+    for cycle in range(floor, cur + 2):
+        usage = ports.get(cycle)
+        if usage is not None and (usage[0] or usage[1]):
+            busy.append((cycle - origin, usage[0], usage[1]))
+    return tuple(busy)
+
+
+def _lanes(count: int) -> int:
+    """An int with a 1 in each of ``count`` 64-bit lanes: ``c`` times it,
+    added to a packed column of non-negative ``array('q')`` values,
+    adds ``c`` to each value at once."""
+    return ((1 << 64 * count) - 1) // ((1 << 64) - 1)
+
+
 def _recurrence(program: Program, config: MachineConfig, fbit: int,
-                watch=None):
+                watch, paths: _Paths):
     """One flavour's issue recurrence, as a generator: send it column
-    chunks, then None; it returns the flavour's own counters. With a
-    ``watch`` callable, each chunk's memory-access outcomes and issue
-    and ready cycles are collected and handed to it (see
-    :class:`Front`)."""
-    facts = _static_facts(program, config)
+    chunks, then None; it returns the flavour's own counters and its
+    memo statistics. With a ``watch`` callable (or None), each chunk's
+    memory-access outcomes and issue and ready cycles are collected and
+    handed to it (see :class:`Front`).
+
+    Records are taken window by window: a window starts at a record and
+    takes whole straight-line runs (``paths``, shared by the front's
+    flavours) until it holds
+    :data:`WINDOW` records. The first time a window's records, flags,
+    fail bits and starting state relative to the issue cycle ``cur``
+    are seen, it is stepped and its state changes are kept; after that
+    they are replayed. A window that would cross the end of its chunk
+    is stepped."""
+    facts = _static_facts(program, config, paths.deps)
+    runs, slots_of = paths.runs, paths.slots
+    memo_limit = MEMO_LIMIT
+    memo: dict[tuple, tuple] = {}
+    windows = hits = 0
+    to_bit = bytes(1 if byte & fbit else 0 for byte in range(256))
     outcomes, issues, readies = bytearray(), array("q"), array("q")
     add_outcome = add_issue = add_ready = None
     if watch is not None:
@@ -480,134 +591,274 @@ def _recurrence(program: Program, config: MachineConfig, fbit: int,
 
     chunk = yield
     while chunk is not None:
-        for index, flags, failed in zip(*chunk):
-            (memory, fu, limit, latency, non_pipelined, tracked, sources,
-             dests, is_store, spec) = facts[index]
-            if flags & IMISS:
-                fetch_ready = (fetch_ready if fetch_ready > cur else cur) \
-                    + imiss_latency
-            cycle = fetch_ready if fetch_ready > cur else cur
-            for slot in sources:
-                ready = reg_ready[slot]
-                if ready > cycle:
-                    cycle = ready
-
-            # ---- structural hazards ----
-            if not memory:
-                if cycle == cur and (issued >= width or fu_used[fu] >= limit):
-                    cycle += 1
-                if tracked and unit_free[fu] > cycle:
-                    cycle = unit_free[fu]
+        indices, flag_col, fail_col = chunk
+        n = len(flag_col)
+        if memo_limit:
+            path_col = indices.tobytes()
+            flags_key = bytes(flag_col)
+            if not fbit:
+                fails_key = b""
+            elif isinstance(fail_col, bytearray):
+                fails_key = bytes(fail_col).translate(to_bit)
             else:
-                while True:
+                fails_key = bytes(1 if failed & fbit else 0
+                                  for failed in fail_col)
+        pos = 0
+        while pos < n:
+            key = None
+            end = n
+            if memo_limit:
+                end = pos
+                while end - pos < WINDOW and end < n:
+                    end += runs[indices[end]]
+                # with the buffer empty, a drain cursor behind ``cur``
+                # scans nothing before ``cur``: it acts as ``cur``
+                cursor = sb_cursor if sb or sb_cursor > cur else cur
+                floor = cursor if cursor < cur else cur
+                if end - pos < WINDOW or end > n:
+                    end = n
+                elif cur + 2 - floor <= _MAX_SPAN:
+                    path, live, written = slots_of(
+                        path_col[4 * pos:4 * end])
+                    relevant = mis_cycle >= cur - 1
+                    key = (path, flags_key[pos:end], fails_key[pos:end],
+                           fetch_ready - cur if fetch_ready > cur else 0,
+                           unit_free[2] - cur if unit_free[2] > cur else 0,
+                           unit_free[4] - cur if unit_free[4] > cur else 0,
+                           *fu_used,        # (issued is their sum)
+                           mis_cycle - cur if relevant else -2,
+                           relevant and mis_load, cursor - cur, len(sb),
+                           *[(entry if entry > floor else floor) - cur
+                             for entry in sb],
+                           *[ready - cur if ready > cur else 0
+                             for ready in map(reg_ready.__getitem__, live)],
+                           *_busy_ports(ports, floor, cur, cur))
+                    windows += 1
+                    done = memo.get(key)
+                    if done is not None:
+                        hits += 1
+                        (advance, issued, fu_done, fetch, free2, free4,
+                         mis, mis_load, buffered, cursor, busy, values,
+                         counts, top, columns) = done
+                        origin = cur
+                        for slot, ready in zip(written, values):
+                            reg_ready[slot] = origin + ready
+                        cur = origin + advance
+                        fu_used = list(fu_done)
+                        fetch_ready = origin + fetch
+                        unit_free[2] = origin + free2
+                        unit_free[4] = origin + free4
+                        mis_cycle = -2 if mis is None else origin + mis
+                        sb = deque([origin + entry for entry in buffered])
+                        sb_cursor = origin + cursor
+                        ports = {origin + cycle: [loads, stores]
+                                 for cycle, loads, stores in busy}
+                        (s1, s2, s3, s4, s5, s6, s7) = counts
+                        speculated += s1
+                        mispredicted += s2
+                        unspeculated += s3
+                        load_mispredicted += s4
+                        store_mispredicted += s5
+                        stalls += s6
+                        latency_sum += s7
+                        if origin + top > final:
+                            final = origin + top
+                        if columns is not None:
+                            outs, issue_col, ready_col, lanes, size = columns
+                            outcomes += outs
+                            shift = origin * lanes
+                            issues.frombytes((issue_col + shift).to_bytes(
+                                size, sys.byteorder))
+                            readies.frombytes((ready_col + shift).to_bytes(
+                                size, sys.byteorder))
+                        pos = end
+                        continue
+                    origin, top, final = cur, final, 0
+                    before = (speculated, mispredicted, unspeculated,
+                              load_mispredicted, store_mispredicted,
+                              stalls, latency_sum)
+                    marks = (len(outcomes), len(issues))
+
+            for index, flags, failed in zip(indices[pos:end],
+                                            flag_col[pos:end],
+                                            fail_col[pos:end]):
+                (memory, fu, limit, latency, non_pipelined, tracked,
+                 sources, dests, is_store, spec) = facts[index]
+                if flags & IMISS:
+                    fetch_ready = (fetch_ready if fetch_ready > cur
+                                   else cur) + imiss_latency
+                cycle = fetch_ready if fetch_ready > cur else cur
+                for slot in sources:
+                    ready = reg_ready[slot]
+                    if ready > cycle:
+                        cycle = ready
+
+                # ---- structural hazards ----
+                if not memory:
                     if cycle == cur and (issued >= width
                                          or fu_used[fu] >= limit):
                         cycle += 1
-                        continue
-                    # (speculate?, access cycle); a FAC access without an
-                    # EX-stage port falls back to the MEM-stage access
-                    speculate = not one_cycle and (
-                        spec == 2 or spec == 1 and (
-                            mis_cycle != cycle - 1
-                            or mis_load and not is_store))
-                    access = cycle if speculate or one_cycle else cycle + 1
+                    if tracked and unit_free[fu] > cycle:
+                        cycle = unit_free[fu]
+                else:
                     while True:
-                        usage = ports.get(access) \
-                            or _new_ports(ports, access, cur, sb_cursor)
-                        if is_store:
-                            free = not usage[0] and usage[1] < write_ports
-                        else:
-                            free = not usage[1] and usage[0] < read_ports
-                        if free or not speculate:
-                            break
-                        speculate = False
-                        access = cycle + 1
-                    if not free:
-                        cycle += 1
-                        continue
-                    if is_store and len(sb) >= sb_entries:
-                        sb_cursor = _drain(sb, ports, sb_cursor, cycle)
-                        if len(sb) >= sb_entries:
-                            # forced retirement stalls issue one cycle
-                            stalls += 1
-                            sb.popleft()
+                        if cycle == cur and (issued >= width
+                                             or fu_used[fu] >= limit):
                             cycle += 1
                             continue
-                    break
+                        # (speculate?, access cycle); a FAC access
+                        # without an EX-stage port falls back to the
+                        # MEM-stage access
+                        speculate = not one_cycle and (
+                            spec == 2 or spec == 1 and (
+                                mis_cycle != cycle - 1
+                                or mis_load and not is_store))
+                        access = cycle if speculate or one_cycle \
+                            else cycle + 1
+                        while True:
+                            usage = ports.get(access) \
+                                or _new_ports(ports, access, cur,
+                                              sb_cursor)
+                            if is_store:
+                                free = not usage[0] \
+                                    and usage[1] < write_ports
+                            else:
+                                free = not usage[1] \
+                                    and usage[0] < read_ports
+                            if free or not speculate:
+                                break
+                            speculate = False
+                            access = cycle + 1
+                        if not free:
+                            cycle += 1
+                            continue
+                        if is_store and len(sb) >= sb_entries:
+                            sb_cursor = _drain(sb, ports, sb_cursor, cycle)
+                            if len(sb) >= sb_entries:
+                                # forced retirement stalls issue one cycle
+                                stalls += 1
+                                sb.popleft()
+                                cycle += 1
+                                continue
+                        break
 
-            # ---- issue ----
-            if cycle > cur:
-                cur = cycle
-                issued = 1
-                fu_used = [0, 0, 0, 0, 0]
-                fu_used[fu] = 1
-            else:
-                issued += 1
-                fu_used[fu] += 1
-            if non_pipelined:
-                unit_free[fu] = cycle + latency
-
-            # ---- execute ----
-            if not memory:
-                ready = cycle + latency
-                if flags & (REDIRECT | MISPREDICT):
-                    resume = cycle + 1 + penalty if flags & MISPREDICT \
-                        else cycle + 1
-                    if resume > fetch_ready:
-                        fetch_ready = resume
-            else:
-                miss = dmiss_latency if flags & DMISS else 0
-                if not speculate:
-                    (ports.get(access)
-                     or _new_ports(ports, access, cur, sb_cursor)
-                     )[is_store] += 1
-                    if count_unspeculated:
-                        unspeculated += 1
-                    ready = access + 1 + miss
+                # ---- issue ----
+                if cycle > cur:
+                    cur = cycle
+                    issued = 1
+                    fu_used = [0, 0, 0, 0, 0]
+                    fu_used[fu] = 1
                 else:
-                    (ports.get(cycle)
-                     or _new_ports(ports, cycle, cur, sb_cursor)
-                     )[is_store] += 1
-                    if spec == 2:
-                        ready = cycle + 1 + miss
-                    elif not failed & fbit:
-                        speculated += 1
-                        ready = cycle + 1 + miss
-                    else:
-                        # replay with the non-speculative address in MEM
-                        speculated += 1
-                        mispredicted += 1
-                        if is_store:
-                            store_mispredicted += 1
-                        else:
-                            load_mispredicted += 1
-                        mis_cycle = cycle
-                        mis_load = not is_store
-                        (ports.get(cycle + 1)
-                         or _new_ports(ports, cycle + 1, cur, sb_cursor)
+                    issued += 1
+                    fu_used[fu] += 1
+                if non_pipelined:
+                    unit_free[fu] = cycle + latency
+
+                # ---- execute ----
+                if not memory:
+                    ready = cycle + latency
+                    if flags & (REDIRECT | MISPREDICT):
+                        resume = cycle + 1 + penalty \
+                            if flags & MISPREDICT else cycle + 1
+                        if resume > fetch_ready:
+                            fetch_ready = resume
+                else:
+                    miss = dmiss_latency if flags & DMISS else 0
+                    if not speculate:
+                        (ports.get(access)
+                         or _new_ports(ports, access, cur, sb_cursor)
                          )[is_store] += 1
-                        ready = cycle + 2 + miss
-                if add_outcome is not None:
-                    add_outcome(IN_EX if ready == cycle + 1 + miss
-                                else REPLAYED if speculate else IN_MEM)
-                if is_store:
-                    sb.append(ready)
-                    ready = cycle + 1
-                else:
-                    latency_sum += ready - cycle
-            for slot in dests:
-                reg_ready[slot] = ready
-            if add_issue is not None:
-                add_issue(cycle)
-                add_ready(ready)
-            if ready > final:
-                final = ready
-            if cycle >= final:
-                final = cycle + 1
-            if sb:
-                sb_cursor = _drain(sb, ports, sb_cursor, cycle)
-            elif cycle > sb_cursor:
-                sb_cursor = cycle
+                        if count_unspeculated:
+                            unspeculated += 1
+                        ready = access + 1 + miss
+                    else:
+                        (ports.get(cycle)
+                         or _new_ports(ports, cycle, cur, sb_cursor)
+                         )[is_store] += 1
+                        if spec == 2:
+                            ready = cycle + 1 + miss
+                        elif not failed & fbit:
+                            speculated += 1
+                            ready = cycle + 1 + miss
+                        else:
+                            # replay with the non-speculative address
+                            # in MEM
+                            speculated += 1
+                            mispredicted += 1
+                            if is_store:
+                                store_mispredicted += 1
+                            else:
+                                load_mispredicted += 1
+                            mis_cycle = cycle
+                            mis_load = not is_store
+                            (ports.get(cycle + 1)
+                             or _new_ports(ports, cycle + 1, cur,
+                                           sb_cursor)
+                             )[is_store] += 1
+                            ready = cycle + 2 + miss
+                    if add_outcome is not None:
+                        add_outcome(IN_EX if ready == cycle + 1 + miss
+                                    else REPLAYED if speculate else IN_MEM)
+                    if is_store:
+                        sb.append(ready)
+                        ready = cycle + 1
+                    else:
+                        latency_sum += ready - cycle
+                for slot in dests:
+                    reg_ready[slot] = ready
+                if add_issue is not None:
+                    add_issue(cycle)
+                    add_ready(ready)
+                if ready > final:
+                    final = ready
+                if cycle >= final:
+                    final = cycle + 1
+                if sb:
+                    sb_cursor = _drain(sb, ports, sb_cursor, cycle)
+                elif cycle > sb_cursor:
+                    sb_cursor = cycle
+
+            if key is not None:
+                top, final = final - origin, max(top, final)
+                if len(memo) < memo_limit:
+                    columns = None
+                    if add_issue is not None:
+                        # the issue and ready columns, packed into ints
+                        # less ``origin`` in each 64-bit lane
+                        lanes = _lanes(end - pos)
+                        shift = origin * lanes
+                        columns = (
+                            bytes(outcomes[marks[0]:]),
+                            int.from_bytes(issues[marks[1]:].tobytes(),
+                                           sys.byteorder) - shift,
+                            int.from_bytes(readies[marks[1]:].tobytes(),
+                                           sys.byteorder) - shift,
+                            lanes, 8 * (end - pos))
+                    cursor = sb_cursor if sb or sb_cursor > cur else cur
+                    floor = cursor if cursor < cur else cur
+                    relevant = mis_cycle >= cur - 1
+                    memo[key] = (
+                        cur - origin, issued, tuple(fu_used),
+                        (fetch_ready if fetch_ready > cur else cur) - origin,
+                        (unit_free[2] if unit_free[2] > cur else cur)
+                        - origin,
+                        (unit_free[4] if unit_free[4] > cur else cur)
+                        - origin,
+                        mis_cycle - origin if relevant else None,
+                        relevant and mis_load,
+                        tuple([(entry if entry > floor else floor) - origin
+                               for entry in sb]),
+                        cursor - origin,
+                        _busy_ports(ports, floor, cur, origin),
+                        tuple([reg_ready[slot] - origin
+                               for slot in written]),
+                        (speculated - before[0], mispredicted - before[1],
+                         unspeculated - before[2],
+                         load_mispredicted - before[3],
+                         store_mispredicted - before[4],
+                         stalls - before[5], latency_sum - before[6]),
+                        top, columns)
+            pos = end
         if watch is not None:
             watch(chunk[0], chunk[1], outcomes, issues, readies)
             del outcomes[:], issues[:], readies[:]
@@ -627,4 +878,4 @@ def _recurrence(program: Program, config: MachineConfig, fbit: int,
         "fac_store_mispredicted": store_mispredicted,
         "store_buffer_full_stalls": stalls,
         "load_latency_sum": latency_sum,
-    }
+    }, {"windows": windows, "hits": hits, "entries": len(memo)}

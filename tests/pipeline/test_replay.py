@@ -8,13 +8,20 @@ spec interpreter, on every flavour of
 ``repro.experiments.common.MACHINES``; so must a watched run's
 per-instruction columns, as the flight recorder decodes them, equal
 the oracle's per-instruction tap (:class:`tests.oracles.FlightTap`).
+The recurrence's window memo is held to the same recurrence with the
+memo off (``MEMO_LIMIT`` 0).
 """
 
 import json
+import random
 import sys
+from array import array
+from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import CacheConfig
 from repro.cpu import CPU
@@ -23,11 +30,20 @@ from repro.experiments.common import MACHINES
 from repro.fac import FacConfig
 from repro.farm.snapshots import sim_to_snapshot
 from repro.isa.assembler import assemble
+from repro.isa.opcodes import OP_INFO, OpClass
 from repro.linker import LinkOptions, link
 from repro.obs.flight import FlightRecorder
 from repro.pipeline import MachineConfig
 from repro.pipeline import pipeline, replay
-from repro.pipeline.replay import Front, time_flavours, time_live
+from repro.pipeline.replay import (
+    DMISS,
+    IMISS,
+    MISPREDICT,
+    REDIRECT,
+    Front,
+    time_flavours,
+    time_live,
+)
 from repro.workloads import build_benchmark
 from tests.oracles import (
     MODES_ASM,
@@ -253,3 +269,173 @@ class TestFront:
         with pytest.raises(ValueError):
             Front(burst, path, [MACHINES["base"],
                                 MachineConfig(btb_entries=64)])
+
+
+def timed(program, machines, budget):
+    """Time ``program`` live on ``machines`` (one front), unwatched and
+    watched: both runs' snapshots, every watched chunk's outcome, issue
+    and ready columns, and the unwatched run's memo statistics."""
+    front = Front(program, None, machines)
+    front.close(CPU(program).run_trace(front.open(), budget))
+    columns = {machine: [] for machine in machines}
+
+    def watcher(kept):
+        def watch(indices, flags, outcomes, issues, readies):
+            kept.append((bytes(outcomes), issues.tobytes(),
+                         readies.tobytes()))
+        return watch
+
+    watched = Front(program, None, machines,
+                    {m: watcher(columns[m]) for m in machines})
+    watched.close(CPU(program).run_trace(watched.open(), budget))
+    return ([canon(front.result(m)) for m in machines],
+            [canon(watched.result(m)) for m in machines],
+            columns, front.memo_stats)
+
+
+def assert_memo_unobservable(program, machines, monkeypatch,
+                             budget=50_000_000):
+    """The memo changes no result and no watched column; returns its
+    statistics."""
+    *memo, stats = timed(program, machines, budget)
+    monkeypatch.setattr(replay, "MEMO_LIMIT", 0)
+    *plain, no_memo = timed(program, machines, budget)
+    assert memo == plain
+    assert all(s == {"windows": 0, "hits": 0, "entries": 0}
+               for s in no_memo.values())
+    return stats
+
+
+def recurrence_run(program, config, chunks, watched, paths):
+    """Feed ``chunks`` straight to one flavour's recurrence; returns
+    its counters and, when ``watched``, every chunk's columns."""
+    kept = []
+
+    def watch(indices, flags, outcomes, issues, readies):
+        kept.append((bytes(outcomes), issues.tobytes(), readies.tobytes()))
+
+    flavour = replay._recurrence(program, config,
+                                 0 if config.fac is None else 1,
+                                 watch if watched else None, paths)
+    next(flavour)
+    for chunk in chunks:
+        flavour.send(chunk)
+    try:
+        flavour.send(None)
+    except StopIteration as done:
+        counters, _ = done.value
+    return counters, kept
+
+
+@lru_cache(maxsize=None)
+def fixture_program(name):
+    return asm_program(MODES_ASM) if name == "modes" else link(
+        [assemble(FIXTURE.read_text(), FIXTURE.name)], LinkOptions())
+
+
+class TestMemo:
+    """A window's state changes are replayed only when every state the
+    window can read is in its key, so the memo is unobservable: every
+    result and watched column equals that of the recurrence stepping
+    every record (``MEMO_LIMIT`` 0)."""
+
+    def test_store_burst_on_every_flavour(self, burst, monkeypatch):
+        stats = assert_memo_unobservable(burst, list(MACHINES.values()),
+                                         monkeypatch)
+        assert all(s["hits"] > 0 for s in stats.values())
+
+    def test_xlisp_fac_flavours_with_a_small_port_table(self,
+                                                        monkeypatch):
+        """xlisp is where port and store-buffer state below the issue
+        cycle once changed results; a limit of 8 prunes the port table
+        as often as it can."""
+        monkeypatch.setattr(replay, "PORT_LIMIT", 8)
+        machines = [MACHINES[label]
+                    for label in ("fac16", "fac32", "fac32norr")]
+        stats = assert_memo_unobservable(build_benchmark("xlisp"),
+                                         machines, monkeypatch)
+        assert all(s["hits"] > s["windows"] // 2 for s in stats.values())
+
+    @pytest.mark.parametrize("chunk", [7, 1000])
+    def test_windows_cut_at_chunk_ends(self, chunk, monkeypatch):
+        """A window that would cross the end of its chunk is stepped;
+        a chunk shorter than a window leaves the memo unused."""
+        monkeypatch.setattr(replay, "CHUNK", chunk)
+        machines = [MACHINES[label] for label in ("base", "fac32")]
+        stats = assert_memo_unobservable(build_benchmark("compress"),
+                                         machines, monkeypatch,
+                                         budget=20_500)
+        windows = sum(s["windows"] for s in stats.values())
+        assert windows == 0 if chunk < replay.WINDOW else windows > 0
+
+    def test_nine_geometries_give_a_list_fail_column(self, monkeypatch):
+        machines = [MachineConfig(fac=FacConfig(cache_size=size,
+                                                block_size=block))
+                    for size in (4096, 8192, 16384)
+                    for block in (16, 32, 64)]
+        stats = assert_memo_unobservable(build_benchmark("compress"),
+                                         machines, monkeypatch,
+                                         budget=20_000)
+        assert all(s["hits"] > 0 for s in stats.values())
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_memo_forgets_no_state(self, data):
+        """Random records, flags, fail bits, window cuts and machine
+        limits, fed straight to one flavour's recurrence. The records
+        are drawn from a few static instructions of a fixture in any
+        order, and windows are cut after any record: windows of real
+        code start after a branch, in states too alike for a forgotten
+        part of the key to change a result."""
+        program = fixture_program(data.draw(st.sampled_from(
+            ["store_burst", "modes"])))
+        size = len(program.instructions)
+        fac = data.draw(st.sampled_from(
+            [FacConfig(block_size=16), FacConfig(speculate_reg_reg=False),
+             None]))
+        config = MachineConfig(
+            fac=fac,
+            issue_width=data.draw(st.integers(1, 4)),
+            dcache_read_ports=data.draw(st.integers(1, 2)),
+            dcache_write_ports=data.draw(st.integers(1, 2)),
+            store_buffer_entries=data.draw(st.sampled_from([1, 2, 4, 16])),
+            one_cycle_loads=fac is None and data.draw(st.booleans()),
+            perfect_dcache=data.draw(st.booleans()))
+        # mostly loads and stores, whose replays and ports carry state
+        # across a window cut, and a divide, which keeps a unit busy
+        infos = [OP_INFO[inst.op] for inst in program.instructions]
+        memory = [index for index, info in enumerate(infos)
+                  if info.is_load or info.is_store]
+        divides = [index for index, info in enumerate(infos)
+                   if info.klass in (OpClass.IDIV, OpClass.FPDIV)]
+        pool = [*data.draw(st.lists(st.sampled_from(memory), min_size=2,
+                                    max_size=5)),
+                *data.draw(st.lists(st.integers(0, size - 1), max_size=3))]
+        divide = data.draw(st.sampled_from(divides))
+        rate = data.draw(st.sampled_from([0.05, 0.15, 0.3]))
+        fail_rate = data.draw(st.sampled_from([0.1, 0.3, 0.6]))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        indices = array("I", [divide if rng.random() < 0.02
+                              else rng.choice(pool) for _ in range(3000)])
+        flag_col = bytearray(sum(bit for bit in (IMISS, DMISS, REDIRECT,
+                                                 MISPREDICT)
+                                 if rng.random() < rate)
+                             for _ in indices)
+        fail_col = bytearray(int(rng.random() < fail_rate)
+                             for _ in indices)
+        step = data.draw(st.sampled_from([50, 700, 3000]))
+        chunks = [(indices[pos:pos + step], flag_col[pos:pos + step],
+                   fail_col[pos:pos + step])
+                  for pos in range(0, len(indices), step)]
+        paths = replay._Paths(program)
+        paths.runs = data.draw(st.lists(st.integers(1, 2), min_size=size,
+                                        max_size=size))
+        window = data.draw(st.integers(1, 2))
+        for watched in (False, True):
+            with mock.patch.object(replay, "WINDOW", window):
+                memo = recurrence_run(program, config, chunks, watched,
+                                      paths)
+                with mock.patch.object(replay, "MEMO_LIMIT", 0):
+                    plain = recurrence_run(program, config, chunks,
+                                           watched, paths)
+            assert memo == plain

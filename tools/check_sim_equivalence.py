@@ -15,9 +15,9 @@ bit:
    from ``analyze_trace`` on the recorded tracefile,
 3. ``SimResult`` snapshots from a step-and-feed pipeline loop, from
    ``simulate_program`` (the live-fed engine) and from the production
-   timing job's shape -- one grouped ``time_flavours`` call that
-   decodes the trace once for all eight Table 5 flavours of
-   ``repro.experiments.common.MACHINES``,
+   timing job's shape -- one shared ``Front`` that decodes the trace
+   once for all eight Table 5 flavours of
+   ``repro.experiments.common.MACHINES``, as ``time_flavours`` does,
 4. ``profile_program``'s per-site D-cache accesses, misses and FAC
    replays and its ``profile.load_latency`` histogram, against the
    step-fed pipeline's counter tap (``tests.oracles.SiteCounters``),
@@ -28,13 +28,18 @@ bit:
 
 Run with no arguments for one representative benchmark, name
 benchmarks explicitly (the CI ``sim-equivalence`` job checks
-``compress tomcatv``), or pass ``all`` for the full 19-program suite::
+``compress tomcatv xlisp``), or pass ``all`` for the full 19-program
+suite::
 
     python tools/check_sim_equivalence.py
-    python tools/check_sim_equivalence.py compress tomcatv
+    python tools/check_sim_equivalence.py compress tomcatv xlisp
     python tools/check_sim_equivalence.py --max-instructions 500000 all
 
-Exits non-zero on the first benchmark with any divergence.
+Each benchmark's line also reports the shared front's recurrence memos
+(``Front.memo_stats``): the windows looked up and hit over the eight
+flavours, the lowest flavour's hit rate and the largest memo.
+
+Exits non-zero if any benchmark diverges.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ from repro.obs.profile import profile_program
 from repro.obs.trace import trace_program
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.pipeline import PipelineSimulator, simulate_program
-from repro.pipeline.replay import time_flavours
+from repro.pipeline.replay import Front
 from repro.workloads.suite import BENCHMARKS, build_benchmark
 from tests.oracles import FlightTap, SiteCounters
 
@@ -137,7 +142,20 @@ def trace_rows(program, lines):
             before = None
 
 
-def check_benchmark(name: str, max_instructions: int, scratch: str) -> list[str]:
+def memo_report(stats: dict) -> str:
+    """One line summing a front's per-flavour memo statistics."""
+    windows = sum(s["windows"] for s in stats.values())
+    hits = sum(s["hits"] for s in stats.values())
+    lowest = min(s["hits"] / s["windows"] if s["windows"] else 0.0
+                 for s in stats.values())
+    peak = max(s["entries"] for s in stats.values())
+    rate = hits / windows if windows else 0.0
+    return (f"memo {hits}/{windows} windows hit ({rate:.3f}, lowest "
+            f"flavour {lowest:.3f}), at most {peak} entries")
+
+
+def check_benchmark(name: str, max_instructions: int, scratch: str
+                    ) -> tuple[list[str], str]:
     problems: list[str] = []
     program = build_benchmark(name, software_support=False)
 
@@ -194,8 +212,9 @@ def check_benchmark(name: str, max_instructions: int, scratch: str) -> list[str]
         for pipe in pipes:
             pipe.feed(rec)
         budget -= 1
-    grouped = time_flavours(program, path, list(MACHINES.values()),
-                            memory_usage=cpu.memory_usage)
+    front = Front(program, path, MACHINES.values())
+    grouped = [front.result(machine, cpu.memory_usage)
+               for machine in MACHINES.values()]
     for (label, machine), pipe, traced in zip(MACHINES.items(), pipes,
                                               grouped):
         stepped = canon(sim_to_snapshot(
@@ -230,7 +249,7 @@ def check_benchmark(name: str, max_instructions: int, scratch: str) -> list[str]
             problems.append("repro trace records differ from the step "
                             "per-instruction tap")
     os.unlink(jsonl)
-    return problems
+    return problems, memo_report(front.memo_stats)
 
 
 def main(argv=None) -> int:
@@ -250,13 +269,14 @@ def main(argv=None) -> int:
     failures = 0
     with tempfile.TemporaryDirectory(prefix="sim-equivalence-") as scratch:
         for name in names:
-            problems = check_benchmark(name, args.max_instructions, scratch)
+            problems, memo = check_benchmark(name, args.max_instructions,
+                                             scratch)
             if problems:
                 failures += 1
                 for problem in problems:
                     print(f"{name}: FAIL - {problem}")
             else:
-                print(f"{name}: ok")
+                print(f"{name}: ok; {memo}")
     if failures:
         print(f"{failures}/{len(names)} benchmarks diverged", file=sys.stderr)
         return 1
