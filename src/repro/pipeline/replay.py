@@ -21,12 +21,13 @@ Timing a run on the Table 5 machine splits into two halves:
 A recurrence takes a chunk window by window: a window starts at a
 record and grows by whole straight-line runs until it holds
 :data:`WINDOW` records. Its key is the window's static-index, flags
-and fail-bit columns plus every piece of state its records can read,
-counted from the issue cycle ``cur`` and clamped where an earlier
-value acts like ``cur``. The first time a key is met the window is
-stepped and its state changes are kept; later they are replayed. Each
-flavour's memo holds at most :data:`MEMO_LIMIT` windows, and a window
-that would cross the end of its chunk is stepped.
+and fail-bit columns plus the state its records can read, counted
+from the issue cycle ``cur`` and clamped where an earlier value acts
+like ``cur``; state that the rest of the key implies is left out. The
+first time a key is met the window is stepped and its state changes
+are kept; later they are replayed. Each flavour's memo holds at most
+:data:`MEMO_LIMIT` windows, and a window that would cross the end of
+its chunk is stepped.
 
 Records flow in chunks of :data:`CHUNK`: the front fills one chunk,
 every flavour's recurrence (a generator that keeps its state between
@@ -83,9 +84,6 @@ WINDOW = 32
 
 #: Entries one flavour's memo may hold; 0 steps every record.
 MEMO_LIMIT = 1 << 11
-
-# no memo while the port cycles a window could read span more than this
-_MAX_SPAN = 8
 
 # flags byte of one record
 IMISS = 1        # I-cache miss on entering a new fetch block
@@ -353,24 +351,25 @@ def time_flavours(program: Program, path, machines,
             for machine in machines]
 
 
+def _pair(first, second):
+    def retire(pc, inst, rec):
+        first(pc, inst, rec)
+        second(pc, inst, rec)
+    return retire
+
+
 class _FanOut:
-    """One ``retire`` consumer that hands every record to several."""
+    """One ``retire`` consumer that hands every record to several, in
+    order: their ``retire`` calls are folded into nested two-call
+    closures, so no record pays for a loop."""
 
     __slots__ = ("retire",)
 
     def __init__(self, consumers):
-        retires = tuple(consumer.retire for consumer in consumers)
-        if len(retires) == 2:       # a tee and one front: no loop
-            first, second = retires
-
-            def retire(pc, inst, rec):
-                first(pc, inst, rec)
-                second(pc, inst, rec)
-        else:
-            def retire(pc, inst, rec):
-                for each in retires:
-                    each(pc, inst, rec)
-
+        retires = [consumer.retire for consumer in consumers]
+        retire = retires.pop()
+        while retires:
+            retire = _pair(retires.pop(), retire)
         self.retire = retire
 
 
@@ -401,9 +400,7 @@ def time_live(program: Program, machines,
         consumers.insert(0, tee)
     if cpu is None:
         cpu = CPU(program)
-    count = cpu.run_trace(
-        consumers[0] if len(consumers) == 1 else _FanOut(consumers),
-        max_instructions)
+    count = cpu.run_trace(_FanOut(consumers), max_instructions)
     for front in fronts.values():
         front.close(count)
     return [fronts[front_key(machine)].result(machine, cpu.memory_usage)
@@ -522,11 +519,12 @@ def _drain(sb: deque, ports: dict, cursor: int, upto: int) -> int:
     return cycle
 
 
-def _busy_ports(ports: dict, floor: int, cur: int, origin: int) -> tuple:
-    """The non-zero port entries from ``floor`` to ``cur + 1``, as
-    (cycle - ``origin``, loads, stores)."""
+def _busy_ports(ports: dict, cur: int, origin: int) -> tuple:
+    """The non-zero port entries at ``cur`` and ``cur + 1``, as
+    (cycle - ``origin``, loads, stores). A record issued by ``cur``
+    claims no later port, and none before ``cur`` is read again."""
     busy = []
-    for cycle in range(floor, cur + 2):
+    for cycle in (cur, cur + 1):
         usage = ports.get(cycle)
         if usage is not None and (usage[0] or usage[1]):
             busy.append((cycle - origin, usage[0], usage[1]))
@@ -611,35 +609,36 @@ def _recurrence(program: Program, config: MachineConfig, fbit: int,
                 end = pos
                 while end - pos < WINDOW and end < n:
                     end += runs[indices[end]]
-                # with the buffer empty, a drain cursor behind ``cur``
-                # scans nothing before ``cur``: it acts as ``cur``
-                cursor = sb_cursor if sb or sb_cursor > cur else cur
-                floor = cursor if cursor < cur else cur
                 if end - pos < WINDOW or end > n:
                     end = n
-                elif cur + 2 - floor <= _MAX_SPAN:
+                else:
                     path, live, written = slots_of(
                         path_col[4 * pos:4 * end])
-                    relevant = mis_cycle >= cur - 1
+                    # the path fixes how many live-in slots there are,
+                    # and the busy ports are tuples, so the buffer's
+                    # entries can end the key. ``mis_load`` is left out:
+                    # after a replayed store, the next cycle's port
+                    # holds the store, so a load there goes to MEM
+                    # anyway. The drain cursor is left out: it is at
+                    # ``cur``, or with the buffer empty acts as ``cur``.
                     key = (path, flags_key[pos:end], fails_key[pos:end],
                            fetch_ready - cur if fetch_ready > cur else 0,
                            unit_free[2] - cur if unit_free[2] > cur else 0,
                            unit_free[4] - cur if unit_free[4] > cur else 0,
                            *fu_used,        # (issued is their sum)
-                           mis_cycle - cur if relevant else -2,
-                           relevant and mis_load, cursor - cur, len(sb),
-                           *[(entry if entry > floor else floor) - cur
-                             for entry in sb],
+                           mis_cycle - cur if mis_cycle >= cur - 1 else -2,
                            *[ready - cur if ready > cur else 0
                              for ready in map(reg_ready.__getitem__, live)],
-                           *_busy_ports(ports, floor, cur, cur))
+                           *_busy_ports(ports, cur, cur),
+                           *[entry - cur if entry > cur else 0
+                             for entry in sb])
                     windows += 1
                     done = memo.get(key)
                     if done is not None:
                         hits += 1
                         (advance, issued, fu_done, fetch, free2, free4,
-                         mis, mis_load, buffered, cursor, busy, values,
-                         counts, top, columns) = done
+                         mis, mis_load, buffered, busy, values, counts,
+                         top, columns) = done
                         origin = cur
                         for slot, ready in zip(written, values):
                             reg_ready[slot] = origin + ready
@@ -649,8 +648,8 @@ def _recurrence(program: Program, config: MachineConfig, fbit: int,
                         unit_free[2] = origin + free2
                         unit_free[4] = origin + free4
                         mis_cycle = -2 if mis is None else origin + mis
-                        sb = deque([origin + entry for entry in buffered])
-                        sb_cursor = origin + cursor
+                        sb = deque([cur + entry for entry in buffered])
+                        sb_cursor = cur
                         ports = {origin + cycle: [loads, stores]
                                  for cycle, loads, stores in busy}
                         (s1, s2, s3, s4, s5, s6, s7) = counts
@@ -834,8 +833,6 @@ def _recurrence(program: Program, config: MachineConfig, fbit: int,
                             int.from_bytes(readies[marks[1]:].tobytes(),
                                            sys.byteorder) - shift,
                             lanes, 8 * (end - pos))
-                    cursor = sb_cursor if sb or sb_cursor > cur else cur
-                    floor = cursor if cursor < cur else cur
                     relevant = mis_cycle >= cur - 1
                     memo[key] = (
                         cur - origin, issued, tuple(fu_used),
@@ -846,10 +843,9 @@ def _recurrence(program: Program, config: MachineConfig, fbit: int,
                         - origin,
                         mis_cycle - origin if relevant else None,
                         relevant and mis_load,
-                        tuple([(entry if entry > floor else floor) - origin
+                        tuple([entry - cur if entry > cur else 0
                                for entry in sb]),
-                        cursor - origin,
-                        _busy_ports(ports, floor, cur, origin),
+                        _busy_ports(ports, cur, origin),
                         tuple([reg_ready[slot] - origin
                                for slot in written]),
                         (speculated - before[0], mispredicted - before[1],

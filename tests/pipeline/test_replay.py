@@ -38,8 +38,10 @@ from repro.pipeline import pipeline, replay
 from repro.pipeline.replay import (
     DMISS,
     IMISS,
+    IN_MEM,
     MISPREDICT,
     REDIRECT,
+    REPLAYED,
     Front,
     time_flavours,
     time_live,
@@ -308,7 +310,8 @@ def assert_memo_unobservable(program, machines, monkeypatch,
 
 def recurrence_run(program, config, chunks, watched, paths):
     """Feed ``chunks`` straight to one flavour's recurrence; returns
-    its counters and, when ``watched``, every chunk's columns."""
+    its counters and, when ``watched``, every chunk's columns, then its
+    memo statistics."""
     kept = []
 
     def watch(indices, flags, outcomes, issues, readies):
@@ -323,8 +326,26 @@ def recurrence_run(program, config, chunks, watched, paths):
     try:
         flavour.send(None)
     except StopIteration as done:
-        counters, _ = done.value
-    return counters, kept
+        counters, stats = done.value
+    return (counters, kept), stats
+
+
+# 0 and 1, or 2 and 3, issue in one cycle (one accessed in MEM, the
+# other replayed), then 4 and 5 (or their copies 7 and 8) in the next
+REPLAY_ASM = """
+.text
+.globl __start
+__start:
+    swx $t1, $t2($sp)       # store, never speculated
+    lw $t3, 0($sp)          # load, speculated
+    lwx $t3, $t2($sp)       # load, never speculated
+    sw $t1, 4($sp)          # store, speculated
+    addu $t4, $t0, $t0
+    lw $t5, 8($sp)
+    addu $t6, $t0, $t0      # padding
+    addu $t4, $t0, $t0
+    lw $t5, 8($sp)
+"""
 
 
 @lru_cache(maxsize=None)
@@ -433,9 +454,49 @@ class TestMemo:
         window = data.draw(st.integers(1, 2))
         for watched in (False, True):
             with mock.patch.object(replay, "WINDOW", window):
-                memo = recurrence_run(program, config, chunks, watched,
-                                      paths)
+                memo, _ = recurrence_run(program, config, chunks, watched,
+                                         paths)
                 with mock.patch.object(replay, "MEMO_LIMIT", 0):
-                    plain = recurrence_run(program, config, chunks,
-                                           watched, paths)
+                    plain, _ = recurrence_run(program, config, chunks,
+                                              watched, paths)
             assert memo == plain
+
+    def test_a_load_after_a_replayed_store_needs_no_key(self):
+        """``mis_load`` is left out of the key: a load that issues the
+        cycle after a replayed store finds the replay's store port
+        taken, so it is accessed in MEM whichever kind the replay was.
+        A MEM store and a replayed load in one cycle, or a MEM load and
+        a replayed store, leave the next cycle in states that differ
+        only in ``mis_load``. Once the ALU record has issued there, the
+        load's window the second time hits the entry of the first (one
+        hit more than with a copy of the load), and every result and
+        column equals stepping."""
+        program = asm_program(REPLAY_ASM)
+        config = MachineConfig(fac=FacConfig(speculate_reg_reg=False),
+                               issue_width=2)
+        paths = replay._Paths(program)
+        paths.runs = [1] * len(program.instructions)   # a window a record
+
+        def chunks(after_store):
+            indices = array("I", [0, 1, 4, 5, *[6] * 8,
+                                  2, 3, *after_store, *[6] * 8])
+            fails = bytearray(int(index in (1, 3)) for index in indices)
+            return [(indices, bytearray(len(indices)), fails)]
+
+        with mock.patch.object(replay, "WINDOW", 1):
+            memo, stats = recurrence_run(program, config, chunks([4, 5]),
+                                         True, paths)
+            _, copied = recurrence_run(program, config, chunks([7, 8]),
+                                       True, paths)
+            with mock.patch.object(replay, "MEMO_LIMIT", 0):
+                plain, _ = recurrence_run(program, config, chunks([4, 5]),
+                                          True, paths)
+        assert memo == plain
+        assert stats["hits"] == copied["hits"] + 1
+        ((outcomes, issues, _),) = plain[1]
+        assert outcomes == bytes([IN_MEM, REPLAYED, IN_MEM,
+                                  IN_MEM, REPLAYED, IN_MEM])
+        issues = array("q", issues)
+        for start in (0, 12):
+            assert [cycle - issues[start]
+                    for cycle in issues[start:start + 4]] == [0, 0, 1, 1]

@@ -15,9 +15,9 @@ bit:
    from ``analyze_trace`` on the recorded tracefile,
 3. ``SimResult`` snapshots from a step-and-feed pipeline loop, from
    ``simulate_program`` (the live-fed engine) and from the production
-   timing job's shape -- one shared ``Front`` that decodes the trace
-   once for all eight Table 5 flavours of
-   ``repro.experiments.common.MACHINES``, as ``time_flavours`` does,
+   timing job's shape -- one grouped ``time_flavours`` call that
+   decodes the trace once for all eight Table 5 flavours of
+   ``repro.experiments.common.MACHINES``,
 4. ``profile_program``'s per-site D-cache accesses, misses and FAC
    replays and its ``profile.load_latency`` histogram, against the
    step-fed pipeline's counter tap (``tests.oracles.SiteCounters``),
@@ -35,9 +35,10 @@ suite::
     python tools/check_sim_equivalence.py compress tomcatv xlisp
     python tools/check_sim_equivalence.py --max-instructions 500000 all
 
-Each benchmark's line also reports the shared front's recurrence memos
-(``Front.memo_stats``): the windows looked up and hit over the eight
-flavours, the lowest flavour's hit rate and the largest memo.
+Each benchmark's line also reports the recurrence memos of one shared
+``Front`` over the same eight flavours (``Front.memo_stats``): the
+windows looked up and hit, the lowest flavour's hit rate and the
+largest memo.
 
 Exits non-zero if any benchmark diverges.
 """
@@ -71,7 +72,7 @@ from repro.obs.profile import profile_program
 from repro.obs.trace import trace_program
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.pipeline import PipelineSimulator, simulate_program
-from repro.pipeline.replay import Front
+from repro.pipeline.replay import Front, time_flavours
 from repro.workloads.suite import BENCHMARKS, build_benchmark
 from tests.oracles import FlightTap, SiteCounters
 
@@ -212,9 +213,8 @@ def check_benchmark(name: str, max_instructions: int, scratch: str
         for pipe in pipes:
             pipe.feed(rec)
         budget -= 1
-    front = Front(program, path, MACHINES.values())
-    grouped = [front.result(machine, cpu.memory_usage)
-               for machine in MACHINES.values()]
+    grouped = time_flavours(program, path, list(MACHINES.values()),
+                            memory_usage=cpu.memory_usage)
     for (label, machine), pipe, traced in zip(MACHINES.items(), pipes,
                                               grouped):
         stepped = canon(sim_to_snapshot(
@@ -249,6 +249,11 @@ def check_benchmark(name: str, max_instructions: int, scratch: str
             problems.append("repro trace records differ from the step "
                             "per-instruction tap")
     os.unlink(jsonl)
+
+    # the memo statistics, from a front of their own: time_flavours
+    # does not hand out its fronts
+    front = Front(program, path, MACHINES.values())
+    front.result(front.machines[0])
     return problems, memo_report(front.memo_stats)
 
 
