@@ -43,6 +43,10 @@ class TraceRecord:
         return f"<TraceRecord pc=0x{self.pc:08x} {self.inst!r}{extra}>"
 
 
+def _discard(pc, inst, rec):
+    """The ``retire`` hook of a run with no consumer."""
+
+
 class CPU:
     """Architectural simulator bound to one linked program."""
 
@@ -119,23 +123,20 @@ class CPU:
         every other instruction, for which no record is allocated.
 
         With ``consumer=None`` (or any consumer without ``retire``) the
-        loop runs architecture-only at full speed. Returns the number of
-        instructions retired by this call; stops on halt or when
-        ``max_instructions`` is reached, leaving ``state.pc`` ready for
-        a subsequent ``step()``/``run_trace()``.
+        same loop runs with a ``retire`` that discards its arguments.
+        Returns the number of instructions retired by this call; stops
+        on halt or when ``max_instructions`` is reached, leaving
+        ``state.pc`` ready for a subsequent ``step()``/``run_trace()``.
         """
         from repro.cpu.predecode import HALT, OFF_TEXT
 
         if self.halted:
             return 0
-        run_table, trace_table = self._handler_tables()
-        pre = self.program.predecoded()
-        kinds = pre.kinds
-        pcs = pre.pcs
+        handlers, kinds, pcs = self._handler_tables()
         insts = self._insts
         state = self.state
         text_base = self._text_base
-        n_insts = len(run_table)
+        n_insts = len(handlers)
         limit = max_instructions
 
         pc = state.pc
@@ -144,37 +145,34 @@ class CPU:
             raise SimulationError(f"pc 0x{pc:08x} outside text segment")
 
         retire = getattr(consumer, "retire", None)
+        if retire is None:
+            retire = _discard
 
         n = 0
         try:
-            if retire is None:
-                while index >= 0 and n < limit:
-                    index = run_table[index]()
+            while index >= 0 and n < limit:
+                kind = kinds[index]
+                if kind == 0:
+                    i0 = index
+                    index = handlers[i0]()
                     n += 1
-            else:
-                while index >= 0 and n < limit:
-                    kind = kinds[index]
-                    if kind == 0:
-                        i0 = index
-                        index = run_table[i0]()
-                        n += 1
-                        retire(pcs[i0], insts[i0], None)
-                    elif kind == 1:
-                        rec = trace_table[index]()
-                        index += 1
-                        n += 1
-                        retire(rec.pc, rec.inst, rec)
+                    retire(pcs[i0], insts[i0], None)
+                elif kind == 1:
+                    rec = handlers[index]()
+                    index += 1
+                    n += 1
+                    retire(rec.pc, rec.inst, rec)
+                else:
+                    rec = handlers[index]()
+                    n += 1
+                    retire(rec.pc, rec.inst, rec)
+                    npc = rec.next_pc
+                    idx = (npc - text_base) >> 2
+                    if 0 <= idx < n_insts:
+                        index = idx
                     else:
-                        rec = trace_table[index]()
-                        n += 1
-                        retire(rec.pc, rec.inst, rec)
-                        npc = rec.next_pc
-                        idx = (npc - text_base) >> 2
-                        if 0 <= idx < n_insts:
-                            index = idx
-                        else:
-                            state.pc = npc
-                            index = OFF_TEXT
+                        state.pc = npc
+                        index = OFF_TEXT
         except IndexError:
             # a plain/memory handler fell off the end of the text segment
             if index >= n_insts:

@@ -10,25 +10,20 @@ properties, and the architectural containers (register file list,
 memory bound-methods) captured as locals. Executing an instruction is
 then one list index plus one call into straight-line arithmetic.
 
-Handlers communicate control flow through their return value -- the
-*text index* of the next instruction, or a negative sentinel:
+Plain handlers communicate control flow through their return value --
+the precomputed *text index* of the next instruction, or ``HALT`` when
+an exit syscall retired (``state.pc`` already set) -- so the driving
+loop (:meth:`CPU.run_trace`) never touches ``state.pc`` except at entry
+and exit. A transfer outside the text segment makes the loop stop with
+``OFF_TEXT`` (``state.pc`` holding the errant target).
 
-* ``HALT``      -- an exit syscall retired (``state.pc`` already set),
-* ``OFF_TEXT``  -- control transferred outside the text segment
-                   (``state.pc`` holds the errant target).
-
-Plain and memory handlers return the precomputed ``index + 1``;
-control-flow handlers return the predecoded target index, so the
-driving loop (:meth:`CPU.run_trace`) never touches ``state.pc`` except
-at entry and exit.
-
-Two closures are compiled per instruction: a *run* variant that only
-mutates architectural state, and a *trace* variant that additionally
-returns the same :class:`~repro.cpu.executor.TraceRecord` the legacy
-``step()`` would have -- but only memory and control-flow instructions
-ever need it. The ~60-70% of instructions that are neither get no
-record allocated at all; streaming consumers receive their ``(pc,
-inst)`` directly (see ``CPU.run_trace``).
+One closure is compiled per instruction. Loads, stores, branches and
+jumps return the same :class:`~repro.cpu.executor.TraceRecord` the
+legacy ``step()`` would have, and the driving loop derives the next
+index from it. The ~60-70% of instructions that are neither return
+the next index and get no record allocated at all; streaming
+consumers receive their ``(pc, inst)`` directly (see
+``CPU.run_trace``).
 
 Equivalence invariants the compilers below preserve, bit for bit:
 
@@ -52,7 +47,7 @@ from __future__ import annotations
 
 from repro.errors import SimulationError
 from repro.cpu.syscalls import handle_syscall
-from repro.isa.opcodes import OP_INFO, Op, OpClass
+from repro.isa.opcodes import OP_INFO, Op
 from repro.isa.registers import Reg
 from repro.mem.layout import STACK_LIMIT
 from repro.utils.bits import to_signed32
@@ -65,50 +60,18 @@ KIND_PLAIN = 0   # ALU / mult-div / FP / system: no TraceRecord needed
 KIND_MEM = 1     # loads & stores: always fall through, carry an ea
 KIND_CTRL = 2    # branches & jumps: carry the taken/next-pc outcome
 
-#: Kind code -> short name, for dumps and diagnostics.
-KIND_NAMES = {KIND_PLAIN: "plain", KIND_MEM: "mem", KIND_CTRL: "ctrl"}
-
-# Negative sentinels returned in place of a next-instruction index.
+# Negative sentinels in place of a next-instruction index.
 HALT = -1
 OFF_TEXT = -2
-
-_CTRL_CLASSES = (OpClass.BRANCH, OpClass.JUMP)
-
-
-class DecodedProgram:
-    """Consumer-independent predecode of one linked program.
-
-    Holds only per-instruction *classification* (kind) and the static
-    ``pc`` of each text index -- the executable closure tables depend on
-    a concrete :class:`~repro.cpu.executor.CPU`'s state and are built
-    per-CPU by :func:`build_tables`. Cached on the
-    :class:`~repro.isa.program.Program` via ``Program.predecoded()`` so
-    every CPU bound to the same program shares one pass.
-    """
-
-    __slots__ = ("kinds", "pcs", "text_base", "n_insts")
-
-    def __init__(self, program):
-        insts = program.instructions
-        text_base = program.text_base
-        self.text_base = text_base
-        self.n_insts = len(insts)
-        self.pcs = [text_base + (i << 2) for i in range(len(insts))]
-        kinds = bytearray(len(insts))
-        for i, inst in enumerate(insts):
-            info = OP_INFO[inst.op]
-            if info.mem_width:
-                kinds[i] = KIND_MEM
-            elif info.klass in _CTRL_CLASSES:
-                kinds[i] = KIND_CTRL
-        self.kinds = kinds
 
 
 def build_tables(cpu):
     """Compile per-CPU handler tables for ``cpu.program``.
 
-    Returns ``(run_table, trace_table)``: parallel lists indexed by text
-    index. ``trace_table[i] is run_table[i]`` for plain instructions.
+    Returns ``(handlers, kinds, pcs)``, each indexed by text index: the
+    instruction's handler, its ``KIND_*`` code (a bytearray) and its
+    static pc. Plain handlers return the next index; memory and
+    control-flow handlers return their :class:`TraceRecord`.
     """
     from repro.cpu.executor import TraceRecord
 
@@ -129,8 +92,9 @@ def build_tables(cpu):
     read_double = mem.read_double
     write_double = mem.write_double
 
-    run_table = []
-    trace_table = []
+    handlers = []
+    kinds = bytearray(n_insts)
+    pcs = []
 
     for i, inst in enumerate(insts):
         op = inst.op
@@ -142,132 +106,133 @@ def build_tables(cpu):
         rs = inst.rs
         rt = inst.rt
         imm = inst.imm
-        run_h = None
-        trace_h = None
+        pcs.append(pc)
+        handler = None
 
         # ---------------- integer ALU ----------------
         if op is Op.ADDU or op is Op.ADD:
             if rd:
-                def run_h(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni):
+                def handler(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni):
                     regs[rd] = (regs[rs] + regs[rt]) & MASK32
                     return ni
         elif op is Op.ADDIU or op is Op.ADDI:
             if rt:
-                def run_h(regs=regs, rt=rt, rs=rs, imm=imm, ni=ni):
+                def handler(regs=regs, rt=rt, rs=rs, imm=imm, ni=ni):
                     regs[rt] = (regs[rs] + imm) & MASK32
                     return ni
         elif op is Op.SUBU or op is Op.SUB:
             if rd:
-                def run_h(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni):
+                def handler(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni):
                     regs[rd] = (regs[rs] - regs[rt]) & MASK32
                     return ni
         elif op is Op.AND:
             if rd:
-                def run_h(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni):
+                def handler(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni):
                     regs[rd] = regs[rs] & regs[rt]
                     return ni
         elif op is Op.OR:
             if rd:
-                def run_h(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni):
+                def handler(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni):
                     regs[rd] = regs[rs] | regs[rt]
                     return ni
         elif op is Op.XOR:
             if rd:
-                def run_h(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni):
+                def handler(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni):
                     regs[rd] = regs[rs] ^ regs[rt]
                     return ni
         elif op is Op.NOR:
             if rd:
-                def run_h(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni):
+                def handler(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni):
                     regs[rd] = ~(regs[rs] | regs[rt]) & MASK32
                     return ni
         elif op is Op.SLT:
             if rd:
-                def run_h(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni,
-                          s32=to_signed32):
+                def handler(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni,
+                            s32=to_signed32):
                     regs[rd] = int(s32(regs[rs]) < s32(regs[rt]))
                     return ni
         elif op is Op.SLTU:
             if rd:
-                def run_h(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni):
+                def handler(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni):
                     regs[rd] = int(regs[rs] < regs[rt])
                     return ni
         elif op is Op.SLTI:
             if rt:
-                def run_h(regs=regs, rt=rt, rs=rs, imm=imm, ni=ni,
-                          s32=to_signed32):
+                def handler(regs=regs, rt=rt, rs=rs, imm=imm, ni=ni,
+                            s32=to_signed32):
                     regs[rt] = int(s32(regs[rs]) < imm)
                     return ni
         elif op is Op.SLTIU:
             if rt:
                 uimm = imm & MASK32
-                def run_h(regs=regs, rt=rt, rs=rs, uimm=uimm, ni=ni):
+                def handler(regs=regs, rt=rt, rs=rs, uimm=uimm, ni=ni):
                     regs[rt] = int(regs[rs] < uimm)
                     return ni
         elif op is Op.ANDI:
             if rt:
                 m = imm & 0xFFFF
-                def run_h(regs=regs, rt=rt, rs=rs, m=m, ni=ni):
+                def handler(regs=regs, rt=rt, rs=rs, m=m, ni=ni):
                     regs[rt] = regs[rs] & m
                     return ni
         elif op is Op.ORI:
             if rt:
                 m = imm & 0xFFFF
-                def run_h(regs=regs, rt=rt, rs=rs, m=m, ni=ni):
+                def handler(regs=regs, rt=rt, rs=rs, m=m, ni=ni):
                     regs[rt] = regs[rs] | m
                     return ni
         elif op is Op.XORI:
             if rt:
                 m = imm & 0xFFFF
-                def run_h(regs=regs, rt=rt, rs=rs, m=m, ni=ni):
+                def handler(regs=regs, rt=rt, rs=rs, m=m, ni=ni):
                     regs[rt] = regs[rs] ^ m
                     return ni
         elif op is Op.LUI:
             if rt:
                 value = (imm & 0xFFFF) << 16
-                def run_h(regs=regs, rt=rt, value=value, ni=ni):
+                def handler(regs=regs, rt=rt, value=value, ni=ni):
                     regs[rt] = value
                     return ni
         elif op is Op.SLL:
             if rd:
                 sh = imm & 31
-                def run_h(regs=regs, rd=rd, rt=rt, sh=sh, ni=ni):
+                def handler(regs=regs, rd=rd, rt=rt, sh=sh, ni=ni):
                     regs[rd] = (regs[rt] << sh) & MASK32
                     return ni
         elif op is Op.SRL:
             if rd:
                 sh = imm & 31
-                def run_h(regs=regs, rd=rd, rt=rt, sh=sh, ni=ni):
+                def handler(regs=regs, rd=rd, rt=rt, sh=sh, ni=ni):
                     regs[rd] = regs[rt] >> sh
                     return ni
         elif op is Op.SRA:
             if rd:
                 sh = imm & 31
-                def run_h(regs=regs, rd=rd, rt=rt, sh=sh, ni=ni,
-                          s32=to_signed32):
+                def handler(regs=regs, rd=rd, rt=rt, sh=sh, ni=ni,
+                            s32=to_signed32):
                     regs[rd] = (s32(regs[rt]) >> sh) & MASK32
                     return ni
         elif op is Op.SLLV:
             if rd:
-                def run_h(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni):
+                def handler(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni):
                     regs[rd] = (regs[rs] << (regs[rt] & 31)) & MASK32
                     return ni
         elif op is Op.SRLV:
             if rd:
-                def run_h(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni):
+                def handler(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni):
                     regs[rd] = regs[rs] >> (regs[rt] & 31)
                     return ni
         elif op is Op.SRAV:
             if rd:
-                def run_h(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni,
-                          s32=to_signed32):
+                def handler(regs=regs, rd=rd, rs=rs, rt=rt, ni=ni,
+                            s32=to_signed32):
                     regs[rd] = (s32(regs[rs]) >> (regs[rt] & 31)) & MASK32
                     return ni
 
         # ---------------- loads and stores ----------------
         elif info.mem_width:
-            run_h, trace_h = _compile_mem(
-                cpu, inst, info, i, TraceRecord, state, regs, fregs,
+            kinds[i] = KIND_MEM
+            handler = _compile_mem(
+                cpu, inst, info, TraceRecord, regs, fregs,
                 mem_read, mem_write, read_u32, write_u32,
                 read_double, write_double, sp_value, pc,
             )
@@ -275,35 +240,32 @@ def build_tables(cpu):
         # ---------------- branches ----------------
         elif op in (Op.BEQ, Op.BNE, Op.BLEZ, Op.BGTZ, Op.BLTZ, Op.BGEZ,
                     Op.BC1T, Op.BC1F):
-            run_h, trace_h = _compile_branch(
-                op, inst, i, TraceRecord, state, regs, text_base,
-                n_insts, pc,
-            )
+            kinds[i] = KIND_CTRL
+            handler = _compile_branch(
+                op, inst, TraceRecord, state, regs, pc)
 
         # ---------------- jumps ----------------
         elif op in (Op.J, Op.JAL, Op.JR, Op.JALR):
-            run_h, trace_h = _compile_jump(
-                op, inst, i, TraceRecord, state, regs, text_base,
-                n_insts, pc,
-            )
+            kinds[i] = KIND_CTRL
+            handler = _compile_jump(op, inst, TraceRecord, regs, pc)
 
         # ---------------- multiply / divide ----------------
         elif op is Op.MULT:
-            def run_h(regs=regs, state=state, rs=rs, rt=rt, ni=ni,
-                      s32=to_signed32):
+            def handler(regs=regs, state=state, rs=rs, rt=rt, ni=ni,
+                        s32=to_signed32):
                 product = s32(regs[rs]) * s32(regs[rt])
                 state.lo = product & MASK32
                 state.hi = (product >> 32) & MASK32
                 return ni
         elif op is Op.MULTU:
-            def run_h(regs=regs, state=state, rs=rs, rt=rt, ni=ni):
+            def handler(regs=regs, state=state, rs=rs, rt=rt, ni=ni):
                 product = regs[rs] * regs[rt]
                 state.lo = product & MASK32
                 state.hi = (product >> 32) & MASK32
                 return ni
         elif op is Op.DIV:
-            def run_h(regs=regs, state=state, rs=rs, rt=rt, ni=ni,
-                      s32=to_signed32):
+            def handler(regs=regs, state=state, rs=rs, rt=rt, ni=ni,
+                        s32=to_signed32):
                 dividend = s32(regs[rs])
                 divisor = s32(regs[rt])
                 if divisor == 0:
@@ -317,7 +279,7 @@ def build_tables(cpu):
                     state.hi = (dividend - quotient * divisor) & MASK32
                 return ni
         elif op is Op.DIVU:
-            def run_h(regs=regs, state=state, rs=rs, rt=rt, ni=ni):
+            def handler(regs=regs, state=state, rs=rs, rt=rt, ni=ni):
                 divisor = regs[rt]
                 if divisor == 0:
                     state.lo = 0
@@ -328,34 +290,34 @@ def build_tables(cpu):
                 return ni
         elif op is Op.MFHI:
             if rd:
-                def run_h(regs=regs, state=state, rd=rd, ni=ni):
+                def handler(regs=regs, state=state, rd=rd, ni=ni):
                     regs[rd] = state.hi
                     return ni
         elif op is Op.MFLO:
             if rd:
-                def run_h(regs=regs, state=state, rd=rd, ni=ni):
+                def handler(regs=regs, state=state, rd=rd, ni=ni):
                     regs[rd] = state.lo
                     return ni
 
         # ---------------- floating point ----------------
         elif op is Op.ADD_D:
             fd, fs, ft = inst.fd, inst.fs, inst.ft
-            def run_h(fregs=fregs, fd=fd, fs=fs, ft=ft, ni=ni):
+            def handler(fregs=fregs, fd=fd, fs=fs, ft=ft, ni=ni):
                 fregs[fd] = float(fregs[fs]) + float(fregs[ft])
                 return ni
         elif op is Op.SUB_D:
             fd, fs, ft = inst.fd, inst.fs, inst.ft
-            def run_h(fregs=fregs, fd=fd, fs=fs, ft=ft, ni=ni):
+            def handler(fregs=fregs, fd=fd, fs=fs, ft=ft, ni=ni):
                 fregs[fd] = float(fregs[fs]) - float(fregs[ft])
                 return ni
         elif op is Op.MUL_D:
             fd, fs, ft = inst.fd, inst.fs, inst.ft
-            def run_h(fregs=fregs, fd=fd, fs=fs, ft=ft, ni=ni):
+            def handler(fregs=fregs, fd=fd, fs=fs, ft=ft, ni=ni):
                 fregs[fd] = float(fregs[fs]) * float(fregs[ft])
                 return ni
         elif op is Op.DIV_D:
             fd, fs, ft = inst.fd, inst.fs, inst.ft
-            def run_h(fregs=fregs, fd=fd, fs=fs, ft=ft, ni=ni):
+            def handler(fregs=fregs, fd=fd, fs=fs, ft=ft, ni=ni):
                 divisor = float(fregs[ft])
                 if divisor == 0.0:
                     fregs[fd] = (float("inf") if float(fregs[fs]) >= 0
@@ -365,22 +327,22 @@ def build_tables(cpu):
                 return ni
         elif op is Op.NEG_D:
             fd, fs = inst.fd, inst.fs
-            def run_h(fregs=fregs, fd=fd, fs=fs, ni=ni):
+            def handler(fregs=fregs, fd=fd, fs=fs, ni=ni):
                 fregs[fd] = -float(fregs[fs])
                 return ni
         elif op is Op.ABS_D:
             fd, fs = inst.fd, inst.fs
-            def run_h(fregs=fregs, fd=fd, fs=fs, ni=ni):
+            def handler(fregs=fregs, fd=fd, fs=fs, ni=ni):
                 fregs[fd] = abs(float(fregs[fs]))
                 return ni
         elif op is Op.MOV_D:
             fd, fs = inst.fd, inst.fs
-            def run_h(fregs=fregs, fd=fd, fs=fs, ni=ni):
+            def handler(fregs=fregs, fd=fd, fs=fs, ni=ni):
                 fregs[fd] = fregs[fs]
                 return ni
         elif op is Op.SQRT_D:
             fd, fs = inst.fd, inst.fs
-            def run_h(fregs=fregs, fd=fd, fs=fs, ni=ni):
+            def handler(fregs=fregs, fd=fd, fs=fs, ni=ni):
                 value = float(fregs[fs])
                 if value < 0:
                     raise SimulationError("sqrt.d of negative value")
@@ -388,50 +350,50 @@ def build_tables(cpu):
                 return ni
         elif op is Op.CVT_D_W:
             fd, fs = inst.fd, inst.fs
-            def run_h(fregs=fregs, fd=fd, fs=fs, ni=ni, s32=to_signed32):
+            def handler(fregs=fregs, fd=fd, fs=fs, ni=ni, s32=to_signed32):
                 fregs[fd] = float(s32(int(fregs[fs])))
                 return ni
         elif op is Op.CVT_W_D or op is Op.TRUNC_W_D:
             fd, fs = inst.fd, inst.fs
-            def run_h(fregs=fregs, fd=fd, fs=fs, ni=ni):
+            def handler(fregs=fregs, fd=fd, fs=fs, ni=ni):
                 fregs[fd] = int(float(fregs[fs]))
                 return ni
         elif op is Op.MTC1:
             fs = inst.fs
-            def run_h(fregs=fregs, regs=regs, fs=fs, rt=rt, ni=ni):
+            def handler(fregs=fregs, regs=regs, fs=fs, rt=rt, ni=ni):
                 fregs[fs] = regs[rt]
                 return ni
         elif op is Op.MFC1:
             fs = inst.fs
             if rd:
-                def run_h(regs=regs, fregs=fregs, rd=rd, fs=fs, ni=ni):
+                def handler(regs=regs, fregs=fregs, rd=rd, fs=fs, ni=ni):
                     regs[rd] = int(fregs[fs]) & MASK32
                     return ni
             else:
                 # destination is $zero: the int() conversion still runs
                 # (it can raise on inf/nan, exactly as the legacy path).
-                def run_h(fregs=fregs, fs=fs, ni=ni):
+                def handler(fregs=fregs, fs=fs, ni=ni):
                     int(fregs[fs])
                     return ni
         elif op is Op.C_EQ_D:
             fs, ft = inst.fs, inst.ft
-            def run_h(fregs=fregs, state=state, fs=fs, ft=ft, ni=ni):
+            def handler(fregs=fregs, state=state, fs=fs, ft=ft, ni=ni):
                 state.fcc = float(fregs[fs]) == float(fregs[ft])
                 return ni
         elif op is Op.C_LT_D:
             fs, ft = inst.fs, inst.ft
-            def run_h(fregs=fregs, state=state, fs=fs, ft=ft, ni=ni):
+            def handler(fregs=fregs, state=state, fs=fs, ft=ft, ni=ni):
                 state.fcc = float(fregs[fs]) < float(fregs[ft])
                 return ni
         elif op is Op.C_LE_D:
             fs, ft = inst.fs, inst.ft
-            def run_h(fregs=fregs, state=state, fs=fs, ft=ft, ni=ni):
+            def handler(fregs=fregs, state=state, fs=fs, ft=ft, ni=ni):
                 state.fcc = float(fregs[fs]) <= float(fregs[ft])
                 return ni
 
         # ---------------- system ----------------
         elif op is Op.SYSCALL:
-            def run_h(cpu=cpu, state=state, pc=pc, pc4=pc4, ni=ni):
+            def handler(cpu=cpu, state=state, pc=pc, pc4=pc4, ni=ni):
                 # legacy step() leaves state.pc at the syscall's own pc
                 # while the handler runs (obs Syscall events carry it)
                 state.pc = pc
@@ -443,33 +405,31 @@ def build_tables(cpu):
         elif op is Op.NOP:
             pass  # compiled to the shared fall-through below
         elif op is Op.BREAK:
-            def run_h(pc=pc):
+            def handler(pc=pc):
                 raise SimulationError(f"break at pc 0x{pc:08x}")
         else:  # pragma: no cover - opcode table is exhaustive
             name = op.name
-            def run_h(name=name):
+            def handler(name=name):
                 raise SimulationError(f"unimplemented opcode {name}")
 
-        if run_h is None:
+        if handler is None:
             # architectural no-op (nop, or a write to $zero with no
             # observable side effect): just fall through
-            def run_h(ni=ni):
+            def handler(ni=ni):
                 return ni
-        run_table.append(run_h)
-        trace_table.append(trace_h if trace_h is not None else run_h)
+        handlers.append(handler)
 
-    return run_table, trace_table
+    return handlers, kinds, pcs
 
 
 # ---------------------------------------------------------------------- #
 # memory handlers
 
 
-def _compile_mem(cpu, inst, info, i, TraceRecord, state, regs, fregs,
+def _compile_mem(cpu, inst, info, TraceRecord, regs, fregs,
                  mem_read, mem_write, read_u32, write_u32,
                  read_double, write_double, sp_value, pc):
-    """Compile one load/store into (run, trace) closures."""
-    ni = i + 1
+    """Compile one load/store into a closure returning its record."""
     pc4 = pc + 4
     rs = inst.rs
     rt = inst.rt
@@ -479,14 +439,12 @@ def _compile_mem(cpu, inst, info, i, TraceRecord, state, regs, fregs,
     mode = info.mem_mode
     width = info.mem_width
     signed = info.mem_signed
-    is_load = info.is_load
     fp = info.mem_fp
-    track_sp = rs == Reg.SP
 
     # One access closure: ea -> None (side effects only). The loaded
     # value is written to its destination inside; writes to $zero are
     # discarded but the read (and any fault it raises) still happens.
-    if is_load:
+    if info.is_load:
         if fp:
             def access(ea, fregs=fregs, ft=ft, read_double=read_double):
                 fregs[ft] = read_double(ea)
@@ -518,7 +476,7 @@ def _compile_mem(cpu, inst, info, i, TraceRecord, state, regs, fregs,
                        width=width):
                 mem_write(ea, width, regs[rt])
 
-    if track_sp:
+    if rs == Reg.SP:
         def check_sp(base, cpu=cpu, sp_value=sp_value):
             if base < cpu.sp_min:
                 cpu.sp_min = base
@@ -528,56 +486,15 @@ def _compile_mem(cpu, inst, info, i, TraceRecord, state, regs, fregs,
         check_sp = None
 
     if mode == "c":
-        # lw/sw (register + constant) dominate the workload mix: give
-        # them run variants that skip the access() indirection entirely.
-        if not fp and width == 4 and (is_load and rt or not is_load):
-            if is_load:
-                if check_sp is None:
-                    def run_h(regs=regs, rs=rs, rt=rt, imm=imm,
-                              read_u32=read_u32, ni=ni):
-                        regs[rt] = read_u32((regs[rs] + imm) & MASK32)
-                        return ni
-                else:
-                    def run_h(regs=regs, rs=rs, rt=rt, imm=imm,
-                              read_u32=read_u32, check_sp=check_sp, ni=ni):
-                        base = regs[rs]
-                        regs[rt] = read_u32((base + imm) & MASK32)
-                        check_sp(base)
-                        return ni
-            else:
-                if check_sp is None:
-                    def run_h(regs=regs, rs=rs, rt=rt, imm=imm,
-                              write_u32=write_u32, ni=ni):
-                        write_u32((regs[rs] + imm) & MASK32, regs[rt])
-                        return ni
-                else:
-                    def run_h(regs=regs, rs=rs, rt=rt, imm=imm,
-                              write_u32=write_u32, check_sp=check_sp, ni=ni):
-                        base = regs[rs]
-                        write_u32((base + imm) & MASK32, regs[rt])
-                        check_sp(base)
-                        return ni
-        elif check_sp is None:
-            def run_h(regs=regs, rs=rs, imm=imm, access=access, ni=ni):
-                access((regs[rs] + imm) & MASK32)
-                return ni
-        else:
-            def run_h(regs=regs, rs=rs, imm=imm, access=access, ni=ni,
-                      check_sp=check_sp):
-                base = regs[rs]
-                access((base + imm) & MASK32)
-                check_sp(base)
-                return ni
-
         if check_sp is None:
-            def trace_h(regs=regs, rs=rs, imm=imm, access=access,
+            def handler(regs=regs, rs=rs, imm=imm, access=access,
                         TR=TraceRecord, pc=pc, inst=inst, pc4=pc4):
                 base = regs[rs]
                 ea = (base + imm) & MASK32
                 access(ea)
                 return TR(pc, inst, ea, base, imm, None, pc4)
         else:
-            def trace_h(regs=regs, rs=rs, imm=imm, access=access,
+            def handler(regs=regs, rs=rs, imm=imm, access=access,
                         check_sp=check_sp, TR=TraceRecord, pc=pc,
                         inst=inst, pc4=pc4):
                 base = regs[rs]
@@ -586,15 +503,7 @@ def _compile_mem(cpu, inst, info, i, TraceRecord, state, regs, fregs,
                 check_sp(base)
                 return TR(pc, inst, ea, base, imm, None, pc4)
     elif mode == "x":
-        def run_h(regs=regs, rs=rs, rx=rx, access=access, ni=ni,
-                  check_sp=check_sp):
-            base = regs[rs]
-            access((base + regs[rx]) & MASK32)
-            if check_sp is not None:
-                check_sp(base)
-            return ni
-
-        def trace_h(regs=regs, rs=rs, rx=rx, access=access,
+        def handler(regs=regs, rs=rs, rx=rx, access=access,
                     check_sp=check_sp, TR=TraceRecord, pc=pc, inst=inst,
                     pc4=pc4):
             base = regs[rs]
@@ -607,17 +516,7 @@ def _compile_mem(cpu, inst, info, i, TraceRecord, state, regs, fregs,
     else:  # post-increment: address is the raw base register
         postinc = rs != 0  # a $zero base is re-zeroed by the legacy loop
 
-        def run_h(regs=regs, rs=rs, imm=imm, access=access, ni=ni,
-                  check_sp=check_sp, postinc=postinc):
-            base = regs[rs]
-            access(base)
-            if postinc:
-                regs[rs] = (base + imm) & MASK32
-            if check_sp is not None:
-                check_sp(base)
-            return ni
-
-        def trace_h(regs=regs, rs=rs, imm=imm, access=access,
+        def handler(regs=regs, rs=rs, imm=imm, access=access,
                     check_sp=check_sp, postinc=postinc, TR=TraceRecord,
                     pc=pc, inst=inst, pc4=pc4):
             base = regs[rs]
@@ -628,237 +527,104 @@ def _compile_mem(cpu, inst, info, i, TraceRecord, state, regs, fregs,
                 check_sp(base)
             return TR(pc, inst, base, base, 0, None, pc4)
 
-    return run_h, trace_h
+    return handler
 
 
 # ---------------------------------------------------------------------- #
 # control-flow handlers
+#
+# These return the record only; CPU.run_trace maps its ``next_pc`` to a
+# text index, or stops with OFF_TEXT when the target lies outside text.
 
 
-def _branch_cond(op, regs, state, rs, rt):
-    """Taken-condition closure for one conditional branch (build-time
-    helper; the fast run variants inline these tests instead)."""
-    if op is Op.BEQ:
-        return lambda: regs[rs] == regs[rt]
-    if op is Op.BNE:
-        return lambda: regs[rs] != regs[rt]
-    if op is Op.BLEZ:
-        # signed <= 0 on the unsigned view: zero, or sign bit set
-        return lambda: not 0 < regs[rs] < SIGN32
-    if op is Op.BGTZ:
-        return lambda: 0 < regs[rs] < SIGN32
-    if op is Op.BLTZ:
-        return lambda: regs[rs] >= SIGN32
-    if op is Op.BGEZ:
-        return lambda: regs[rs] < SIGN32
-    if op is Op.BC1T:
-        return lambda: state.fcc
-    return lambda: not state.fcc  # BC1F
-
-
-def _compile_branch(op, inst, i, TraceRecord, state, regs, text_base,
-                    n_insts, pc):
-    ni = i + 1
+def _compile_branch(op, inst, TraceRecord, state, regs, pc):
     pc4 = pc + 4
     rs = inst.rs
     rt = inst.rt
     target = inst.target
-    tidx = (target - text_base) >> 2
-
-    if not 0 <= tidx < n_insts:
-        # a static target outside the text segment: the linker never
-        # produces one, so a slow generic handler is fine
-        cond = _branch_cond(op, regs, state, rs, rt)
-
-        def run_h(cond=cond, state=state, target=target, ni=ni):
-            if cond():
-                state.pc = target
-                return OFF_TEXT
-            return ni
-
-        def trace_h(cond=cond, TR=TraceRecord, pc=pc, inst=inst,
-                    target=target, pc4=pc4):
-            if cond():
-                return TR(pc, inst, None, 0, 0, True, target)
-            return TR(pc, inst, None, 0, 0, False, pc4)
-
-        return run_h, trace_h
 
     if op is Op.BEQ:
-        def run_h(regs=regs, rs=rs, rt=rt, tidx=tidx, ni=ni):
-            return tidx if regs[rs] == regs[rt] else ni
-
-        def trace_h(regs=regs, rs=rs, rt=rt, TR=TraceRecord, pc=pc,
+        def handler(regs=regs, rs=rs, rt=rt, TR=TraceRecord, pc=pc,
                     inst=inst, target=target, pc4=pc4):
             if regs[rs] == regs[rt]:
                 return TR(pc, inst, None, 0, 0, True, target)
             return TR(pc, inst, None, 0, 0, False, pc4)
     elif op is Op.BNE:
-        def run_h(regs=regs, rs=rs, rt=rt, tidx=tidx, ni=ni):
-            return tidx if regs[rs] != regs[rt] else ni
-
-        def trace_h(regs=regs, rs=rs, rt=rt, TR=TraceRecord, pc=pc,
+        def handler(regs=regs, rs=rs, rt=rt, TR=TraceRecord, pc=pc,
                     inst=inst, target=target, pc4=pc4):
             if regs[rs] != regs[rt]:
                 return TR(pc, inst, None, 0, 0, True, target)
             return TR(pc, inst, None, 0, 0, False, pc4)
     elif op is Op.BLEZ:
-        def run_h(regs=regs, rs=rs, tidx=tidx, ni=ni):
-            return ni if 0 < regs[rs] < SIGN32 else tidx
-
-        def trace_h(regs=regs, rs=rs, TR=TraceRecord, pc=pc, inst=inst,
+        # signed <= 0 on the unsigned view: zero, or sign bit set
+        def handler(regs=regs, rs=rs, TR=TraceRecord, pc=pc, inst=inst,
                     target=target, pc4=pc4):
             if 0 < regs[rs] < SIGN32:
                 return TR(pc, inst, None, 0, 0, False, pc4)
             return TR(pc, inst, None, 0, 0, True, target)
     elif op is Op.BGTZ:
-        def run_h(regs=regs, rs=rs, tidx=tidx, ni=ni):
-            return tidx if 0 < regs[rs] < SIGN32 else ni
-
-        def trace_h(regs=regs, rs=rs, TR=TraceRecord, pc=pc, inst=inst,
+        def handler(regs=regs, rs=rs, TR=TraceRecord, pc=pc, inst=inst,
                     target=target, pc4=pc4):
             if 0 < regs[rs] < SIGN32:
                 return TR(pc, inst, None, 0, 0, True, target)
             return TR(pc, inst, None, 0, 0, False, pc4)
     elif op is Op.BLTZ:
-        def run_h(regs=regs, rs=rs, tidx=tidx, ni=ni):
-            return tidx if regs[rs] >= SIGN32 else ni
-
-        def trace_h(regs=regs, rs=rs, TR=TraceRecord, pc=pc, inst=inst,
+        def handler(regs=regs, rs=rs, TR=TraceRecord, pc=pc, inst=inst,
                     target=target, pc4=pc4):
             if regs[rs] >= SIGN32:
                 return TR(pc, inst, None, 0, 0, True, target)
             return TR(pc, inst, None, 0, 0, False, pc4)
     elif op is Op.BGEZ:
-        def run_h(regs=regs, rs=rs, tidx=tidx, ni=ni):
-            return tidx if regs[rs] < SIGN32 else ni
-
-        def trace_h(regs=regs, rs=rs, TR=TraceRecord, pc=pc, inst=inst,
+        def handler(regs=regs, rs=rs, TR=TraceRecord, pc=pc, inst=inst,
                     target=target, pc4=pc4):
             if regs[rs] < SIGN32:
                 return TR(pc, inst, None, 0, 0, True, target)
             return TR(pc, inst, None, 0, 0, False, pc4)
     elif op is Op.BC1T:
-        def run_h(state=state, tidx=tidx, ni=ni):
-            return tidx if state.fcc else ni
-
-        def trace_h(state=state, TR=TraceRecord, pc=pc, inst=inst,
+        def handler(state=state, TR=TraceRecord, pc=pc, inst=inst,
                     target=target, pc4=pc4):
             if state.fcc:
                 return TR(pc, inst, None, 0, 0, True, target)
             return TR(pc, inst, None, 0, 0, False, pc4)
     else:  # BC1F
-        def run_h(state=state, tidx=tidx, ni=ni):
-            return ni if state.fcc else tidx
-
-        def trace_h(state=state, TR=TraceRecord, pc=pc, inst=inst,
+        def handler(state=state, TR=TraceRecord, pc=pc, inst=inst,
                     target=target, pc4=pc4):
             if state.fcc:
                 return TR(pc, inst, None, 0, 0, False, pc4)
             return TR(pc, inst, None, 0, 0, True, target)
 
-    return run_h, trace_h
+    return handler
 
 
-def _compile_jump(op, inst, i, TraceRecord, state, regs, text_base,
-                  n_insts, pc):
-    pc4 = pc + 4
+def _compile_jump(op, inst, TraceRecord, regs, pc):
     rd = inst.rd
     rs = inst.rs
     target = inst.target
-    ra = pc4 & MASK32
+    ra = (pc + 4) & MASK32
 
-    if op is Op.J or op is Op.JAL:
-        tidx = (target - text_base) >> 2
-        valid = 0 <= tidx < n_insts
-        link = op is Op.JAL
-        if valid:
-            if link:
-                def run_h(regs=regs, tidx=tidx, ra=ra):
-                    regs[31] = ra
-                    return tidx
-            else:
-                def run_h(tidx=tidx):
-                    return tidx
-        else:
-            def run_h(regs=regs, state=state, target=target, ra=ra,
-                      link=link):
-                if link:
-                    regs[31] = ra
-                state.pc = target
-                return OFF_TEXT
-
-        if link:
-            def trace_h(regs=regs, ra=ra, TR=TraceRecord, pc=pc,
-                        inst=inst, target=target):
-                regs[31] = ra
-                return TR(pc, inst, None, 0, 0, True, target)
-        else:
-            def trace_h(TR=TraceRecord, pc=pc, inst=inst, target=target):
-                return TR(pc, inst, None, 0, 0, True, target)
-        return run_h, trace_h
-
-    if op is Op.JR:
-        def run_h(regs=regs, state=state, rs=rs, text_base=text_base,
-                  n_insts=n_insts):
-            npc = regs[rs]
-            idx = (npc - text_base) >> 2
-            if 0 <= idx < n_insts:
-                return idx
-            state.pc = npc
-            return OFF_TEXT
-
-        def trace_h(regs=regs, rs=rs, TR=TraceRecord, pc=pc, inst=inst):
-            return TR(pc, inst, None, 0, 0, True, regs[rs])
-        return run_h, trace_h
-
-    # JALR: link first, then read the jump target -- so jalr with
-    # rd == rs (including $0, $0) reads the just-written value, exactly
-    # like the legacy write-then-read through regs.
-    if rd:
-        def run_h(regs=regs, state=state, rd=rd, rs=rs, ra=ra,
-                  text_base=text_base, n_insts=n_insts):
-            regs[rd] = ra
-            npc = regs[rs]
-            idx = (npc - text_base) >> 2
-            if 0 <= idx < n_insts:
-                return idx
-            state.pc = npc
-            return OFF_TEXT
-
-        def trace_h(regs=regs, rd=rd, rs=rs, ra=ra, TR=TraceRecord,
+    if op is Op.JAL:
+        def handler(regs=regs, ra=ra, TR=TraceRecord, pc=pc, inst=inst,
+                    target=target):
+            regs[31] = ra
+            return TR(pc, inst, None, 0, 0, True, target)
+    elif op is Op.J:
+        def handler(TR=TraceRecord, pc=pc, inst=inst, target=target):
+            return TR(pc, inst, None, 0, 0, True, target)
+    elif op is Op.JALR and rd:
+        # link first, then read the jump target -- so jalr with rd == rs
+        # reads the just-written value, like the legacy write-then-read
+        # through regs.
+        def handler(regs=regs, rd=rd, rs=rs, ra=ra, TR=TraceRecord,
                     pc=pc, inst=inst):
             regs[rd] = ra
             return TR(pc, inst, None, 0, 0, True, regs[rs])
+    elif op is Op.JALR and rs == 0:
+        # jalr $0, $0: the legacy loop wrote pc+4 into regs[0], read it
+        # back as the target, then re-zeroed regs[0].
+        def handler(TR=TraceRecord, pc=pc, inst=inst, npc=ra):
+            return TR(pc, inst, None, 0, 0, True, npc)
     else:
-        # rd is $zero: the legacy loop wrote pc+4 into regs[0], read the
-        # target, then re-zeroed regs[0]. With rs == 0 the target IS the
-        # link value; with rs != 0 the write was invisible.
-        npc_const = ra if rs == 0 else None
-        if npc_const is not None:
-            tidx = (npc_const - text_base) >> 2
-            valid = 0 <= tidx < n_insts
-            if valid:
-                def run_h(tidx=tidx):
-                    return tidx
-            else:
-                def run_h(state=state, npc=npc_const):
-                    state.pc = npc
-                    return OFF_TEXT
-
-            def trace_h(TR=TraceRecord, pc=pc, inst=inst, npc=npc_const):
-                return TR(pc, inst, None, 0, 0, True, npc)
-        else:
-            def run_h(regs=regs, state=state, rs=rs, text_base=text_base,
-                      n_insts=n_insts):
-                npc = regs[rs]
-                idx = (npc - text_base) >> 2
-                if 0 <= idx < n_insts:
-                    return idx
-                state.pc = npc
-                return OFF_TEXT
-
-            def trace_h(regs=regs, rs=rs, TR=TraceRecord, pc=pc,
-                        inst=inst):
-                return TR(pc, inst, None, 0, 0, True, regs[rs])
-    return run_h, trace_h
+        # jr, or jalr with rd == $zero, whose link write was invisible
+        def handler(regs=regs, rs=rs, TR=TraceRecord, pc=pc, inst=inst):
+            return TR(pc, inst, None, 0, 0, True, regs[rs])
+    return handler

@@ -166,19 +166,6 @@ class Program:
         # A ``file`` of "" marks an attribution gap (hand-written startup
         # code, units assembled without ``.loc`` directives).
         self.line_table: list[tuple[int, str, int]] = []
-        self._predecoded = None
-
-    def predecoded(self):
-        """The cached instruction-kind predecode of this program.
-
-        Built on first use and shared by every CPU bound to this
-        program; see :class:`repro.cpu.predecode.DecodedProgram`.
-        """
-        pre = self._predecoded
-        if pre is None:
-            from repro.cpu.predecode import DecodedProgram
-            pre = self._predecoded = DecodedProgram(self)
-        return pre
 
     def instruction_at(self, address: int) -> Instruction:
         """Fetch the instruction stored at ``address``."""

@@ -33,6 +33,39 @@ int main() {
 }
 """
 
+# $zero as a base, an index and a destination: the reads still happen,
+# a $zero post-increment base is not written back, and ``jalr $zero,
+# $zero`` jumps to the link value it wrote into $zero.
+ZERO_BASE_ASM = """
+.text
+.globl __start
+__start:
+    addiu $t2, $sp, -64
+    li $t0, 5
+    li $t1, 4
+    sw $t0, 0($t2)
+    lw $zero, 0($t2)
+    lb $zero, 1($t2)
+    lwx $zero, $t1($t2)
+    lwpi $zero, ($t2)+4
+    lw $t3, 0($zero)
+    lwpi $t4, ($zero)+8
+    swpi $t0, ($zero)+-4
+    li $t1, 64
+    lwx $t5, $t1($zero)
+    jalr $zero, $zero
+    li.d $f4, 2.5
+    mfc1 $zero, $f4
+    li $v0, 10
+    syscall
+"""
+
+PROGRAMS = {
+    "minic": lambda: compile_and_link(MINIC_SOURCE),
+    "modes": lambda: asm_program(MODES_ASM),
+    "zero_bases": lambda: asm_program(ZERO_BASE_ASM),
+}
+
 
 def assert_same_execution(program, budget=1_000_000):
     cpu_a, recs_a = step_records(program, budget)
@@ -54,14 +87,20 @@ class TestEngineEquivalence:
         cpu_a, _ = assert_same_execution(asm_program(MODES_ASM))
         assert cpu_a.stdout() == "99"
 
-    def test_run_engines_match(self):
-        program = compile_and_link(MINIC_SOURCE)
+    def test_zero_bases_and_destinations(self):
+        assert_same_execution(asm_program(ZERO_BASE_ASM))
+
+    @pytest.mark.parametrize("build", PROGRAMS.values(), ids=PROGRAMS)
+    def test_run_engines_match(self, build):
+        program = build()
         cpu_a, _ = step_records(program)
         cpu_b = CPU(program)
         cpu_b.run()
+        assert cpu_a.halted and cpu_b.halted
         assert cpu_a.state.snapshot() == cpu_b.state.snapshot()
         assert cpu_a.stdout() == cpu_b.stdout()
         assert cpu_a.instructions_retired == cpu_b.instructions_retired
+        assert cpu_a.memory_usage == cpu_b.memory_usage
 
     def test_budget_exhaustion_matches(self):
         source = ".text\n.globl __start\n__start:\nspin: b spin"
@@ -142,6 +181,41 @@ __start:
             cpu.run(100)
         assert cpu.state.pc == program.text_base + 0x4000
         assert cpu.instructions_retired == reference.instructions_retired
+
+    # control transfers whose static target is the pc just past the
+    # last instruction: a label that ends the text segment
+    PAST_TEXT = {
+        "j": "    j past_text\n",
+        "jal": "    jal past_text\n",
+        "branch": ("    li $t0, 1\n"
+                   "    beq $t0, $zero, past_text\n"   # not taken
+                   "    bne $t0, $zero, past_text\n"), # taken
+    }
+
+    @pytest.mark.parametrize("drive", ["run", "run_trace", "retire"])
+    @pytest.mark.parametrize("body", PAST_TEXT.values(), ids=PAST_TEXT)
+    def test_static_target_past_text(self, body, drive):
+        program = asm_program(".text\n.globl __start\n__start:\n"
+                              + body + "past_text:\n")
+        reference = CPU(program)
+        records = []
+        with pytest.raises(SimulationError, match="outside text segment"):
+            for __ in range(100):
+                records.append(reference.step())
+        end = program.text_base + 4 * len(program.instructions)
+        assert reference.state.pc == end
+        cpu = CPU(program)
+        log = RetireLog()
+        with pytest.raises(SimulationError, match="outside text segment"):
+            if drive == "run":
+                cpu.run(100)
+            else:
+                cpu.run_trace(log if drive == "retire" else None, 100)
+        assert cpu.state.snapshot() == reference.state.snapshot()
+        assert cpu.instructions_retired == reference.instructions_retired
+        assert not cpu.halted
+        if drive == "retire":
+            assert_retire_stream(log.calls, records)
 
 
 class TestRunTraceProtocol:

@@ -7,9 +7,10 @@ requested benchmark this drives them directly and verifies, bit for
 bit:
 
 1. the tracefile: ``replay_into`` on a ``record_trace`` file hands over
-   exactly the ``CPU.step`` record stream, field for field, and the
-   recording executor ends in the step loop's architectural state,
-   stdout, retired count and memory usage,
+   exactly the ``CPU.step`` record stream, field for field, and both
+   the recording executor and a consumer-less ``CPU.run`` end in the
+   step loop's architectural state, stdout, retired count and memory
+   usage,
 2. ``TraceAnalysis`` ``repro.metrics/1`` snapshots from a step-driven
    ``TraceAnalyzer``, from ``analyze_program`` (live, columnar) *and*
    from ``analyze_trace`` on the recorded tracefile,
@@ -63,6 +64,7 @@ from repro.analysis.prediction import (
 )
 from repro.cpu.executor import CPU
 from repro.cpu.tracefile import record_trace, replay_into
+from repro.errors import SimulationError
 from repro.experiments.common import MACHINES
 from repro.fac.config import FacConfig
 from repro.farm.snapshots import analysis_to_snapshot, sim_to_snapshot
@@ -90,6 +92,25 @@ def canon(snapshot: dict) -> str:
 def fields(rec) -> tuple:
     return (rec.pc, id(rec.inst), rec.ea, rec.base_value, rec.offset_value,
             rec.taken, rec.next_pc)
+
+
+def same_end_state(a: CPU, b: CPU) -> bool:
+    return (a.instructions_retired == b.instructions_retired
+            and a.stdout() == b.stdout()
+            and a.memory_usage == b.memory_usage
+            and a.state.snapshot() == b.state.snapshot())
+
+
+def bare_run(program, max_instructions: int) -> CPU:
+    """A ``CPU.run`` with no consumer; stopping on the budget is not a
+    divergence (the step loop stops there too)."""
+    cpu = CPU(program)
+    try:
+        cpu.run(max_instructions)
+    except SimulationError:
+        if cpu.halted or cpu.instructions_retired != max_instructions:
+            raise
+    return cpu
 
 
 class StepLockstep:
@@ -160,7 +181,7 @@ def check_benchmark(name: str, max_instructions: int, scratch: str
     problems: list[str] = []
     program = build_benchmark(name, software_support=False)
 
-    # 1. tracefile records + final executor state
+    # 1. tracefile records + final executor state, recording and bare
     path = os.path.join(scratch, f"{name}.fact.gz")
     cpu = CPU(program)
     record_trace(program, path, max_instructions, cpu=cpu)
@@ -169,11 +190,10 @@ def check_benchmark(name: str, max_instructions: int, scratch: str
     spec = lockstep.cpu
     if lockstep.mismatches or (not spec.halted and lockstep.budget > 0):
         problems.append("replayed records differ from the step stream")
-    if (cpu.instructions_retired != spec.instructions_retired
-            or cpu.stdout() != spec.stdout()
-            or cpu.memory_usage != spec.memory_usage
-            or cpu.state.snapshot() != spec.state.snapshot()):
+    if not same_end_state(cpu, spec):
         problems.append("executor state differs after record_trace")
+    if not same_end_state(bare_run(program, max_instructions), spec):
+        problems.append("executor state differs after a bare CPU.run")
 
     # 2. analysis snapshots: step-driven spec, live, replay
     analyzer = TraceAnalyzer(per_pc=True)
