@@ -241,8 +241,7 @@ def build_tables(cpu):
         elif op in (Op.BEQ, Op.BNE, Op.BLEZ, Op.BGTZ, Op.BLTZ, Op.BGEZ,
                     Op.BC1T, Op.BC1F):
             kinds[i] = KIND_CTRL
-            handler = _compile_branch(
-                op, inst, TraceRecord, state, regs, pc)
+            handler = _compile_branch(op, inst, TraceRecord, state, regs, pc)
 
         # ---------------- jumps ----------------
         elif op in (Op.J, Op.JAL, Op.JR, Op.JALR):

@@ -189,7 +189,7 @@ __start:
         "jal": "    jal past_text\n",
         "branch": ("    li $t0, 1\n"
                    "    beq $t0, $zero, past_text\n"   # not taken
-                   "    bne $t0, $zero, past_text\n"), # taken
+                   "    bne $t0, $zero, past_text\n"),  # taken
     }
 
     @pytest.mark.parametrize("drive", ["run", "run_trace", "retire"])
