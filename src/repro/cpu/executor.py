@@ -64,7 +64,9 @@ class CPU:
         self.heap_base = program.brk
         self.brk = program.brk
         self.heap_peak = program.brk
-        self.sp_min = program.sp_value
+        # lowest $sp seen, in a one-slot list the predecoded handlers
+        # share, so they need no reference back to this CPU
+        self._sp_min = [program.sp_value]
         self._load_image()
         self.state.reset(program.entry, program.gp_value, program.sp_value)
         self._insts = program.instructions
@@ -93,6 +95,10 @@ class CPU:
         heap = self.heap_peak - self.heap_base
         stack = self.program.sp_value - self.sp_min
         return static + heap + stack
+
+    @property
+    def sp_min(self) -> int:
+        return self._sp_min[0]
 
     def run(self, max_instructions: int = 100_000_000) -> int:
         """Run until exit or the instruction budget on the predecoded
@@ -293,9 +299,9 @@ class CPU:
                     self.memory.write(ea, info.mem_width, regs[inst.rt])
             if mode == "p":
                 regs[inst.rs] = (base_value + inst.imm) & MASK32
-            if inst.rs == Reg.SP and base_value < self.sp_min:
-                self.sp_min = base_value
-                if self.program.sp_value - self.sp_min > STACK_LIMIT:
+            if inst.rs == Reg.SP and base_value < self._sp_min[0]:
+                self._sp_min[0] = base_value
+                if self.program.sp_value - base_value > STACK_LIMIT:
                     raise SimulationError("stack overflow")
 
         # ---------------- branches ----------------

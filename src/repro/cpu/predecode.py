@@ -45,6 +45,8 @@ rebinding them.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.errors import SimulationError
 from repro.cpu.syscalls import handle_syscall
 from repro.isa.opcodes import OP_INFO, Op
@@ -71,7 +73,9 @@ def build_tables(cpu):
     Returns ``(handlers, kinds, pcs)``, each indexed by text index: the
     instruction's handler, its ``KIND_*`` code (a bytearray) and its
     static pc. Plain handlers return the next index; memory and
-    control-flow handlers return their :class:`TraceRecord`.
+    control-flow handlers return their :class:`TraceRecord`. No handler
+    holds a strong reference to ``cpu``, which holds the tables, so a
+    ``CPU`` is freed as soon as it is dropped.
     """
     from repro.cpu.executor import TraceRecord
 
@@ -84,6 +88,8 @@ def build_tables(cpu):
     text_base = program.text_base
     n_insts = len(insts)
     sp_value = program.sp_value
+    sp_min = cpu._sp_min
+    cpu_ref = weakref.ref(cpu)
 
     mem_read = mem.read
     mem_write = mem.write
@@ -232,7 +238,7 @@ def build_tables(cpu):
         elif info.mem_width:
             kinds[i] = KIND_MEM
             handler = _compile_mem(
-                cpu, inst, info, TraceRecord, regs, fregs,
+                sp_min, inst, info, TraceRecord, regs, fregs,
                 mem_read, mem_write, read_u32, write_u32,
                 read_double, write_double, sp_value, pc,
             )
@@ -392,10 +398,12 @@ def build_tables(cpu):
 
         # ---------------- system ----------------
         elif op is Op.SYSCALL:
-            def handler(cpu=cpu, state=state, pc=pc, pc4=pc4, ni=ni):
+            def handler(cpu_ref=cpu_ref, state=state, pc=pc, pc4=pc4,
+                        ni=ni):
                 # legacy step() leaves state.pc at the syscall's own pc
                 # while the handler runs (obs Syscall events carry it)
                 state.pc = pc
+                cpu = cpu_ref()
                 handle_syscall(cpu)
                 if cpu.halted:
                     state.pc = pc4
@@ -425,7 +433,7 @@ def build_tables(cpu):
 # memory handlers
 
 
-def _compile_mem(cpu, inst, info, TraceRecord, regs, fregs,
+def _compile_mem(sp_min, inst, info, TraceRecord, regs, fregs,
                  mem_read, mem_write, read_u32, write_u32,
                  read_double, write_double, sp_value, pc):
     """Compile one load/store into a closure returning its record."""
@@ -476,9 +484,9 @@ def _compile_mem(cpu, inst, info, TraceRecord, regs, fregs,
                 mem_write(ea, width, regs[rt])
 
     if rs == Reg.SP:
-        def check_sp(base, cpu=cpu, sp_value=sp_value):
-            if base < cpu.sp_min:
-                cpu.sp_min = base
+        def check_sp(base, sp_min=sp_min, sp_value=sp_value):
+            if base < sp_min[0]:
+                sp_min[0] = base
                 if sp_value - base > STACK_LIMIT:
                     raise SimulationError("stack overflow")
     else:

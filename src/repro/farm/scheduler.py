@@ -7,11 +7,17 @@ Design:
   dependency has completed; ready jobs are first checked against the
   artifact store (a hit completes instantly, no worker involved), then
   dispatched to an idle worker.
-* Each worker is a separate process with its own task queue; results
-  come back over one shared queue. Workers are spawned lazily -- a
-  fully warm re-run never forks at all.
-* A worker that dies mid-job (crash, OOM kill) or exceeds the per-job
-  timeout is terminated and replaced; the job is retried up to
+* Each worker is a separate process with one duplex pipe to the
+  parent (specs down, results up), spawned lazily -- a fully warm
+  re-run never forks at all.
+* The parent never polls: it blocks in
+  :func:`multiprocessing.connection.wait` on each busy worker's pipe
+  and process sentinel until the nearest deadline (a job's timeout,
+  the next heartbeat), if any. Ready jobs are dispatched as soon as a
+  result is handled, so a dependent starts when its input completes.
+* A worker that dies mid-job (its sentinel fires or its pipe reads
+  EOF with no result pending) or exceeds the per-job timeout is
+  terminated and replaced on next use; the job is retried up to
   ``retries`` extra attempts, then failed. A job that raises a Python
   exception fails immediately (re-running deterministic code cannot
   help). A failed job fails its dependents (``upstream failed``) but
@@ -28,7 +34,7 @@ Telemetry (all optional, zero cost when off):
 
 * ``tracker`` -- a :class:`repro.obs.spans.SpanTracker`; the run is
   recorded as a span tree (sweep -> per-job spans -> worker-side
-  execute/store spans shipped back over the result queue and adopted
+  execute/store spans shipped back over the worker's pipe and adopted
   under the job), the substrate of the run ledger
   (:mod:`repro.farm.ledger`) and ``repro farm timeline``.
 * Per-job resource accounting -- workers measure wall time, their own
@@ -52,6 +58,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 
 from repro.farm.jobs import JobGraph, JobSpec, artifact_ready, execute_job
 from repro.farm.store import ArtifactStore
@@ -70,8 +77,6 @@ try:
     import resource as _resource
 except ImportError:  # pragma: no cover - non-POSIX host
     _resource = None
-
-_POLL_SECONDS = 0.05
 
 #: Schema tag of the live status file (``repro farm top`` input).
 LIVE_SCHEMA = "repro.farm-live/1"
@@ -149,12 +154,15 @@ class FarmRunResult:
 # ------------------------------------------------------------------ #
 # worker side
 
-def _worker_main(worker_id: int, store_root: str, task_q, result_q) -> None:
+def _worker_main(store_root: str, conn) -> None:
     store = ArtifactStore(store_root)
     crash = os.environ.get("REPRO_FARM_TEST_CRASH", "")
     hang = os.environ.get("REPRO_FARM_TEST_HANG", "")
     while True:
-        spec = task_q.get()
+        try:
+            spec = conn.recv()
+        except EOFError:
+            return
         if spec is None:
             return
         if crash and crash in spec.job_id:
@@ -180,53 +188,48 @@ def _worker_main(worker_id: int, store_root: str, task_q, result_q) -> None:
             "max_rss": rss,
             "spans": tracker.export(),
         }
-        result_q.put((worker_id, spec.job_id, status, keys, error, usage))
+        conn.send((status, keys, error, usage))
 
 
 class _Worker:
-    """One pool slot: process handle, private task queue, in-flight job."""
+    """One pool slot: process handle, its pipe end, in-flight job."""
 
-    def __init__(self, ctx, index: int, store_root: str, result_q):
+    def __init__(self, ctx, index: int, store_root: str):
         self.index = index
-        self.task_q = ctx.Queue()
+        self.conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
             target=_worker_main,
-            args=(index, store_root, self.task_q, result_q),
+            args=(store_root, child_conn),
             daemon=True,
             name=f"repro-farm-{index}",
         )
         self.process.start()
+        # only the worker holds its end, so its death reads as EOF here
+        child_conn.close()
         self.job: JobSpec | None = None
         self.started_at = 0.0
-
-    @property
-    def idle(self) -> bool:
-        return self.job is None
 
     def assign(self, spec: JobSpec) -> None:
         self.job = spec
         self.started_at = time.monotonic()
-        self.task_q.put(spec)
-
-    def release(self) -> None:
-        self.job = None
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
+        try:
+            self.conn.send(spec)
+        except OSError:
+            pass  # it died since it was picked: a crash on the next wait
 
     def stop(self, kill: bool = False) -> None:
         if kill and self.process.is_alive():
             self.process.terminate()
         elif self.process.is_alive():
             try:
-                self.task_q.put(None)
-            except (OSError, ValueError):  # pragma: no cover - queue gone
+                self.conn.send(None)
+            except (OSError, ValueError):  # pragma: no cover - pipe gone
                 pass
         self.process.join(timeout=2.0)
         if self.process.is_alive():  # pragma: no cover - stubborn child
             self.process.kill()
             self.process.join(timeout=2.0)
-        self.task_q.close()
+        self.conn.close()
 
 
 # ------------------------------------------------------------------ #
@@ -250,6 +253,7 @@ class _GraphRun:
         self.attempts: dict[str, int] = {}
         self.waiting: dict[str, set[str]] = {}
         self.ready: list[str] = []
+        self.missed: set[str] = set()   # ready, store checked, no worker
         self.workers: list[_Worker] = []
         self.sweep_span: int | None = None
         self.job_spans: dict[str, int] = {}
@@ -259,7 +263,6 @@ class _GraphRun:
         self.ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else "spawn")
-        self.result_q = self.ctx.Queue()
 
     # ---------------- events / spans ---------------- #
 
@@ -375,38 +378,34 @@ class _GraphRun:
 
     def _idle_worker(self) -> _Worker | None:
         for worker in self.workers:
-            if worker.idle and worker.alive():
+            if worker.job is None and worker.process.is_alive():
                 return worker
-        for worker in self.workers:
-            if worker.idle and not worker.alive():
-                return self._respawn(worker)
+        for position, worker in enumerate(self.workers):
+            if worker.job is None and not worker.process.is_alive():
+                worker.stop(kill=True)
+                worker = self.workers[position] = _Worker(
+                    self.ctx, worker.index, str(self.store.root))
+                return worker
         if len(self.workers) < self.max_workers:
             worker = _Worker(self.ctx, len(self.workers),
-                             str(self.store.root), self.result_q)
+                             str(self.store.root))
             self.workers.append(worker)
             return worker
         return None
 
-    def _respawn(self, worker: _Worker) -> _Worker:
-        position = self.workers.index(worker)
-        worker.stop(kill=True)
-        replacement = _Worker(self.ctx, worker.index, str(self.store.root),
-                              self.result_q)
-        self.workers[position] = replacement
-        return replacement
-
     def _dispatch_ready(self) -> None:
         still_ready = []
         for job_id in self.ready:
-            if job_id in self.outcomes:
-                continue  # a late result resolved it while queued for retry
             spec = self.graph.jobs[job_id]
-            if self._try_complete_from_store(spec):
-                continue
+            if job_id not in self.missed:
+                if self._try_complete_from_store(spec):
+                    continue
+                self.missed.add(job_id)
             worker = self._idle_worker()
             if worker is None:
                 still_ready.append(job_id)
                 continue
+            self.missed.discard(job_id)
             self.attempts[job_id] = self.attempts.get(job_id, 0) + 1
             self._span_for(job_id)
             worker.assign(spec)
@@ -427,61 +426,62 @@ class _GraphRun:
 
     # ---------------- supervision ---------------- #
 
-    def _drain_results(self) -> None:
-        import queue as queue_mod
-
-        try:
-            while True:
-                worker_id, job_id, status, keys, error, usage = \
-                    self.result_q.get(timeout=_POLL_SECONDS)
-                for worker in self.workers:
-                    if worker.index == worker_id and worker.job is not None \
-                            and worker.job.job_id == job_id:
-                        worker.release()
-                        break
-                if job_id in self.outcomes:
-                    continue  # late result after a kill/retry resolved it
-                self._charge(job_id, usage, worker_id)
-                spec = self.graph.jobs[job_id]
+    def _await_events(self) -> None:
+        """Block until a busy worker reports, dies, or a deadline (its
+        job's timeout, the next heartbeat) passes; then handle each."""
+        busy = [w for w in self.workers if w.job is not None]
+        if not busy:
+            raise RuntimeError("job graph stalled: "
+                               f"{sorted(self.waiting)} wait on unknown jobs")
+        deadlines = [w.started_at + self.timeout for w in busy] \
+            if self.timeout else []
+        if self.heartbeat_path is not None:
+            deadlines.append(self._next_beat)
+        wait([h for w in busy for h in (w.conn, w.process.sentinel)],
+             max(0.0, min(deadlines) - time.monotonic())
+             if deadlines else None)
+        now = time.monotonic()
+        for worker in busy:
+            spec = worker.job
+            elapsed = now - worker.started_at
+            if worker.conn.poll():
+                # a result already sent wins over a deadline just passed
+                try:
+                    status, keys, error, usage = worker.conn.recv()
+                except (EOFError, OSError):
+                    self._lose(worker, spec, elapsed, timed_out=False)
+                    continue
+                worker.job = None
+                self._charge(spec.job_id, usage, worker.index)
                 if status == "ok":
                     self._finish(spec, "done", keys=keys)
                 else:
                     self._finish(spec, "failed", error=error)
-        except queue_mod.Empty:
-            pass
+            elif not worker.process.is_alive():
+                self._lose(worker, spec, elapsed, timed_out=False)
+            elif self.timeout and elapsed >= self.timeout:
+                self._lose(worker, spec, elapsed, timed_out=True)
 
-    def _check_workers(self) -> None:
-        now = time.monotonic()
-        for worker in list(self.workers):
-            spec = worker.job
-            if spec is None:
-                continue
-            attempt = self.attempts.get(spec.job_id, 0)
-            if not worker.alive():
-                elapsed = now - worker.started_at
-                worker.release()
-                self._respawn(worker)
-                if spec.job_id not in self.outcomes:
-                    self._charge(spec.job_id,
-                                 {"wall": elapsed}, worker.index)
-                    reason = f"worker crashed (attempt {attempt})"
-                    self._emit(FarmJobCrashed(
-                        job_id=spec.job_id, job_kind=spec.kind,
-                        reason=reason, attempt=attempt))
-                    self._retry_or_fail(spec, reason)
-            elif self.timeout and now - worker.started_at > self.timeout:
-                elapsed = now - worker.started_at
-                worker.release()
-                self._respawn(worker)
-                if spec.job_id not in self.outcomes:
-                    self._charge(spec.job_id,
-                                 {"wall": elapsed}, worker.index)
-                    self._emit(FarmJobTimeout(
-                        job_id=spec.job_id, job_kind=spec.kind,
-                        timeout=self.timeout, attempt=attempt))
-                    self._retry_or_fail(
-                        spec, f"timed out after {self.timeout:g}s "
-                        f"(attempt {attempt})")
+    def _lose(self, worker: _Worker, spec: JobSpec, elapsed: float,
+              timed_out: bool) -> None:
+        """Kill ``worker`` (respawned on its next dispatch), charge the
+        lost attempt, and retry or fail its job."""
+        attempt = self.attempts.get(spec.job_id, 0)
+        worker.job = None
+        worker.stop(kill=True)
+        self._charge(spec.job_id, {"wall": elapsed}, worker.index)
+        if timed_out:
+            self._emit(FarmJobTimeout(
+                job_id=spec.job_id, job_kind=spec.kind,
+                timeout=self.timeout, attempt=attempt))
+            reason = (f"timed out after {self.timeout:g}s "
+                      f"(attempt {attempt})")
+        else:
+            reason = f"worker crashed (attempt {attempt})"
+            self._emit(FarmJobCrashed(
+                job_id=spec.job_id, job_kind=spec.kind,
+                reason=reason, attempt=attempt))
+        self._retry_or_fail(spec, reason)
 
     # ---------------- live status ---------------- #
 
@@ -561,14 +561,12 @@ class _GraphRun:
                 self._dispatch_ready()
                 if len(self.outcomes) == len(self.graph.jobs):
                     break
-                self._drain_results()
-                self._check_workers()
                 self._heartbeat()
+                self._await_events()
         finally:
             for worker in self.workers:
                 worker.stop(kill=any(w.job is not None
                                      for w in self.workers))
-            self.result_q.close()
             complete = len(self.outcomes) == len(self.graph.jobs)
             if self.tracker is not None:
                 failed = sum(1 for o in self.outcomes.values()

@@ -8,7 +8,7 @@ tracker keeps the record the run ledger persists
 
 Spans cross process boundaries by value: a worker builds its own
 tracker, wraps its work in spans, and ships ``export()`` -- a list of
-plain dicts -- back over the result queue. The parent then calls
+plain dicts -- back over its pipe to the parent, which then calls
 :meth:`SpanTracker.adopt` to splice those records under the job's span,
 remapping ids so they stay unique within the run. On Linux
 ``time.monotonic`` shares one boot-time base across processes, so child

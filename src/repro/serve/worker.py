@@ -229,9 +229,11 @@ def run_serve_job(store: ArtifactStore, record: dict, log: JobEventLog,
     queue_wait = max(0.0, start - float(enqueued_at)) \
         if enqueued_at is not None else 0.0
     try:
-        # the farm forks fresh workers for every graph: load the timing
-        # engine, which sim jobs import lazily, once per service, so
-        # each worker inherits it instead of importing it per request
+        # the farm forks fresh workers for every graph: load the trace
+        # and timing engines, which trace and sim jobs import lazily,
+        # once per service, so each worker inherits them instead of
+        # importing them per request
+        import repro.cpu.predecode  # noqa: F401
         import repro.pipeline.replay  # noqa: F401
 
         graph = plan_serve_graph(submission, machines)

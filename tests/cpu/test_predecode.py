@@ -7,6 +7,9 @@ architectural state, same stdout, same trace records, same faults at the
 same instruction boundaries.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.compiler import compile_and_link
@@ -266,6 +269,22 @@ class TestRunTraceProtocol:
         assert cpu.run_trace(None, 0) == 0
         assert cpu.instructions_retired == 0
         assert not cpu.halted
+
+    @pytest.mark.parametrize("budget", [1000, 100_000_000])
+    def test_dropped_cpu_is_freed_without_the_cycle_collector(self, budget):
+        """The handler tables (a syscall, $sp-based loads and stores)
+        hold no reference back to their CPU, so ``del`` frees it."""
+        program = compile_and_link(MINIC_SOURCE)
+        gc.disable()
+        try:
+            cpu = CPU(program)
+            cpu.run_trace(None, budget)
+            assert cpu.sp_min < program.sp_value
+            ref = weakref.ref(cpu)
+            del cpu
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_halted_cpu_executes_nothing(self):
         program = compile_and_link(MINIC_SOURCE)

@@ -3,7 +3,8 @@ timeout kills, and lifecycle events."""
 
 import pytest
 
-from repro.farm import ArtifactStore, Cell, plan_jobs, run_graph
+from repro.farm import ArtifactStore, Cell, plan_jobs, run_graph, scheduler
+from repro.farm.jobs import JobGraph, JobSpec
 from repro.fac import FacConfig
 from repro.obs.events import EventBus
 from repro.pipeline.config import MachineConfig
@@ -249,3 +250,48 @@ class TestValidation:
         assert not result.ok
         for outcome in result.outcomes.values():
             assert outcome.attempts <= 1
+
+    def test_dependency_outside_the_graph_raises(self, tmp_path):
+        graph = JobGraph()
+        graph.jobs["trace:x"] = JobSpec(
+            job_id="trace:x", kind="trace", name="x", software=False,
+            max_instructions=1, deps=("build:x",))
+        with pytest.raises(RuntimeError, match="stalled"):
+            run_graph(graph, ArtifactStore(tmp_path / "store"), jobs=1)
+
+
+def no_op_graph(monkeypatch, count, chained):
+    """``count`` build jobs whose execution does nothing (forked workers
+    inherit the patch); unknown names make every store check miss."""
+    monkeypatch.setattr(scheduler, "execute_job", lambda spec, store: ())
+    graph = JobGraph()
+    for i in range(count):
+        graph.jobs[f"build:n{i}"] = JobSpec(
+            job_id=f"build:n{i}", kind="build", name=f"n{i}",
+            software=False, max_instructions=1,
+            deps=(f"build:n{i - 1}",) if chained and i else ())
+    return graph
+
+
+class TestDispatchLatency:
+    def test_dependent_starts_when_its_input_completes(self, tmp_path,
+                                                       monkeypatch):
+        graph = no_op_graph(monkeypatch, 20, chained=True)
+        result = run_graph(graph, ArtifactStore(tmp_path / "store"), jobs=1,
+                           timeout=60)
+        assert result.computed == 20
+        # a fixed 50 ms poll between links alone would take a second
+        assert result.elapsed < 0.5
+
+    def test_queued_job_is_store_checked_once(self, tmp_path, monkeypatch):
+        checked = []
+        real = scheduler.artifact_ready
+        monkeypatch.setattr(scheduler, "artifact_ready",
+                            lambda spec, store: checked.append(spec.job_id)
+                            or real(spec, store))
+        graph = no_op_graph(monkeypatch, 6, chained=False)
+        result = run_graph(graph, ArtifactStore(tmp_path / "store"), jobs=1,
+                           timeout=60)
+        assert result.computed == 6
+        assert sorted(checked) == sorted(graph.jobs)
+
