@@ -6,22 +6,28 @@ flavour). :func:`plan_jobs` lowers cells onto a dependency graph of four
 job kinds::
 
     build(name, software)                 -> build manifest (program CRC)
+      sim(name, software, machines)       -> one repro.metrics/1
+                                             snapshot per machine,
+                                             and the functional trace
+        analysis(name, software)          -> repro.metrics/1 snapshot
+
+    build(name, software)                 (a build with no sim cells)
       trace(name, software)               -> functional trace artifact
         analysis(name, software)          -> repro.metrics/1 snapshot
-        sim(name, software, machines)     -> one repro.metrics/1
-                                             snapshot per machine
 
-One functional capture (the trace) drives the build's timing job and
-its analysis, which decodes it straight into numpy columns -- the
-decoupled access/execute split that makes the sweep embarrassingly
-parallel. There is one timing job per build, whatever the number of
-flavours: it decodes the trace once, shares the cache, BTB and FAC
-outcomes across flavours, and writes each flavour's snapshot under its
-own :func:`sim_key` (see :mod:`repro.pipeline.replay`). Execution is
-*store-idempotent*: every ``ensure_*`` function first consults the
-:class:`~repro.farm.store.ArtifactStore` and only computes on a miss,
-so the same functions serve the in-process API (:mod:`repro.farm.api`),
-the worker pool, and warm re-runs.
+Each build is executed once. Its sim job runs it live and times every
+flavour from that one run (:func:`repro.pipeline.replay.time_live`,
+which shares the cache, BTB and FAC outcomes across flavours), writing
+each flavour's snapshot under its own :func:`sim_key`; the same run
+records the trace, which the analysis then decodes straight into numpy
+columns. A build with only an analysis cell gets a trace job instead.
+The farm never replays a stored trace for timing: executing a build
+again costs less than encoding, storing and decoding its trace.
+
+Execution is *store-idempotent*: every ``ensure_*`` function first
+consults the :class:`~repro.farm.store.ArtifactStore` and only
+computes on a miss, so the same functions serve the in-process API
+(:mod:`repro.farm.api`), the worker pool, and warm re-runs.
 """
 
 from __future__ import annotations
@@ -114,11 +120,13 @@ def plan_jobs(cells, machines: dict[str, MachineConfig],
 
     ``machines`` maps flavour labels (as used in sim cells) to their
     :class:`MachineConfig`; unknown labels raise ``KeyError`` here, at
-    planning time, not inside a worker. Each build gets one sim job
-    covering all its requested flavours, with id
-    ``sim:<tag>:<labels, sorted and ","-joined>``. ``source`` is the
-    inline MiniC text every job of the graph builds from (see
-    :class:`JobSpec`).
+    planning time, not inside a worker. Each build gets one job that
+    executes it after its ``build:<tag>`` job: a sim job covering all
+    its requested flavours, with id ``sim:<tag>:<labels, sorted and
+    ","-joined>``, which also stores the trace; or, for a build with
+    only an analysis cell, a ``trace:<tag>`` job. The analysis depends
+    on that job. ``source`` is the inline MiniC text every job of the
+    graph builds from (see :class:`JobSpec`).
     """
     cells = sorted(set(cells))
     graph = JobGraph()
@@ -128,36 +136,40 @@ def plan_jobs(cells, machines: dict[str, MachineConfig],
         if cell.kind == "sim":
             flavours.setdefault((cell.name, cell.software), []).append(
                 cell.machine)
+    # the job that executes each build and stores its trace
+    runs: dict[tuple[str, bool], str] = {}
     for name, software in sorted({(c.name, c.software) for c in cells}):
         tag = _tag(name, software)
         build_id = f"build:{tag}"
-        trace_id = f"trace:{tag}"
         graph.jobs[build_id] = JobSpec(
             job_id=build_id, kind="build", name=name, software=software,
             max_instructions=max_instructions, source=source)
-        graph.jobs[trace_id] = JobSpec(
-            job_id=trace_id, kind="trace", name=name, software=software,
-            max_instructions=max_instructions, deps=(build_id,),
-            source=source)
+        labels = flavours.get((name, software))
+        if labels:
+            run_id = f"sim:{tag}:{','.join(labels)}"
+            graph.jobs[run_id] = JobSpec(
+                job_id=run_id, kind="sim", name=name, software=software,
+                max_instructions=max_instructions,
+                machines=tuple((label, machines[label])
+                               for label in labels),
+                deps=(build_id,), source=source)
+        else:
+            run_id = f"trace:{tag}"
+            graph.jobs[run_id] = JobSpec(
+                job_id=run_id, kind="trace", name=name, software=software,
+                max_instructions=max_instructions, deps=(build_id,),
+                source=source)
+        runs[(name, software)] = run_id
     for cell in cells:
-        tag = _tag(cell.name, cell.software)
+        run_id = runs[(cell.name, cell.software)]
         if cell.kind == "analysis":
-            job_id = f"analysis:{tag}"
+            job_id = f"analysis:{_tag(cell.name, cell.software)}"
             graph.jobs[job_id] = JobSpec(
                 job_id=job_id, kind="analysis", name=cell.name,
                 software=cell.software, max_instructions=max_instructions,
-                deps=(f"trace:{tag}",), source=source)
+                deps=(run_id,), source=source)
         else:
-            labels = flavours[(cell.name, cell.software)]
-            job_id = f"sim:{tag}:{','.join(labels)}"
-            if job_id not in graph.jobs:
-                graph.jobs[job_id] = JobSpec(
-                    job_id=job_id, kind="sim", name=cell.name,
-                    software=cell.software,
-                    max_instructions=max_instructions,
-                    machines=tuple((label, machines[label])
-                                   for label in labels),
-                    deps=(f"trace:{tag}",), source=source)
+            job_id = run_id
         graph.cell_jobs[cell] = job_id
     return graph
 
@@ -302,28 +314,43 @@ def ensure_manifest(store: ArtifactStore, name: str, software: bool,
     return meta
 
 
-def ensure_trace(store: ArtifactStore, name: str, software: bool,
-                 max_instructions: int,
-                 source: str | None = None) -> tuple[str, dict]:
-    """Record (or find) the functional trace of one build.
+def _execute(store: ArtifactStore, name: str, software: bool,
+             max_instructions: int, machines, source: str | None = None
+             ) -> tuple[str, dict, list]:
+    """Execute one build once, live, timing it on ``machines`` (a
+    sequence of :class:`MachineConfig`) with
+    :func:`repro.pipeline.replay.time_live`.
 
-    The artifact carries the facts a trace cannot: instruction count,
-    memory usage, and captured stdout -- everything downstream analyses
-    and simulations need to match a live run exactly.
+    When the build's trace is not stored yet, the run records it on the
+    way (a :func:`~repro.cpu.tracefile.trace_writer` teed beside the
+    timing fronts) and publishes it. With the trace stored, the run
+    times only, and with no machines as well there is nothing to run.
+    Returns the trace key, its meta and the results in ``machines``
+    order.
+
+    The trace artifact carries the facts a trace cannot: instruction
+    count, memory usage, and captured stdout -- everything downstream
+    analyses need to match a live run exactly.
     """
-    from repro.cpu import CPU
-    from repro.cpu.tracefile import record_trace
+    from repro.cpu.tracefile import trace_writer
+    from repro.pipeline.replay import time_live
 
     manifest = ensure_manifest(store, name, software, source)
     key = trace_key(name, software, manifest["program_crc"],
                     max_instructions, source)
     meta = store.get_meta("trace", key)
-    if meta is not None and store.payload_path("trace", key, TRACE_PAYLOAD):
-        return key, meta
+    stored = meta is not None and \
+        store.payload_path("trace", key, TRACE_PAYLOAD) is not None
+    if stored and not machines:
+        return key, meta, []
     program = build_program(name, software, source)
-    cpu = CPU(program)
+    if stored:
+        results, _ = time_live(program, machines, max_instructions)
+        return key, meta, results
     scratch = store.scratch(f"{name}-{key[:12]}.fact.gz")
-    count = record_trace(program, str(scratch), max_instructions, cpu=cpu)
+    with trace_writer(str(scratch), program) as writer:
+        results, cpu = time_live(program, machines, max_instructions,
+                                 tee=writer)
     meta = {
         "schema": FARM_SCHEMA,
         "kind": "trace",
@@ -331,11 +358,21 @@ def ensure_trace(store: ArtifactStore, name: str, software: bool,
         "software_support": software,
         "program_crc": manifest["program_crc"],
         "max_instructions": max_instructions,
-        "instructions": count,
+        "instructions": writer.count,
         "memory_usage": cpu.memory_usage,
         "stdout": cpu.stdout(),
     }
     store.put("trace", key, meta, payloads={TRACE_PAYLOAD: scratch})
+    return key, meta, results
+
+
+def ensure_trace(store: ArtifactStore, name: str, software: bool,
+                 max_instructions: int,
+                 source: str | None = None) -> tuple[str, dict]:
+    """Record (or find) the functional trace of one build: a build
+    executed with no flavours to time (see :func:`_execute`)."""
+    key, meta, _ = _execute(store, name, software, max_instructions, (),
+                            source)
     return key, meta
 
 
@@ -396,10 +433,11 @@ def ensure_sims(store: ArtifactStore, name: str, software: bool,
     """Time (or find) one build on several machine flavours.
 
     ``machines`` is a sequence of ``(label, MachineConfig)``. Only the
-    flavours missing from the store are computed, all from one decode
-    of the trace (:func:`repro.pipeline.replay.time_flavours`); each
-    snapshot lands under its own :func:`sim_key`. Returns ``(key,
-    snapshot)`` per flavour, in ``machines`` order.
+    flavours missing from the store are computed, all from one live
+    execution of the build (see :func:`_execute`), which also records
+    and stores the build's trace when the store lacks it; each snapshot
+    lands under its own :func:`sim_key`. Returns ``(key, snapshot)``
+    per flavour, in ``machines`` order.
     """
     manifest = ensure_manifest(store, name, software, source)
     crc = manifest["program_crc"]
@@ -409,15 +447,8 @@ def ensure_sims(store: ArtifactStore, name: str, software: bool,
     snapshots = [store.get_json("sim", key) for key in keys]
     missing = [i for i, snapshot in enumerate(snapshots) if snapshot is None]
     if missing:
-        from repro.pipeline.replay import time_flavours
-
-        tkey, tmeta = ensure_trace(store, name, software, max_instructions,
-                                   source)
-        program = build_program(name, software, source)
-        trace_path = store.payload_path("trace", tkey, TRACE_PAYLOAD)
-        results = time_flavours(program, str(trace_path),
-                                [machines[i][1] for i in missing],
-                                memory_usage=tmeta["memory_usage"])
+        _, _, results = _execute(store, name, software, max_instructions,
+                                 [machines[i][1] for i in missing], source)
         for i, result in zip(missing, results):
             label = machines[i][0]
             snapshots[i] = sim_to_snapshot(result, meta={

@@ -193,6 +193,9 @@ class ArtifactStore:
              payloads: dict[str, str | Path | bytes] | None = None) -> Path:
         final = self._object_dir(kind, key)
         if (final / _META).is_file():
+            for src in (payloads or {}).values():
+                if not isinstance(src, bytes):
+                    Path(src).unlink(missing_ok=True)
             return final
         stage = self._tmp_dir() / f"{os.getpid()}-{kind}-{key[:16]}"
         if stage.exists():

@@ -34,14 +34,20 @@ every flavour's recurrence (a generator that keeps its state between
 chunks) consumes it, and the chunk is reused, so memory stays bounded
 whatever the trace length.
 
-A front is fed either by :func:`replay_into` from a recorded trace or
-live, by :meth:`CPU.run_trace` (:func:`time_live`): both speak the one
-``retire(pc, inst, rec)`` hook, so both feeds share the front and the
-recurrence. On request a recurrence also reports, chunk by chunk,
-each record's issue and result-ready cycles and each memory access's
-outcome (see :data:`IN_MEM`), so per-site and per-instruction views
-(``repro profile``, ``repro trace``, ``repro pipeview``, Figure 1) are
-columns of the same run.
+A front is fed either live, by :meth:`CPU.run_trace`
+(:func:`time_live`), or by :func:`replay_into` from a recorded trace:
+both speak the one ``retire(pc, inst, rec)`` hook, so both feeds share
+the front and the recurrence. Production timing runs live: a farm sim
+job passes the trace writer as :func:`time_live`'s ``tee``, so one
+execution both times the build and records its trace. The trace feed
+(:func:`time_flavours`) is kept as the replay path the checks compare
+the live one against.
+
+On request a recurrence also reports, chunk by chunk, each record's
+issue and result-ready cycles and each memory access's outcome (see
+:data:`IN_MEM`), so per-site and per-instruction views (``repro
+profile``, ``repro trace``, ``repro pipeview``, Figure 1) are columns
+of the same run.
 
 The result is cycle-for-cycle that of
 :class:`~repro.pipeline.pipeline.PipelineSimulator`, which remains the

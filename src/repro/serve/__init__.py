@@ -10,7 +10,7 @@ in a long-running, stdlib-only asyncio HTTP/JSON service:
   queue with per-tenant quotas and fair (round-robin across tenants)
   scheduling that survives restarts.
 * A worker bridge lowers each submission onto the farm's
-  build -> trace -> analysis/sim job graph and drives the existing
+  build -> sim (-> analysis) job graph and drives the existing
   scheduler, so served runs share one warm artifact cache with
   ``repro farm run`` (and with every other tenant: identical source
   text is one artifact, no matter who submitted it or what they

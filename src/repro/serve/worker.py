@@ -229,8 +229,9 @@ def run_serve_job(store: ArtifactStore, record: dict, log: JobEventLog,
     queue_wait = max(0.0, start - float(enqueued_at)) \
         if enqueued_at is not None else 0.0
     try:
-        # the farm forks fresh workers for every graph: load the trace
-        # and timing engines, which trace and sim jobs import lazily,
+        # the farm forks fresh workers for every graph: load the
+        # execution engine and the timing engine (with the trace
+        # writer), which a sim job imports lazily to execute its build,
         # once per service, so each worker inherits them instead of
         # importing them per request
         import repro.cpu.predecode  # noqa: F401

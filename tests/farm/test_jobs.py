@@ -45,7 +45,10 @@ class TestCell:
 
 
 class TestPlanning:
-    def test_shared_build_and_trace(self):
+    def test_sim_job_executes_the_build(self):
+        """A build with sim cells gets no trace job: its sim job
+        depends on the build and records the trace, and the analysis
+        depends on the sim job."""
         cells = {
             Cell("analysis", BENCH),
             Cell("sim", BENCH, False, "base"),
@@ -53,14 +56,27 @@ class TestPlanning:
         }
         graph = plan_jobs(cells, MACHINES, MAX_INSTRUCTIONS)
         assert set(graph.jobs) == {
-            f"build:{BENCH}", f"trace:{BENCH}", f"analysis:{BENCH}",
+            f"build:{BENCH}", f"analysis:{BENCH}",
             f"sim:{BENCH}:base,fac32",
         }
-        assert graph.jobs[f"trace:{BENCH}"].deps == (f"build:{BENCH}",)
-        assert graph.jobs[f"analysis:{BENCH}"].deps == (f"trace:{BENCH}",)
         assert graph.jobs[f"sim:{BENCH}:base,fac32"].deps == \
-            (f"trace:{BENCH}",)
+            (f"build:{BENCH}",)
+        assert graph.jobs[f"analysis:{BENCH}"].deps == \
+            (f"sim:{BENCH}:base,fac32",)
         assert len(graph.cell_jobs) == 3
+
+    def test_analysis_only_build_keeps_its_trace_job(self):
+        cells = {Cell("analysis", BENCH), Cell("analysis", BENCH, True),
+                 Cell("sim", BENCH, False, "base")}
+        graph = plan_jobs(cells, MACHINES, MAX_INSTRUCTIONS)
+        assert [job_id for job_id, spec in graph.jobs.items()
+                if spec.kind == "trace"] == [f"trace:{BENCH}+sw"]
+        assert graph.jobs[f"trace:{BENCH}+sw"].deps == \
+            (f"build:{BENCH}+sw",)
+        assert graph.jobs[f"analysis:{BENCH}+sw"].deps == \
+            (f"trace:{BENCH}+sw",)
+        assert graph.jobs[f"analysis:{BENCH}"].deps == \
+            (f"sim:{BENCH}:base",)
 
     def test_one_sim_job_per_build(self):
         """Every flavour of a build lands on one sim job, its machines
@@ -190,13 +206,13 @@ class TestEnsure:
         assert farm_jobs.artifact_ready(spec, store) is None
 
         timed = []
-        real = replay.time_flavours
+        real = replay.time_live
 
-        def counted(program, path, machines, memory_usage=0):
+        def counted(program, machines, *args, **kwargs):
             timed.extend(machines)
-            return real(program, path, machines, memory_usage)
+            return real(program, machines, *args, **kwargs)
 
-        monkeypatch.setattr(replay, "time_flavours", counted)
+        monkeypatch.setattr(replay, "time_live", counted)
         keys = farm_jobs.execute_job(spec, store)
         assert timed == [MACHINES["fac32"]]
         assert keys[0] == base_key
@@ -242,6 +258,140 @@ class TestEnsure:
                                  max_instructions=MAX_INSTRUCTIONS)
         with pytest.raises(ValueError, match="mystery"):
             farm_jobs.execute_job(spec, store)
+
+
+class TestOneExecution:
+    """A sim job executes its build once, live: the run that times the
+    flavours also records the trace, and no stored trace is replayed."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Counts of live executions and of trace replays."""
+        from repro.cpu.executor import CPU
+        from repro.pipeline import replay
+
+        counts = {"run_trace": 0, "replay_into": 0}
+        run_trace, replay_into = CPU.run_trace, replay.replay_into
+
+        def counted_run(self, *args, **kwargs):
+            counts["run_trace"] += 1
+            return run_trace(self, *args, **kwargs)
+
+        def counted_replay(*args, **kwargs):
+            counts["replay_into"] += 1
+            return replay_into(*args, **kwargs)
+
+        monkeypatch.setattr(CPU, "run_trace", counted_run)
+        monkeypatch.setattr(replay, "replay_into", counted_replay)
+        return counts
+
+    def test_timing_run_records_the_trace(self, tmp_path, runs):
+        """The trace a cold sim job stores has ``ensure_trace``'s meta,
+        and its payload decodes to ``record_trace``'s records."""
+        import numpy as np
+
+        from repro.cpu.coltrace import decode_tracefile
+        from repro.cpu.executor import CPU
+        from repro.cpu.tracefile import record_trace
+
+        store = ArtifactStore(tmp_path / "store")
+        farm_jobs.ensure_sims(store, BENCH, False, tuple(MACHINES.items()),
+                              MAX_INSTRUCTIONS)
+        assert runs == {"run_trace": 1, "replay_into": 0}
+        key, meta = farm_jobs.ensure_trace(store, BENCH, False,
+                                           MAX_INSTRUCTIONS)
+        assert runs["run_trace"] == 1, "the stored trace was recorded again"
+        alone = ArtifactStore(tmp_path / "alone")
+        assert farm_jobs.ensure_trace(alone, BENCH, False,
+                                      MAX_INSTRUCTIONS) == (key, meta)
+
+        program = farm_jobs.build_program(BENCH, False)
+        path = str(tmp_path / "oracle.fact.gz")
+        cpu = CPU(program)
+        count = record_trace(program, path, MAX_INSTRUCTIONS, cpu=cpu)
+        assert (meta["instructions"], meta["memory_usage"],
+                meta["stdout"]) == (count, cpu.memory_usage, cpu.stdout())
+        got = decode_tracefile(program, str(store.payload_path(
+            "trace", key, farm_jobs.TRACE_PAYLOAD)))
+        want = decode_tracefile(program, path)
+        for column in ("index", "ea", "base", "offset", "flags", "next_pc"):
+            assert np.array_equal(getattr(got, column),
+                                  getattr(want, column)), column
+
+    def test_snapshots_equal_a_replay_of_the_stored_trace(self, tmp_path,
+                                                          runs):
+        """The live sim job's snapshots equal ``time_flavours`` replaying
+        the trace it stored, on every experiment flavour."""
+        from repro.experiments import common
+        from repro.pipeline.replay import time_flavours
+
+        store = ArtifactStore(tmp_path / "store")
+        machines = tuple(common.MACHINES.items())
+        results = farm_jobs.ensure_sims(store, BENCH, False, machines,
+                                        MAX_INSTRUCTIONS)
+        assert runs == {"run_trace": 1, "replay_into": 0}
+        key, meta = farm_jobs.ensure_trace(store, BENCH, False,
+                                           MAX_INSTRUCTIONS)
+        path = store.payload_path("trace", key, farm_jobs.TRACE_PAYLOAD)
+        oracle = time_flavours(farm_jobs.build_program(BENCH, False),
+                               str(path), [m for _, m in machines],
+                               memory_usage=meta["memory_usage"])
+        for (label, _), (_, snapshot), result in zip(machines, results,
+                                                     oracle):
+            assert snapshot == sim_to_snapshot(result, meta={
+                "cell": "sim",
+                "name": BENCH,
+                "software_support": False,
+                "machine": label,
+                "max_instructions": MAX_INSTRUCTIONS,
+            }), label
+
+    def test_stored_trace_is_left_alone(self, tmp_path, runs, monkeypatch):
+        """With the trace stored, a sim job runs live without a tee,
+        times only the missing flavours and writes only their
+        snapshots."""
+        from repro.pipeline import replay
+
+        store = ArtifactStore(tmp_path / "store")
+        key, _ = farm_jobs.ensure_trace(store, BENCH, False,
+                                        MAX_INSTRUCTIONS)
+        farm_jobs.ensure_sims(store, BENCH, False,
+                              (("base", MACHINES["base"]),),
+                              MAX_INSTRUCTIONS)
+        payload = store.payload_path("trace", key, farm_jobs.TRACE_PAYLOAD)
+        # reads touch meta.json (the LRU clock), so only its bytes count
+        before = {path.name: path.read_bytes()
+                  for path in payload.parent.iterdir()}
+        written = payload.stat().st_mtime_ns
+
+        timed = []
+        real = replay.time_live
+
+        def counted(program, machines, *args, tee=None, **kwargs):
+            timed.append((tuple(machines), tee))
+            return real(program, machines, *args, tee=tee, **kwargs)
+
+        puts = []
+        put = store.put
+
+        def counted_put(kind, *args, **kwargs):
+            puts.append(kind)
+            return put(kind, *args, **kwargs)
+
+        monkeypatch.setattr(replay, "time_live", counted)
+        monkeypatch.setattr(store, "put", counted_put)
+        runs["run_trace"] = 0
+        graph = plan_jobs({Cell("sim", BENCH, False, label)
+                           for label in MACHINES},
+                          MACHINES, MAX_INSTRUCTIONS)
+        farm_jobs.execute_job(graph.jobs[f"sim:{BENCH}:base,fac32"], store)
+        assert timed == [((MACHINES["fac32"],), None)]
+        assert puts == ["sim"]
+        assert runs == {"run_trace": 1, "replay_into": 0}
+        assert {path.name: path.read_bytes()
+                for path in payload.parent.iterdir()} == before
+        assert payload.stat().st_mtime_ns == written
+        assert not any((store.root / "tmp").iterdir())
 
 
 class TestColtrace:

@@ -62,9 +62,10 @@ class TestSweep:
         store = ArtifactStore(tmp_path / "store")
         result = run_graph(small_graph(), store, jobs=2, timeout=120)
         summary = result.summary()
-        # build, trace, analysis and one sim job timing both flavours
-        assert summary["total"] == 4
-        assert summary["computed"] == 4
+        # build, one sim job executing the build on both flavours, and
+        # the analysis of the trace it recorded
+        assert summary["total"] == 3
+        assert summary["computed"] == 3
         assert summary["failed"] == []
         assert summary["elapsed_seconds"] > 0
 
@@ -100,17 +101,16 @@ class TestFailureIsolation:
         assert build.status == "failed"
         assert "crashed" in build.error
         assert build.attempts == 2            # one initial + one retry
-        assert result.outcomes["trace:yacr2"].error.startswith("upstream")
         assert result.outcomes["sim:yacr2:base"].error.startswith("upstream")
         assert result.outcomes["sim:eqntott:base"].ok
 
     def test_hung_worker_killed_by_timeout(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FARM_TEST_HANG", "trace:yacr2")
+        monkeypatch.setenv("REPRO_FARM_TEST_HANG", "sim:yacr2:base")
         store = ArtifactStore(tmp_path / "store")
         result = run_graph(two_benchmark_graph(), store, jobs=2,
                            timeout=2, retries=0)
         assert not result.ok
-        hung = result.outcomes["trace:yacr2"]
+        hung = result.outcomes["sim:yacr2:base"]
         assert hung.status == "failed"
         assert "timed out" in hung.error
         assert result.outcomes["sim:eqntott:base"].ok
@@ -172,8 +172,8 @@ class TestFailureEvents:
         assert result.outcomes["build:yacr2"].attempts == 2
 
     def test_timeout_emits_timeout_not_crash(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FARM_TEST_HANG", "trace:yacr2")
-        result, events = self._events_for(tmp_path, "trace:yacr2",
+        monkeypatch.setenv("REPRO_FARM_TEST_HANG", "sim:yacr2:base")
+        result, events = self._events_for(tmp_path, "sim:yacr2:base",
                                           timeout=2, retries=0)
         kinds = [e.kind for e in events]
         assert kinds == ["farm.scheduled", "farm.started",

@@ -58,6 +58,18 @@ class TestPutGet:
         store.put("sim", key, {"version": 2})
         assert store.get_meta("sim", key) == {"version": 1}
 
+    def test_duplicate_publish_discards_staged_payload(self, store):
+        """The losing publisher's staged file is removed, not left in
+        the store's staging directory."""
+        key = "ac" * 32
+        for data in (b"first", b"second"):
+            staged = store.scratch("x.fact.gz")
+            staged.write_bytes(data)
+            store.put("trace", key, {}, payloads={"trace.fact.gz": staged})
+            assert not staged.exists()
+        assert store.get_bytes("trace", key, "trace.fact.gz") == b"first"
+        assert not any((store.root / "tmp").iterdir())
+
     def test_missing_payload_is_none(self, store):
         key = "bb" * 32
         store.put("sim", key, {})

@@ -261,7 +261,7 @@ class TestWarmPath:
         submit_and_wait(server, payload())
         record = submit_and_wait(server, payload(tenant="bob"))
         summary = record["result"]["summary"]
-        assert summary["hits"] == summary["total"] == 3
+        assert summary["hits"] == summary["total"] == 2
         assert summary["computed"] == 0
 
     def test_artifact_endpoint_serves_from_store(self, server):

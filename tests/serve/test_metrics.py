@@ -277,7 +277,7 @@ class TestMetricsEndpoints:
         assert counters["jobs.completed.done"]["count"] == 1
         assert counters["jobs.e2e.cold"]["count"] == 1
         assert counters["jobs.queue_wait"]["count"] == 1
-        assert counters["jobs.farm_cache"]["total"] == 3
+        assert counters["jobs.farm_cache"]["total"] == 2
 
     def test_disabled_metrics_404s_both_endpoints(self, store):
         handle = start_in_background(

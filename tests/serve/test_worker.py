@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.common import MACHINES
+from repro.farm.jobs import execute_job
 from repro.farm.store import ArtifactStore
 from repro.serve.queue import PersistentQueue
 from repro.serve.schemas import SERVE_JOB_SCHEMA_VERSION, normalize_submission
@@ -66,7 +67,7 @@ class TestPlanning:
     def test_inline_source_graph(self):
         graph = plan_serve_graph(normalized(inline_payload()), MACHINES)
         kinds = sorted(spec.kind for spec in graph.jobs.values())
-        assert kinds == ["build", "sim", "trace"]
+        assert kinds == ["build", "sim"]
         assert all(spec.source == SOURCE for spec in graph.jobs.values())
 
     def test_benchmark_graph_carries_no_source(self):
@@ -77,16 +78,20 @@ class TestPlanning:
         assert all(spec.source is None for spec in graph.jobs.values())
         assert all(spec.name == "compress" for spec in graph.jobs.values())
 
-    def test_pathlike_names_are_sanitized(self):
+    def test_pathlike_names_are_sanitized(self, store):
         """A display name flows into job ids and worker scratch-file
         names; a path submitted as the name must not produce scratch
-        paths in nonexistent directories (regression: the trace job of
-        a submission named "/tmp/prog.mc" failed on its scratch open).
-        """
+        paths in nonexistent directories (regression: the job that
+        records the trace of a submission named "/tmp/prog.mc" failed
+        on its scratch open). The sim job records it now."""
         submission = normalized(inline_payload(name="/tmp/my prog.mc"))
         assert submission["name"] == "tmp-my-prog.mc"
         graph = plan_serve_graph(submission, MACHINES)
-        assert "trace:tmp-my-prog.mc" in graph.jobs
+        sim = graph.jobs["sim:tmp-my-prog.mc:base"]
+        execute_job(graph.jobs["build:tmp-my-prog.mc"], store)
+        [key] = execute_job(sim, store)
+        assert store.has("sim", key)
+        assert store.stats()["kinds"]["trace"]["count"] == 1
 
     def test_analysis_and_machines_fan_out(self):
         """Every requested flavour is one cell; all of them share the
@@ -96,15 +101,14 @@ class TestPlanning:
                                       analysis=True)),
             MACHINES)
         kinds = sorted(spec.kind for spec in graph.jobs.values())
-        assert kinds == ["analysis", "build", "sim", "trace"]
+        assert kinds == ["analysis", "build", "sim"]
         assert len(graph.cell_jobs) == 3
         sim = graph.jobs["sim:inline:base,fac32"]
         assert [label for label, _ in sim.machines] == ["base", "fac32"]
 
     def test_single_flavour_keeps_its_job_id(self):
         graph = plan_serve_graph(normalized(inline_payload()), MACHINES)
-        assert set(graph.jobs) == {"build:inline", "trace:inline",
-                                   "sim:inline:base"}
+        assert set(graph.jobs) == {"build:inline", "sim:inline:base"}
 
 
 class TestExecution:
@@ -113,7 +117,7 @@ class TestExecution:
         log = JobEventLog()
         doc = run_serve_job(store, record, log, MACHINES)
         assert doc["status"] == "done"
-        assert doc["summary"]["computed"] == 3
+        assert doc["summary"]["computed"] == 2
         assert doc["summary"]["hits"] == 0
         snapshot = doc["results"]["machines"]["base"]
         assert snapshot["schema"] == "repro.metrics/1"
@@ -132,7 +136,7 @@ class TestExecution:
             machines=["base", "fac32"]))
         doc = run_serve_job(store, record, JobEventLog(), MACHINES)
         assert doc["status"] == "done"
-        assert doc["summary"]["computed"] == 3
+        assert doc["summary"]["computed"] == 2
         assert sorted(doc["results"]["machines"]) == ["base", "fac32"]
         assert len({ref["key"] for ref in doc["artifacts"]}) == 2
         alone = run_serve_job(
@@ -147,7 +151,7 @@ class TestExecution:
         run_serve_job(store, first, JobEventLog(), MACHINES)
         second = queue_record(tmp_path / "q2", inline_payload(tenant="bob"))
         doc = run_serve_job(store, second, JobEventLog(), MACHINES)
-        assert doc["summary"]["hits"] == doc["summary"]["total"] == 3
+        assert doc["summary"]["hits"] == doc["summary"]["total"] == 2
         assert doc["summary"]["computed"] == 0
 
     def test_different_sources_never_alias(self, store, tmp_path):

@@ -15,10 +15,13 @@ bit:
    ``TraceAnalyzer``, from ``analyze_program`` (live, columnar) *and*
    from ``analyze_trace`` on the recorded tracefile,
 3. ``SimResult`` snapshots from a step-and-feed pipeline loop, from
-   ``simulate_program`` (the live-fed engine) and from the production
-   timing job's shape -- one grouped ``time_flavours`` call that
-   decodes the trace once for all eight Table 5 flavours of
-   ``repro.experiments.common.MACHINES``,
+   ``simulate_program`` (the live-fed engine), from the farm sim job's
+   path -- one ``time_live`` run timing all eight Table 5 flavours of
+   ``repro.experiments.common.MACHINES`` with a ``trace_writer`` teed
+   beside the fronts -- and from one grouped ``time_flavours`` replay
+   of the trace that run wrote; the teed trace must be byte-identical
+   to ``record_trace``'s and the run must end in the step loop's
+   state,
 4. ``profile_program``'s per-site D-cache accesses, misses and FAC
    replays and its ``profile.load_latency`` histogram, against the
    step-fed pipeline's counter tap (``tests.oracles.SiteCounters``),
@@ -63,7 +66,7 @@ from repro.analysis.prediction import (
     analyze_trace,
 )
 from repro.cpu.executor import CPU
-from repro.cpu.tracefile import record_trace, replay_into
+from repro.cpu.tracefile import record_trace, replay_into, trace_writer
 from repro.errors import SimulationError
 from repro.experiments.common import MACHINES
 from repro.fac.config import FacConfig
@@ -74,7 +77,7 @@ from repro.obs.profile import profile_program
 from repro.obs.trace import trace_program
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.pipeline import PipelineSimulator, simulate_program
-from repro.pipeline.replay import Front, time_flavours
+from repro.pipeline.replay import Front, time_flavours, time_live
 from repro.workloads.suite import BENCHMARKS, build_benchmark
 from tests.oracles import FlightTap, SiteCounters
 
@@ -220,8 +223,9 @@ def check_benchmark(name: str, max_instructions: int, scratch: str
 
     # 3. timing snapshots on every flavour: one step loop feeding a
     # pipeline per flavour (and the site tap on the profiler's machine,
-    # the per-instruction tap on the tracer's), live runs, and one
-    # grouped replay
+    # the per-instruction tap on the tracer's), live runs, the farm's
+    # one live run with the trace teed, and a grouped replay of the
+    # trace that run wrote
     pipes = [PipelineSimulator(machine) for machine in MACHINES.values()]
     tap = SiteCounters(PROFILE_MACHINE)
     flight = FlightTap(TRACE_MACHINE)
@@ -233,10 +237,20 @@ def check_benchmark(name: str, max_instructions: int, scratch: str
         for pipe in pipes:
             pipe.feed(rec)
         budget -= 1
-    grouped = time_flavours(program, path, list(MACHINES.values()),
-                            memory_usage=cpu.memory_usage)
-    for (label, machine), pipe, traced in zip(MACHINES.items(), pipes,
-                                              grouped):
+    teed = os.path.join(scratch, f"{name}.teed.fact.gz")
+    with trace_writer(teed, program) as writer:
+        farm, farm_cpu = time_live(program, list(MACHINES.values()),
+                                   max_instructions, tee=writer)
+    if not same_end_state(farm_cpu, spec):
+        problems.append("executor state differs after the teed live run")
+    with open(teed, "rb") as got, open(path, "rb") as want:
+        if got.read() != want.read():
+            problems.append("the teed trace differs from record_trace's")
+    grouped = time_flavours(program, teed, list(MACHINES.values()),
+                            memory_usage=farm_cpu.memory_usage)
+    os.unlink(teed)
+    for (label, machine), pipe, teed_run, traced in zip(
+            MACHINES.items(), pipes, farm, grouped):
         stepped = canon(sim_to_snapshot(
             pipe.finalize(memory_usage=spec.memory_usage), meta=meta))
         live = canon(sim_to_snapshot(
@@ -244,6 +258,9 @@ def check_benchmark(name: str, max_instructions: int, scratch: str
                              max_instructions=max_instructions), meta=meta))
         if stepped != live:
             problems.append(f"sim snapshot differs step vs live ({label})")
+        if stepped != canon(sim_to_snapshot(teed_run, meta=meta)):
+            problems.append(
+                f"sim snapshot differs step vs teed live run ({label})")
         if stepped != canon(sim_to_snapshot(traced, meta=meta)):
             problems.append(
                 f"sim snapshot differs step vs grouped replay ({label})")
