@@ -21,8 +21,10 @@ which shares the cache, BTB and FAC outcomes across flavours), writing
 each flavour's snapshot under its own :func:`sim_key`; the same run
 records the trace, which the analysis then decodes straight into numpy
 columns. A build with only an analysis cell gets a trace job instead.
-The farm never replays a stored trace for timing: executing a build
-again costs less than encoding, storing and decoding its trace.
+A cold build is never traced first and replayed: executing it costs
+less than encoding, storing and decoding its trace. A sim job that
+finds the trace already stored replays it instead, which costs no more
+than executing the build again.
 
 Execution is *store-idempotent*: every ``ensure_*`` function first
 consults the :class:`~repro.farm.store.ArtifactStore` and only
@@ -317,23 +319,25 @@ def ensure_manifest(store: ArtifactStore, name: str, software: bool,
 def _execute(store: ArtifactStore, name: str, software: bool,
              max_instructions: int, machines, source: str | None = None
              ) -> tuple[str, dict, list]:
-    """Execute one build once, live, timing it on ``machines`` (a
-    sequence of :class:`MachineConfig`) with
-    :func:`repro.pipeline.replay.time_live`.
+    """Time one build on ``machines`` (a sequence of
+    :class:`MachineConfig`), recording its trace if the store lacks it.
 
-    When the build's trace is not stored yet, the run records it on the
-    way (a :func:`~repro.cpu.tracefile.trace_writer` teed beside the
-    timing fronts) and publishes it. With the trace stored, the run
-    times only, and with no machines as well there is nothing to run.
-    Returns the trace key, its meta and the results in ``machines``
-    order.
+    When the build's trace is not stored yet, the build is executed
+    once, live (:func:`repro.pipeline.replay.time_live`), with a
+    :func:`~repro.cpu.tracefile.trace_writer` teed beside the timing
+    fronts, and the trace is published. With the trace stored, the
+    flavours are timed by replaying it
+    (:func:`repro.pipeline.replay.time_flavours`), which costs no more
+    than executing the build again; with no machines as well there is
+    nothing to run. Returns the trace key, its meta and the results in
+    ``machines`` order.
 
     The trace artifact carries the facts a trace cannot: instruction
     count, memory usage, and captured stdout -- everything downstream
     analyses need to match a live run exactly.
     """
     from repro.cpu.tracefile import trace_writer
-    from repro.pipeline.replay import time_live
+    from repro.pipeline.replay import time_flavours, time_live
 
     manifest = ensure_manifest(store, name, software, source)
     key = trace_key(name, software, manifest["program_crc"],
@@ -345,7 +349,13 @@ def _execute(store: ArtifactStore, name: str, software: bool,
         return key, meta, []
     program = build_program(name, software, source)
     if stored:
-        results, _ = time_live(program, machines, max_instructions)
+        store.pin("trace", key)
+        try:
+            trace_path = store.payload_path("trace", key, TRACE_PAYLOAD)
+            results = time_flavours(program, str(trace_path), machines,
+                                    memory_usage=meta["memory_usage"])
+        finally:
+            store.unpin("trace", key)
         return key, meta, results
     scratch = store.scratch(f"{name}-{key[:12]}.fact.gz")
     with trace_writer(str(scratch), program) as writer:
@@ -433,11 +443,12 @@ def ensure_sims(store: ArtifactStore, name: str, software: bool,
     """Time (or find) one build on several machine flavours.
 
     ``machines`` is a sequence of ``(label, MachineConfig)``. Only the
-    flavours missing from the store are computed, all from one live
-    execution of the build (see :func:`_execute`), which also records
-    and stores the build's trace when the store lacks it; each snapshot
-    lands under its own :func:`sim_key`. Returns ``(key, snapshot)``
-    per flavour, in ``machines`` order.
+    flavours missing from the store are computed, all from one run of
+    the build (see :func:`_execute`): a live execution that also
+    records and stores the build's trace when the store lacks it, a
+    replay of the stored trace otherwise. Each snapshot lands under its
+    own :func:`sim_key`. Returns ``(key, snapshot)`` per flavour, in
+    ``machines`` order.
     """
     manifest = ensure_manifest(store, name, software, source)
     crc = manifest["program_crc"]

@@ -37,11 +37,12 @@ whatever the trace length.
 A front is fed either live, by :meth:`CPU.run_trace`
 (:func:`time_live`), or by :func:`replay_into` from a recorded trace:
 both speak the one ``retire(pc, inst, rec)`` hook, so both feeds share
-the front and the recurrence. Production timing runs live: a farm sim
-job passes the trace writer as :func:`time_live`'s ``tee``, so one
-execution both times the build and records its trace. The trace feed
-(:func:`time_flavours`) is kept as the replay path the checks compare
-the live one against.
+the front and the recurrence. A farm sim job on a cold build runs
+live and passes the trace writer as :func:`time_live`'s ``tee``, so one
+execution both times the build and records its trace. A sim job that
+finds the trace already stored replays it (:func:`time_flavours`),
+which costs no more than executing the build again; the checks also
+compare the live feed against this one.
 
 On request a recurrence also reports, chunk by chunk, each record's
 issue and result-ready cycles and each memory access's outcome (see

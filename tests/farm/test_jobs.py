@@ -206,13 +206,13 @@ class TestEnsure:
         assert farm_jobs.artifact_ready(spec, store) is None
 
         timed = []
-        real = replay.time_live
+        real = replay.time_flavours
 
-        def counted(program, machines, *args, **kwargs):
+        def counted(program, path, machines, memory_usage=0):
             timed.extend(machines)
-            return real(program, machines, *args, **kwargs)
+            return real(program, path, machines, memory_usage)
 
-        monkeypatch.setattr(replay, "time_live", counted)
+        monkeypatch.setattr(replay, "time_flavours", counted)
         keys = farm_jobs.execute_job(spec, store)
         assert timed == [MACHINES["fac32"]]
         assert keys[0] == base_key
@@ -261,8 +261,9 @@ class TestEnsure:
 
 
 class TestOneExecution:
-    """A sim job executes its build once, live: the run that times the
-    flavours also records the trace, and no stored trace is replayed."""
+    """A cold sim job executes its build once, live: the run that times
+    the flavours also records the trace. A sim job that finds the trace
+    stored replays it."""
 
     @pytest.fixture
     def runs(self, monkeypatch):
@@ -347,9 +348,9 @@ class TestOneExecution:
             }), label
 
     def test_stored_trace_is_left_alone(self, tmp_path, runs, monkeypatch):
-        """With the trace stored, a sim job runs live without a tee,
-        times only the missing flavours and writes only their
-        snapshots."""
+        """With the trace stored, a sim job does not execute the build:
+        it replays the stored trace, times only the missing flavours and
+        writes only their snapshots."""
         from repro.pipeline import replay
 
         store = ArtifactStore(tmp_path / "store")
@@ -364,12 +365,16 @@ class TestOneExecution:
                   for path in payload.parent.iterdir()}
         written = payload.stat().st_mtime_ns
 
-        timed = []
-        real = replay.time_live
+        live, replayed = [], []
+        real_live, real_replay = replay.time_live, replay.time_flavours
 
-        def counted(program, machines, *args, tee=None, **kwargs):
-            timed.append((tuple(machines), tee))
-            return real(program, machines, *args, tee=tee, **kwargs)
+        def counted_live(program, machines, *args, **kwargs):
+            live.append(tuple(machines))
+            return real_live(program, machines, *args, **kwargs)
+
+        def counted_replay(program, path, machines, memory_usage=0):
+            replayed.append((path, tuple(machines)))
+            return real_replay(program, path, machines, memory_usage)
 
         puts = []
         put = store.put
@@ -378,16 +383,18 @@ class TestOneExecution:
             puts.append(kind)
             return put(kind, *args, **kwargs)
 
-        monkeypatch.setattr(replay, "time_live", counted)
+        monkeypatch.setattr(replay, "time_live", counted_live)
+        monkeypatch.setattr(replay, "time_flavours", counted_replay)
         monkeypatch.setattr(store, "put", counted_put)
-        runs["run_trace"] = 0
+        runs.update(run_trace=0, replay_into=0)
         graph = plan_jobs({Cell("sim", BENCH, False, label)
                            for label in MACHINES},
                           MACHINES, MAX_INSTRUCTIONS)
         farm_jobs.execute_job(graph.jobs[f"sim:{BENCH}:base,fac32"], store)
-        assert timed == [((MACHINES["fac32"],), None)]
+        assert live == []
+        assert replayed == [(str(payload), (MACHINES["fac32"],))]
         assert puts == ["sim"]
-        assert runs == {"run_trace": 1, "replay_into": 0}
+        assert runs == {"run_trace": 0, "replay_into": 1}
         assert {path.name: path.read_bytes()
                 for path in payload.parent.iterdir()} == before
         assert payload.stat().st_mtime_ns == written

@@ -115,6 +115,31 @@ class TestFailureIsolation:
         assert "timed out" in hung.error
         assert result.outcomes["sim:eqntott:base"].ok
 
+    @pytest.mark.parametrize("hook, timeout", [
+        ("REPRO_FARM_TEST_CRASH", 60), ("REPRO_FARM_TEST_HANG", 2)])
+    def test_failed_sim_fails_its_builds_analysis(self, tmp_path,
+                                                   monkeypatch, hook,
+                                                   timeout):
+        """The sim job records the trace the analysis reads, so a sim
+        job that crashes or times out fails its build's analysis cell
+        too; the other build's chain still completes."""
+        monkeypatch.setenv(hook, "sim:yacr2")
+        store = ArtifactStore(tmp_path / "store")
+        graph = plan_jobs({Cell(kind, name, False,
+                                "base" if kind == "sim" else None)
+                           for kind in ("analysis", "sim")
+                           for name in ("eqntott", "yacr2")},
+                          MACHINES, MAX_INSTRUCTIONS)
+        result = run_graph(graph, store, jobs=2, timeout=timeout,
+                           retries=0)
+        assert result.outcomes["build:yacr2"].ok
+        assert result.outcomes["sim:yacr2:base"].status == "failed"
+        analysis = result.outcomes["analysis:yacr2"]
+        assert analysis.status == "failed"
+        assert analysis.error == "upstream failed: sim:yacr2:base"
+        assert result.outcomes["sim:eqntott:base"].ok
+        assert result.outcomes["analysis:eqntott"].ok
+
     def test_failed_cell_reported_in_summary(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FARM_TEST_CRASH", "build:yacr2")
         store = ArtifactStore(tmp_path / "store")

@@ -16,10 +16,11 @@ bit:
    from ``analyze_trace`` on the recorded tracefile,
 3. ``SimResult`` snapshots from a step-and-feed pipeline loop, from
    ``simulate_program`` (the live-fed engine), from the farm sim job's
-   path -- one ``time_live`` run timing all eight Table 5 flavours of
-   ``repro.experiments.common.MACHINES`` with a ``trace_writer`` teed
-   beside the fronts -- and from one grouped ``time_flavours`` replay
-   of the trace that run wrote; the teed trace must be byte-identical
+   path on a cold build -- one ``time_live`` run timing all eight
+   Table 5 flavours of ``repro.experiments.common.MACHINES`` with a
+   ``trace_writer`` teed beside the fronts -- and from one grouped
+   ``time_flavours`` replay of the trace that run wrote (the sim job's
+   path when the trace is stored); the teed trace must be byte-identical
    to ``record_trace``'s and the run must end in the step loop's
    state,
 4. ``profile_program``'s per-site D-cache accesses, misses and FAC
