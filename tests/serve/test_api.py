@@ -2,9 +2,10 @@
 
 Each test boots a real service on an ephemeral port
 (:func:`repro.serve.service.start_in_background`) against a per-test
-store. The golden SSE stream pins the exact event sequence of one cold
-inline submission, normalized of timestamps; regenerate after an
-intentional protocol change with::
+store. The golden SSE streams pin the exact event sequence of one cold
+inline submission, and of one whose build crashes on every attempt,
+normalized of timestamps; regenerate after an intentional protocol
+change with::
 
     REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest \
         tests/serve/test_api.py -k golden
@@ -29,6 +30,7 @@ from repro.serve.service import ServeConfig, start_in_background
 from repro.serve.worker import normalized_events
 
 GOLDEN = Path(__file__).parent / "golden" / "sse_events.jsonl"
+CRASH_GOLDEN = Path(__file__).parent / "golden" / "sse_events_crash.jsonl"
 
 SOURCE = """\
 int data[16];
@@ -89,18 +91,29 @@ def submit_and_wait(server, doc, timeout: float = 120.0) -> dict:
                                  timeout=timeout)
 
 
+def assert_stream_matches(server, record, golden: Path) -> None:
+    events = serve_client.stream_events(server.base_url, record["job_id"])
+    got = [json.dumps(e, sort_keys=True)
+           for e in normalized_events(events)]
+    if os.environ.get("REPRO_UPDATE_GOLDEN"):
+        golden.write_text("\n".join(got) + "\n")
+    want = golden.read_text().splitlines()
+    assert got == want
+
+
 class TestGoldenSse:
     def test_cold_stream_matches_golden(self, server):
         record = submit_and_wait(server, payload())
         assert record["state"] == "done"
-        events = serve_client.stream_events(server.base_url,
-                                            record["job_id"])
-        got = [json.dumps(e, sort_keys=True)
-               for e in normalized_events(events)]
-        if os.environ.get("REPRO_UPDATE_GOLDEN"):
-            GOLDEN.write_text("\n".join(got) + "\n")
-        want = GOLDEN.read_text().splitlines()
-        assert got == want
+        assert_stream_matches(server, record, GOLDEN)
+
+    def test_crashed_build_stream_matches_golden(self, server, monkeypatch):
+        # every attempt of the build dies: one retry, then the build and
+        # its sim fail and the job ends failed
+        monkeypatch.setenv("REPRO_FARM_TEST_CRASH", "build:inline")
+        record = submit_and_wait(server, payload())
+        assert record["state"] == "failed"
+        assert_stream_matches(server, record, CRASH_GOLDEN)
 
     def test_stream_has_no_gaps_or_duplicates(self, server):
         record = submit_and_wait(server, payload())
