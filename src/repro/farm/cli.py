@@ -30,7 +30,7 @@ import sys
 from repro.farm import ledger as ledger_mod
 from repro.farm.jobs import plan_jobs
 from repro.farm.progress import ProgressSink
-from repro.farm.scheduler import run_graph
+from repro.farm.scheduler import lifecycle_listener, run_graph
 from repro.farm.store import ArtifactStore, default_store_root
 
 #: figure name -> (harness module name, runner attribute).
@@ -78,7 +78,6 @@ def cmd_farm_run(args) -> int:
 
     from repro.farm.top import live_path
     from repro.experiments import common
-    from repro.obs.events import EventBus
     from repro.obs.spans import SpanTracker
 
     figures = _split_csv(args.figures) or sorted(HARNESSES)
@@ -109,15 +108,12 @@ def cmd_farm_run(args) -> int:
     print(f"[farm] {len(cells)} cells -> {len(graph.jobs)} jobs "
           f"(store: {store.root}, workers: {args.jobs})", file=sys.stderr)
 
-    bus = EventBus()
     progress = ProgressSink(sys.stderr, enabled=not args.quiet)
-    bus.attach(progress)
-    tracker = None if args.no_spans else SpanTracker()
+    tracker = SpanTracker(listener=lifecycle_listener(graph, progress.handle))
     try:
         result = run_graph(graph, store, jobs=args.jobs,
                            timeout=args.timeout, retries=args.retries,
-                           obs=bus, tracker=tracker,
-                           heartbeat_path=live_path(store))
+                           tracker=tracker, heartbeat_path=live_path(store))
     finally:
         progress.close()
 
@@ -125,7 +121,7 @@ def cmd_farm_run(args) -> int:
     summary["figures"] = figures
     summary["benchmarks"] = benchmarks or sorted(common.suite_names(None))
     store.write_last_run(summary)
-    if tracker is not None:
+    if not args.no_spans:
         run = ledger_mod.run_from_sweep(
             args.run_id or ledger_mod.new_run_id(), graph, result, tracker,
             meta={"figures": figures,
@@ -407,7 +403,7 @@ def add_farm_parser(sub) -> None:
     p_run.add_argument("--no-render", action="store_true",
                        help="skip rendering figures after the sweep")
     p_run.add_argument("--no-spans", action="store_true",
-                       help="disable span recording and the run ledger")
+                       help="write no run ledger")
     p_run.add_argument("--run-id", default=None, metavar="ID",
                        help="ledger run id (default: timestamp-pid)")
     p_run.add_argument("--quiet", action="store_true",

@@ -1,33 +1,23 @@
 """Live one-line progress display for farm sweeps.
 
-A :class:`ProgressSink` attached to the scheduler's event bus rewrites a
-single status line (``\\r``) as jobs complete::
+A :class:`ProgressSink` rewrites a single status line (``\\r``) as jobs
+complete::
 
     [farm] 37/64 done | 21 hits 15 computed 1 failed | sim:gcc:fac32
 
-It is an event *sink* like any other (:mod:`repro.obs.sinks`): attach it
-to the same bus as a ``JsonlSink`` to get a machine log and the human
-line from one stream of events.
+It reads the lifecycle entries that
+:func:`repro.farm.scheduler.lifecycle_listener` derives from the
+sweep's job and attempt spans, the same entries a served job streams
+over SSE.
 """
 
 from __future__ import annotations
 
 import sys
 
-from repro.obs.events import (
-    Event,
-    FarmJobCrashed,
-    FarmJobFailed,
-    FarmJobFinished,
-    FarmJobRetry,
-    FarmJobScheduled,
-    FarmJobStarted,
-    FarmJobTimeout,
-)
-
 
 class ProgressSink:
-    """Renders farm lifecycle events as one self-rewriting status line."""
+    """Renders farm lifecycle entries as one self-rewriting status line."""
 
     def __init__(self, stream=None, enabled: bool = True):
         self.stream = stream if stream is not None else sys.stderr
@@ -41,31 +31,30 @@ class ProgressSink:
         self.last = ""
         self._dirty = False
 
-    def handle(self, event: Event) -> None:
-        if isinstance(event, FarmJobScheduled):
+    def handle(self, entry: dict) -> None:
+        event, job_id = entry["event"], entry["job_id"]
+        if event == "farm.scheduled":
             self.total += 1
-        elif isinstance(event, FarmJobStarted):
-            self.last = event.job_id
-        elif isinstance(event, FarmJobFinished):
+        elif event == "farm.started":
+            self.last = job_id
+        elif event == "farm.finished":
             self.done += 1
-            if event.cached:
+            if entry["cached"]:
                 self.hits += 1
             else:
                 self.computed += 1
-            self.last = event.job_id
-        elif isinstance(event, FarmJobFailed):
+            self.last = job_id
+        elif event == "farm.failed":
             self.done += 1
             self.failed += 1
-            self.last = f"{event.job_id} FAILED"
-        elif isinstance(event, FarmJobCrashed):
-            self.last = f"{event.job_id} crashed"
-        elif isinstance(event, FarmJobTimeout):
-            self.last = f"{event.job_id} timed out"
-        elif isinstance(event, FarmJobRetry):
+            self.last = f"{job_id} FAILED"
+        elif event == "farm.job.crashed":
+            self.last = f"{job_id} crashed"
+        elif event == "farm.job.timeout":
+            self.last = f"{job_id} timed out"
+        elif event == "farm.job.retry":
             self.retries += 1
-            self.last = f"{event.job_id} retry #{event.next_attempt}"
-        else:
-            return
+            self.last = f"{job_id} retry #{entry['next_attempt']}"
         self._render()
 
     def _render(self) -> None:

@@ -22,21 +22,25 @@ Design:
   exception fails immediately (re-running deterministic code cannot
   help). A failed job fails its dependents (``upstream failed``) but
   never the sweep: every other cell still completes.
-* Lifecycle events are emitted on an optional
-  :class:`repro.obs.events.EventBus`: ``farm.scheduled`` /
-  ``farm.started`` / ``farm.finished`` / ``farm.failed``, plus the
-  distinct failure-mode events ``farm.job.crashed`` /
+* The span tree is the one lifecycle record. Each job gets a span,
+  and each dispatch an ``attempt`` span under it that ends ``ok``,
+  ``error``, ``crashed`` or ``timeout``; a lost attempt records its
+  reason and whether a retry follows. :func:`lifecycle_entries` maps
+  these spans to the ``farm.*`` entries that the progress line and a
+  served job's SSE stream show: ``farm.scheduled`` / ``farm.started``
+  / ``farm.finished`` / ``farm.failed``, plus ``farm.job.crashed`` /
   ``farm.job.timeout`` / ``farm.job.retry`` with the failure reason
-  attached, so downstream consumers can tell a crash-then-recovered
-  from a crash-then-gave-up without string-matching error text.
+  attached, so a consumer can tell a crash-then-recovered from a
+  crash-then-gave-up without string-matching error text.
 
 Telemetry (all optional, zero cost when off):
 
 * ``tracker`` -- a :class:`repro.obs.spans.SpanTracker`; the run is
-  recorded as a span tree (sweep -> per-job spans -> worker-side
-  execute/store spans shipped back over the worker's pipe and adopted
-  under the job), the substrate of the run ledger
-  (:mod:`repro.farm.ledger`) and ``repro farm timeline``.
+  recorded as a span tree (sweep -> per-job spans -> per-dispatch
+  attempt spans -> worker-side execute/store spans shipped back over
+  the worker's pipe and adopted under the attempt), the substrate of
+  the run ledger (:mod:`repro.farm.ledger`), ``repro farm timeline``
+  and, through the tracker's listener, the lifecycle entries.
 * Per-job resource accounting -- workers measure wall time, their own
   CPU time (``getrusage``), and peak RSS around every attempt; totals
   land on the :class:`JobOutcome` (and therefore the ledger).
@@ -62,16 +66,7 @@ from multiprocessing.connection import wait
 
 from repro.farm.jobs import JobGraph, JobSpec, artifact_ready, execute_job
 from repro.farm.store import ArtifactStore
-from repro.obs.events import (
-    FarmJobCrashed,
-    FarmJobFailed,
-    FarmJobFinished,
-    FarmJobRetry,
-    FarmJobScheduled,
-    FarmJobStarted,
-    FarmJobTimeout,
-)
-from repro.obs.spans import SpanTracker
+from repro.obs.spans import Span, SpanTracker
 
 try:
     import resource as _resource
@@ -207,10 +202,12 @@ class _Worker:
         # only the worker holds its end, so its death reads as EOF here
         child_conn.close()
         self.job: JobSpec | None = None
+        self.span: int | None = None    # the in-flight attempt's span
         self.started_at = 0.0
 
-    def assign(self, spec: JobSpec) -> None:
+    def assign(self, spec: JobSpec, span: int | None) -> None:
         self.job = spec
+        self.span = span
         self.started_at = time.monotonic()
         try:
             self.conn.send(spec)
@@ -237,7 +234,7 @@ class _Worker:
 
 class _GraphRun:
     def __init__(self, graph: JobGraph, store: ArtifactStore, jobs: int,
-                 timeout: float | None, retries: int, obs=None,
+                 timeout: float | None, retries: int,
                  tracker: SpanTracker | None = None,
                  heartbeat_path=None, heartbeat_interval: float = 0.25):
         self.graph = graph
@@ -245,7 +242,6 @@ class _GraphRun:
         self.max_workers = max(1, jobs)
         self.timeout = timeout
         self.retries = max(0, retries)
-        self.obs = obs
         self.tracker = tracker
         self.heartbeat_path = heartbeat_path
         self.heartbeat_interval = heartbeat_interval
@@ -264,11 +260,7 @@ class _GraphRun:
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else "spawn")
 
-    # ---------------- events / spans ---------------- #
-
-    def _emit(self, event) -> None:
-        if self.obs is not None:
-            self.obs.emit(event)
+    # ---------------- spans ---------------- #
 
     def _span_for(self, job_id: str) -> int | None:
         """The job's span, started on first touch (dispatch or store
@@ -284,22 +276,23 @@ class _GraphRun:
             self.job_spans[job_id] = span_id
         return span_id
 
-    def _charge(self, job_id: str, usage: dict | None,
-                worker: int) -> None:
-        """Fold one attempt's measured resources into the job's totals
-        and splice the worker's spans under the job span."""
+    def _end_attempt(self, worker: _Worker, usage: dict, status: str,
+                     attrs: dict | None = None) -> None:
+        """Fold one attempt's measured resources into its job's totals,
+        splice the worker's spans under the attempt span and end it."""
         totals = self.usage.setdefault(
-            job_id, {"wall": 0.0, "cpu": 0.0, "max_rss": 0, "worker": -1})
-        totals["worker"] = worker
-        if usage is None:
-            return
+            worker.job.job_id,
+            {"wall": 0.0, "cpu": 0.0, "max_rss": 0, "worker": -1})
+        totals["worker"] = worker.index
         totals["wall"] += usage.get("wall", 0.0)
         totals["cpu"] += usage.get("cpu", 0.0)
         totals["max_rss"] = max(totals["max_rss"],
                                 usage.get("max_rss", 0))
-        if self.tracker is not None and usage.get("spans"):
-            self.tracker.adopt(usage["spans"],
-                               parent=self._span_for(job_id))
+        if self.tracker is not None:
+            if usage.get("spans"):
+                self.tracker.adopt(usage["spans"], parent=worker.span)
+            self.tracker.end(worker.span, status=status, attrs=attrs)
+        worker.job = worker.span = None
 
     # ---------------- completion ---------------- #
 
@@ -314,15 +307,6 @@ class _GraphRun:
             worker=totals.get("worker", -1),
         )
         self.outcomes[spec.job_id] = outcome
-        if status == "failed":
-            self._emit(FarmJobFailed(
-                job_id=spec.job_id, job_kind=spec.kind,
-                error=error or "unknown",
-                attempts=self.attempts.get(spec.job_id, 0)))
-        else:
-            self._emit(FarmJobFinished(
-                job_id=spec.job_id, job_kind=spec.kind,
-                cached=(status == "hit")))
         if self.tracker is not None:
             span_id = self._span_for(spec.job_id)
             attrs = {
@@ -406,23 +390,14 @@ class _GraphRun:
                 still_ready.append(job_id)
                 continue
             self.missed.discard(job_id)
-            self.attempts[job_id] = self.attempts.get(job_id, 0) + 1
-            self._span_for(job_id)
-            worker.assign(spec)
-            self._emit(FarmJobStarted(
-                job_id=job_id, job_kind=spec.kind, worker=worker.index,
-                attempt=self.attempts[job_id]))
+            attempt = self.attempts[job_id] = self.attempts.get(job_id, 0) + 1
+            parent = self._span_for(job_id)
+            span = None if self.tracker is None else self.tracker.start(
+                f"attempt:{job_id}", parent=parent, cat="attempt",
+                attrs={"job_id": job_id, "worker": worker.index,
+                       "attempt": attempt})
+            worker.assign(spec, span)
         self.ready = still_ready
-
-    def _retry_or_fail(self, spec: JobSpec, reason: str) -> None:
-        attempts = self.attempts.get(spec.job_id, 0)
-        if attempts <= self.retries:
-            self._emit(FarmJobRetry(
-                job_id=spec.job_id, job_kind=spec.kind, reason=reason,
-                next_attempt=attempts + 1))
-            self.ready.append(spec.job_id)
-        else:
-            self._finish(spec, "failed", error=reason)
 
     # ---------------- supervision ---------------- #
 
@@ -451,8 +426,7 @@ class _GraphRun:
                 except (EOFError, OSError):
                     self._lose(worker, spec, elapsed, timed_out=False)
                     continue
-                worker.job = None
-                self._charge(spec.job_id, usage, worker.index)
+                self._end_attempt(worker, usage, status)
                 if status == "ok":
                     self._finish(spec, "done", keys=keys)
                 else:
@@ -467,21 +441,21 @@ class _GraphRun:
         """Kill ``worker`` (respawned on its next dispatch), charge the
         lost attempt, and retry or fail its job."""
         attempt = self.attempts.get(spec.job_id, 0)
-        worker.job = None
         worker.stop(kill=True)
-        self._charge(spec.job_id, {"wall": elapsed}, worker.index)
+        retry = attempt <= self.retries
         if timed_out:
-            self._emit(FarmJobTimeout(
-                job_id=spec.job_id, job_kind=spec.kind,
-                timeout=self.timeout, attempt=attempt))
             reason = (f"timed out after {self.timeout:g}s "
                       f"(attempt {attempt})")
+            status, attrs = "timeout", {"timeout": self.timeout}
         else:
             reason = f"worker crashed (attempt {attempt})"
-            self._emit(FarmJobCrashed(
-                job_id=spec.job_id, job_kind=spec.kind,
-                reason=reason, attempt=attempt))
-        self._retry_or_fail(spec, reason)
+            status, attrs = "crashed", {}
+        self._end_attempt(worker, {"wall": elapsed}, status,
+                          {"reason": reason, "retry": retry, **attrs})
+        if retry:
+            self.ready.append(spec.job_id)
+        else:
+            self._finish(spec, "failed", error=reason)
 
     # ---------------- live status ---------------- #
 
@@ -549,7 +523,6 @@ class _GraphRun:
                 attrs={"jobs": len(self.graph.jobs),
                        "workers": self.max_workers})
         for job_id, spec in self.graph.jobs.items():
-            self._emit(FarmJobScheduled(job_id=job_id, job_kind=spec.kind))
             deps = set(spec.deps)
             if deps:
                 self.waiting[job_id] = deps
@@ -583,7 +556,7 @@ class _GraphRun:
 
 def run_graph(graph: JobGraph, store: ArtifactStore, jobs: int = 1,
               timeout: float | None = None, retries: int = 1,
-              obs=None, tracker: SpanTracker | None = None,
+              tracker: SpanTracker | None = None,
               heartbeat_path=None) -> FarmRunResult:
     """Execute a job graph; never raises for individual cell failures.
 
@@ -593,9 +566,71 @@ def run_graph(graph: JobGraph, store: ArtifactStore, jobs: int = 1,
     after a crash or timeout; Python-level exceptions are deterministic
     and fail immediately.
 
-    ``tracker`` enables span recording (the ledger substrate) and
-    ``heartbeat_path`` live status publication -- both default off, so
-    library users and the overhead gate get the bare scheduler.
+    ``tracker`` enables span recording (the ledger substrate, and the
+    lifecycle entries its listener derives: :func:`lifecycle_listener`)
+    and ``heartbeat_path`` live status publication -- both default off,
+    so library users and the overhead gate get the bare scheduler.
     """
-    return _GraphRun(graph, store, jobs, timeout, retries, obs=obs,
+    return _GraphRun(graph, store, jobs, timeout, retries,
                      tracker=tracker, heartbeat_path=heartbeat_path).run()
+
+
+# ------------------------------------------------------------------ #
+# lifecycle entries
+
+def lifecycle_entries(span: Span, graph: JobGraph) -> list[dict]:
+    """The ``farm.*`` entries that one start or end of a sweep, job or
+    attempt span stands for (none for any other span).
+
+    The sweep's start schedules every job of ``graph``; an attempt's
+    start is ``farm.started``, and a lost attempt's end is
+    ``farm.job.crashed`` or ``farm.job.timeout``, then
+    ``farm.job.retry`` if one follows; a job's end is
+    ``farm.finished`` or ``farm.failed``.
+    """
+    attrs = span.attrs
+    if span.cat == "sweep":
+        if span.t1 is not None:
+            return []
+        return [{"event": "farm.scheduled", "job_id": job_id,
+                 "job_kind": spec.kind}
+                for job_id, spec in graph.jobs.items()]
+    if span.cat not in ("job", "attempt"):
+        return []
+    head = {"job_id": attrs["job_id"],
+            "job_kind": graph.jobs[attrs["job_id"]].kind}
+    if span.cat == "job":
+        if span.t1 is None:
+            return []
+        if span.status == "ok":
+            return [{"event": "farm.finished", **head,
+                     "cached": attrs["cached"]}]
+        return [{"event": "farm.failed", **head,
+                 "error": attrs.get("error") or "unknown",
+                 "attempts": attrs["attempts"]}]
+    if span.t1 is None:
+        return [{"event": "farm.started", **head, "worker": attrs["worker"],
+                 "attempt": attrs["attempt"]}]
+    if span.status == "crashed":
+        entries = [{"event": "farm.job.crashed", **head,
+                    "reason": attrs["reason"], "attempt": attrs["attempt"]}]
+    elif span.status == "timeout":
+        entries = [{"event": "farm.job.timeout", **head,
+                    "timeout": attrs["timeout"],
+                    "attempt": attrs["attempt"]}]
+    else:
+        return []
+    if attrs["retry"]:
+        entries.append({"event": "farm.job.retry", **head,
+                        "reason": attrs["reason"],
+                        "next_attempt": attrs["attempt"] + 1})
+    return entries
+
+
+def lifecycle_listener(graph: JobGraph, handle):
+    """A :class:`SpanTracker` listener that passes each lifecycle entry
+    of a sweep of ``graph`` to ``handle``."""
+    def listener(span: Span) -> None:
+        for entry in lifecycle_entries(span, graph):
+            handle(entry)
+    return listener

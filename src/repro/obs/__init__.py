@@ -4,14 +4,16 @@ Four pillars:
 
 * :mod:`repro.obs.events` -- typed structured events and the
   :class:`~repro.obs.events.EventBus` that carries them from the
-  functional CPU (syscalls), the farm and the serve layer,
+  functional CPU (syscalls) and the serve layer,
 * :mod:`repro.obs.metrics` -- the hierarchical metrics registry, its
   four container types and versioned snapshots,
 * :mod:`repro.obs.sinks` -- pluggable event consumers: null, in-memory,
   JSONL, access log, and Chrome trace-event JSON (Perfetto-loadable),
 * :mod:`repro.obs.spans` -- hierarchical wall-clock spans
   (:class:`~repro.obs.spans.SpanTracker`) with parent links and
-  cross-process adoption; the farm threads these through every sweep.
+  cross-process adoption; the farm threads these through every sweep,
+  and its job lifecycle (progress line, SSE ``farm.*`` entries) is read
+  off them through the tracker's listener.
 
 Higher-level drivers live in submodules imported on demand (they pull in
 the whole simulator stack): :mod:`repro.obs.profile` for source-level FAC

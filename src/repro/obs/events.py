@@ -1,10 +1,14 @@
 """Typed structured events and the bus that carries them.
 
 Every event is a small dataclass with a class-level ``kind`` tag.
-Producers (the functional CPU's syscalls, the farm scheduler, the
-serve layer) hold an optional :class:`EventBus` and guard
-every emission with ``if obs is not None``, so a detached producer pays
-one attribute test.
+Producers (the functional CPU's syscalls, the serve layer) hold an
+optional :class:`EventBus` and guard every emission with ``if obs is
+not None``, so a detached producer pays one attribute test.
+
+The farm's job lifecycle is not an event class: the scheduler records
+it on its span tree, and :func:`repro.farm.scheduler.lifecycle_entries`
+maps those spans to the ``farm.*`` entries the progress line and a
+served job's SSE stream carry (docs/observability.md).
 
 The timing engine emits no events: per-instruction timing is read from
 its columns by the flight recorder (:mod:`repro.obs.flight`), and
@@ -14,19 +18,12 @@ rather than from event objects.
 
 Event taxonomy (full field reference in docs/observability.md):
 
-==================  ====================================================
-kind                meaning
-==================  ====================================================
-``syscall``         system call retired by the functional simulator
-``farm.scheduled``  an experiment job entered the farm's job graph
-``farm.started``    a farm job was dispatched to a worker (store miss)
-``farm.finished``   a farm job completed (``cached`` = artifact hit)
-``farm.failed``     a farm job failed permanently; the sweep continues
-``farm.job.crashed``  a worker died mid-job (signal/OOM), reason attached
-``farm.job.timeout``  a job attempt exceeded the per-job timeout
-``farm.job.retry``    a crashed/timed-out job was requeued for another try
+======================  ================================================
+kind                    meaning
+======================  ================================================
+``syscall``             system call retired by the functional simulator
 ``serve.http.request``  one HTTP request completed by ``repro serve``
-==================  ====================================================
+======================  ================================================
 """
 
 from __future__ import annotations
@@ -56,89 +53,6 @@ class Syscall(Event):
     name: str
 
 
-# ------------------------------------------------------------------ #
-# farm lifecycle events (repro.farm.scheduler)
-
-@dataclass(slots=True)
-class FarmJobScheduled(Event):
-    """A job entered the farm's graph (before hit/miss is known)."""
-
-    kind = "farm.scheduled"
-    job_id: str
-    job_kind: str       # build | trace | analysis | sim
-
-
-@dataclass(slots=True)
-class FarmJobStarted(Event):
-    """A job was dispatched to a worker (store miss)."""
-
-    kind = "farm.started"
-    job_id: str
-    job_kind: str
-    worker: int         # worker index, -1 for inline execution
-    attempt: int        # 1-based
-
-
-@dataclass(slots=True)
-class FarmJobFinished(Event):
-    """A job completed: from the store (``cached``) or computed."""
-
-    kind = "farm.finished"
-    job_id: str
-    job_kind: str
-    cached: bool        # True = artifact-store hit, nothing ran
-
-
-@dataclass(slots=True)
-class FarmJobFailed(Event):
-    """A job failed permanently (error, crash, timeout, or upstream)."""
-
-    kind = "farm.failed"
-    job_id: str
-    job_kind: str
-    error: str
-    attempts: int
-
-
-@dataclass(slots=True)
-class FarmJobCrashed(Event):
-    """A worker died mid-job (hard exit, signal, OOM kill).
-
-    Emitted once per crashed *attempt*, before the scheduler decides
-    between :class:`FarmJobRetry` and :class:`FarmJobFailed` -- so a
-    downstream consumer can distinguish crash-then-recovered from
-    crash-then-gave-up.
-    """
-
-    kind = "farm.job.crashed"
-    job_id: str
-    job_kind: str
-    reason: str
-    attempt: int        # the attempt that crashed (1-based)
-
-
-@dataclass(slots=True)
-class FarmJobTimeout(Event):
-    """A job attempt exceeded the per-job timeout and was killed."""
-
-    kind = "farm.job.timeout"
-    job_id: str
-    job_kind: str
-    timeout: float      # the configured per-attempt budget, seconds
-    attempt: int
-
-
-@dataclass(slots=True)
-class FarmJobRetry(Event):
-    """A crashed/timed-out job was requeued for another attempt."""
-
-    kind = "farm.job.retry"
-    job_id: str
-    job_kind: str
-    reason: str
-    next_attempt: int   # the attempt number the retry will run as
-
-
 # --------------------------------------------------------------------- #
 # serving-layer events
 
@@ -166,12 +80,7 @@ class HttpRequestServed(Event):
 #: kind -> event class, for sinks that reconstruct events.
 EVENT_TYPES = {
     cls.kind: cls
-    for cls in (
-        Syscall,
-        FarmJobScheduled, FarmJobStarted, FarmJobFinished, FarmJobFailed,
-        FarmJobCrashed, FarmJobTimeout, FarmJobRetry,
-        HttpRequestServed,
-    )
+    for cls in (Syscall, HttpRequestServed)
 }
 
 
@@ -187,8 +96,9 @@ class EventBus:
     current without locking, so the instrumented hot path pays nothing
     and a publisher mid-fan-out never observes a half-mutated sink list
     (it finishes the snapshot it started with). This is what lets the
-    serve layer's SSE fan-out subscribe and unsubscribe while the farm's
-    multiprocessing result pump is publishing from another thread.
+    serve layer's SSE fan-out subscribe and unsubscribe on the event
+    loop while the serve worker thread running a sweep publishes that
+    job's lifecycle entries.
     """
 
     __slots__ = ("sinks", "_lock")
@@ -232,12 +142,12 @@ _SUBSCRIPTION_CLOSED = object()
 class _QueueBridgeSink:
     """Bus-side half of :func:`subscribe_async`.
 
-    ``handle`` may be called from any thread (farm workers publish via
-    the scheduler's result-pump thread); it hops onto the subscriber's
-    event loop with ``call_soon_threadsafe``, the one asyncio entry
-    point that is documented thread-safe. The queue is unbounded, so no
-    event is ever dropped -- backpressure is the consumer's problem,
-    which for SSE streaming is exactly right.
+    ``handle`` may be called from any thread (the serve worker thread
+    running a sweep, or the event loop itself); it hops onto the
+    subscriber's event loop with ``call_soon_threadsafe``, the one
+    asyncio entry point that is documented thread-safe. The queue is
+    unbounded, so no event is ever dropped -- backpressure is the
+    consumer's problem, which for SSE streaming is exactly right.
     """
 
     __slots__ = ("loop", "queue", "closed")
@@ -307,9 +217,9 @@ def subscribe_async(bus: EventBus, loop=None, queue=None) -> AsyncSubscription:
     Returns an :class:`AsyncSubscription` whose queue receives every
     event published on ``bus`` from *any* thread, in publication order
     per publisher, delivered on ``loop`` (default: the running loop).
-    This is the supported way to couple the farm's thread-side event
-    stream to an asyncio consumer (the serve layer's SSE fan-out)
-    without racing the multiprocessing result pump.
+    This is the supported way to couple a thread-side publisher (the
+    serve worker thread appending a sweep's lifecycle entries) to an
+    asyncio consumer (the serve layer's SSE fan-out) without racing it.
     """
     import asyncio
 

@@ -14,6 +14,11 @@ remapping ids so they stay unique within the run. On Linux
 ``time.monotonic`` shares one boot-time base across processes, so child
 timestamps land directly on the parent's axis.
 
+An optional listener sees each span as it starts and as it ends
+(adopted spans arrive finished and are not announced): the farm
+scheduler's progress line and a served job's event log are both read
+off its job spans this way.
+
 The clock is injectable for deterministic tests; nothing here reads the
 wall clock.
 """
@@ -75,10 +80,13 @@ class SpanTracker:
     """Issues, times, and retains spans for one run.
 
     ``clock`` defaults to ``time.monotonic`` and is injectable for tests.
+    ``listener``, if given, is called with the :class:`Span` after each
+    :meth:`start` and after the :meth:`end` that closes it.
     """
 
-    def __init__(self, clock=time.monotonic):
+    def __init__(self, clock=time.monotonic, listener=None):
         self.clock = clock
+        self.listener = listener
         self._next_id = 1
         self.spans: dict[int, Span] = {}
         self._stack: list[int] = []     # open span() blocks, innermost last
@@ -93,16 +101,21 @@ class SpanTracker:
         span = Span(span_id=span_id, parent_id=parent, name=name, cat=cat,
                     t0=self.clock(), attrs=dict(attrs or {}))
         self.spans[span_id] = span
+        if self.listener is not None:
+            self.listener(span)
         return span_id
 
     def end(self, span_id: int, status: str = "ok",
             attrs: dict | None = None) -> Span:
         span = self.spans[span_id]
-        if span.t1 is None:
+        closing = span.t1 is None
+        if closing:
             span.t1 = self.clock()
             span.status = status
         if attrs:
             span.attrs.update(attrs)
+        if closing and self.listener is not None:
+            self.listener(span)
         return span
 
     def annotate(self, span_id: int, attrs: dict) -> None:

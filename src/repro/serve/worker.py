@@ -8,8 +8,9 @@ fingerprint by content, so two tenants submitting the same program
 share every artifact.
 
 :func:`run_serve_job` is thread-side (the service calls it via
-``asyncio.to_thread``): it drives the farm scheduler with a private
-:class:`~repro.obs.events.EventBus` relayed into the job's
+``asyncio.to_thread``): it drives the farm scheduler with a span
+tracker whose listener appends the sweep's lifecycle entries
+(:func:`~repro.farm.scheduler.lifecycle_listener`) to the job's
 :class:`JobEventLog`, collects the per-cell snapshots from the store,
 pins them across an optional size-budgeted gc (so trimming the cache
 between jobs can never evict the result being returned), and persists
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 from repro.farm import ledger as ledger_mod
 from repro.farm.jobs import Cell, JobGraph, plan_jobs
-from repro.farm.scheduler import run_graph
+from repro.farm.scheduler import lifecycle_listener, run_graph
 from repro.farm.store import ArtifactStore
 from repro.obs.events import Event, EventBus, subscribe_async
 from repro.obs.spans import SpanTracker
@@ -83,8 +84,10 @@ class ServeJobFinished(Event):
 class JobEventLog:
     """Append-only, seq-stamped event log of one served job.
 
-    Producers append from any thread (the farm scheduler's result pump,
-    the service's event loop); consumers take a consistent snapshot and
+    Producers append from two threads: the serve worker thread running
+    :func:`run_serve_job` (the scheduler's lifecycle entries and the
+    terminal event) and the service's event loop (the queued and
+    started events). Consumers take a consistent snapshot and
     subscribe for the live tail in one atomic step, so an SSE stream
     sees every event exactly once: entries up to the snapshot come from
     replay, everything after arrives over the subscription, and the
@@ -130,10 +133,6 @@ class JobEventLog:
         """``(entries_so_far, live_subscription)``, atomically."""
         with self.lock:
             return list(self.entries), subscribe_async(self.bus, loop=loop)
-
-    def handle(self, event) -> None:
-        """Sink protocol: lets the log sit directly on a farm bus."""
-        self.append(event.as_dict() if isinstance(event, Event) else event)
 
 
 def is_terminal(entry: dict) -> bool:
@@ -238,10 +237,9 @@ def run_serve_job(store: ArtifactStore, record: dict, log: JobEventLog,
         import repro.pipeline.replay  # noqa: F401
 
         graph = plan_serve_graph(submission, machines)
-        bus = EventBus([log])
-        tracker = SpanTracker()
+        tracker = SpanTracker(listener=lifecycle_listener(graph, log.append))
         result = run_graph(graph, store, jobs=jobs, timeout=timeout,
-                           retries=retries, obs=bus, tracker=tracker)
+                           retries=retries, tracker=tracker)
         summary = result.summary()
         graft_request_spans(tracker, record, start)
 

@@ -91,6 +91,23 @@ class TestSpanHealth:
         # sweep root, per-job spans, worker execute spans, store traffic
         assert {"sweep", "job", "execute", "store"} <= cats
 
+    def test_each_dispatch_is_an_attempt_span_over_its_execute(
+            self, warm_store):
+        _, cold, _, _ = warm_store
+        by_id = {span["span_id"]: span for span in cold.spans}
+        attempts = [s for s in cold.spans if s["cat"] == "attempt"]
+        assert len(attempts) == len(cold.jobs)  # one dispatch per job
+        for attempt in attempts:
+            assert attempt["status"] == "ok"
+            assert attempt["attrs"]["attempt"] == 1
+            job = by_id[attempt["parent_id"]]
+            assert job["cat"] == "job"
+            assert job["attrs"]["job_id"] == attempt["attrs"]["job_id"]
+        executes = [s for s in cold.spans if s["cat"] == "execute"]
+        assert len(executes) == len(attempts)
+        assert all(by_id[s["parent_id"]]["cat"] == "attempt"
+                   for s in executes)
+
     def test_rebased_times_start_at_zero(self, warm_store):
         _, cold, _, _ = warm_store
         roots = [s for s in cold.spans if s["parent_id"] is None]

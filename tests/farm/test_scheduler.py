@@ -1,12 +1,12 @@
 """Worker-pool scheduler tests: cold/warm sweeps, crash isolation,
-timeout kills, and lifecycle events."""
+timeout kills, and the lifecycle entries read off the span tree."""
 
 import pytest
 
 from repro.farm import ArtifactStore, Cell, plan_jobs, run_graph, scheduler
 from repro.farm.jobs import JobGraph, JobSpec
 from repro.fac import FacConfig
-from repro.obs.events import EventBus
+from repro.obs.spans import SpanTracker
 from repro.pipeline.config import MachineConfig
 
 MAX_INSTRUCTIONS = 10_000_000
@@ -30,12 +30,14 @@ def two_benchmark_graph():
     return plan_jobs(cells, MACHINES, MAX_INSTRUCTIONS)
 
 
-class _Recorder:
-    def __init__(self):
-        self.events = []
-
-    def handle(self, event):
-        self.events.append(event)
+def run_with_lifecycle(graph, store, **kwargs):
+    """Run ``graph``; returns the result, its lifecycle entries and the
+    tracker they were read from."""
+    entries = []
+    tracker = SpanTracker(
+        listener=scheduler.lifecycle_listener(graph, entries.append))
+    result = run_graph(graph, store, tracker=tracker, **kwargs)
+    return result, entries, tracker
 
 
 class TestSweep:
@@ -71,23 +73,21 @@ class TestSweep:
 
     def test_lifecycle_events(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
-        bus = EventBus()
-        recorder = _Recorder()
-        bus.attach(recorder)
         graph = small_graph()
-        run_graph(graph, store, jobs=2, timeout=120, obs=bus)
-        kinds = [e.kind for e in recorder.events]
+        _, entries, _ = run_with_lifecycle(graph, store, jobs=2,
+                                           timeout=120)
+        kinds = [e["event"] for e in entries]
         assert kinds.count("farm.scheduled") == len(graph.jobs)
         assert kinds.count("farm.finished") == len(graph.jobs)
         assert kinds.count("farm.started") == len(graph.jobs)
         assert "farm.failed" not in kinds
-        # warm re-run: finished events carry cached=True, nothing starts
-        recorder.events.clear()
-        run_graph(graph, store, jobs=2, timeout=120, obs=bus)
-        finished = [e for e in recorder.events if e.kind == "farm.finished"]
+        # warm re-run: finished entries carry cached=True, nothing starts
+        _, entries, _ = run_with_lifecycle(graph, store, jobs=2,
+                                           timeout=120)
+        finished = [e for e in entries if e["event"] == "farm.finished"]
         assert len(finished) == len(graph.jobs)
-        assert all(e.cached for e in finished)
-        assert not any(e.kind == "farm.started" for e in recorder.events)
+        assert all(e["cached"] for e in finished)
+        assert not any(e["event"] == "farm.started" for e in entries)
 
 
 class TestFailureIsolation:
@@ -166,57 +166,62 @@ class TestFailureIsolation:
 
 
 class TestFailureEvents:
-    """Each injected failure mode emits its distinct event sequence."""
+    """Each injected failure mode yields its distinct entry sequence."""
 
     def _events_for(self, tmp_path, job_id, **kwargs):
         store = ArtifactStore(tmp_path / "store")
-        bus = EventBus()
-        recorder = _Recorder()
-        bus.attach(recorder)
-        result = run_graph(two_benchmark_graph(), store, jobs=2,
-                           obs=bus, **kwargs)
-        return result, [e for e in recorder.events
-                        if getattr(e, "job_id", None) == job_id]
+        result, entries, tracker = run_with_lifecycle(
+            two_benchmark_graph(), store, jobs=2, **kwargs)
+        attempts = [s for s in tracker.spans.values()
+                    if s.cat == "attempt" and s.attrs["job_id"] == job_id]
+        return (result, [e for e in entries if e["job_id"] == job_id],
+                attempts)
 
     def test_crash_then_retry_then_give_up(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FARM_TEST_CRASH", "build:yacr2")
-        result, events = self._events_for(tmp_path, "build:yacr2",
-                                          timeout=60, retries=1)
-        kinds = [e.kind for e in events]
+        result, events, attempts = self._events_for(
+            tmp_path, "build:yacr2", timeout=60, retries=1)
+        kinds = [e["event"] for e in events]
         assert kinds == [
             "farm.scheduled",
             "farm.started", "farm.job.crashed", "farm.job.retry",
             "farm.started", "farm.job.crashed",
             "farm.failed",
         ]
-        crashed = [e for e in events if e.kind == "farm.job.crashed"]
-        assert [c.attempt for c in crashed] == [1, 2]
-        assert all("crashed" in c.reason for c in crashed)
-        retry = next(e for e in events if e.kind == "farm.job.retry")
-        assert retry.next_attempt == 2
+        crashed = [e for e in events if e["event"] == "farm.job.crashed"]
+        assert [c["attempt"] for c in crashed] == [1, 2]
+        assert all("crashed" in c["reason"] for c in crashed)
+        retry = next(e for e in events if e["event"] == "farm.job.retry")
+        assert retry["next_attempt"] == 2
         assert result.outcomes["build:yacr2"].attempts == 2
+        # the entries are read off two crashed attempt spans
+        assert [(s.status, s.attrs["attempt"], s.attrs["retry"])
+                for s in attempts] == [("crashed", 1, True),
+                                            ("crashed", 2, False)]
 
     def test_timeout_emits_timeout_not_crash(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FARM_TEST_HANG", "sim:yacr2:base")
-        result, events = self._events_for(tmp_path, "sim:yacr2:base",
-                                          timeout=2, retries=0)
-        kinds = [e.kind for e in events]
+        result, events, attempts = self._events_for(
+            tmp_path, "sim:yacr2:base", timeout=2, retries=0)
+        kinds = [e["event"] for e in events]
         assert kinds == ["farm.scheduled", "farm.started",
                          "farm.job.timeout", "farm.failed"]
         assert "farm.job.crashed" not in kinds
-        timeout = next(e for e in events if e.kind == "farm.job.timeout")
-        assert timeout.timeout == 2
-        assert timeout.attempt == 1
+        timeout = next(e for e in events if e["event"] == "farm.job.timeout")
+        assert timeout["timeout"] == 2
+        assert timeout["attempt"] == 1
+        [attempt] = attempts
+        assert attempt.status == "timeout"
+        assert attempt.attrs["timeout"] == 2
+        assert attempt.attrs["reason"].startswith("timed out")
 
     def test_python_exception_neither_crashes_nor_retries(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
-        bus = EventBus()
-        recorder = _Recorder()
-        bus.attach(recorder)
         graph = plan_jobs({Cell("analysis", "no-such-benchmark")}, MACHINES,
                           MAX_INSTRUCTIONS)
-        run_graph(graph, store, jobs=1, timeout=60, retries=5, obs=bus)
-        kinds = [e.kind for e in recorder.events]
+        _, entries, _ = run_with_lifecycle(graph, store, jobs=1, timeout=60,
+                                           retries=5)
+        kinds = [e["event"] for e in entries]
         assert "farm.failed" in kinds
         for forbidden in ("farm.job.crashed", "farm.job.timeout",
                           "farm.job.retry"):

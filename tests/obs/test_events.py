@@ -8,36 +8,39 @@ import pytest
 from repro.obs.events import (
     EVENT_TYPES,
     EventBus,
-    FarmJobFailed,
-    FarmJobFinished,
-    FarmJobStarted,
+    HttpRequestServed,
     Syscall,
     subscribe_async,
 )
 from repro.obs.sinks import CollectingSink, NullSink
 
 
-def started(worker, attempt):
-    return FarmJobStarted(job_id="sim-1", job_kind="sim", worker=worker,
-                          attempt=attempt)
+def syscall(publisher, index):
+    """A distinct event per (publisher, index): ``pc`` names the
+    publisher, ``service`` its running count."""
+    return Syscall(pc=publisher, service=index, name="print_int")
+
+
+def request():
+    return HttpRequestServed(
+        trace_id="a" * 32, method="GET", route="GET /v1/jobs/{id}",
+        path="/v1/jobs/job-000001", status=404, duration_seconds=0.01,
+        tenant="", job_id="job-000001")
 
 
 class TestEvents:
     def test_as_dict_carries_kind_and_fields(self):
-        event = FarmJobFailed(job_id="sim-1", job_kind="sim",
-                              error="worker crashed", attempts=3)
-        payload = event.as_dict()
-        assert payload["event"] == "farm.failed"
-        assert payload["job_id"] == "sim-1"
-        assert payload["error"] == "worker crashed"
+        payload = request().as_dict()
+        assert payload["event"] == "serve.http.request"
+        assert payload["job_id"] == "job-000001"
+        assert payload["status"] == 404
 
     def test_as_dict_field_order_is_declaration_order(self):
-        event = started(1, 2)
-        assert list(event.as_dict()) == ["event", "job_id", "job_kind",
-                                         "worker", "attempt"]
+        event = syscall(1, 2)
+        assert list(event.as_dict()) == ["event", "pc", "service", "name"]
 
     def test_event_types_registry_covers_kinds(self):
-        assert EVENT_TYPES["farm.finished"] is FarmJobFinished
+        assert EVENT_TYPES["serve.http.request"] is HttpRequestServed
         assert EVENT_TYPES["syscall"] is Syscall
         for kind, cls in EVENT_TYPES.items():
             assert cls.kind == kind
@@ -45,7 +48,7 @@ class TestEvents:
         assert "inst.retired" not in EVENT_TYPES
 
     def test_events_are_slotted(self):
-        event = started(1, 2)
+        event = syscall(1, 2)
         with pytest.raises((AttributeError, TypeError)):
             event.arbitrary = 1
 
@@ -54,14 +57,14 @@ class TestEventBus:
     def test_fan_out_to_every_sink(self):
         one, two = CollectingSink(), CollectingSink()
         bus = EventBus([one, two])
-        bus.emit(started(1, 2))
+        bus.emit(syscall(1, 2))
         assert len(one.events) == len(two.events) == 1
 
     def test_attach_and_by_kind(self):
         bus = EventBus()
         sink = CollectingSink()
         bus.attach(sink)
-        bus.emit(started(1, 2))
+        bus.emit(request())
         bus.emit(Syscall(pc=4, service=10, name="exit"))
         assert [e.kind for e in sink.by_kind("syscall")] == ["syscall"]
 
@@ -73,9 +76,9 @@ class TestEventBus:
         bus = EventBus()
         sink = CollectingSink()
         bus.attach(sink)
-        bus.emit(started(1, 2))
+        bus.emit(syscall(1, 2))
         bus.detach(sink)
-        bus.emit(started(2, 3))
+        bus.emit(syscall(2, 3))
         assert len(sink.events) == 1
 
     def test_detach_unknown_sink_is_ignored(self):
@@ -98,7 +101,7 @@ class TestEventBus:
 
         def publish(worker: int) -> None:
             for i in range(per_thread):
-                bus.emit(started(worker, i))
+                bus.emit(syscall(worker, i))
 
         def churn() -> None:
             while not stop.is_set():
@@ -119,8 +122,8 @@ class TestEventBus:
 
         assert len(stable.events) == per_thread * threads
         for worker in range(threads):
-            attempts = [e.attempt for e in stable.events if e.worker == worker]
-            assert attempts == list(range(per_thread))  # per-thread order
+            indices = [e.service for e in stable.events if e.pc == worker]
+            assert indices == list(range(per_thread))  # per-thread order
         assert bus.sinks == (stable,)
 
 
@@ -130,19 +133,19 @@ class TestSubscribeAsync:
             bus = EventBus()
             sub = subscribe_async(bus)
             for i in range(5):
-                bus.emit(started(i, i))
+                bus.emit(syscall(i, i))
             got = [await sub.get() for _ in range(5)]
             sub.close()
             return got
 
         events = asyncio.run(scenario())
-        assert [e.worker for e in events] == list(range(5))
+        assert [e.pc for e in events] == list(range(5))
 
     def test_close_ends_iteration_and_detaches(self):
         async def scenario():
             bus = EventBus()
             sub = subscribe_async(bus)
-            bus.emit(started(1, 1))
+            bus.emit(syscall(1, 1))
             sub.close()
             drained = []
             async for event in sub:
@@ -151,7 +154,7 @@ class TestSubscribeAsync:
 
         sinks, drained = asyncio.run(scenario())
         assert sinks == ()
-        assert [e.worker for e in drained] == [1]  # buffered before close
+        assert [e.pc for e in drained] == [1]  # buffered before close
 
     def test_get_returns_none_after_close(self):
         async def scenario():
@@ -164,7 +167,7 @@ class TestSubscribeAsync:
         assert asyncio.run(scenario()) is None
 
     def test_events_from_worker_threads_cross_the_bridge(self):
-        """The farm publishes from threads; asyncio consumes them all."""
+        """Publishers run on threads; asyncio consumes them all."""
         per_thread, threads = 100, 4
 
         async def scenario():
@@ -173,7 +176,7 @@ class TestSubscribeAsync:
 
             def publish(worker: int) -> None:
                 for i in range(per_thread):
-                    bus.emit(started(worker, i))
+                    bus.emit(syscall(worker, i))
 
             workers = [threading.Thread(target=publish, args=(w,))
                        for w in range(threads)]
@@ -187,15 +190,15 @@ class TestSubscribeAsync:
         events = asyncio.run(scenario())
         assert len(events) == per_thread * threads
         for worker in range(threads):
-            attempts = [e.attempt for e in events if e.worker == worker]
-            assert attempts == list(range(per_thread))
+            indices = [e.service for e in events if e.pc == worker]
+            assert indices == list(range(per_thread))
 
     def test_emit_after_close_is_dropped(self):
         async def scenario():
             bus = EventBus()
             sub = subscribe_async(bus)
             sub.close()
-            bus.emit(started(9, 9))
+            bus.emit(syscall(9, 9))
             return await sub.get()
 
         assert asyncio.run(scenario()) is None

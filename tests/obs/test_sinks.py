@@ -8,9 +8,6 @@ import pytest
 from repro.obs.events import (
     EVENT_TYPES,
     EventBus,
-    FarmJobFinished,
-    FarmJobScheduled,
-    FarmJobStarted,
     HttpRequestServed,
     Syscall,
 )
@@ -27,9 +24,12 @@ from tests.obs.test_determinism import golden_program
 
 def sample_events():
     return [
-        FarmJobScheduled(job_id="sim-1", job_kind="sim"),
-        FarmJobStarted(job_id="sim-1", job_kind="sim", worker=0, attempt=1),
-        FarmJobFinished(job_id="sim-1", job_kind="sim", cached=False),
+        Syscall(pc=0x400008, service=1, name="print_int"),
+        HttpRequestServed(
+            trace_id="b" * 32, method="POST", route="POST /v1/jobs",
+            path="/v1/jobs", status=202, duration_seconds=0.0123,
+            tenant="alice", job_id="job-000001"),
+        Syscall(pc=0x40000c, service=11, name="print_char"),
         Syscall(pc=0x400010, service=10, name="exit"),
     ]
 
@@ -46,7 +46,7 @@ class TestNullAndCollecting:
         for event in events:
             sink.handle(event)
         assert sink.events == events
-        assert len(sink.by_kind("farm.started")) == 1
+        assert len(sink.by_kind("serve.http.request")) == 1
 
 
 class TestJsonlSink:
@@ -59,7 +59,7 @@ class TestJsonlSink:
         assert len(lines) == sink.count == len(sample_events())
         payloads = [json.loads(line) for line in lines]
         assert [p["event"] for p in payloads] == [
-            "farm.scheduled", "farm.started", "farm.finished", "syscall"]
+            "syscall", "serve.http.request", "syscall", "syscall"]
 
     def test_events_reconstructable_via_registry(self):
         stream = io.StringIO()

@@ -85,6 +85,34 @@ class TestContextManager:
         assert tracker.spans[after].parent_id is None
 
 
+class TestListener:
+    def test_sees_each_start_and_closing_end(self):
+        seen = []
+
+        def listener(span):
+            seen.append((span.name, span.status, dict(span.attrs)))
+
+        tracker = SpanTracker(clock=FakeClock(), listener=listener)
+        with tracker.span("outer"):
+            inner = tracker.start("inner", attrs={"x": 1})
+            tracker.end(inner, status="crashed", attrs={"y": 2})
+            tracker.end(inner, attrs={"late": True})  # already closed
+        assert seen == [
+            ("outer", OPEN, {}),
+            ("inner", OPEN, {"x": 1}),
+            ("inner", "crashed", {"x": 1, "y": 2}),
+            ("outer", "ok", {}),
+        ]
+
+    def test_adopted_spans_are_not_announced(self):
+        worker = SpanTracker(clock=FakeClock())
+        worker.end(worker.start("execute"))
+        seen = []
+        parent = SpanTracker(clock=FakeClock(), listener=seen.append)
+        parent.adopt(worker.export())
+        assert seen == [] and len(parent.spans) == 1
+
+
 class TestExportAdopt:
     def test_adopt_remaps_ids_and_attaches_roots_to_parent(self):
         worker = SpanTracker(clock=FakeClock(start=200.0))
