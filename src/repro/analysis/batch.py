@@ -3,7 +3,7 @@
 :func:`analyze_trace_columns` is the batch twin of the scalar
 :class:`repro.analysis.prediction.TraceAnalyzer`: the same
 :class:`~repro.analysis.prediction.TraceAnalysis` out of a handful of
-numpy passes over :class:`~repro.cpu.coltrace.TraceColumns` instead of
+numpy passes over :class:`~repro.cpu.coltrace.AccessColumns` instead of
 one Python callback per record. The two are *snapshot-equal* -- their
 ``repro.metrics/1`` encodings are identical on every benchmark -- which
 the suite-wide equivalence test and the ``columnar-equivalence`` CI job
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 # coltrace first: it owns the friendly "numpy is a declared runtime
 # dependency" ImportError for environments missing numpy
-from repro.cpu.coltrace import TraceColumns
+from repro.cpu.coltrace import AccessColumns, TraceColumns, memory_mask
 
 import numpy as np
 
@@ -223,32 +223,37 @@ def _offset_buckets(offsets: np.ndarray) -> np.ndarray:
     return np.where(offsets < 0, -1, keys)
 
 
-def analyze_trace_columns(program: Program, cols: TraceColumns,
+def analyze_trace_columns(program: Program,
+                          cols: AccessColumns | TraceColumns,
                           block_sizes: tuple[int, ...] = (16, 32),
                           cache_size: int = 16 * 1024,
                           full_tag_add: bool = True,
                           per_pc: bool = False, memory_usage: int = 0,
                           stdout: str = "") -> TraceAnalysis:
-    """The full :class:`TraceAnalysis` of one trace, from its columns.
+    """The full :class:`TraceAnalysis` of one run, from its columns.
 
-    Produces a :class:`TraceAnalysis` whose ``repro.metrics/1`` snapshot
-    equals the scalar analyzer's for the same trace (``per_pc`` tables
+    Reads the index column, the memory records' ea, base and offset,
+    and the program's static load/store table; a decoded tracefile is
+    narrowed to those (:meth:`TraceColumns.accesses`). Produces a
+    :class:`TraceAnalysis` whose ``repro.metrics/1`` snapshot equals
+    the scalar analyzer's for the same run (``per_pc`` tables
     included); counters come out as plain Python ints so snapshots stay
     JSON-serializable.
     """
+    if isinstance(cols, TraceColumns):
+        cols = cols.accesses()
     cols.verify(program)
     is_load, is_x, is_p, ref_class = _static_tables(program)
     idx = cols.index.astype(np.int64)
     total_records = cols.count
 
-    mem_mask = cols.is_mem
-    mem_idx = idx[mem_mask]
+    mem_idx = idx[memory_mask(program)[idx]]
     loads_mask = is_load[mem_idx]
     x_mask = is_x[mem_idx]
     p_mask = is_p[mem_idx]
     classes = ref_class[mem_idx].astype(np.int64)
-    base_col = cols.base[mem_mask].astype(np.int64)
-    offset_col = cols.offset[mem_mask].astype(np.int64)
+    base_col = cols.base.astype(np.int64)
+    offset_col = cols.offset.astype(np.int64)
 
     # ---- reference profile (Table 1 / Figure 3) --------------------
     profile = ReferenceProfile()
@@ -315,7 +320,7 @@ def analyze_trace_columns(program: Program, cols: TraceColumns,
 
     # ---- cache and TLB models (Table 3/4 miss-ratio columns) -------
     if total_records:
-        pc = cols.pc.astype(np.int64)
+        pc = program.text_base + idx * 4
         iblock = pc >> 5
         transitions = np.empty(total_records, dtype=bool)
         transitions[0] = True   # the analyzer's initial _last_iblock = -1
@@ -326,7 +331,7 @@ def analyze_trace_columns(program: Program, cols: TraceColumns,
                                              cache_size=16 * 1024)
     else:
         icache_accesses = icache_misses = 0
-    eas = cols.ea[mem_mask].astype(np.int64)
+    eas = cols.ea.astype(np.int64)
     dcache_misses = direct_mapped_misses(eas, block_size=32,
                                          cache_size=16 * 1024)
     tlb_miss_count = tlb_misses(eas)
@@ -375,12 +380,14 @@ def _register_events(program: Program):
             np.asarray(types, dtype=np.int8), counts, starts)
 
 
-def load_use_distances(program: Program, cols: TraceColumns,
+def load_use_distances(program: Program,
+                       cols: AccessColumns | TraceColumns,
                        histogram: Histogram | None = None) -> Histogram:
     """Vectorized load-use distance histogram (retired instructions
     between a load and the first consumer of its destination register;
-    1 = back-to-back). ``tests/analysis/test_load_use_distances.py``
-    checks it against a scalar per-retirement oracle."""
+    1 = back-to-back), read off the index column alone.
+    ``tests/analysis/test_load_use_distances.py`` checks it against a
+    scalar per-retirement oracle."""
     hist = histogram if histogram is not None else Histogram("load_use")
     ev_slots, ev_types, counts, starts = _register_events(program)
     idx = cols.index.astype(np.int64)

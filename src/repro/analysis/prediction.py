@@ -214,16 +214,18 @@ def analyze_program(program: Program, block_sizes: tuple[int, ...] = (16, 32),
                     per_pc: bool = False) -> TraceAnalysis:
     """Run ``program`` functionally and collect the full analysis: the
     execution is recorded straight into columns
-    (:func:`repro.cpu.coltrace.record_columns`) and analyzed by the
+    (:class:`repro.cpu.recorder.ArrayRecorder`) and analyzed by the
     vectorized batch analyzer."""
     from repro.analysis.batch import analyze_trace_columns
-    from repro.cpu.coltrace import record_columns
+    from repro.cpu.coltrace import AccessColumns
+    from repro.cpu.recorder import ArrayRecorder
 
     cpu = CPU(program)
-    cols = record_columns(program, max_instructions, cpu=cpu)
+    recorder = ArrayRecorder(program)
+    cpu.run_trace(recorder, max_instructions)
     return analyze_trace_columns(
-        program, cols, block_sizes=block_sizes, per_pc=per_pc,
-        memory_usage=cpu.memory_usage, stdout=cpu.stdout())
+        program, AccessColumns.of(recorder), block_sizes=block_sizes,
+        per_pc=per_pc, memory_usage=cpu.memory_usage, stdout=cpu.stdout())
 
 
 def analyze_trace(program: Program, trace_path: str,

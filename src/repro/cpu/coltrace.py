@@ -1,30 +1,34 @@
-"""Columnar trace decoding: one vectorized pass over a v1 tracefile.
+"""Trace columns for the vectorized analyses, as numpy arrays.
 
-The record-stream format (:mod:`repro.cpu.tracefile`) is ideal for
-*writing* -- the functional simulator streams records as they retire --
-but every analysis that replays it pays one Python callback per record.
-This module decodes a trace **once** into a structured set of numpy
-column arrays (:class:`TraceColumns`): pc-index, effective address,
-base value, offset, flags, and next pc. Whole-trace analyses
-(:mod:`repro.analysis.batch`) then run as a handful of vectorized
-passes over the columns instead of millions of interpreter callbacks.
-A live analysis skips the file: :func:`record_columns` writes the same
-record stream to memory and decodes it with the same code.
+Two shapes of column set feed :mod:`repro.analysis.batch`:
 
-Columns serialize to a versioned byte container
+* :class:`AccessColumns` is what the analyses read: the static index of
+  every retired instruction, plus the effective address, base and
+  signed offset of every load and store. A run is recorded straight
+  into them by the numpy-free
+  :class:`~repro.cpu.recorder.ArrayRecorder`. :meth:`AccessColumns.of`
+  views a live recorder without a copy (``repro profile``,
+  ``analyze_program``), and :func:`load_columns` reads the deflated
+  container the farm stores as a build's trace payload, with one
+  ``np.frombuffer`` per column.
+* :class:`TraceColumns` is a whole v1 tracefile (:mod:`repro.cpu.tracefile`)
+  decoded in one vectorized pass by :func:`decode_tracefile`:
+  pc-index, effective address, base value, offset, flags, and next
+  pc. :meth:`TraceColumns.accesses` narrows it to the access columns.
+
+Decoded tracefile columns serialize to a versioned byte container
 (:data:`COLTRACE_SCHEMA` = ``repro.coltrace/1``): a fixed header, a
 JSON descriptor with sorted keys, then the raw little-endian column
 buffers in descriptor order. The encoding is deterministic -- a pure
-function of the trace. The farm stores only the tracefile; its
-analysis cell decodes that straight into columns.
+function of the trace.
 """
 
 from __future__ import annotations
 
 import gzip
-import io
 import json
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 try:
@@ -38,7 +42,8 @@ except ImportError as exc:  # pragma: no cover - exercised only without numpy
         "('Columnar analysis') describes what it is used for."
     ) from exc
 
-from repro.cpu.executor import CPU
+from repro.cpu import recorder as access_format
+from repro.cpu.recorder import ArrayRecorder
 from repro.cpu.tracefile import (
     _FLAG_FAR_TARGET,
     _FLAG_HAS_EA,
@@ -46,11 +51,11 @@ from repro.cpu.tracefile import (
     _FLAG_TAKEN,
     _HEADER,
     _RECORD,
-    _TraceWriter,
     _check_header,
     program_crc,
 )
 from repro.errors import SimulationError
+from repro.isa.opcodes import OP_INFO
 from repro.isa.program import Program
 
 #: Version tag of the columnar byte container. Bump when the column
@@ -143,43 +148,117 @@ class TraceColumns:
         if self.entry != program.entry:
             raise SimulationError("columns entry point mismatch")
 
-
-class ColumnRecorder:
-    """``retire`` consumer (see :meth:`CPU.run_trace`) that writes the
-    v1 record stream to memory (no gzip); :meth:`columns` decodes it
-    exactly as :func:`decode_tracefile` decodes a file. Hand it to a
-    run that also feeds other consumers (``repro profile`` times the
-    same run live) or use :func:`record_columns`."""
-
-    def __init__(self, program: Program):
-        self._program = program
-        self._buffer = io.BytesIO()
-        self._writer = _TraceWriter(self._buffer, program)
-        self.retire = self._writer.retire
-
-    def columns(self) -> TraceColumns:
-        """The recorded run, as columns. This ends the recording: the
-        stream's buffer is freed once it is decoded."""
-        self._writer.flush()
-        blob = self._buffer.getbuffer()
-        try:
-            return _decode_v1(self._program, blob, "<memory>")
-        finally:
-            blob.release()
-            self._buffer.close()
+    def accesses(self) -> AccessColumns:
+        """The access columns the analyses read: every record's index,
+        and the memory records' ea, base and offset."""
+        mem = self.is_mem
+        return AccessColumns(crc=self.crc, entry=self.entry,
+                             index=self.index, ea=self.ea[mem],
+                             base=self.base[mem], offset=self.offset[mem])
 
 
-def record_columns(program: Program, max_instructions: int = 50_000_000,
-                   cpu: CPU | None = None) -> TraceColumns:
-    """Execute ``program`` and return its trace as columns, without a
-    file (:class:`ColumnRecorder`).
+@dataclass
+class AccessColumns:
+    """A run as the analyses read it (see the module docstring).
 
-    Pass a fresh ``cpu`` to keep the executor afterwards (memory usage,
-    stdout)."""
-    recorder = ColumnRecorder(program)
-    (cpu if cpu is not None else CPU(program)).run_trace(
-        recorder, max_instructions)
-    return recorder.columns()
+    ``index`` has one entry per retired instruction; ``ea``, ``base``
+    and ``offset`` one per load or store, in retirement order.
+    ``offset`` is signed: an index register's value >= 2**31 reads
+    negative, as in the v1 trace.
+    """
+
+    crc: int
+    entry: int
+    index: np.ndarray       # uint32
+    ea: np.ndarray          # uint32
+    base: np.ndarray        # uint32
+    offset: np.ndarray      # int32
+
+    @property
+    def count(self) -> int:
+        return len(self.index)
+
+    def verify(self, program: Program) -> None:
+        """Raise :class:`SimulationError` unless these columns were
+        recorded from ``program`` (same text CRC and entry)."""
+        if self.crc != program_crc(program):
+            raise SimulationError(
+                "columns were recorded from a different program")
+        if self.entry != program.entry:
+            raise SimulationError("columns entry point mismatch")
+
+    @classmethod
+    def of(cls, recorder: ArrayRecorder) -> AccessColumns:
+        """View a live :class:`~repro.cpu.recorder.ArrayRecorder`'s
+        columns (no copy: record nothing more into it afterwards)."""
+        program = recorder.program
+        return cls(
+            crc=program_crc(program),
+            entry=program.entry,
+            index=np.frombuffer(recorder.index, dtype=np.uint32),
+            ea=np.frombuffer(recorder.ea, dtype=np.uint32),
+            base=np.frombuffer(recorder.base, dtype=np.uint32),
+            offset=np.frombuffer(recorder.offset, dtype=np.int32),
+        )
+
+
+def memory_mask(program: Program) -> np.ndarray:
+    """Per text word: is it a load or a store?"""
+    return np.fromiter((OP_INFO[inst.op].mem_width != 0
+                        for inst in program.instructions),
+                       dtype=bool, count=len(program.instructions))
+
+
+def load_columns(program: Program, data: bytes,
+                 label: str = "<bytes>") -> AccessColumns:
+    """Read a :data:`repro.cpu.recorder.CONTAINER` written by
+    :meth:`~repro.cpu.recorder.ArrayRecorder.to_bytes` for ``program``.
+
+    Raises :class:`SimulationError` on a wrong magic, version, program
+    CRC or entry point, on a body whose length disagrees with the
+    header's counts, on an index outside the text segment, and when the
+    memory-record count is not the number of loads and stores in the
+    index column.
+    """
+    try:
+        blob = zlib.decompress(data)
+    except zlib.error as exc:
+        raise SimulationError(f"{label}: corrupt columns ({exc})") from exc
+    header = access_format.HEADER
+    if len(blob) < header.size:
+        raise SimulationError(f"{label}: truncated columns header")
+    magic, version, __, crc, entry, count, mem_count = \
+        header.unpack_from(blob)
+    if magic != access_format.MAGIC:
+        raise SimulationError(f"{label}: not a columns container")
+    if version != access_format.VERSION:
+        raise SimulationError(f"{label}: unsupported columns version "
+                              f"{version}")
+    if crc != program_crc(program):
+        raise SimulationError(
+            f"{label}: columns were recorded from a different program")
+    if entry != program.entry:
+        raise SimulationError(f"{label}: entry point mismatch")
+    if len(blob) != header.size + 4 * (count + 3 * mem_count):
+        raise SimulationError(
+            f"{label}: columns body does not hold {count} records and "
+            f"{mem_count} memory records")
+    columns = []
+    pos = header.size
+    for dtype, length in (("<u4", count), ("<u4", mem_count),
+                          ("<u4", mem_count), ("<i4", mem_count)):
+        columns.append(np.frombuffer(blob, dtype=dtype, count=length,
+                                     offset=pos))
+        pos += 4 * length
+    index, ea, base, offset = columns
+    if count and int(index.max()) >= len(program.instructions):
+        raise SimulationError(f"{label}: index outside the text segment")
+    if int(np.count_nonzero(memory_mask(program)[index])) != mem_count:
+        raise SimulationError(
+            f"{label}: {mem_count} memory records, but the index column "
+            f"retires a different number of loads and stores")
+    return AccessColumns(crc=crc, entry=entry, index=index, ea=ea,
+                         base=base, offset=offset)
 
 
 def decode_tracefile(program: Program, path: str) -> TraceColumns:
@@ -198,11 +277,6 @@ def decode_tracefile(program: Program, path: str) -> TraceColumns:
             blob = stream.read()
     except (OSError, EOFError) as exc:
         raise SimulationError(f"{path}: corrupt trace file ({exc})") from exc
-    return _decode_v1(program, blob, path)
-
-
-def _decode_v1(program: Program, blob, path: str) -> TraceColumns:
-    """Decode an uncompressed v1 stream (header included)."""
     _check_header(blob[:_HEADER.size], path, program)
     body = memoryview(blob)[_HEADER.size:]
     rec_size = _RECORD.size

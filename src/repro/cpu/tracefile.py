@@ -13,16 +13,18 @@ segment guards against replaying a trace into the wrong binary.
 Format: gzip-compressed stream of fixed-size little-endian records after
 a small header. ~19 bytes/record before compression. One writer opens
 the stream: :func:`trace_writer` yields a ``retire`` consumer, which
-:func:`record_trace` runs alone and the farm tees beside the timing
-fronts of a live run (:func:`repro.pipeline.replay.time_live`), so a
-build is executed once whether it is timed, recorded or both. Two
-readers share one header check: :func:`replay_into` streams records
-into a consumer's ``retire`` hook, and
-:func:`repro.cpu.coltrace.decode_tracefile` decodes them into columns.
-:func:`simulate_trace` times a trace on the shared-front engine of
-:mod:`repro.pipeline.replay`, whose front is a ``replay_into``
-consumer: one decode serves every machine flavour that shares the
-caches and the BTB.
+:func:`record_trace` runs alone (or a caller tees beside other
+consumers of a live run). Two readers share one header check:
+:func:`replay_into` streams records into a consumer's ``retire`` hook,
+and :func:`repro.cpu.coltrace.decode_tracefile` decodes them into
+columns. :func:`simulate_trace` times a trace on the shared-front
+engine of :mod:`repro.pipeline.replay`, whose front is a
+``replay_into`` consumer: one decode serves every machine flavour that
+shares the caches and the BTB.
+
+The farm does not store this format: a build's analysis reads only
+the columns of :mod:`repro.cpu.recorder`, which a sim job records
+beside its timing fronts at a fraction of this writer's cost.
 """
 
 from __future__ import annotations
@@ -255,9 +257,9 @@ def simulate_trace(program: Program, trace, config=None,
     """Time a recorded trace on one machine flavour.
 
     ``trace`` is a trace file path, or a
-    :class:`~repro.pipeline.replay.Front` shared by several flavours of
-    the same build (see :func:`~repro.pipeline.replay.time_flavours`),
-    in which case the trace is decoded once for all of them.
+    :class:`~repro.pipeline.replay.Front` built on one and shared by
+    several flavours of the same build, in which case the trace is
+    decoded once for all of them.
 
     ``memory_usage`` is not in the trace (it is a property of the
     functional run, not of any one record); callers that captured it at

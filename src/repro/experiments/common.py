@@ -1,8 +1,9 @@
 """Shared infrastructure for the experiment harnesses.
 
 Results are served through the farm artifact store
-(:mod:`repro.farm.api`): one functional trace per (benchmark, compile
-flavour) drives every analysis and timing replay, each cell persists as
+(:mod:`repro.farm.api`): one execution per (benchmark, compile
+flavour) times every flavour and records the columns its analysis
+reads, each cell persists as
 a ``repro.metrics/1`` snapshot keyed by a deterministic fingerprint, and
 warm re-runs -- including a second harness reading the same cells, or a
 whole resumed sweep -- are cache hits. Only a small bounded window of
@@ -11,16 +12,14 @@ deserialized results is held in memory, so the full 19-benchmark x
 ``TraceAnalysis`` at once (the old unbounded ``lru_cache``s did).
 
 All cells execute on the predecoded fast-dispatch engine
-(:mod:`repro.cpu.predecode`): traces are captured through
-:meth:`CPU.run_trace` and replayed through
-:func:`repro.cpu.tracefile.replay_into`, which is bit-for-bit equivalent
-to the ``step()`` spec interpreter (see docs/performance.md) -- snapshots
-produced before this engine existed remain valid cache hits. The farm
-times each build on all of its requested :data:`MACHINES` in one job:
-the trace is decoded once and the cache, BTB and FAC outcomes, which
-no flavour's issue timing can change, are shared across flavours
-(:mod:`repro.pipeline.replay`); each flavour's snapshot keeps its own
-key.
+(:mod:`repro.cpu.predecode`) through :meth:`CPU.run_trace`, which is
+bit-for-bit equivalent to the ``step()`` spec interpreter (see
+docs/performance.md) -- snapshots produced before this engine existed
+remain valid cache hits. The farm times each build on all of its
+requested :data:`MACHINES` in one job: the build runs once and the
+cache, BTB and FAC outcomes, which no flavour's issue timing can
+change, are shared across flavours (:mod:`repro.pipeline.replay`);
+each flavour's snapshot keeps its own key.
 
 Set ``REPRO_SUITE`` to a comma-separated subset (e.g.
 ``REPRO_SUITE=compress,alvinn``) to bound harness run time,

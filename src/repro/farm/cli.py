@@ -30,7 +30,7 @@ import sys
 from repro.farm import ledger as ledger_mod
 from repro.farm.jobs import plan_jobs
 from repro.farm.progress import ProgressSink
-from repro.farm.scheduler import lifecycle_listener, run_graph
+from repro.farm.scheduler import run_graph
 from repro.farm.store import ArtifactStore, default_store_root
 
 #: figure name -> (harness module name, runner attribute).
@@ -109,7 +109,7 @@ def cmd_farm_run(args) -> int:
           f"(store: {store.root}, workers: {args.jobs})", file=sys.stderr)
 
     progress = ProgressSink(sys.stderr, enabled=not args.quiet)
-    tracker = SpanTracker(listener=lifecycle_listener(graph, progress.handle))
+    tracker = SpanTracker(listener=progress.listener(graph))
     try:
         result = run_graph(graph, store, jobs=args.jobs,
                            timeout=args.timeout, retries=args.retries,

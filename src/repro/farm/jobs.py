@@ -8,23 +8,28 @@ job kinds::
     build(name, software)                 -> build manifest (program CRC)
       sim(name, software, machines)       -> one repro.metrics/1
                                              snapshot per machine,
-                                             and the functional trace
+                                             and the trace (columns)
         analysis(name, software)          -> repro.metrics/1 snapshot
 
     build(name, software)                 (a build with no sim cells)
-      trace(name, software)               -> functional trace artifact
+      trace(name, software)               -> trace artifact (columns)
         analysis(name, software)          -> repro.metrics/1 snapshot
 
 Each build is executed once. Its sim job runs it live and times every
 flavour from that one run (:func:`repro.pipeline.replay.time_live`,
 which shares the cache, BTB and FAC outcomes across flavours), writing
-each flavour's snapshot under its own :func:`sim_key`; the same run
-records the trace, which the analysis then decodes straight into numpy
-columns. A build with only an analysis cell gets a trace job instead.
-A cold build is never traced first and replayed: executing it costs
-less than encoding, storing and decoding its trace. A sim job that
-finds the trace already stored replays it instead, which costs no more
-than executing the build again.
+each flavour's snapshot under its own :func:`sim_key`. The same run
+tees an :class:`~repro.cpu.recorder.ArrayRecorder`, which keeps only
+what the analysis reads -- every record's static index and every
+memory record's ea, base and offset -- and the farm stores those
+columns, deflated, as the build's ``trace`` artifact, with the facts a
+run's columns cannot hold (instruction count, memory usage, stdout) in
+its meta. A build with only an analysis cell gets a trace job, which
+runs the recorder alone. The analysis job loads the columns with
+``np.frombuffer`` (:func:`repro.cpu.coltrace.load_columns`); it never
+executes the build. A sim job that finds the trace already stored
+executes the build live with no tee: the columns hold nothing a
+timing front can replay.
 
 Execution is *store-idempotent*: every ``ensure_*`` function first
 consults the :class:`~repro.farm.store.ArtifactStore` and only
@@ -47,7 +52,7 @@ from repro.farm.snapshots import analysis_to_snapshot, sim_to_snapshot
 from repro.farm.store import ArtifactStore
 from repro.pipeline.config import MachineConfig
 
-TRACE_PAYLOAD = "trace.fact.gz"
+TRACE_PAYLOAD = "columns.bin.z"
 SNAPSHOT_PAYLOAD = "snapshot.json"
 
 #: Analyzer geometry baked into analysis artifacts (the Tables 3/4
@@ -125,7 +130,7 @@ def plan_jobs(cells, machines: dict[str, MachineConfig],
     planning time, not inside a worker. Each build gets one job that
     executes it after its ``build:<tag>`` job: a sim job covering all
     its requested flavours, with id ``sim:<tag>:<labels, sorted and
-    ","-joined>``, which also stores the trace; or, for a build with
+    ","-joined>``, which also stores the trace columns; or, for a build with
     only an analysis cell, a ``trace:<tag>`` job. The analysis depends
     on that job. ``source`` is the inline MiniC text every job of the
     graph builds from (see :class:`JobSpec`).
@@ -219,8 +224,14 @@ def manifest_key(name: str, software: bool,
 
 def trace_key(name: str, software: bool, program_crc: int,
               max_instructions: int, source: str | None = None) -> str:
+    """The key of a build's trace artifact. The payload's format tag
+    is folded in, so a store holding another format's trace (a v1
+    tracefile, say) recomputes it instead of misreading it."""
+    from repro.cpu.recorder import CONTAINER
+
     return fingerprint("trace", _content_label(name, source), program_crc,
-                       benchmark_options(software), max_instructions)
+                       benchmark_options(software), max_instructions,
+                       CONTAINER)
 
 
 def analysis_key(name: str, software: bool, program_crc: int,
@@ -322,22 +333,20 @@ def _execute(store: ArtifactStore, name: str, software: bool,
     """Time one build on ``machines`` (a sequence of
     :class:`MachineConfig`), recording its trace if the store lacks it.
 
-    When the build's trace is not stored yet, the build is executed
-    once, live (:func:`repro.pipeline.replay.time_live`), with a
-    :func:`~repro.cpu.tracefile.trace_writer` teed beside the timing
-    fronts, and the trace is published. With the trace stored, the
-    flavours are timed by replaying it
-    (:func:`repro.pipeline.replay.time_flavours`), which costs no more
-    than executing the build again; with no machines as well there is
-    nothing to run. Returns the trace key, its meta and the results in
-    ``machines`` order.
+    The build is executed once, live
+    (:func:`repro.pipeline.replay.time_live`). When its trace is not
+    stored yet, an :class:`~repro.cpu.recorder.ArrayRecorder` is teed
+    beside the timing fronts and its columns are published; with the
+    trace stored the run has no tee, and with no machines as well there
+    is nothing to run. Returns the trace key, its meta and the results
+    in ``machines`` order.
 
-    The trace artifact carries the facts a trace cannot: instruction
-    count, memory usage, and captured stdout -- everything downstream
-    analyses need to match a live run exactly.
+    The trace artifact carries the facts its columns cannot:
+    instruction count, memory usage, and captured stdout -- everything
+    downstream analyses need to match a live run exactly.
     """
-    from repro.cpu.tracefile import trace_writer
-    from repro.pipeline.replay import time_flavours, time_live
+    from repro.cpu.recorder import ArrayRecorder
+    from repro.pipeline.replay import time_live
 
     manifest = ensure_manifest(store, name, software, source)
     key = trace_key(name, software, manifest["program_crc"],
@@ -349,18 +358,11 @@ def _execute(store: ArtifactStore, name: str, software: bool,
         return key, meta, []
     program = build_program(name, software, source)
     if stored:
-        store.pin("trace", key)
-        try:
-            trace_path = store.payload_path("trace", key, TRACE_PAYLOAD)
-            results = time_flavours(program, str(trace_path), machines,
-                                    memory_usage=meta["memory_usage"])
-        finally:
-            store.unpin("trace", key)
+        results, _ = time_live(program, machines, max_instructions)
         return key, meta, results
-    scratch = store.scratch(f"{name}-{key[:12]}.fact.gz")
-    with trace_writer(str(scratch), program) as writer:
-        results, cpu = time_live(program, machines, max_instructions,
-                                 tee=writer)
+    recorder = ArrayRecorder(program)
+    results, cpu = time_live(program, machines, max_instructions,
+                             tee=recorder)
     meta = {
         "schema": FARM_SCHEMA,
         "kind": "trace",
@@ -368,11 +370,12 @@ def _execute(store: ArtifactStore, name: str, software: bool,
         "software_support": software,
         "program_crc": manifest["program_crc"],
         "max_instructions": max_instructions,
-        "instructions": writer.count,
+        "instructions": recorder.count,
         "memory_usage": cpu.memory_usage,
         "stdout": cpu.stdout(),
     }
-    store.put("trace", key, meta, payloads={TRACE_PAYLOAD: scratch})
+    store.put("trace", key, meta,
+              payloads={TRACE_PAYLOAD: recorder.to_bytes()})
     return key, meta, results
 
 
@@ -391,9 +394,9 @@ def ensure_analysis(store: ArtifactStore, name: str, software: bool,
                     source: str | None = None) -> tuple[str, dict]:
     """Compute (or find) the trace analysis snapshot of one build.
 
-    The cell decodes the stored trace straight into columns and runs
-    the vectorized batch analyzer, whose snapshot the test suite holds
-    byte-identical to the scalar spec analyzer's.
+    The cell loads the stored trace columns and runs the vectorized
+    batch analyzer, whose snapshot the test suite holds byte-identical
+    to the scalar spec analyzer's.
     """
     manifest = ensure_manifest(store, name, software, source)
     key = analysis_key(name, software, manifest["program_crc"],
@@ -403,7 +406,7 @@ def ensure_analysis(store: ArtifactStore, name: str, software: bool,
         return key, snapshot
     # imported on a miss only: a store hit must not pay for numpy
     from repro.analysis.batch import analyze_trace_columns
-    from repro.cpu.coltrace import decode_tracefile
+    from repro.cpu.coltrace import load_columns
 
     tkey, tmeta = ensure_trace(store, name, software, max_instructions,
                                source)
@@ -413,7 +416,8 @@ def ensure_analysis(store: ArtifactStore, name: str, software: bool,
     store.pin("trace", tkey)
     try:
         trace_path = store.payload_path("trace", tkey, TRACE_PAYLOAD)
-        cols = decode_tracefile(program, str(trace_path))
+        cols = load_columns(program, trace_path.read_bytes(),
+                            str(trace_path))
         analysis = analyze_trace_columns(
             program, cols, block_sizes=ANALYSIS_BLOCK_SIZES,
             memory_usage=tmeta["memory_usage"], stdout=tmeta["stdout"],
@@ -443,10 +447,9 @@ def ensure_sims(store: ArtifactStore, name: str, software: bool,
     """Time (or find) one build on several machine flavours.
 
     ``machines`` is a sequence of ``(label, MachineConfig)``. Only the
-    flavours missing from the store are computed, all from one run of
-    the build (see :func:`_execute`): a live execution that also
-    records and stores the build's trace when the store lacks it, a
-    replay of the stored trace otherwise. Each snapshot lands under its
+    flavours missing from the store are computed, all from one live run
+    of the build (see :func:`_execute`), which also records and stores
+    the build's trace when the store lacks it. Each snapshot lands under its
     own :func:`sim_key`. Returns ``(key, snapshot)`` per flavour, in
     ``machines`` order.
     """

@@ -8,12 +8,15 @@ complete::
 It reads the lifecycle entries that
 :func:`repro.farm.scheduler.lifecycle_listener` derives from the
 sweep's job and attempt spans, the same entries a served job streams
-over SSE.
+over SSE. The line is drawn once when the graph is scheduled (not
+once per scheduled job), then once per later entry.
 """
 
 from __future__ import annotations
 
 import sys
+
+from repro.farm.scheduler import lifecycle_listener
 
 
 class ProgressSink:
@@ -31,11 +34,23 @@ class ProgressSink:
         self.last = ""
         self._dirty = False
 
+    def listener(self, graph):
+        """A :class:`~repro.obs.spans.SpanTracker` listener that feeds
+        this line the lifecycle entries of a sweep of ``graph``."""
+        feed = lifecycle_listener(graph, self.handle)
+
+        def listener(span) -> None:
+            feed(span)
+            if span.cat == "sweep" and span.t1 is None:
+                self._render()    # every job is scheduled now
+        return listener
+
     def handle(self, entry: dict) -> None:
         event, job_id = entry["event"], entry["job_id"]
         if event == "farm.scheduled":
             self.total += 1
-        elif event == "farm.started":
+            return
+        if event == "farm.started":
             self.last = job_id
         elif event == "farm.finished":
             self.done += 1

@@ -50,9 +50,10 @@ Telemetry (all optional, zero cost when off):
   top`` renders it live from another terminal.
 
 Test hooks (used by the crash/timeout regression tests): a worker whose
-job id contains ``$REPRO_FARM_TEST_CRASH`` exits hard with ``os._exit``;
-one matching ``$REPRO_FARM_TEST_HANG`` sleeps forever (until the
-scheduler's timeout kills it).
+job id is ``$REPRO_FARM_TEST_CRASH`` exits hard with ``os._exit``; one
+whose job id is ``$REPRO_FARM_TEST_HANG`` sleeps forever (until the
+scheduler's timeout kills it). Both match the whole id, so
+``build:alvinn`` spares ``build:alvinn+sw``.
 """
 
 from __future__ import annotations
@@ -160,9 +161,9 @@ def _worker_main(store_root: str, conn) -> None:
             return
         if spec is None:
             return
-        if crash and crash in spec.job_id:
+        if spec.job_id == crash:
             os._exit(66)
-        if hang and hang in spec.job_id:
+        if spec.job_id == hang:
             time.sleep(3600)
         tracker = SpanTracker()
         store.tracer = tracker

@@ -5,8 +5,9 @@ at once, and a static pass adds the lint view; together they make a
 per-site table:
 
 * the **functional** view: the run is recorded in memory straight into
-  numpy columns (:class:`repro.cpu.coltrace.ColumnRecorder`) and the
-  vectorized analyzer runs on them
+  the analysis columns (:class:`repro.cpu.recorder.ArrayRecorder`,
+  viewed as numpy arrays without a copy) and the vectorized analyzer
+  runs on them
   (:func:`repro.analysis.batch.analyze_trace_columns` with
   ``per_pc=True``). It supplies exact per-PC access and
   prediction-failure counts at every requested block size -- by
@@ -297,14 +298,15 @@ def _execute(program: Program, machine: MachineConfig,
     ``distances``), and time the same run live on ``machine`` with a
     :class:`SiteTally` watching its memory accesses."""
     from repro.analysis.batch import analyze_trace_columns, load_use_distances
-    from repro.cpu.coltrace import ColumnRecorder
+    from repro.cpu.coltrace import AccessColumns
+    from repro.cpu.recorder import ArrayRecorder
     from repro.pipeline.replay import time_live
 
-    recorder = ColumnRecorder(program)
+    recorder = ArrayRecorder(program)
     tally = SiteTally(program)
     (sim,), cpu = time_live(program, (machine,), max_instructions,
                             tee=recorder, outcomes={machine: tally})
-    cols = recorder.columns()
+    cols = AccessColumns.of(recorder)
     analysis = analyze_trace_columns(
         program, cols, block_sizes=block_sizes, cache_size=cache_size,
         per_pc=True, memory_usage=cpu.memory_usage, stdout=cpu.stdout())

@@ -35,14 +35,13 @@ chunks) consumes it, and the chunk is reused, so memory stays bounded
 whatever the trace length.
 
 A front is fed either live, by :meth:`CPU.run_trace`
-(:func:`time_live`), or by :func:`replay_into` from a recorded trace:
-both speak the one ``retire(pc, inst, rec)`` hook, so both feeds share
-the front and the recurrence. A farm sim job on a cold build runs
-live and passes the trace writer as :func:`time_live`'s ``tee``, so one
-execution both times the build and records its trace. A sim job that
-finds the trace already stored replays it (:func:`time_flavours`),
-which costs no more than executing the build again; the checks also
-compare the live feed against this one.
+(:func:`time_live`), or by :func:`replay_into` from a recorded v1
+trace: both speak the one ``retire(pc, inst, rec)`` hook, so both feeds
+share the front and the recurrence. Every farm sim job runs live; on a
+cold build it passes an :class:`~repro.cpu.recorder.ArrayRecorder` as
+:func:`time_live`'s ``tee``, so one execution both times the build and
+records the columns its analysis reads. The checks also compare the
+live feed against a replayed one.
 
 On request a recurrence also reports, chunk by chunk, each record's
 issue and result-ready cycles and each memory access's outcome (see
@@ -55,8 +54,10 @@ The result is cycle-for-cycle that of
 oracle (``tests/pipeline/test_replay.py`` and
 ``tools/check_sim_equivalence.py`` hold the snapshots identical).
 :func:`repro.cpu.tracefile.simulate_trace` times one flavour of a
-recorded trace; :func:`time_flavours` times many, one front per
-distinct (caches, BTB) group; :func:`time_live` times a live run.
+recorded trace, and a :class:`Front` built on a trace path times every
+flavour that shares its caches and BTB from one replay;
+:func:`time_live` times a live run, one front per distinct (caches,
+BTB) group.
 """
 
 from __future__ import annotations
@@ -340,24 +341,6 @@ def _groups(machines) -> dict[tuple, list]:
     return groups
 
 
-def time_flavours(program: Program, path, machines,
-                  memory_usage: int = 0) -> list[SimResult]:
-    """Time the trace at ``path`` on every machine in ``machines``.
-
-    Flavours that share their caches and BTB share one :class:`Front`,
-    so the trace is decoded once per group; each flavour is then timed
-    by :func:`repro.cpu.tracefile.simulate_trace` on its group's front.
-    Results come back in ``machines`` order.
-    """
-    from repro.cpu import tracefile
-
-    fronts = {key: Front(program, path, group)
-              for key, group in _groups(machines).items()}
-    return [tracefile.simulate_trace(program, fronts[front_key(machine)],
-                                     machine, memory_usage)
-            for machine in machines]
-
-
 def _pair(first, second):
     def retire(pc, inst, rec):
         first(pc, inst, rec)
@@ -389,8 +372,8 @@ def time_live(program: Program, machines,
 
     One :meth:`CPU.run_trace` of ``cpu`` (a fresh :class:`CPU` by
     default) feeds a live :class:`Front` per (caches, BTB) group and,
-    when given, ``tee``: any other ``retire`` consumer (a trace writer,
-    say) that should see the same run. The tee sees each record before
+    when given, ``tee``: any other ``retire`` consumer (a column
+    recorder, say) that should see the same run. The tee sees each record before
     the fronts do, so a watcher that a full chunk reaches mid-``retire``
     finds the chunk's last record already teed. ``outcomes`` maps
     machines to :class:`Front` outcome watchers. Returns the results in

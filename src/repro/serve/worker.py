@@ -229,11 +229,12 @@ def run_serve_job(store: ArtifactStore, record: dict, log: JobEventLog,
         if enqueued_at is not None else 0.0
     try:
         # the farm forks fresh workers for every graph: load the
-        # execution engine and the timing engine (with the trace
-        # writer), which a sim job imports lazily to execute its build,
-        # once per service, so each worker inherits them instead of
-        # importing them per request
+        # execution engine, the timing engine and the column recorder
+        # (numpy-free), which a sim job imports lazily to execute its
+        # build, once per service, so each worker inherits them instead
+        # of importing them per request
         import repro.cpu.predecode  # noqa: F401
+        import repro.cpu.recorder  # noqa: F401
         import repro.pipeline.replay  # noqa: F401
 
         graph = plan_serve_graph(submission, machines)

@@ -6,14 +6,14 @@ import pytest
 from repro.compiler import compile_and_link
 from repro.cpu.coltrace import (
     COLTRACE_SCHEMA,
-    ColumnRecorder,
+    AccessColumns,
     TraceColumns,
     columns_from_bytes,
     columns_to_bytes,
     decode_tracefile,
-    record_columns,
 )
 from repro.cpu import CPU
+from repro.cpu.recorder import ArrayRecorder
 from repro.cpu.tracefile import record_trace
 from repro.errors import SimulationError
 from repro.isa.opcodes import OP_INFO
@@ -112,39 +112,44 @@ class TestDecode:
 
 
 class TestRecordColumns:
-    """Live recording into memory decodes to exactly the columns of the
-    same execution recorded to a file."""
+    """Live recording into arrays (:class:`ArrayRecorder`) gives exactly
+    the access columns of the same execution recorded to a file."""
 
-    COLUMNS = ("index", "ea", "base", "offset", "flags", "next_pc")
+    COLUMNS = ("index", "ea", "base", "offset")
+
+    def record(self, program, budget=50_000_000, cpu=None):
+        recorder = ArrayRecorder(program)
+        (cpu or CPU(program)).run_trace(recorder, budget)
+        return AccessColumns.of(recorder)
 
     def test_equals_decoded_tracefile(self, program, columns):
         cpu = CPU(program)
-        live = record_columns(program, cpu=cpu)
+        live = self.record(program, cpu=cpu)
         assert cpu.halted and cpu.stdout()
         assert cpu.instructions_retired == live.count
-        assert (live.text_base, live.entry, live.crc) == \
-            (columns.text_base, columns.entry, columns.crc)
+        assert (live.entry, live.crc) == (columns.entry, columns.crc)
+        decoded = columns.accesses()
         for name in self.COLUMNS:
             assert np.array_equal(getattr(live, name),
-                                  getattr(columns, name)), name
-        assert columns_to_bytes(live) == columns_to_bytes(columns)
+                                  getattr(decoded, name)), name
 
     def test_budget_stops_recording(self, program):
         cpu = CPU(program)
-        assert record_columns(program, 100, cpu=cpu).count == 100
+        assert self.record(program, 100, cpu=cpu).count == 100
         assert not cpu.halted
 
     def test_recorder_shares_a_timed_run(self, program, columns):
         """A recorder fed alongside the live timing engine records the
         same columns as a run of its own."""
-        recorder = ColumnRecorder(program)
+        recorder = ArrayRecorder(program)
         (result,), cpu = time_live(program, [MachineConfig()],
                                    tee=recorder)
-        live = recorder.columns()
+        live = AccessColumns.of(recorder)
         assert live.count == result.instructions == cpu.instructions_retired
+        decoded = columns.accesses()
         for name in self.COLUMNS:
             assert np.array_equal(getattr(live, name),
-                                  getattr(columns, name)), name
+                                  getattr(decoded, name)), name
 
 
 class TestContainer:

@@ -206,13 +206,13 @@ class TestEnsure:
         assert farm_jobs.artifact_ready(spec, store) is None
 
         timed = []
-        real = replay.time_flavours
+        real = replay.time_live
 
-        def counted(program, path, machines, memory_usage=0):
+        def counted(program, machines, *args, **kwargs):
             timed.extend(machines)
-            return real(program, path, machines, memory_usage)
+            return real(program, machines, *args, **kwargs)
 
-        monkeypatch.setattr(replay, "time_flavours", counted)
+        monkeypatch.setattr(replay, "time_live", counted)
         keys = farm_jobs.execute_job(spec, store)
         assert timed == [MACHINES["fac32"]]
         assert keys[0] == base_key
@@ -226,24 +226,21 @@ class TestEnsure:
 
     def test_grouped_snapshots_match_the_pipeline(self, store):
         """Every flavour's snapshot from one grouped job equals the
-        scalar PipelineSimulator's replay of the same stored trace."""
-        from repro.cpu.tracefile import replay_into
+        scalar PipelineSimulator's, fed by a run of the same build."""
+        from repro.cpu.executor import CPU
         from repro.experiments import common
         from repro.pipeline.pipeline import PipelineSimulator
 
         machines = tuple(common.MACHINES.items())
         results = farm_jobs.ensure_sims(store, BENCH, True, machines,
                                         MAX_INSTRUCTIONS)
-        tkey, tmeta = farm_jobs.ensure_trace(store, BENCH, True,
-                                             MAX_INSTRUCTIONS)
-        path = str(store.payload_path("trace", tkey,
-                                      farm_jobs.TRACE_PAYLOAD))
         program = farm_jobs.build_program(BENCH, True)
         for (label, machine), (_, snapshot) in zip(machines, results):
             pipe = PipelineSimulator(machine)
-            replay_into(program, path, pipe)
+            cpu = CPU(program)
+            cpu.run_trace(pipe, MAX_INSTRUCTIONS)
             oracle = sim_to_snapshot(
-                pipe.finalize(memory_usage=tmeta["memory_usage"]), meta={
+                pipe.finalize(memory_usage=cpu.memory_usage), meta={
                     "cell": "sim",
                     "name": BENCH,
                     "software_support": True,
@@ -262,8 +259,8 @@ class TestEnsure:
 
 class TestOneExecution:
     """A cold sim job executes its build once, live: the run that times
-    the flavours also records the trace. A sim job that finds the trace
-    stored replays it."""
+    the flavours also records the trace columns. A sim job that finds
+    the trace stored executes the build live with no recorder."""
 
     @pytest.fixture
     def runs(self, monkeypatch):
@@ -288,11 +285,18 @@ class TestOneExecution:
 
     def test_timing_run_records_the_trace(self, tmp_path, runs):
         """The trace a cold sim job stores has ``ensure_trace``'s meta,
-        and its payload decodes to ``record_trace``'s records."""
+        and its payload is the recorder's container of that run: it
+        loads to the recorder's columns, which are those of a decoded
+        ``record_trace`` file."""
         import numpy as np
 
-        from repro.cpu.coltrace import decode_tracefile
+        from repro.cpu.coltrace import (
+            AccessColumns,
+            decode_tracefile,
+            load_columns,
+        )
         from repro.cpu.executor import CPU
+        from repro.cpu.recorder import ArrayRecorder
         from repro.cpu.tracefile import record_trace
 
         store = ArtifactStore(tmp_path / "store")
@@ -312,33 +316,43 @@ class TestOneExecution:
         count = record_trace(program, path, MAX_INSTRUCTIONS, cpu=cpu)
         assert (meta["instructions"], meta["memory_usage"],
                 meta["stdout"]) == (count, cpu.memory_usage, cpu.stdout())
-        got = decode_tracefile(program, str(store.payload_path(
-            "trace", key, farm_jobs.TRACE_PAYLOAD)))
-        want = decode_tracefile(program, path)
-        for column in ("index", "ea", "base", "offset", "flags", "next_pc"):
+        recorder = ArrayRecorder(program)
+        CPU(program).run_trace(recorder, MAX_INSTRUCTIONS)
+        payload = store.get_bytes("trace", key, farm_jobs.TRACE_PAYLOAD)
+        assert payload == recorder.to_bytes()
+        assert alone.get_bytes("trace", key,
+                               farm_jobs.TRACE_PAYLOAD) == payload
+        got = load_columns(program, payload)
+        recorded = AccessColumns.of(recorder)
+        decoded = decode_tracefile(program, path).accesses()
+        for column in ("index", "ea", "base", "offset"):
             assert np.array_equal(getattr(got, column),
-                                  getattr(want, column)), column
+                                  getattr(recorded, column)), column
+            assert np.array_equal(getattr(got, column),
+                                  getattr(decoded, column)), column
 
-    def test_snapshots_equal_a_replay_of_the_stored_trace(self, tmp_path,
-                                                          runs):
-        """The live sim job's snapshots equal ``time_flavours`` replaying
-        the trace it stored, on every experiment flavour."""
+    def test_snapshots_equal_a_replay_of_record_trace(self, tmp_path, runs):
+        """The live sim job's snapshots equal a shared front replaying
+        ``record_trace``'s file of the same build, on every experiment
+        flavour."""
+        from repro.cpu.executor import CPU
+        from repro.cpu.tracefile import record_trace, simulate_trace
         from repro.experiments import common
-        from repro.pipeline.replay import time_flavours
+        from repro.pipeline.replay import Front
 
         store = ArtifactStore(tmp_path / "store")
         machines = tuple(common.MACHINES.items())
         results = farm_jobs.ensure_sims(store, BENCH, False, machines,
                                         MAX_INSTRUCTIONS)
         assert runs == {"run_trace": 1, "replay_into": 0}
-        key, meta = farm_jobs.ensure_trace(store, BENCH, False,
-                                           MAX_INSTRUCTIONS)
-        path = store.payload_path("trace", key, farm_jobs.TRACE_PAYLOAD)
-        oracle = time_flavours(farm_jobs.build_program(BENCH, False),
-                               str(path), [m for _, m in machines],
-                               memory_usage=meta["memory_usage"])
-        for (label, _), (_, snapshot), result in zip(machines, results,
-                                                     oracle):
+        program = farm_jobs.build_program(BENCH, False)
+        path = str(tmp_path / "oracle.fact.gz")
+        cpu = CPU(program)
+        record_trace(program, path, MAX_INSTRUCTIONS, cpu=cpu)
+        front = Front(program, path, [m for _, m in machines])
+        for (label, machine), (_, snapshot) in zip(machines, results):
+            result = simulate_trace(program, front, machine,
+                                    cpu.memory_usage)
             assert snapshot == sim_to_snapshot(result, meta={
                 "cell": "sim",
                 "name": BENCH,
@@ -348,9 +362,9 @@ class TestOneExecution:
             }), label
 
     def test_stored_trace_is_left_alone(self, tmp_path, runs, monkeypatch):
-        """With the trace stored, a sim job does not execute the build:
-        it replays the stored trace, times only the missing flavours and
-        writes only their snapshots."""
+        """With the trace stored, a sim job executes the build live
+        with no tee, times only the missing flavours and writes only
+        their snapshots; the trace's files are untouched."""
         from repro.pipeline import replay
 
         store = ArtifactStore(tmp_path / "store")
@@ -365,16 +379,12 @@ class TestOneExecution:
                   for path in payload.parent.iterdir()}
         written = payload.stat().st_mtime_ns
 
-        live, replayed = [], []
-        real_live, real_replay = replay.time_live, replay.time_flavours
+        live = []
+        real_live = replay.time_live
 
         def counted_live(program, machines, *args, **kwargs):
-            live.append(tuple(machines))
+            live.append((tuple(machines), kwargs.get("tee")))
             return real_live(program, machines, *args, **kwargs)
-
-        def counted_replay(program, path, machines, memory_usage=0):
-            replayed.append((path, tuple(machines)))
-            return real_replay(program, path, machines, memory_usage)
 
         puts = []
         put = store.put
@@ -384,27 +394,60 @@ class TestOneExecution:
             return put(kind, *args, **kwargs)
 
         monkeypatch.setattr(replay, "time_live", counted_live)
-        monkeypatch.setattr(replay, "time_flavours", counted_replay)
         monkeypatch.setattr(store, "put", counted_put)
         runs.update(run_trace=0, replay_into=0)
         graph = plan_jobs({Cell("sim", BENCH, False, label)
                            for label in MACHINES},
                           MACHINES, MAX_INSTRUCTIONS)
         farm_jobs.execute_job(graph.jobs[f"sim:{BENCH}:base,fac32"], store)
-        assert live == []
-        assert replayed == [(str(payload), (MACHINES["fac32"],))]
+        assert live == [((MACHINES["fac32"],), None)]
         assert puts == ["sim"]
-        assert runs == {"run_trace": 0, "replay_into": 1}
+        assert runs == {"run_trace": 1, "replay_into": 0}
         assert {path.name: path.read_bytes()
                 for path in payload.parent.iterdir()} == before
         assert payload.stat().st_mtime_ns == written
         assert not any((store.root / "tmp").iterdir())
 
+    def test_v1_trace_under_the_old_key_is_recomputed(self, tmp_path):
+        """A store holding a v1 tracefile under the key traces had
+        before the column payload is not read as columns: the analysis
+        records the columns under the new key and equals a fresh
+        store's."""
+        from repro.cpu.executor import CPU
+        from repro.cpu.tracefile import record_trace
+        from repro.farm.fingerprint import fingerprint
+
+        store = ArtifactStore(tmp_path / "store")
+        crc = farm_jobs.ensure_manifest(store, BENCH, False)["program_crc"]
+        old_key = fingerprint("trace", BENCH, crc,
+                              farm_jobs.benchmark_options(False),
+                              MAX_INSTRUCTIONS)
+        program = farm_jobs.build_program(BENCH, False)
+        v1 = tmp_path / "v1.fact.gz"
+        cpu = CPU(program)
+        count = record_trace(program, str(v1), MAX_INSTRUCTIONS, cpu=cpu)
+        store.put("trace", old_key, {
+            "schema": farm_jobs.FARM_SCHEMA, "kind": "trace", "name": BENCH,
+            "software_support": False, "program_crc": crc,
+            "max_instructions": MAX_INSTRUCTIONS, "instructions": count,
+            "memory_usage": cpu.memory_usage, "stdout": cpu.stdout(),
+        }, payloads={"trace.fact.gz": v1})
+
+        key = farm_jobs.trace_key(BENCH, False, crc, MAX_INSTRUCTIONS)
+        assert key != old_key
+        _, snapshot = farm_jobs.ensure_analysis(store, BENCH, False,
+                                                MAX_INSTRUCTIONS)
+        assert store.payload_path("trace", key, farm_jobs.TRACE_PAYLOAD)
+        fresh = ArtifactStore(tmp_path / "fresh")
+        assert farm_jobs.ensure_analysis(fresh, BENCH, False,
+                                         MAX_INSTRUCTIONS)[1] == snapshot
+        assert store.get_bytes("trace", key, farm_jobs.TRACE_PAYLOAD) == \
+            fresh.get_bytes("trace", key, farm_jobs.TRACE_PAYLOAD)
+
 
 class TestColtrace:
-    """The analysis cell decodes the stored trace straight into
-    columns; the trace is the only artifact between the build and the
-    analysis."""
+    """The analysis cell loads the stored trace columns; the trace is
+    the only artifact between the build and the analysis."""
 
     @pytest.fixture(scope="class")
     def store(self, tmp_path_factory):
@@ -412,20 +455,20 @@ class TestColtrace:
 
     def test_decoded_exactly_once(self, tmp_path, monkeypatch):
         """A cold sweep of one benchmark's analysis and sim cells stores
-        one artifact per job kind and decodes the trace once."""
+        one artifact per job kind and loads the trace columns once."""
         import repro.cpu.coltrace as coltrace_mod
 
         # workers are forked, so they count into a file
         decodes = tmp_path / "decodes"
         decodes.touch()
-        real = coltrace_mod.decode_tracefile
+        real = coltrace_mod.load_columns
 
-        def counted(program, path):
+        def counted(program, data, label="<bytes>"):
             with open(decodes, "a") as handle:
-                handle.write(f"{path}\n")
-            return real(program, path)
+                handle.write(f"{label}\n")
+            return real(program, data, label)
 
-        monkeypatch.setattr(coltrace_mod, "decode_tracefile", counted)
+        monkeypatch.setattr(coltrace_mod, "load_columns", counted)
         store = ArtifactStore(tmp_path / "store")
         graph = plan_jobs(
             {Cell("analysis", BENCH), Cell("sim", BENCH, False, "base")},
@@ -437,17 +480,21 @@ class TestColtrace:
             "build": 1, "trace": 1, "analysis": 1, "sim": 1}
         assert len(decodes.read_text().splitlines()) == 1
 
-    def test_engines_share_key_and_snapshot(self, store):
+    def test_engines_share_key_and_snapshot(self, store, tmp_path):
         """The columnar cell's snapshot equals the spec analyzer's
-        replay of the same stored trace, and its key is stable."""
+        replay of a ``record_trace`` file of the same build, and its key
+        is stable."""
+        from repro.cpu.tracefile import record_trace
+
         key, snapshot = farm_jobs.ensure_analysis(
             store, BENCH, False, MAX_INSTRUCTIONS)
-        tkey, tmeta = farm_jobs.ensure_trace(store, BENCH, False,
-                                             MAX_INSTRUCTIONS)
-        trace_path = store.payload_path("trace", tkey,
-                                        farm_jobs.TRACE_PAYLOAD)
+        _, tmeta = farm_jobs.ensure_trace(store, BENCH, False,
+                                          MAX_INSTRUCTIONS)
+        program = farm_jobs.build_program(BENCH, False)
+        trace_path = tmp_path / "oracle.fact.gz"
+        record_trace(program, str(trace_path), MAX_INSTRUCTIONS)
         oracle = replay_analysis(
-            farm_jobs.build_program(BENCH, False), str(trace_path),
+            program, str(trace_path),
             block_sizes=farm_jobs.ANALYSIS_BLOCK_SIZES,
             memory_usage=tmeta["memory_usage"], stdout=tmeta["stdout"])
         assert snapshot == analysis_to_snapshot(oracle, meta={
@@ -477,15 +524,19 @@ class TestColtrace:
         assert result.returncode == 0, result.stderr
 
     def test_timing_and_planning_paths_stay_numpy_free(self, tmp_path):
-        """Planning every harness's cells and a cold trace + grouped
-        two-flavour sim of an inline program never import numpy, whose
-        import alone costs more than planning a whole sweep slice."""
+        """Importing the column recorder, planning every harness's
+        cells, a cold grouped two-flavour sim of an inline program (the
+        recorder teed beside its fronts) and a trace job (the recorder
+        alone) never import numpy, whose import alone costs more than
+        planning a whole sweep slice."""
         source = ("int v[16];\n"
                   "int main() { int i, s = 0;\n"
                   "  for (i = 0; i < 16; i++) { v[i] = i; s += v[i]; }\n"
                   "  print_int(s); return 0; }\n")
         code = (
             "import importlib, sys\n"
+            "import repro.cpu.recorder\n"
+            "assert 'numpy' not in sys.modules, 'the recorder imports numpy'\n"
             "from repro.experiments import common\n"
             "from repro.farm import jobs\n"
             "from repro.farm.cli import HARNESSES\n"
@@ -497,12 +548,16 @@ class TestColtrace:
             "    cells |= module.farm_cells(['compress', 'tomcatv'])\n"
             "jobs.plan_jobs(cells, common.MACHINES, common.MAX_INSTRUCTIONS)\n"
             f"store = ArtifactStore({str(tmp_path / 'store')!r})\n"
-            f"jobs.ensure_trace(store, 'inline', False, 100000, {source!r})\n"
             "flavours = [(label, common.MACHINES[label])\n"
             "            for label in ('base', 'fac32')]\n"
             "done = jobs.ensure_sims(store, 'inline', False, flavours,\n"
             f"                       100000, {source!r})\n"
             "assert all(store.has('sim', key) for key, _ in done)\n"
+            f"key, _ = jobs.ensure_trace(store, 'inline', False, 100000,\n"
+            f"                           {source!r})\n"
+            "assert store.payload_path('trace', key, jobs.TRACE_PAYLOAD)\n"
+            f"alone = ArtifactStore({str(tmp_path / 'alone')!r})\n"
+            f"jobs.ensure_trace(alone, 'inline', False, 100000, {source!r})\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
         )
         result = subprocess.run([sys.executable, "-c", code],

@@ -38,9 +38,8 @@ def store_dir(tmp_path):
     return str(tmp_path / "store")
 
 
+# drawn once, after the whole graph is scheduled
 SCHEDULED = [
-    "[farm] 0/1 done | 0 hits 0 computed 0 failed |",
-    "[farm] 0/2 done | 0 hits 0 computed 0 failed |",
     "[farm] 0/3 done | 0 hits 0 computed 0 failed |",
 ]
 

@@ -104,6 +104,21 @@ class TestFailureIsolation:
         assert result.outcomes["sim:yacr2:base"].error.startswith("upstream")
         assert result.outcomes["sim:eqntott:base"].ok
 
+    def test_crash_hook_matches_the_whole_job_id(self, tmp_path,
+                                                 monkeypatch):
+        """``build:yacr2`` kills that job only, not ``build:yacr2+sw``
+        of the same graph, whose chain completes."""
+        monkeypatch.setenv("REPRO_FARM_TEST_CRASH", "build:yacr2")
+        store = ArtifactStore(tmp_path / "store")
+        graph = plan_jobs({Cell("sim", "yacr2", software, "base")
+                           for software in (False, True)},
+                          MACHINES, MAX_INSTRUCTIONS)
+        result = run_graph(graph, store, jobs=2, timeout=60, retries=0)
+        assert result.outcomes["build:yacr2"].status == "failed"
+        assert result.outcomes["sim:yacr2:base"].error.startswith("upstream")
+        assert result.outcomes["build:yacr2+sw"].ok
+        assert result.outcomes["sim:yacr2+sw:base"].ok
+
     def test_hung_worker_killed_by_timeout(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FARM_TEST_HANG", "sim:yacr2:base")
         store = ArtifactStore(tmp_path / "store")
@@ -123,7 +138,7 @@ class TestFailureIsolation:
         """The sim job records the trace the analysis reads, so a sim
         job that crashes or times out fails its build's analysis cell
         too; the other build's chain still completes."""
-        monkeypatch.setenv(hook, "sim:yacr2")
+        monkeypatch.setenv(hook, "sim:yacr2:base")
         store = ArtifactStore(tmp_path / "store")
         graph = plan_jobs({Cell(kind, name, False,
                                 "base" if kind == "sim" else None)

@@ -43,7 +43,7 @@ from repro.pipeline.replay import (
     REDIRECT,
     REPLAYED,
     Front,
-    time_flavours,
+    front_key,
     time_live,
 )
 from repro.workloads import build_benchmark
@@ -73,6 +73,19 @@ def recorded(program, tmp_path, budget=50_000_000):
     return path, cpu.memory_usage
 
 
+def replayed(program, path, machines, memory_usage=0):
+    """Every machine timed on a replay of the trace at ``path``, one
+    shared :class:`Front` per (caches, BTB) group."""
+    groups = {}
+    for machine in machines:
+        groups.setdefault(front_key(machine), []).append(machine)
+    fronts = {key: Front(program, path, group)
+              for key, group in groups.items()}
+    return [simulate_trace(program, fronts[front_key(machine)], machine,
+                           memory_usage)
+            for machine in machines]
+
+
 def assert_grouped_equals_step(program, tmp_path, budget=50_000_000):
     """The trace-fed and the live-fed engine both equal the step-fed
     pipeline on every flavour, and so does a live run watched by a
@@ -80,8 +93,7 @@ def assert_grouped_equals_step(program, tmp_path, budget=50_000_000):
     per-instruction tap."""
     path, memory_usage = recorded(program, tmp_path, budget)
     machines = list(MACHINES.values())
-    grouped = time_flavours(program, path, machines,
-                            memory_usage=memory_usage)
+    grouped = replayed(program, path, machines, memory_usage)
     live, _ = time_live(program, machines, budget)
     recorders = [FlightRecorder(program, machine, window_cycles=None)
                  for machine in machines]
@@ -227,11 +239,11 @@ class TestFront:
         """Recurrences keep their state across chunk boundaries."""
         path, memory_usage = recorded(burst, tmp_path)
         machines = list(MACHINES.values())
-        whole = [canon(r) for r in time_flavours(burst, path, machines,
-                                                  memory_usage)]
+        whole = [canon(r)
+                 for r in replayed(burst, path, machines, memory_usage)]
         monkeypatch.setattr(replay, "CHUNK", 7)
-        chunked = [canon(r) for r in time_flavours(burst, path, machines,
-                                                    memory_usage)]
+        chunked = [canon(r)
+                   for r in replayed(burst, path, machines, memory_usage)]
         assert chunked == whole
 
     def test_decodes_once_per_cache_group(self, burst, tmp_path,
@@ -251,7 +263,7 @@ class TestFront:
             dcache=CacheConfig(size=4096, block_size=16, name="dcache"),
             fac=FacConfig(cache_size=4096, block_size=16))
         machines = [*MACHINES.values(), small]
-        results = time_flavours(burst, path, machines, memory_usage)
+        results = replayed(burst, path, machines, memory_usage)
         assert len(decodes) == 2
         assert canon(results[-1]) == canon(step_simulation(burst, small))
 

@@ -17,12 +17,12 @@ bit:
 3. ``SimResult`` snapshots from a step-and-feed pipeline loop, from
    ``simulate_program`` (the live-fed engine), from the farm sim job's
    path on a cold build -- one ``time_live`` run timing all eight
-   Table 5 flavours of ``repro.experiments.common.MACHINES`` with a
-   ``trace_writer`` teed beside the fronts -- and from one grouped
-   ``time_flavours`` replay of the trace that run wrote (the sim job's
-   path when the trace is stored); the teed trace must be byte-identical
-   to ``record_trace``'s and the run must end in the step loop's
-   state,
+   Table 5 flavours of ``repro.experiments.common.MACHINES`` with an
+   ``ArrayRecorder`` teed beside the fronts -- and from one shared
+   ``Front`` replaying check 1's ``record_trace`` file; the teed
+   recorder's columns must equal a ``decode_tracefile`` of that file
+   (index, and the memory records' ea, base and offset) and the run
+   must end in the step loop's state,
 4. ``profile_program``'s per-site D-cache accesses, misses and FAC
    replays and its ``profile.load_latency`` histogram, against the
    step-fed pipeline's counter tap (``tests.oracles.SiteCounters``),
@@ -66,8 +66,12 @@ from repro.analysis.prediction import (
     analyze_program,
     analyze_trace,
 )
+import numpy as np
+
+from repro.cpu.coltrace import AccessColumns, decode_tracefile
 from repro.cpu.executor import CPU
-from repro.cpu.tracefile import record_trace, replay_into, trace_writer
+from repro.cpu.recorder import ArrayRecorder
+from repro.cpu.tracefile import record_trace, replay_into
 from repro.errors import SimulationError
 from repro.experiments.common import MACHINES
 from repro.fac.config import FacConfig
@@ -78,7 +82,7 @@ from repro.obs.profile import profile_program
 from repro.obs.trace import trace_program
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.pipeline import PipelineSimulator, simulate_program
-from repro.pipeline.replay import Front, time_flavours, time_live
+from repro.pipeline.replay import Front, time_live
 from repro.workloads.suite import BENCHMARKS, build_benchmark
 from tests.oracles import FlightTap, SiteCounters
 
@@ -225,8 +229,8 @@ def check_benchmark(name: str, max_instructions: int, scratch: str
     # 3. timing snapshots on every flavour: one step loop feeding a
     # pipeline per flavour (and the site tap on the profiler's machine,
     # the per-instruction tap on the tracer's), live runs, the farm's
-    # one live run with the trace teed, and a grouped replay of the
-    # trace that run wrote
+    # one live run with the column recorder teed, and one shared front
+    # replaying check 1's trace
     pipes = [PipelineSimulator(machine) for machine in MACHINES.values()]
     tap = SiteCounters(PROFILE_MACHINE)
     flight = FlightTap(TRACE_MACHINE)
@@ -238,20 +242,20 @@ def check_benchmark(name: str, max_instructions: int, scratch: str
         for pipe in pipes:
             pipe.feed(rec)
         budget -= 1
-    teed = os.path.join(scratch, f"{name}.teed.fact.gz")
-    with trace_writer(teed, program) as writer:
-        farm, farm_cpu = time_live(program, list(MACHINES.values()),
-                                   max_instructions, tee=writer)
+    recorder = ArrayRecorder(program)
+    farm, farm_cpu = time_live(program, list(MACHINES.values()),
+                               max_instructions, tee=recorder)
     if not same_end_state(farm_cpu, spec):
         problems.append("executor state differs after the teed live run")
-    with open(teed, "rb") as got, open(path, "rb") as want:
-        if got.read() != want.read():
-            problems.append("the teed trace differs from record_trace's")
-    grouped = time_flavours(program, teed, list(MACHINES.values()),
-                            memory_usage=farm_cpu.memory_usage)
-    os.unlink(teed)
-    for (label, machine), pipe, teed_run, traced in zip(
-            MACHINES.items(), pipes, farm, grouped):
+    teed = AccessColumns.of(recorder)
+    decoded = decode_tracefile(program, path).accesses()
+    if not all(np.array_equal(getattr(teed, column), getattr(decoded, column))
+               for column in ("index", "ea", "base", "offset")):
+        problems.append("the teed columns differ from record_trace's")
+    front = Front(program, path, MACHINES.values())
+    for (label, machine), pipe, teed_run in zip(MACHINES.items(), pipes,
+                                                farm):
+        traced = front.result(machine, cpu.memory_usage)
         stepped = canon(sim_to_snapshot(
             pipe.finalize(memory_usage=spec.memory_usage), meta=meta))
         live = canon(sim_to_snapshot(
@@ -264,7 +268,7 @@ def check_benchmark(name: str, max_instructions: int, scratch: str
                 f"sim snapshot differs step vs teed live run ({label})")
         if stepped != canon(sim_to_snapshot(traced, meta=meta)):
             problems.append(
-                f"sim snapshot differs step vs grouped replay ({label})")
+                f"sim snapshot differs step vs shared replay ({label})")
 
     # 4. the profiler's per-site rows and load latencies
     profile = profile_program(program, name=name,
@@ -288,10 +292,7 @@ def check_benchmark(name: str, max_instructions: int, scratch: str
                             "per-instruction tap")
     os.unlink(jsonl)
 
-    # the memo statistics, from a front of their own: time_flavours
-    # does not hand out its fronts
-    front = Front(program, path, MACHINES.values())
-    front.result(front.machines[0])
+    # the memo statistics, from check 3's shared front
     return problems, memo_report(front.memo_stats)
 
 
