@@ -3,9 +3,8 @@ isolation, ledger completeness, and the span-overhead gate on a real
 experiment grid.
 
 The grid is 4 benchmarks x 4 machine flavours: 16 sim cells, timed by
-one sim job per benchmark (which executes its build once), each after
-its build job. The
-speedup assertion compares a 4-worker pool against a single worker and
+one run job per benchmark (which executes its build once), each after
+its build job. The speedup assertion compares a 4-worker pool against a single worker and
 requires >= 2x on the same grid; on hosts without enough cores to make
 that physically possible the speedup test skips (the cache and
 isolation properties still run everywhere).
@@ -45,19 +44,21 @@ def build_graph():
     return plan_jobs(grid_cells(), MACHINES, MAX_INSTRUCTIONS)
 
 
-def sim_job(name: str) -> str:
-    """The one sim job timing every grid flavour of ``name``."""
-    return f"sim:{name}:{','.join(sorted(GRID_FLAVOURS))}"
+def run_job(name: str) -> str:
+    """The one run job timing every grid flavour of ``name``."""
+    return f"run:{name}"
 
 
 def test_grid_is_large_enough():
     graph = build_graph()
     assert len(GRID_BENCHMARKS) >= 4 and len(GRID_FLAVOURS) >= 4
     assert len(graph.cell_jobs) == 16
-    # one sim job per benchmark, each after its build; no trace jobs
+    # one run job per benchmark, each after its build
     assert len(graph.jobs) == 2 * len(GRID_BENCHMARKS)
     assert {graph.cell_jobs[cell] for cell in grid_cells()} == \
-        {sim_job(name) for name in GRID_BENCHMARKS}
+        {run_job(name) for name in GRID_BENCHMARKS}
+    assert all(len(graph.jobs[run_job(name)].machines) ==
+               len(GRID_FLAVOURS) for name in GRID_BENCHMARKS)
 
 
 @pytest.mark.slow
@@ -106,19 +107,19 @@ def test_warm_rerun_recomputes_nothing(tmp_path):
 @pytest.mark.slow
 def test_injected_crash_leaves_sweep_completed(tmp_path, monkeypatch):
     # kill every worker attempt of one build: its chain fails, the other
-    # 3 benchmarks' sim jobs (12 sim cells) all complete
+    # 3 benchmarks' run jobs (12 sim cells) all complete
     monkeypatch.setenv("REPRO_FARM_TEST_CRASH", "build:espresso")
     graph = build_graph()
     store = ArtifactStore(tmp_path / "store")
     result = run_graph(graph, store, jobs=2, timeout=600, retries=1)
     assert not result.ok
     failed_ids = {o.job_id for o in result.failed}
-    assert failed_ids == {"build:espresso", sim_job("espresso")}
+    assert failed_ids == {"build:espresso", run_job("espresso")}
     for name in GRID_BENCHMARKS:
         if name == "espresso":
             continue
-        assert result.outcomes[sim_job(name)].ok
-        assert len(result.outcomes[sim_job(name)].keys) == \
+        assert result.outcomes[run_job(name)].ok
+        assert len(result.outcomes[run_job(name)].keys) == \
             len(GRID_FLAVOURS)
 
 

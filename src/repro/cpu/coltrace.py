@@ -6,11 +6,9 @@ Two shapes of column set feed :mod:`repro.analysis.batch`:
   every retired instruction, plus the effective address, base and
   signed offset of every load and store. A run is recorded straight
   into them by the numpy-free
-  :class:`~repro.cpu.recorder.ArrayRecorder`. :meth:`AccessColumns.of`
-  views a live recorder without a copy (``repro profile``,
-  ``analyze_program``), and :func:`load_columns` reads the deflated
-  container the farm stores as a build's trace payload, with one
-  ``np.frombuffer`` per column.
+  :class:`~repro.cpu.recorder.ArrayRecorder`, and
+  :meth:`AccessColumns.of` views the recorder without a copy (a farm
+  run job's analysis, ``repro profile``, ``analyze_program``).
 * :class:`TraceColumns` is a whole v1 tracefile (:mod:`repro.cpu.tracefile`)
   decoded in one vectorized pass by :func:`decode_tracefile`:
   pc-index, effective address, base value, offset, flags, and next
@@ -28,7 +26,6 @@ from __future__ import annotations
 import gzip
 import json
 import struct
-import zlib
 from dataclasses import dataclass, field
 
 try:
@@ -42,7 +39,6 @@ except ImportError as exc:  # pragma: no cover - exercised only without numpy
         "('Columnar analysis') describes what it is used for."
     ) from exc
 
-from repro.cpu import recorder as access_format
 from repro.cpu.recorder import ArrayRecorder
 from repro.cpu.tracefile import (
     _FLAG_FAR_TARGET,
@@ -207,58 +203,6 @@ def memory_mask(program: Program) -> np.ndarray:
     return np.fromiter((OP_INFO[inst.op].mem_width != 0
                         for inst in program.instructions),
                        dtype=bool, count=len(program.instructions))
-
-
-def load_columns(program: Program, data: bytes,
-                 label: str = "<bytes>") -> AccessColumns:
-    """Read a :data:`repro.cpu.recorder.CONTAINER` written by
-    :meth:`~repro.cpu.recorder.ArrayRecorder.to_bytes` for ``program``.
-
-    Raises :class:`SimulationError` on a wrong magic, version, program
-    CRC or entry point, on a body whose length disagrees with the
-    header's counts, on an index outside the text segment, and when the
-    memory-record count is not the number of loads and stores in the
-    index column.
-    """
-    try:
-        blob = zlib.decompress(data)
-    except zlib.error as exc:
-        raise SimulationError(f"{label}: corrupt columns ({exc})") from exc
-    header = access_format.HEADER
-    if len(blob) < header.size:
-        raise SimulationError(f"{label}: truncated columns header")
-    magic, version, __, crc, entry, count, mem_count = \
-        header.unpack_from(blob)
-    if magic != access_format.MAGIC:
-        raise SimulationError(f"{label}: not a columns container")
-    if version != access_format.VERSION:
-        raise SimulationError(f"{label}: unsupported columns version "
-                              f"{version}")
-    if crc != program_crc(program):
-        raise SimulationError(
-            f"{label}: columns were recorded from a different program")
-    if entry != program.entry:
-        raise SimulationError(f"{label}: entry point mismatch")
-    if len(blob) != header.size + 4 * (count + 3 * mem_count):
-        raise SimulationError(
-            f"{label}: columns body does not hold {count} records and "
-            f"{mem_count} memory records")
-    columns = []
-    pos = header.size
-    for dtype, length in (("<u4", count), ("<u4", mem_count),
-                          ("<u4", mem_count), ("<i4", mem_count)):
-        columns.append(np.frombuffer(blob, dtype=dtype, count=length,
-                                     offset=pos))
-        pos += 4 * length
-    index, ea, base, offset = columns
-    if count and int(index.max()) >= len(program.instructions):
-        raise SimulationError(f"{label}: index outside the text segment")
-    if int(np.count_nonzero(memory_mask(program)[index])) != mem_count:
-        raise SimulationError(
-            f"{label}: {mem_count} memory records, but the index column "
-            f"retires a different number of loads and stores")
-    return AccessColumns(crc=crc, entry=entry, index=index, ea=ea,
-                         base=base, offset=offset)
 
 
 def decode_tracefile(program: Program, path: str) -> TraceColumns:

@@ -15,43 +15,19 @@ columns as the run retires:
   register holding a value >= 2**31 becomes negative, exactly as the v1
   trace writer (:mod:`repro.cpu.tracefile`) stores it.
 
-:meth:`ArrayRecorder.to_bytes` packs the columns into the farm's trace
-payload (:data:`CONTAINER`): a little-endian header -- magic, version,
-program CRC, entry point, record count and memory-record count --
-followed by the four little-endian columns, the whole deflated by one
-``zlib.compress`` at :data:`COMPRESSLEVEL`. The bytes are a pure
-function of the run. :func:`repro.cpu.coltrace.load_columns` reads
-them back as numpy columns, and
-:meth:`repro.cpu.coltrace.AccessColumns.of` views a live recorder
-without copying.
+:meth:`repro.cpu.coltrace.AccessColumns.of` views a recorder's columns
+as numpy arrays without copying, for the analyses to read in memory.
 
-This module imports no numpy: farm sim jobs tee the recorder beside
-the timing fronts of a live run, and a process that only times builds
-must not pay for the numpy import.
+This module imports no numpy: a farm run job tees the recorder beside
+the timing fronts of a live run when the build's analysis is missing,
+and numpy is imported only when that analysis is computed.
 """
 
 from __future__ import annotations
 
-import struct
-import sys
-import zlib
 from array import array
 
-from repro.cpu.tracefile import program_crc
 from repro.isa.program import Program
-
-#: Format tag of the container, folded into the farm's trace keys.
-CONTAINER = "repro.columns/1"
-
-MAGIC = b"FACC"   # Fast Address Calculation Columns
-VERSION = 1
-#: magic, version, pad, program crc, entry, records, memory records
-HEADER = struct.Struct("<4sHHIIII")
-
-#: zlib level of the container: the default. On mdljdp2's 1.52 MB of
-#: columns, level 6 writes 63 KB in 23 ms and level 1 writes 111 KB in
-#: 5.5 ms; both inflate in about 2 ms.
-COMPRESSLEVEL = 6
 
 #: ``array`` type code of an unsigned 32-bit word.
 U32 = next(code for code in "IL" if array(code).itemsize == 4)
@@ -90,15 +66,3 @@ class ArrayRecorder:
     def count(self) -> int:
         """Records retired so far."""
         return len(self.index)
-
-    def to_bytes(self) -> bytes:
-        """The recorded run as one deflated :data:`CONTAINER`."""
-        program = self.program
-        header = HEADER.pack(MAGIC, VERSION, 0, program_crc(program),
-                             program.entry, len(self.index), len(self.ea))
-        columns = [self.index, self.ea, self.base, self.offset]
-        if sys.byteorder != "little":
-            columns = [array(U32, column) for column in columns]
-            for column in columns:
-                column.byteswap()
-        return zlib.compress(b"".join([header, *columns]), COMPRESSLEVEL)

@@ -22,9 +22,10 @@ engine of :mod:`repro.pipeline.replay`, whose front is a
 ``replay_into`` consumer: one decode serves every machine flavour that
 shares the caches and the BTB.
 
-The farm does not store this format: a build's analysis reads only
-the columns of :mod:`repro.cpu.recorder`, which a sim job records
-beside its timing fronts at a fraction of this writer's cost.
+The farm does not write this format: a build's analysis reads only
+the columns of :mod:`repro.cpu.recorder`, which a run job records
+beside its timing fronts at a fraction of this writer's cost and
+analyzes in memory.
 """
 
 from __future__ import annotations

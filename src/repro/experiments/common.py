@@ -1,11 +1,11 @@
 """Shared infrastructure for the experiment harnesses.
 
 Results are served through the farm artifact store
-(:mod:`repro.farm.api`): one execution per (benchmark, compile
-flavour) times every flavour and records the columns its analysis
-reads, each cell persists as
-a ``repro.metrics/1`` snapshot keyed by a deterministic fingerprint, and
-warm re-runs -- including a second harness reading the same cells, or a
+(:mod:`repro.farm.api`): a ``repro farm run`` executes each
+(benchmark, compile flavour) once, in one run job that times every
+flavour and analyzes the columns of that same run; each cell persists
+as a ``repro.metrics/1`` snapshot keyed by a deterministic fingerprint,
+and warm re-runs -- including a second harness reading the same cells, or a
 whole resumed sweep -- are cache hits. Only a small bounded window of
 deserialized results is held in memory, so the full 19-benchmark x
 8-flavour sweep no longer accumulates every ``SimResult`` and
@@ -16,7 +16,7 @@ All cells execute on the predecoded fast-dispatch engine
 bit-for-bit equivalent to the ``step()`` spec interpreter (see
 docs/performance.md) -- snapshots produced before this engine existed
 remain valid cache hits. The farm times each build on all of its
-requested :data:`MACHINES` in one job: the build runs once and the
+requested :data:`MACHINES` in its run job: the build runs once and the
 cache, BTB and FAC outcomes, which no flavour's issue timing can
 change, are shared across flavours (:mod:`repro.pipeline.replay`);
 each flavour's snapshot keeps its own key.

@@ -1,8 +1,8 @@
 """repro.farm -- parallel, artifact-cached experiment execution.
 
 The farm models every experiment cell as a typed job in a dependency
-graph (``build -> simulate -> analyze``: the sim job executes the build
-once, times it and records its trace), runs the graph across a
+graph (``build -> run``: the run job executes the build once, times
+it on every flavour and analyzes the same run), runs the graph across a
 ``multiprocessing`` worker pool, and persists every result in a
 content-addressed on-disk artifact store keyed by deterministic
 fingerprints.  Warm re-runs are pure cache hits; a crashed or timed-out

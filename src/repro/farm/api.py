@@ -96,7 +96,9 @@ def clear_memo() -> None:
 def analysis_for(name: str, software: bool = False,
                  max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
                  store: ArtifactStore | None = None) -> TraceAnalysis:
-    """The functional-trace analysis of one benchmark build."""
+    """The functional-trace analysis of one benchmark build. On a miss
+    the build is executed once, with only the column recorder attached
+    (see :func:`repro.farm.jobs.ensure_analysis`)."""
     store = store if store is not None else active_store()
     key = ("analysis", str(store.root), name, software, max_instructions)
     cached = _memo.get(key)
@@ -117,7 +119,9 @@ def sim_for(name: str, software: bool, machine: MachineConfig,
     """The timing simulation of one build on one machine flavour.
 
     ``label`` names the flavour in artifact keys and snapshot metadata;
-    anonymous configurations get a digest-derived label.
+    anonymous configurations get a digest-derived label. On a miss the
+    build is executed once, timing this flavour alone (see
+    :func:`repro.farm.jobs.ensure_sims`).
     """
     from repro.farm.fingerprint import config_digest
 

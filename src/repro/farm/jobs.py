@@ -2,34 +2,27 @@
 
 The grid of one sweep is a set of :class:`Cell` requests (an *analysis*
 of one benchmark build, or a *simulation* of one build on one machine
-flavour). :func:`plan_jobs` lowers cells onto a dependency graph of four
-job kinds::
+flavour). :func:`plan_jobs` lowers cells onto a dependency graph of two
+job kinds, two jobs per build::
 
-    build(name, software)                 -> build manifest (program CRC)
-      sim(name, software, machines)       -> one repro.metrics/1
-                                             snapshot per machine,
-                                             and the trace (columns)
-        analysis(name, software)          -> repro.metrics/1 snapshot
+    build(name, software)             -> build manifest (program CRC)
+      run(name, software)             -> one repro.metrics/1 snapshot
+                                         per machine flavour, and the
+                                         analysis repro.metrics/1
+                                         snapshot
 
-    build(name, software)                 (a build with no sim cells)
-      trace(name, software)               -> trace artifact (columns)
-        analysis(name, software)          -> repro.metrics/1 snapshot
-
-Each build is executed once. Its sim job runs it live and times every
-flavour from that one run (:func:`repro.pipeline.replay.time_live`,
-which shares the cache, BTB and FAC outcomes across flavours), writing
-each flavour's snapshot under its own :func:`sim_key`. The same run
-tees an :class:`~repro.cpu.recorder.ArrayRecorder`, which keeps only
-what the analysis reads -- every record's static index and every
-memory record's ea, base and offset -- and the farm stores those
-columns, deflated, as the build's ``trace`` artifact, with the facts a
-run's columns cannot hold (instruction count, memory usage, stdout) in
-its meta. A build with only an analysis cell gets a trace job, which
-runs the recorder alone. The analysis job loads the columns with
-``np.frombuffer`` (:func:`repro.cpu.coltrace.load_columns`); it never
-executes the build. A sim job that finds the trace already stored
-executes the build live with no tee: the columns hold nothing a
-timing front can replay.
+A run job executes its build once, live. It times the flavours missing
+from the store from that one run
+(:func:`repro.pipeline.replay.time_live`, which shares the cache, BTB
+and FAC outcomes across flavours), writing each flavour's snapshot
+under its own :func:`sim_key`. When the build's analysis is asked for
+and missing, the same run tees an
+:class:`~repro.cpu.recorder.ArrayRecorder`, which keeps only what the
+analysis reads -- every record's static index and every memory
+record's ea, base and offset -- and the job analyzes those columns in
+memory. Every execution also stores the build's ``trace`` artifact:
+meta only, the facts of the run its snapshots do not hold (instruction
+count, memory usage, stdout).
 
 Execution is *store-idempotent*: every ``ensure_*`` function first
 consults the :class:`~repro.farm.store.ArtifactStore` and only
@@ -52,7 +45,6 @@ from repro.farm.snapshots import analysis_to_snapshot, sim_to_snapshot
 from repro.farm.store import ArtifactStore
 from repro.pipeline.config import MachineConfig
 
-TRACE_PAYLOAD = "columns.bin.z"
 SNAPSHOT_PAYLOAD = "snapshot.json"
 
 #: Analyzer geometry baked into analysis artifacts (the Tables 3/4
@@ -91,16 +83,19 @@ class JobSpec:
     text itself, so two tenants submitting identical programs share
     every artifact regardless of what they called them.
 
-    ``machines`` holds a sim job's ``(label, MachineConfig)`` flavours,
-    sorted by label; the job writes one artifact per flavour.
+    A run job's ``machines`` holds the ``(label, MachineConfig)``
+    flavours its build's sim cells name, sorted by label, and
+    ``analysis`` says whether an analysis cell names the build; the job
+    writes one artifact per flavour, then the analysis.
     """
 
     job_id: str
-    kind: str                       # build | trace | analysis | sim
+    kind: str                       # build | run
     name: str
     software: bool
     max_instructions: int
     machines: tuple[tuple[str, MachineConfig], ...] = ()
+    analysis: bool = False
     deps: tuple[str, ...] = ()
     source: str | None = None
 
@@ -108,13 +103,21 @@ class JobSpec:
 @dataclass
 class JobGraph:
     """The lowered sweep: specs by id, plus the cell -> job mapping
-    (every sim cell of one build maps to that build's sim job)."""
+    (every cell of one build maps to that build's run job)."""
 
     jobs: dict[str, JobSpec] = field(default_factory=dict)
     cell_jobs: dict[Cell, str] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.jobs)
+
+    def cell_key(self, cell: Cell, keys: tuple[str, ...]) -> str:
+        """``cell``'s artifact key among ``keys``, its run job's keys
+        (see :func:`resolve_keys`)."""
+        if cell.kind == "analysis":
+            return keys[-1]
+        spec = self.jobs[self.cell_jobs[cell]]
+        return keys[[label for label, _ in spec.machines].index(cell.machine)]
 
 
 def _tag(name: str, software: bool) -> str:
@@ -127,57 +130,33 @@ def plan_jobs(cells, machines: dict[str, MachineConfig],
 
     ``machines`` maps flavour labels (as used in sim cells) to their
     :class:`MachineConfig`; unknown labels raise ``KeyError`` here, at
-    planning time, not inside a worker. Each build gets one job that
-    executes it after its ``build:<tag>`` job: a sim job covering all
-    its requested flavours, with id ``sim:<tag>:<labels, sorted and
-    ","-joined>``, which also stores the trace columns; or, for a build with
-    only an analysis cell, a ``trace:<tag>`` job. The analysis depends
-    on that job. ``source`` is the inline MiniC text every job of the
-    graph builds from (see :class:`JobSpec`).
+    planning time, not inside a worker. Each build gets a
+    ``build:<tag>`` job and a ``run:<tag>`` job that depends on it,
+    carrying the flavours of the build's sim cells and whether an
+    analysis cell names it; every cell of the build maps to its run
+    job. ``source`` is the inline MiniC text every job of the graph
+    builds from (see :class:`JobSpec`).
     """
-    cells = sorted(set(cells))
     graph = JobGraph()
-    # each build's flavour labels, in sorted order as the cells are
-    flavours: dict[tuple[str, bool], list[str]] = {}
-    for cell in cells:
-        if cell.kind == "sim":
-            flavours.setdefault((cell.name, cell.software), []).append(
-                cell.machine)
-    # the job that executes each build and stores its trace
-    runs: dict[tuple[str, bool], str] = {}
-    for name, software in sorted({(c.name, c.software) for c in cells}):
+    builds: dict[tuple[str, bool], list[Cell]] = {}
+    for cell in sorted(set(cells)):
+        builds.setdefault((cell.name, cell.software), []).append(cell)
+    for (name, software), its_cells in sorted(builds.items()):
         tag = _tag(name, software)
-        build_id = f"build:{tag}"
+        build_id, run_id = f"build:{tag}", f"run:{tag}"
         graph.jobs[build_id] = JobSpec(
             job_id=build_id, kind="build", name=name, software=software,
             max_instructions=max_instructions, source=source)
-        labels = flavours.get((name, software))
-        if labels:
-            run_id = f"sim:{tag}:{','.join(labels)}"
-            graph.jobs[run_id] = JobSpec(
-                job_id=run_id, kind="sim", name=name, software=software,
-                max_instructions=max_instructions,
-                machines=tuple((label, machines[label])
-                               for label in labels),
-                deps=(build_id,), source=source)
-        else:
-            run_id = f"trace:{tag}"
-            graph.jobs[run_id] = JobSpec(
-                job_id=run_id, kind="trace", name=name, software=software,
-                max_instructions=max_instructions, deps=(build_id,),
-                source=source)
-        runs[(name, software)] = run_id
-    for cell in cells:
-        run_id = runs[(cell.name, cell.software)]
-        if cell.kind == "analysis":
-            job_id = f"analysis:{_tag(cell.name, cell.software)}"
-            graph.jobs[job_id] = JobSpec(
-                job_id=job_id, kind="analysis", name=cell.name,
-                software=cell.software, max_instructions=max_instructions,
-                deps=(run_id,), source=source)
-        else:
-            job_id = run_id
-        graph.cell_jobs[cell] = job_id
+        # sorted cells put a build's sim cells in label order
+        graph.jobs[run_id] = JobSpec(
+            job_id=run_id, kind="run", name=name, software=software,
+            max_instructions=max_instructions,
+            machines=tuple((cell.machine, machines[cell.machine])
+                           for cell in its_cells if cell.kind == "sim"),
+            analysis=any(cell.kind == "analysis" for cell in its_cells),
+            deps=(build_id,), source=source)
+        for cell in its_cells:
+            graph.cell_jobs[cell] = run_id
     return graph
 
 
@@ -224,14 +203,8 @@ def manifest_key(name: str, software: bool,
 
 def trace_key(name: str, software: bool, program_crc: int,
               max_instructions: int, source: str | None = None) -> str:
-    """The key of a build's trace artifact. The payload's format tag
-    is folded in, so a store holding another format's trace (a v1
-    tracefile, say) recomputes it instead of misreading it."""
-    from repro.cpu.recorder import CONTAINER
-
     return fingerprint("trace", _content_label(name, source), program_crc,
-                       benchmark_options(software), max_instructions,
-                       CONTAINER)
+                       benchmark_options(software), max_instructions)
 
 
 def analysis_key(name: str, software: bool, program_crc: int,
@@ -252,8 +225,9 @@ def sim_key(name: str, software: bool, program_crc: int,
 
 def resolve_keys(spec: JobSpec,
                  store: ArtifactStore) -> tuple[str, ...] | None:
-    """A job's artifact keys (one per flavour for a sim job, else one),
-    computed *without building anything*.
+    """A job's artifact keys, computed *without building anything*: a
+    build job's manifest key, or a run job's sim keys, one per flavour
+    in label order, then its analysis key.
 
     Build keys derive from source text alone. Downstream keys need the
     program CRC from the build manifest; returns None when the manifest
@@ -266,30 +240,32 @@ def resolve_keys(spec: JobSpec,
         "build", manifest_key(spec.name, spec.software, spec.source))
     if manifest is None:
         return None
-    crc = manifest["program_crc"]
-    if spec.kind == "trace":
-        return (trace_key(spec.name, spec.software, crc,
-                          spec.max_instructions, spec.source),)
-    if spec.kind == "analysis":
-        return (analysis_key(spec.name, spec.software, crc,
-                             spec.max_instructions, spec.source),)
-    return tuple(sim_key(spec.name, spec.software, crc, label, machine,
-                         spec.max_instructions, spec.source)
-                 for label, machine in spec.machines)
+    return _run_keys(spec.name, spec.software, manifest["program_crc"],
+                     spec.machines, spec.analysis, spec.max_instructions,
+                     spec.source)
+
+
+def _run_keys(name, software, crc, machines, analysis, max_instructions,
+              source) -> tuple[str, ...]:
+    keys = tuple(sim_key(name, software, crc, label, machine,
+                         max_instructions, source)
+                 for label, machine in machines)
+    if analysis:
+        keys += (analysis_key(name, software, crc, max_instructions,
+                              source),)
+    return keys
 
 
 def artifact_ready(spec: JobSpec,
                    store: ArtifactStore) -> tuple[str, ...] | None:
-    """The job's keys when all of its artifacts are already stored."""
+    """The job's keys when all of its artifacts are already stored (a
+    run job's trace meta is a by-product, not one of them)."""
     keys = resolve_keys(spec, store)
     if keys is None:
         return None
-    if spec.kind == "trace":
-        if store.has("trace", keys[0]) and \
-                store.payload_path("trace", keys[0], TRACE_PAYLOAD):
-            return keys
-        return None
-    return keys if all(store.has(spec.kind, key) for key in keys) else None
+    kinds = ("build",) if spec.kind == "build" else \
+        ("sim",) * len(spec.machines) + ("analysis",) * spec.analysis
+    return keys if all(map(store.has, kinds, keys)) else None
 
 
 # ------------------------------------------------------------------ #
@@ -327,118 +303,116 @@ def ensure_manifest(store: ArtifactStore, name: str, software: bool,
     return meta
 
 
-def _execute(store: ArtifactStore, name: str, software: bool,
-             max_instructions: int, machines, source: str | None = None
-             ) -> tuple[str, dict, list]:
-    """Time one build on ``machines`` (a sequence of
-    :class:`MachineConfig`), recording its trace if the store lacks it.
+def _run(store: ArtifactStore, name: str, software: bool,
+         max_instructions: int, machines=(), analysis: bool = False,
+         source: str | None = None):
+    """Execute one build at most once, for what the store lacks of it.
 
-    The build is executed once, live
-    (:func:`repro.pipeline.replay.time_live`). When its trace is not
-    stored yet, an :class:`~repro.cpu.recorder.ArrayRecorder` is teed
-    beside the timing fronts and its columns are published; with the
-    trace stored the run has no tee, and with no machines as well there
-    is nothing to run. Returns the trace key, its meta and the results
-    in ``machines`` order.
+    ``machines`` is a sequence of ``(label, MachineConfig)`` and
+    ``analysis`` asks for the build's analysis snapshot; a call that
+    asks for neither asks for the trace meta. The build is executed
+    only when something asked for is missing, and then once, live: the
+    missing flavours are timed by :func:`repro.pipeline.replay.time_live`,
+    with an :class:`~repro.cpu.recorder.ArrayRecorder` teed beside their
+    fronts when the analysis is missing, whose columns are analyzed in
+    memory; with no flavour missing the recorder runs alone, and with
+    only the trace meta missing the run has no consumer at all. Every
+    execution stores the trace meta when the store lacks it: the
+    instruction count, memory usage and captured stdout of the run.
 
-    The trace artifact carries the facts its columns cannot:
-    instruction count, memory usage, and captured stdout -- everything
-    downstream analyses need to match a live run exactly.
+    Returns ``(artifacts, trace)``: ``(key, snapshot)`` per flavour in
+    ``machines`` order, then the analysis's if asked for (the order of
+    :func:`resolve_keys`); and the trace's ``(key, meta)`` when the call
+    read or wrote the meta, else None.
     """
-    from repro.cpu.recorder import ArrayRecorder
-    from repro.pipeline.replay import time_live
-
     manifest = ensure_manifest(store, name, software, source)
-    key = trace_key(name, software, manifest["program_crc"],
-                    max_instructions, source)
-    meta = store.get_meta("trace", key)
-    stored = meta is not None and \
-        store.payload_path("trace", key, TRACE_PAYLOAD) is not None
-    if stored and not machines:
-        return key, meta, []
+    crc = manifest["program_crc"]
+    keys = _run_keys(name, software, crc, machines, analysis,
+                     max_instructions, source)
+    kinds = ["sim"] * len(machines) + ["analysis"] * analysis
+    artifacts = [(key, store.get_json(kind, key))
+                 for kind, key in zip(kinds, keys)]
+    todo = [machine for (_, machine), (_, snapshot)
+            in zip(machines, artifacts) if snapshot is None]
+    record = analysis and artifacts[-1][1] is None
+    if (machines or analysis) and not todo and not record:
+        return artifacts, None
+    tkey = trace_key(name, software, crc, max_instructions, source)
+    trace = None
+    if not machines and not analysis:
+        trace = (tkey, store.get_meta("trace", tkey))
+        if trace[1] is not None:
+            return artifacts, trace
+
     program = build_program(name, software, source)
-    if stored:
-        results, _ = time_live(program, machines, max_instructions)
-        return key, meta, results
-    recorder = ArrayRecorder(program)
-    results, cpu = time_live(program, machines, max_instructions,
-                             tee=recorder)
-    meta = {
-        "schema": FARM_SCHEMA,
-        "kind": "trace",
-        "name": name,
-        "software_support": software,
-        "program_crc": manifest["program_crc"],
-        "max_instructions": max_instructions,
-        "instructions": recorder.count,
-        "memory_usage": cpu.memory_usage,
-        "stdout": cpu.stdout(),
-    }
-    store.put("trace", key, meta,
-              payloads={TRACE_PAYLOAD: recorder.to_bytes()})
-    return key, meta, results
+    recorder = None
+    if record:
+        from repro.cpu.recorder import ArrayRecorder
+
+        recorder = ArrayRecorder(program)
+    if todo:
+        from repro.pipeline.replay import time_live
+
+        results, cpu = time_live(program, todo, max_instructions,
+                                 tee=recorder)
+    else:
+        from repro.cpu.executor import CPU
+
+        results, cpu = [], CPU(program)
+        cpu.run_trace(recorder, max_instructions)
+    # what a cell's snapshot meta and every artifact's stored meta hold
+    cell = {"name": name, "software_support": software,
+            "max_instructions": max_instructions}
+    stored = {"schema": FARM_SCHEMA, "program_crc": crc, **cell}
+    if trace is not None or not store.has("trace", tkey):
+        trace = (tkey, {**stored, "kind": "trace",
+                        "instructions": cpu.instructions_retired,
+                        "memory_usage": cpu.memory_usage,
+                        "stdout": cpu.stdout()})
+        store.put("trace", *trace)
+    results = iter(results)
+    for i, (label, _) in enumerate(machines):
+        if artifacts[i][1] is None:
+            snapshot = sim_to_snapshot(next(results), meta={
+                "cell": "sim", "machine": label, **cell})
+            store.put_json("sim", keys[i], snapshot, meta={
+                **stored, "kind": "sim", "machine": label})
+            artifacts[i] = (keys[i], snapshot)
+    if record:
+        # imported only to compute an analysis: timing and store hits
+        # must not pay for numpy
+        from repro.analysis.batch import analyze_trace_columns
+        from repro.cpu.coltrace import AccessColumns
+
+        snapshot = analysis_to_snapshot(analyze_trace_columns(
+            program, AccessColumns.of(recorder),
+            block_sizes=ANALYSIS_BLOCK_SIZES,
+            memory_usage=cpu.memory_usage, stdout=cpu.stdout(),
+        ), meta={"cell": "analysis", **cell})
+        store.put_json("analysis", keys[-1], snapshot,
+                       meta={**stored, "kind": "analysis"})
+        artifacts[-1] = (keys[-1], snapshot)
+    return artifacts, trace
 
 
 def ensure_trace(store: ArtifactStore, name: str, software: bool,
                  max_instructions: int,
                  source: str | None = None) -> tuple[str, dict]:
-    """Record (or find) the functional trace of one build: a build
-    executed with no flavours to time (see :func:`_execute`)."""
-    key, meta, _ = _execute(store, name, software, max_instructions, (),
-                            source)
-    return key, meta
+    """Find (or record) the trace meta of one build: its instruction
+    count, memory usage and stdout (see :func:`_run`)."""
+    return _run(store, name, software, max_instructions, source=source)[1]
 
 
 def ensure_analysis(store: ArtifactStore, name: str, software: bool,
                     max_instructions: int,
                     source: str | None = None) -> tuple[str, dict]:
-    """Compute (or find) the trace analysis snapshot of one build.
-
-    The cell loads the stored trace columns and runs the vectorized
-    batch analyzer, whose snapshot the test suite holds byte-identical
-    to the scalar spec analyzer's.
-    """
-    manifest = ensure_manifest(store, name, software, source)
-    key = analysis_key(name, software, manifest["program_crc"],
-                       max_instructions, source)
-    snapshot = store.get_json("analysis", key)
-    if snapshot is not None:
-        return key, snapshot
-    # imported on a miss only: a store hit must not pay for numpy
-    from repro.analysis.batch import analyze_trace_columns
-    from repro.cpu.coltrace import load_columns
-
-    tkey, tmeta = ensure_trace(store, name, software, max_instructions,
-                               source)
-    program = build_program(name, software, source)
-    # pin the input for the duration of the cell: a size-budgeted gc
-    # running between jobs must not evict what we are reading
-    store.pin("trace", tkey)
-    try:
-        trace_path = store.payload_path("trace", tkey, TRACE_PAYLOAD)
-        cols = load_columns(program, trace_path.read_bytes(),
-                            str(trace_path))
-        analysis = analyze_trace_columns(
-            program, cols, block_sizes=ANALYSIS_BLOCK_SIZES,
-            memory_usage=tmeta["memory_usage"], stdout=tmeta["stdout"],
-        )
-    finally:
-        store.unpin("trace", tkey)
-    snapshot = analysis_to_snapshot(analysis, meta={
-        "cell": "analysis",
-        "name": name,
-        "software_support": software,
-        "max_instructions": max_instructions,
-    })
-    store.put_json("analysis", key, snapshot, meta={
-        "schema": FARM_SCHEMA,
-        "kind": "analysis",
-        "name": name,
-        "software_support": software,
-        "program_crc": manifest["program_crc"],
-        "max_instructions": max_instructions,
-    })
-    return key, snapshot
+    """Compute (or find) the trace analysis snapshot of one build: the
+    vectorized batch analyzer over the columns of one run, whose
+    snapshot the test suite holds byte-identical to the scalar spec
+    analyzer's (see :func:`_run`)."""
+    [item], _ = _run(store, name, software, max_instructions,
+                     analysis=True, source=source)
+    return item
 
 
 def ensure_sims(store: ArtifactStore, name: str, software: bool,
@@ -448,45 +422,16 @@ def ensure_sims(store: ArtifactStore, name: str, software: bool,
 
     ``machines`` is a sequence of ``(label, MachineConfig)``. Only the
     flavours missing from the store are computed, all from one live run
-    of the build (see :func:`_execute`), which also records and stores
-    the build's trace when the store lacks it. Each snapshot lands under its
-    own :func:`sim_key`. Returns ``(key, snapshot)`` per flavour, in
-    ``machines`` order.
+    of the build (see :func:`_run`). Returns ``(key, snapshot)`` per
+    flavour, in ``machines`` order.
     """
-    manifest = ensure_manifest(store, name, software, source)
-    crc = manifest["program_crc"]
-    keys = [sim_key(name, software, crc, label, machine, max_instructions,
-                    source)
-            for label, machine in machines]
-    snapshots = [store.get_json("sim", key) for key in keys]
-    missing = [i for i, snapshot in enumerate(snapshots) if snapshot is None]
-    if missing:
-        _, _, results = _execute(store, name, software, max_instructions,
-                                 [machines[i][1] for i in missing], source)
-        for i, result in zip(missing, results):
-            label = machines[i][0]
-            snapshots[i] = sim_to_snapshot(result, meta={
-                "cell": "sim",
-                "name": name,
-                "software_support": software,
-                "machine": label,
-                "max_instructions": max_instructions,
-            })
-            store.put_json("sim", keys[i], snapshots[i], meta={
-                "schema": FARM_SCHEMA,
-                "kind": "sim",
-                "name": name,
-                "software_support": software,
-                "machine": label,
-                "program_crc": crc,
-                "max_instructions": max_instructions,
-            })
-    return list(zip(keys, snapshots))
+    return _run(store, name, software, max_instructions, machines,
+                source=source)[0]
 
 
 def execute_job(spec: JobSpec, store: ArtifactStore) -> tuple[str, ...]:
-    """Run one job against the store; returns its artifact keys (one
-    per flavour for a sim job).
+    """Run one job against the store; returns its artifact keys (see
+    :func:`resolve_keys`).
 
     Each job re-ensures its own inputs through the store, so a worker
     can execute any job without payload plumbing -- dependencies exist
@@ -495,16 +440,9 @@ def execute_job(spec: JobSpec, store: ArtifactStore) -> tuple[str, ...]:
     if spec.kind == "build":
         ensure_manifest(store, spec.name, spec.software, spec.source)
         return (manifest_key(spec.name, spec.software, spec.source),)
-    if spec.kind == "trace":
-        key, _ = ensure_trace(store, spec.name, spec.software,
-                              spec.max_instructions, spec.source)
-        return (key,)
-    if spec.kind == "analysis":
-        key, _ = ensure_analysis(store, spec.name, spec.software,
-                                 spec.max_instructions, spec.source)
-        return (key,)
-    if spec.kind == "sim":
-        return tuple(key for key, _ in ensure_sims(
-            store, spec.name, spec.software, spec.machines,
-            spec.max_instructions, spec.source))
+    if spec.kind == "run":
+        artifacts, _ = _run(store, spec.name, spec.software,
+                            spec.max_instructions, spec.machines,
+                            spec.analysis, spec.source)
+        return tuple(key for key, _ in artifacts)
     raise ValueError(f"unknown job kind {spec.kind!r}")

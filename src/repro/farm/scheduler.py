@@ -95,7 +95,7 @@ class JobOutcome:
     job_id: str
     kind: str
     status: str             # 'hit' | 'done' | 'failed'
-    keys: tuple[str, ...] = ()  # artifact keys (a sim job: one per flavour)
+    keys: tuple[str, ...] = ()  # artifact keys (see jobs.resolve_keys)
     error: str | None = None
     attempts: int = 0
     wall: float = 0.0       # seconds across all attempts (hit: store check)

@@ -34,7 +34,8 @@ from pathlib import Path
 
 _META = "meta.json"
 
-#: Every artifact kind the farm stores (one per job kind).
+#: Every artifact kind the farm stores: a build job writes ``build``; a
+#: run job writes ``sim`` and ``analysis``, and ``trace`` (meta only).
 KINDS = ("build", "trace", "analysis", "sim")
 
 #: Environment variable naming the store root.

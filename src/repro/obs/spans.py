@@ -2,8 +2,8 @@
 
 A :class:`SpanTracker` hands out integer span ids, records monotonic
 start/end timestamps, and keeps the parent link that turns them into a
-tree -- sweep -> cell -> build/trace/analysis job -> store get/put. The
-tracker keeps the record the run ledger persists
+tree -- sweep -> job (build or run) -> attempt -> execute -> store
+get/put. The tracker keeps the record the run ledger persists
 (:mod:`repro.farm.ledger`).
 
 Spans cross process boundaries by value: a worker builds its own

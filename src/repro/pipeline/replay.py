@@ -37,11 +37,12 @@ whatever the trace length.
 A front is fed either live, by :meth:`CPU.run_trace`
 (:func:`time_live`), or by :func:`replay_into` from a recorded v1
 trace: both speak the one ``retire(pc, inst, rec)`` hook, so both feeds
-share the front and the recurrence. Every farm sim job runs live; on a
-cold build it passes an :class:`~repro.cpu.recorder.ArrayRecorder` as
-:func:`time_live`'s ``tee``, so one execution both times the build and
-records the columns its analysis reads. The checks also compare the
-live feed against a replayed one.
+share the front and the recurrence. Every farm run job runs live; when
+the build's analysis is missing it passes an
+:class:`~repro.cpu.recorder.ArrayRecorder` as :func:`time_live`'s
+``tee``, so one execution both times the build and records the columns
+its analysis reads. The checks also compare the live feed against a
+replayed one.
 
 On request a recurrence also reports, chunk by chunk, each record's
 issue and result-ready cycles and each memory access's outcome (see

@@ -229,12 +229,11 @@ def run_serve_job(store: ArtifactStore, record: dict, log: JobEventLog,
         if enqueued_at is not None else 0.0
     try:
         # the farm forks fresh workers for every graph: load the
-        # execution engine, the timing engine and the column recorder
-        # (numpy-free), which a sim job imports lazily to execute its
-        # build, once per service, so each worker inherits them instead
-        # of importing them per request
+        # execution engine and the timing engine, which a run job
+        # imports lazily to execute its build, once per service, so
+        # each worker inherits them instead of importing them per
+        # request (a sim-only request tees no column recorder)
         import repro.cpu.predecode  # noqa: F401
-        import repro.cpu.recorder  # noqa: F401
         import repro.pipeline.replay  # noqa: F401
 
         graph = plan_serve_graph(submission, machines)
@@ -251,11 +250,7 @@ def run_serve_job(store: ArtifactStore, record: dict, log: JobEventLog,
             outcome = result.outcomes[job_id]
             if not outcome.ok or not outcome.keys:
                 continue
-            if cell.kind == "analysis":
-                key = outcome.keys[0]
-            else:
-                labels = [label for label, _ in graph.jobs[job_id].machines]
-                key = outcome.keys[labels.index(cell.machine)]
+            key = graph.cell_key(cell, outcome.keys)
             artifacts.append({"kind": cell.kind, "key": key})
             snapshot = store.get_json(cell.kind, key)
             if cell.kind == "analysis":

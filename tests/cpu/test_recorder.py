@@ -1,24 +1,16 @@
-"""The column recorder (:mod:`repro.cpu.recorder`) and its container
-reader (:func:`repro.cpu.coltrace.load_columns`)."""
+"""The column recorder (:mod:`repro.cpu.recorder`): its columns, viewed
+in memory, against a decoded v1 trace of the same run."""
 
 import json
-import zlib
 
 import numpy as np
 import pytest
 
 from repro.analysis.batch import analyze_trace_columns
-from repro.compiler import compile_and_link
 from repro.cpu import CPU
-from repro.cpu.coltrace import (
-    AccessColumns,
-    decode_tracefile,
-    load_columns,
-    memory_mask,
-)
-from repro.cpu.recorder import HEADER, ArrayRecorder
+from repro.cpu.coltrace import AccessColumns, decode_tracefile, memory_mask
+from repro.cpu.recorder import ArrayRecorder
 from repro.cpu.tracefile import record_trace
-from repro.errors import SimulationError
 from repro.farm.snapshots import analysis_to_snapshot
 from repro.isa.assembler import assemble
 from repro.linker import LinkOptions, link
@@ -37,16 +29,6 @@ __start:
     lwx $t0, $t1($t2)
     li $v0, 10
     syscall
-"""
-
-SOURCE = """
-int v[32];
-int main() {
-    int i, s = 0;
-    for (i = 0; i < 32; i++) { v[i] = i * 3; s += v[i]; }
-    print_int(s);
-    return 0;
-}
 """
 
 
@@ -86,7 +68,6 @@ def test_recorder_equals_decoded_record_trace(name, software, tmp_path):
     assert_same_columns(live, full.accesses())
     assert np.array_equal(memory_mask(program)[live.index], full.is_mem)
     assert snapshot(program, live) == snapshot(program, full)
-    assert_same_columns(load_columns(program, recorder.to_bytes()), live)
 
 
 class TestSignedOffset:
@@ -104,78 +85,8 @@ class TestSignedOffset:
         assert snapshot(program, live) == snapshot(program, full)
 
 
-class TestContainer:
-    @pytest.fixture(scope="class")
-    def program(self):
-        return compile_and_link(SOURCE)
-
-    @pytest.fixture(scope="class")
-    def blob(self, program):
-        return recorded(program).to_bytes()
-
-    def test_roundtrip(self, program, blob):
-        got = load_columns(program, blob)
-        assert_same_columns(got, AccessColumns.of(recorded(program)))
-        got.verify(program)
-
-    def test_bytes_are_a_pure_function_of_the_run(self, program, blob):
-        assert recorded(program).to_bytes() == blob
-
-    def test_empty_run_roundtrip(self, program):
-        blob = ArrayRecorder(program).to_bytes()
-        assert load_columns(program, blob).count == 0
-
-    @staticmethod
-    def patched(blob, cut=0, extra=b"", **fields):
-        """``blob`` with header fields replaced and its body cut short
-        by ``cut`` bytes or extended by ``extra``."""
-        raw = zlib.decompress(blob)
-        names = ("magic", "version", "pad", "crc", "entry", "count",
-                 "mem_count")
-        header = dict(zip(names, HEADER.unpack_from(raw)))
-        header.update(fields)
-        raw = HEADER.pack(*(header[n] for n in names)) + raw[HEADER.size:]
-        return zlib.compress(raw[:len(raw) - cut] + extra)
-
-    @pytest.mark.parametrize("fields, message", [
-        ({"magic": b"FACT"}, "not a columns container"),
-        ({"version": 2}, "unsupported columns version 2"),
-        ({"crc": 0}, "different program"),
-        ({"entry": 4}, "entry point mismatch"),
-    ])
-    def test_header_faults(self, program, blob, fields, message):
-        with pytest.raises(SimulationError, match=message):
-            load_columns(program, self.patched(blob, **fields))
-
-    def test_not_deflated(self, program, blob):
-        with pytest.raises(SimulationError, match="corrupt columns"):
-            load_columns(program, zlib.decompress(blob))
-
-    def test_truncated_header(self, program, blob):
-        with pytest.raises(SimulationError, match="truncated columns header"):
-            load_columns(program, zlib.compress(zlib.decompress(blob)[:10]))
-
-    @pytest.mark.parametrize("cut, extra", [(4, b""), (0, b"\0" * 4)])
-    def test_body_length_faults(self, program, blob, cut, extra):
-        with pytest.raises(SimulationError, match="does not hold"):
-            load_columns(program, self.patched(blob, cut=cut, extra=extra))
-
-    def test_memory_count_must_match_the_index_column(self, program, blob):
-        """One memory record fewer in the header and in each memory
-        column: the lengths agree, the count does not."""
-        raw = zlib.decompress(blob)
-        *head, count, mem = HEADER.unpack_from(raw)
-        body = raw[HEADER.size:]
-        columns = [body[4 * (count + mem * k):][:4 * (mem - 1)]
-                   for k in range(3)]
-        with pytest.raises(SimulationError, match="memory records"):
-            load_columns(program, zlib.compress(b"".join([
-                HEADER.pack(*head, count, mem - 1), body[:4 * count],
-                *columns])))
-
-    def test_index_outside_the_text_segment(self, program, blob):
-        raw = bytearray(zlib.decompress(blob))
-        raw[HEADER.size:HEADER.size + 4] = \
-            len(program.instructions).to_bytes(4, "little")
-        with pytest.raises(SimulationError, match="outside the text"):
-            load_columns(program, zlib.compress(bytes(raw)))
+def test_empty_recorder_views_empty_columns():
+    program = link([assemble(BIG_INDEX_ASM, "t")], LinkOptions())
+    cols = AccessColumns.of(ArrayRecorder(program))
+    assert cols.count == 0 and len(cols.ea) == 0
+    cols.verify(program)

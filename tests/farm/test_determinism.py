@@ -54,10 +54,10 @@ def test_parallel_run_matches_serial_bytes(tmp_path):
         serial_keys = resolve_keys(spec, serial_store)
         parallel_keys = resolve_keys(spec, parallel_store)
         assert serial_keys == parallel_keys, cell
-        for key in serial_keys:
-            serial_bytes = serial_store.get_bytes(
-                spec.kind, key, SNAPSHOT_PAYLOAD)
-            parallel_bytes = parallel_store.get_bytes(
-                spec.kind, key, SNAPSHOT_PAYLOAD)
-            assert serial_bytes is not None, cell
-            assert serial_bytes == parallel_bytes, cell
+        key = graph.cell_key(cell, serial_keys)
+        serial_bytes = serial_store.get_bytes(
+            cell.kind, key, SNAPSHOT_PAYLOAD)
+        parallel_bytes = parallel_store.get_bytes(
+            cell.kind, key, SNAPSHOT_PAYLOAD)
+        assert serial_bytes is not None, cell
+        assert serial_bytes == parallel_bytes, cell

@@ -46,54 +46,75 @@ class TestCell:
 
 class TestPlanning:
     def test_sim_job_executes_the_build(self):
-        """A build with sim cells gets no trace job: its sim job
-        depends on the build and records the trace, and the analysis
-        depends on the sim job."""
+        """A build's sims and its analysis come from one run job, which
+        depends on the build job; every cell of the build maps to it."""
         cells = {
             Cell("analysis", BENCH),
             Cell("sim", BENCH, False, "base"),
             Cell("sim", BENCH, False, "fac32"),
         }
         graph = plan_jobs(cells, MACHINES, MAX_INSTRUCTIONS)
-        assert set(graph.jobs) == {
-            f"build:{BENCH}", f"analysis:{BENCH}",
-            f"sim:{BENCH}:base,fac32",
-        }
-        assert graph.jobs[f"sim:{BENCH}:base,fac32"].deps == \
-            (f"build:{BENCH}",)
-        assert graph.jobs[f"analysis:{BENCH}"].deps == \
-            (f"sim:{BENCH}:base,fac32",)
-        assert len(graph.cell_jobs) == 3
+        assert list(graph.jobs) == [f"build:{BENCH}", f"run:{BENCH}"]
+        run = graph.jobs[f"run:{BENCH}"]
+        assert run.kind == "run" and run.deps == (f"build:{BENCH}",)
+        assert run.machines == (("base", MACHINES["base"]),
+                                ("fac32", MACHINES["fac32"]))
+        assert run.analysis
+        assert graph.cell_jobs == {cell: f"run:{BENCH}" for cell in cells}
 
-    def test_analysis_only_build_keeps_its_trace_job(self):
+    def test_analysis_only_build_gets_a_run_job(self):
+        """A build with only an analysis cell is executed by a run job
+        that times nothing; a build with sim cells too asks the same
+        job for both."""
         cells = {Cell("analysis", BENCH), Cell("analysis", BENCH, True),
                  Cell("sim", BENCH, False, "base")}
         graph = plan_jobs(cells, MACHINES, MAX_INSTRUCTIONS)
-        assert [job_id for job_id, spec in graph.jobs.items()
-                if spec.kind == "trace"] == [f"trace:{BENCH}+sw"]
-        assert graph.jobs[f"trace:{BENCH}+sw"].deps == \
-            (f"build:{BENCH}+sw",)
-        assert graph.jobs[f"analysis:{BENCH}+sw"].deps == \
-            (f"trace:{BENCH}+sw",)
-        assert graph.jobs[f"analysis:{BENCH}"].deps == \
-            (f"sim:{BENCH}:base",)
+        assert sorted(graph.jobs) == [
+            f"build:{BENCH}", f"build:{BENCH}+sw",
+            f"run:{BENCH}", f"run:{BENCH}+sw"]
+        alone = graph.jobs[f"run:{BENCH}+sw"]
+        assert alone.deps == (f"build:{BENCH}+sw",)
+        assert alone.machines == () and alone.analysis
+        both = graph.jobs[f"run:{BENCH}"]
+        assert both.machines == (("base", MACHINES["base"]),)
+        assert both.analysis
 
     def test_one_sim_job_per_build(self):
-        """Every flavour of a build lands on one sim job, its machines
-        sorted by label; a lone flavour keeps the per-flavour id."""
+        """Every flavour of a build lands on its one run job, machines
+        sorted by label; with no analysis cell the job asks for none."""
         cells = {Cell("sim", BENCH, sw, label)
                  for sw in (False, True) for label in ("fac32", "base")}
         cells.add(Cell("sim", "compress", False, "fac32"))
         graph = plan_jobs(cells, MACHINES, MAX_INSTRUCTIONS)
-        sims = {job_id: spec for job_id, spec in graph.jobs.items()
-                if spec.kind == "sim"}
-        assert set(sims) == {f"sim:{BENCH}:base,fac32",
-                             f"sim:{BENCH}+sw:base,fac32",
-                             "sim:compress:fac32"}
-        assert sims[f"sim:{BENCH}:base,fac32"].machines == (
+        runs = {job_id: spec for job_id, spec in graph.jobs.items()
+                if spec.kind == "run"}
+        assert set(runs) == {f"run:{BENCH}", f"run:{BENCH}+sw",
+                             "run:compress"}
+        assert runs[f"run:{BENCH}"].machines == (
             ("base", MACHINES["base"]), ("fac32", MACHINES["fac32"]))
+        assert not any(spec.analysis for spec in runs.values())
         assert graph.cell_jobs[Cell("sim", BENCH, True, "base")] == \
-            f"sim:{BENCH}+sw:base,fac32"
+            f"run:{BENCH}+sw"
+
+    def test_every_harness_plans_two_jobs_per_build(self):
+        """The cells of all ten harnesses plan exactly a build job and
+        a run job per build."""
+        import importlib
+
+        from repro.experiments import common
+        from repro.farm.cli import HARNESSES
+
+        names = ["compress", "tomcatv"]
+        cells = set()
+        for module_name, _ in HARNESSES.values():
+            module = importlib.import_module(
+                f"repro.experiments.{module_name}")
+            cells |= module.farm_cells(names)
+        graph = plan_jobs(cells, common.MACHINES, common.MAX_INSTRUCTIONS)
+        tags = {f"{name}{sw}" for name in names for sw in ("", "+sw")}
+        assert set(graph.jobs) == {f"{kind}:{tag}" for tag in tags
+                                   for kind in ("build", "run")}
+        assert set(graph.cell_jobs) == cells
 
     def test_source_reaches_every_job(self):
         graph = plan_jobs({Cell("sim", "inline", False, "base")},
@@ -106,7 +127,7 @@ class TestPlanning:
         graph = plan_jobs(cells, MACHINES, MAX_INSTRUCTIONS)
         assert f"build:{BENCH}" in graph.jobs
         assert f"build:{BENCH}+sw" in graph.jobs
-        assert len(graph.jobs) == 6
+        assert len(graph.jobs) == 4
 
     def test_unknown_machine_fails_at_planning(self):
         with pytest.raises(KeyError):
@@ -123,7 +144,7 @@ class TestKeys:
         store = ArtifactStore(tmp_path / "store")
         graph = plan_jobs({Cell("sim", BENCH, False, "base")},
                           MACHINES, MAX_INSTRUCTIONS)
-        sim_spec = graph.jobs[f"sim:{BENCH}:base"]
+        sim_spec = graph.jobs[f"run:{BENCH}"]
         build_spec = graph.jobs[f"build:{BENCH}"]
         assert farm_jobs.resolve_keys(sim_spec, store) is None
         assert farm_jobs.resolve_keys(build_spec, store) is not None
@@ -144,6 +165,30 @@ class TestKeys:
             farm_jobs.trace_key(BENCH, False, crc, 2000)
         assert farm_jobs.analysis_key(BENCH, False, crc, 1000) != \
             farm_jobs.analysis_key(BENCH, False, crc, 2000)
+
+    def test_trace_key_folds_no_payload_format(self):
+        """The trace artifact is meta only: its key folds in no payload
+        format."""
+        from repro.farm.fingerprint import fingerprint
+
+        assert farm_jobs.trace_key(BENCH, False, 7, 1000) == fingerprint(
+            "trace", BENCH, 7, farm_jobs.benchmark_options(False), 1000)
+
+    def test_cell_keys_follow_the_run_jobs_keys(self, tmp_path):
+        """A cell's key among its run job's keys is the key the
+        ``ensure_*`` function for that cell stores it under."""
+        store = ArtifactStore(tmp_path / "store")
+        crc = farm_jobs.ensure_manifest(store, BENCH, False)["program_crc"]
+        cells = {Cell("analysis", BENCH), Cell("sim", BENCH, False, "base"),
+                 Cell("sim", BENCH, False, "fac32")}
+        graph = plan_jobs(cells, MACHINES, MAX_INSTRUCTIONS)
+        keys = farm_jobs.resolve_keys(graph.jobs[f"run:{BENCH}"], store)
+        assert graph.cell_key(Cell("analysis", BENCH), keys) == \
+            farm_jobs.analysis_key(BENCH, False, crc, MAX_INSTRUCTIONS)
+        for label, machine in MACHINES.items():
+            assert graph.cell_key(Cell("sim", BENCH, False, label),
+                                  keys) == farm_jobs.sim_key(
+                BENCH, False, crc, label, machine, MAX_INSTRUCTIONS)
 
 
 class TestEnsure:
@@ -179,7 +224,8 @@ class TestEnsure:
                                            MAX_INSTRUCTIONS)
         assert meta["instructions"] > 0
         assert meta["memory_usage"] > 0
-        assert store.payload_path("trace", key, farm_jobs.TRACE_PAYLOAD)
+        assert [path.name for path in store._object_dir(
+            "trace", key).iterdir()] == ["meta.json"]
 
     def test_execute_job_covers_all_kinds(self, store):
         graph = plan_jobs(
@@ -191,7 +237,7 @@ class TestEnsure:
 
     def test_ensure_sims_computes_only_missing_flavours(self, tmp_path,
                                                         monkeypatch):
-        """A grouped sim job over a half-warm store times only the cold
+        """A grouped run job over a half-warm store times only the cold
         flavour, under the key and with the bytes a lone job would, and
         its artifacts are ready only once every flavour is stored."""
         from repro.pipeline import replay
@@ -200,7 +246,7 @@ class TestEnsure:
         graph = plan_jobs({Cell("sim", BENCH, False, label)
                            for label in MACHINES},
                           MACHINES, MAX_INSTRUCTIONS)
-        spec = graph.jobs[f"sim:{BENCH}:base,fac32"]
+        spec = graph.jobs[f"run:{BENCH}"]
         [(base_key, base_snap)] = farm_jobs.ensure_sims(
             store, BENCH, False, spec.machines[:1], MAX_INSTRUCTIONS)
         assert farm_jobs.artifact_ready(spec, store) is None
@@ -257,82 +303,96 @@ class TestEnsure:
             farm_jobs.execute_job(spec, store)
 
 
+def run_job(*cells):
+    """The run job of ``cells``' one build."""
+    [spec] = [spec for spec in plan_jobs(cells, MACHINES,
+                                         MAX_INSTRUCTIONS).jobs.values()
+              if spec.kind == "run"]
+    return spec
+
+
+ALL_CELLS = (Cell("analysis", BENCH), Cell("sim", BENCH, False, "base"),
+             Cell("sim", BENCH, False, "fac32"))
+
+
 class TestOneExecution:
-    """A cold sim job executes its build once, live: the run that times
-    the flavours also records the trace columns. A sim job that finds
-    the trace stored executes the build live with no recorder."""
+    """A run job executes its build at most once, live, feeding only
+    what the store lacks: the fronts of the missing flavours, and the
+    column recorder when the analysis is missing."""
 
     @pytest.fixture
     def runs(self, monkeypatch):
-        """Counts of live executions and of trace replays."""
+        """Every ``CPU.run_trace`` (its consumer's type) and every
+        ``time_live`` (its flavours and its tee's type)."""
         from repro.cpu.executor import CPU
         from repro.pipeline import replay
 
-        counts = {"run_trace": 0, "replay_into": 0}
-        run_trace, replay_into = CPU.run_trace, replay.replay_into
+        seen = {"run_trace": [], "time_live": []}
+        run_trace, time_live = CPU.run_trace, replay.time_live
 
-        def counted_run(self, *args, **kwargs):
-            counts["run_trace"] += 1
-            return run_trace(self, *args, **kwargs)
+        def counted_run(self, consumer=None, *args, **kwargs):
+            seen["run_trace"].append(type(consumer).__name__)
+            return run_trace(self, consumer, *args, **kwargs)
 
-        def counted_replay(*args, **kwargs):
-            counts["replay_into"] += 1
-            return replay_into(*args, **kwargs)
+        def counted_live(program, machines, *args, **kwargs):
+            seen["time_live"].append(
+                (tuple(machines), type(kwargs.get("tee")).__name__))
+            return time_live(program, machines, *args, **kwargs)
 
         monkeypatch.setattr(CPU, "run_trace", counted_run)
-        monkeypatch.setattr(replay, "replay_into", counted_replay)
-        return counts
+        monkeypatch.setattr(replay, "time_live", counted_live)
+        return seen
 
-    def test_timing_run_records_the_trace(self, tmp_path, runs):
-        """The trace a cold sim job stores has ``ensure_trace``'s meta,
-        and its payload is the recorder's container of that run: it
-        loads to the recorder's columns, which are those of a decoded
-        ``record_trace`` file."""
-        import numpy as np
+    @staticmethod
+    def counted_puts(store, monkeypatch):
+        puts = []
+        put = store.put
 
-        from repro.cpu.coltrace import (
-            AccessColumns,
-            decode_tracefile,
-            load_columns,
-        )
+        def counted_put(kind, *args, **kwargs):
+            puts.append(kind)
+            return put(kind, *args, **kwargs)
+
+        monkeypatch.setattr(store, "put", counted_put)
+        return puts
+
+    def test_timing_run_records_the_trace(self, tmp_path, runs,
+                                          monkeypatch):
+        """A cold run job makes one ``run_trace`` call, with the
+        recorder teed beside its fronts, and stores every flavour, the
+        analysis and the trace meta (no payload), which equals
+        ``record_trace``'s facts of the run; ``ensure_trace`` then
+        executes nothing."""
         from repro.cpu.executor import CPU
-        from repro.cpu.recorder import ArrayRecorder
         from repro.cpu.tracefile import record_trace
 
         store = ArtifactStore(tmp_path / "store")
-        farm_jobs.ensure_sims(store, BENCH, False, tuple(MACHINES.items()),
-                              MAX_INSTRUCTIONS)
-        assert runs == {"run_trace": 1, "replay_into": 0}
+        puts = self.counted_puts(store, monkeypatch)
+        spec = run_job(*ALL_CELLS)
+        keys = farm_jobs.execute_job(spec, store)
+        assert runs == {
+            "run_trace": ["_FanOut"],
+            "time_live": [((MACHINES["base"], MACHINES["fac32"]),
+                           "ArrayRecorder")]}
+        assert sorted(puts) == ["analysis", "build", "sim", "sim", "trace"]
+        assert farm_jobs.artifact_ready(spec, store) == keys
         key, meta = farm_jobs.ensure_trace(store, BENCH, False,
                                            MAX_INSTRUCTIONS)
-        assert runs["run_trace"] == 1, "the stored trace was recorded again"
+        assert len(runs["run_trace"]) == 1, "the trace meta was recorded again"
+        assert [path.name for path in store._object_dir(
+            "trace", key).iterdir()] == ["meta.json"]
         alone = ArtifactStore(tmp_path / "alone")
         assert farm_jobs.ensure_trace(alone, BENCH, False,
                                       MAX_INSTRUCTIONS) == (key, meta)
 
         program = farm_jobs.build_program(BENCH, False)
-        path = str(tmp_path / "oracle.fact.gz")
         cpu = CPU(program)
-        count = record_trace(program, path, MAX_INSTRUCTIONS, cpu=cpu)
+        count = record_trace(program, str(tmp_path / "oracle.fact.gz"),
+                             MAX_INSTRUCTIONS, cpu=cpu)
         assert (meta["instructions"], meta["memory_usage"],
                 meta["stdout"]) == (count, cpu.memory_usage, cpu.stdout())
-        recorder = ArrayRecorder(program)
-        CPU(program).run_trace(recorder, MAX_INSTRUCTIONS)
-        payload = store.get_bytes("trace", key, farm_jobs.TRACE_PAYLOAD)
-        assert payload == recorder.to_bytes()
-        assert alone.get_bytes("trace", key,
-                               farm_jobs.TRACE_PAYLOAD) == payload
-        got = load_columns(program, payload)
-        recorded = AccessColumns.of(recorder)
-        decoded = decode_tracefile(program, path).accesses()
-        for column in ("index", "ea", "base", "offset"):
-            assert np.array_equal(getattr(got, column),
-                                  getattr(recorded, column)), column
-            assert np.array_equal(getattr(got, column),
-                                  getattr(decoded, column)), column
 
     def test_snapshots_equal_a_replay_of_record_trace(self, tmp_path, runs):
-        """The live sim job's snapshots equal a shared front replaying
+        """The live run job's snapshots equal a shared front replaying
         ``record_trace``'s file of the same build, on every experiment
         flavour."""
         from repro.cpu.executor import CPU
@@ -344,7 +404,7 @@ class TestOneExecution:
         machines = tuple(common.MACHINES.items())
         results = farm_jobs.ensure_sims(store, BENCH, False, machines,
                                         MAX_INSTRUCTIONS)
-        assert runs == {"run_trace": 1, "replay_into": 0}
+        assert runs["run_trace"] == ["_FanOut"]
         program = farm_jobs.build_program(BENCH, False)
         path = str(tmp_path / "oracle.fact.gz")
         cpu = CPU(program)
@@ -362,123 +422,134 @@ class TestOneExecution:
             }), label
 
     def test_stored_trace_is_left_alone(self, tmp_path, runs, monkeypatch):
-        """With the trace stored, a sim job executes the build live
-        with no tee, times only the missing flavours and writes only
-        their snapshots; the trace's files are untouched."""
-        from repro.pipeline import replay
-
+        """With the analysis and the trace meta stored and the sims
+        missing, the run job times the flavours with no recorder teed
+        and writes only their snapshots; the trace's files are
+        untouched."""
         store = ArtifactStore(tmp_path / "store")
         key, _ = farm_jobs.ensure_trace(store, BENCH, False,
                                         MAX_INSTRUCTIONS)
-        farm_jobs.ensure_sims(store, BENCH, False,
-                              (("base", MACHINES["base"]),),
-                              MAX_INSTRUCTIONS)
-        payload = store.payload_path("trace", key, farm_jobs.TRACE_PAYLOAD)
+        farm_jobs.ensure_analysis(store, BENCH, False, MAX_INSTRUCTIONS)
+        meta = store._object_dir("trace", key) / "meta.json"
         # reads touch meta.json (the LRU clock), so only its bytes count
-        before = {path.name: path.read_bytes()
-                  for path in payload.parent.iterdir()}
-        written = payload.stat().st_mtime_ns
-
-        live = []
-        real_live = replay.time_live
-
-        def counted_live(program, machines, *args, **kwargs):
-            live.append((tuple(machines), kwargs.get("tee")))
-            return real_live(program, machines, *args, **kwargs)
-
-        puts = []
-        put = store.put
-
-        def counted_put(kind, *args, **kwargs):
-            puts.append(kind)
-            return put(kind, *args, **kwargs)
-
-        monkeypatch.setattr(replay, "time_live", counted_live)
-        monkeypatch.setattr(store, "put", counted_put)
-        runs.update(run_trace=0, replay_into=0)
-        graph = plan_jobs({Cell("sim", BENCH, False, label)
-                           for label in MACHINES},
-                          MACHINES, MAX_INSTRUCTIONS)
-        farm_jobs.execute_job(graph.jobs[f"sim:{BENCH}:base,fac32"], store)
-        assert live == [((MACHINES["fac32"],), None)]
-        assert puts == ["sim"]
-        assert runs == {"run_trace": 1, "replay_into": 0}
-        assert {path.name: path.read_bytes()
-                for path in payload.parent.iterdir()} == before
-        assert payload.stat().st_mtime_ns == written
+        before = meta.read_bytes()
+        runs.update(run_trace=[], time_live=[])
+        puts = self.counted_puts(store, monkeypatch)
+        farm_jobs.execute_job(run_job(*ALL_CELLS), store)
+        assert runs == {
+            "run_trace": ["_FanOut"],
+            "time_live": [((MACHINES["base"], MACHINES["fac32"]),
+                           "NoneType")]}
+        assert puts == ["sim", "sim"]
+        assert meta.read_bytes() == before
         assert not any((store.root / "tmp").iterdir())
 
-    def test_v1_trace_under_the_old_key_is_recomputed(self, tmp_path):
-        """A store holding a v1 tracefile under the key traces had
-        before the column payload is not read as columns: the analysis
-        records the columns under the new key and equals a fresh
-        store's."""
-        from repro.cpu.executor import CPU
-        from repro.cpu.tracefile import record_trace
-        from repro.farm.fingerprint import fingerprint
+    def test_missing_analysis_runs_the_recorder_alone(self, tmp_path, runs,
+                                                      monkeypatch):
+        """With every flavour stored, the run job executes the build
+        with the recorder as its only consumer (no front) and writes
+        only the analysis, equal to a cold run job's."""
+        store = ArtifactStore(tmp_path / "store")
+        farm_jobs.ensure_sims(store, BENCH, False, tuple(MACHINES.items()),
+                              MAX_INSTRUCTIONS)
+        runs.update(run_trace=[], time_live=[])
+        puts = self.counted_puts(store, monkeypatch)
+        spec = run_job(*ALL_CELLS)
+        keys = farm_jobs.execute_job(spec, store)
+        assert runs == {"run_trace": ["ArrayRecorder"], "time_live": []}
+        assert puts == ["analysis"]
+        cold = ArtifactStore(tmp_path / "cold")
+        assert farm_jobs.execute_job(spec, cold) == keys
+        assert store.get_bytes("analysis", keys[-1], "snapshot.json") == \
+            cold.get_bytes("analysis", keys[-1], "snapshot.json")
+
+    def test_everything_stored_executes_nothing(self, tmp_path, runs,
+                                                monkeypatch):
+        store = ArtifactStore(tmp_path / "store")
+        spec = run_job(*ALL_CELLS)
+        keys = farm_jobs.execute_job(spec, store)
+
+        def boom(*args):  # pragma: no cover - must not run
+            raise AssertionError("executed a stored build")
+
+        monkeypatch.setattr(farm_jobs, "build_program", boom)
+        runs.update(run_trace=[], time_live=[])
+        puts = self.counted_puts(store, monkeypatch)
+        assert farm_jobs.execute_job(spec, store) == keys
+        assert runs == {"run_trace": [], "time_live": []}
+        assert puts == []
+
+    def test_trace_meta_alone_runs_no_consumer(self, tmp_path, runs):
+        """``ensure_trace`` on a cold store executes the build with
+        neither a front nor a recorder and stores only the meta."""
+        store = ArtifactStore(tmp_path / "store")
+        farm_jobs.ensure_trace(store, BENCH, False, MAX_INSTRUCTIONS)
+        assert runs == {"run_trace": ["NoneType"], "time_live": []}
+        assert {kind: entry["count"] for kind, entry
+                in store.stats()["kinds"].items()} == {"build": 1, "trace": 1}
+
+    def test_api_analysis_then_sim_on_a_cold_store(self, tmp_path, runs):
+        """``analysis_for`` runs the recorder alone and stores the trace
+        meta; ``sim_for`` then times the flavour with no recorder. Both
+        snapshots equal a cold run job's."""
+        from repro.farm import api
 
         store = ArtifactStore(tmp_path / "store")
-        crc = farm_jobs.ensure_manifest(store, BENCH, False)["program_crc"]
-        old_key = fingerprint("trace", BENCH, crc,
-                              farm_jobs.benchmark_options(False),
-                              MAX_INSTRUCTIONS)
-        program = farm_jobs.build_program(BENCH, False)
-        v1 = tmp_path / "v1.fact.gz"
-        cpu = CPU(program)
-        count = record_trace(program, str(v1), MAX_INSTRUCTIONS, cpu=cpu)
-        store.put("trace", old_key, {
-            "schema": farm_jobs.FARM_SCHEMA, "kind": "trace", "name": BENCH,
-            "software_support": False, "program_crc": crc,
-            "max_instructions": MAX_INSTRUCTIONS, "instructions": count,
-            "memory_usage": cpu.memory_usage, "stdout": cpu.stdout(),
-        }, payloads={"trace.fact.gz": v1})
-
-        key = farm_jobs.trace_key(BENCH, False, crc, MAX_INSTRUCTIONS)
-        assert key != old_key
-        _, snapshot = farm_jobs.ensure_analysis(store, BENCH, False,
-                                                MAX_INSTRUCTIONS)
-        assert store.payload_path("trace", key, farm_jobs.TRACE_PAYLOAD)
-        fresh = ArtifactStore(tmp_path / "fresh")
-        assert farm_jobs.ensure_analysis(fresh, BENCH, False,
-                                         MAX_INSTRUCTIONS)[1] == snapshot
-        assert store.get_bytes("trace", key, farm_jobs.TRACE_PAYLOAD) == \
-            fresh.get_bytes("trace", key, farm_jobs.TRACE_PAYLOAD)
+        api.clear_memo()
+        api.analysis_for(BENCH, False, MAX_INSTRUCTIONS, store=store)
+        assert runs == {"run_trace": ["ArrayRecorder"], "time_live": []}
+        assert store.stats()["kinds"]["trace"]["count"] == 1
+        api.sim_for(BENCH, False, MACHINES["base"], label="base",
+                    max_instructions=MAX_INSTRUCTIONS, store=store)
+        assert runs == {"run_trace": ["ArrayRecorder", "_FanOut"],
+                        "time_live": [((MACHINES["base"],), "NoneType")]}
+        api.clear_memo()
+        spec = run_job(Cell("analysis", BENCH),
+                       Cell("sim", BENCH, False, "base"))
+        cold = ArtifactStore(tmp_path / "cold")
+        for (kind, key) in zip(("sim", "analysis"),
+                               farm_jobs.execute_job(spec, cold)):
+            assert store.get_bytes(kind, key, "snapshot.json") == \
+                cold.get_bytes(kind, key, "snapshot.json"), kind
 
 
 class TestColtrace:
-    """The analysis cell loads the stored trace columns; the trace is
-    the only artifact between the build and the analysis."""
+    """The analysis reads the recorder's columns in memory: no trace
+    payload lies between the build and its analysis."""
 
     @pytest.fixture(scope="class")
     def store(self, tmp_path_factory):
         return ArtifactStore(tmp_path_factory.mktemp("analysis-store"))
 
-    def test_decoded_exactly_once(self, tmp_path, monkeypatch):
-        """A cold sweep of one benchmark's analysis and sim cells stores
-        one artifact per job kind and loads the trace columns once."""
-        import repro.cpu.coltrace as coltrace_mod
+    def test_executed_exactly_once(self, tmp_path, monkeypatch):
+        """A cold sweep of one benchmark's analysis and sim cells runs a
+        build job and a run job, stores one artifact of each kind, and
+        executes the build once."""
+        from repro.cpu.executor import CPU
 
         # workers are forked, so they count into a file
-        decodes = tmp_path / "decodes"
-        decodes.touch()
-        real = coltrace_mod.load_columns
+        executions = tmp_path / "executions"
+        executions.touch()
+        real = CPU.run_trace
 
-        def counted(program, data, label="<bytes>"):
-            with open(decodes, "a") as handle:
-                handle.write(f"{label}\n")
-            return real(program, data, label)
+        def counted(self, *args, **kwargs):
+            with open(executions, "a") as handle:
+                handle.write("run_trace\n")
+            return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(coltrace_mod, "load_columns", counted)
+        monkeypatch.setattr(CPU, "run_trace", counted)
         store = ArtifactStore(tmp_path / "store")
         graph = plan_jobs(
             {Cell("analysis", BENCH), Cell("sim", BENCH, False, "base")},
             MACHINES, MAX_INSTRUCTIONS)
         result = run_graph(graph, store, jobs=1)
         assert result.ok, result.summary()["errors"]
+        assert sorted(spec.kind for spec in graph.jobs.values()) == \
+            ["build", "run"]
         assert {kind: entry["count"]
                 for kind, entry in store.stats()["kinds"].items()} == {
             "build": 1, "trace": 1, "analysis": 1, "sim": 1}
-        assert len(decodes.read_text().splitlines()) == 1
+        assert len(executions.read_text().splitlines()) == 1
 
     def test_engines_share_key_and_snapshot(self, store, tmp_path):
         """The columnar cell's snapshot equals the spec analyzer's
@@ -524,19 +595,17 @@ class TestColtrace:
         assert result.returncode == 0, result.stderr
 
     def test_timing_and_planning_paths_stay_numpy_free(self, tmp_path):
-        """Importing the column recorder, planning every harness's
-        cells, a cold grouped two-flavour sim of an inline program (the
-        recorder teed beside its fronts) and a trace job (the recorder
-        alone) never import numpy, whose import alone costs more than
-        planning a whole sweep slice."""
+        """Planning every harness's cells, a cold sim-only run job of an
+        inline program (two flavours, no recorder teed), importing the
+        column recorder, and a trace meta recorded alone never import
+        numpy, whose import alone costs more than planning a whole sweep
+        slice."""
         source = ("int v[16];\n"
                   "int main() { int i, s = 0;\n"
                   "  for (i = 0; i < 16; i++) { v[i] = i; s += v[i]; }\n"
                   "  print_int(s); return 0; }\n")
         code = (
             "import importlib, sys\n"
-            "import repro.cpu.recorder\n"
-            "assert 'numpy' not in sys.modules, 'the recorder imports numpy'\n"
             "from repro.experiments import common\n"
             "from repro.farm import jobs\n"
             "from repro.farm.cli import HARNESSES\n"
@@ -547,15 +616,20 @@ class TestColtrace:
             "        'repro.experiments.' + module_name)\n"
             "    cells |= module.farm_cells(['compress', 'tomcatv'])\n"
             "jobs.plan_jobs(cells, common.MACHINES, common.MAX_INSTRUCTIONS)\n"
+            "graph = jobs.plan_jobs(\n"
+            "    [jobs.Cell('sim', 'inline', False, label)\n"
+            "     for label in ('base', 'fac32')],\n"
+            f"    common.MACHINES, 100000, {source!r})\n"
             f"store = ArtifactStore({str(tmp_path / 'store')!r})\n"
-            "flavours = [(label, common.MACHINES[label])\n"
-            "            for label in ('base', 'fac32')]\n"
-            "done = jobs.ensure_sims(store, 'inline', False, flavours,\n"
-            f"                       100000, {source!r})\n"
-            "assert all(store.has('sim', key) for key, _ in done)\n"
-            f"key, _ = jobs.ensure_trace(store, 'inline', False, 100000,\n"
-            f"                           {source!r})\n"
-            "assert store.payload_path('trace', key, jobs.TRACE_PAYLOAD)\n"
+            "for spec in graph.jobs.values():\n"
+            "    keys = jobs.execute_job(spec, store)\n"
+            "assert [spec.analysis for spec in graph.jobs.values()\n"
+            "        if spec.kind == 'run'] == [False]\n"
+            "assert len(keys) == 2\n"
+            "assert all(store.has('sim', key) for key in keys)\n"
+            "assert 'repro.cpu.recorder' not in sys.modules, 'recorder teed'\n"
+            "import repro.cpu.recorder\n"
+            "assert 'numpy' not in sys.modules, 'the recorder imports numpy'\n"
             f"alone = ArtifactStore({str(tmp_path / 'alone')!r})\n"
             f"jobs.ensure_trace(alone, 'inline', False, 100000, {source!r})\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
@@ -584,36 +658,6 @@ class TestColtrace:
                    ).read_text().split()
         extra = set(result.stdout.split()) - set(allowed)
         assert not extra, f"sweep set-up now imports {sorted(extra)}"
-
-    def test_inputs_pinned_while_analysis_in_flight(self, store,
-                                                    monkeypatch):
-        """A size-budgeted gc that fires mid-cell must not evict the
-        trace the analysis is reading."""
-        akey = farm_jobs.ensure_analysis(
-            store, BENCH, False, MAX_INSTRUCTIONS)[0]
-        store.remove("analysis", akey)
-
-        import repro.analysis.batch as batch_mod
-
-        real = batch_mod.analyze_trace_columns
-        fired = {}
-
-        def gc_mid_flight(*args, **kwargs):
-            fired["evicted"] = store.gc(max_bytes=0)[0]
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(batch_mod, "analyze_trace_columns",
-                            gc_mid_flight)
-        tkey = farm_jobs.trace_key(
-            BENCH, False,
-            farm_jobs.ensure_manifest(store, BENCH, False)["program_crc"],
-            MAX_INSTRUCTIONS)
-        farm_jobs.ensure_analysis(store, BENCH, False, MAX_INSTRUCTIONS)
-        assert fired["evicted"] > 0
-        assert store.has("trace", tkey)
-        # the pin was released afterwards: nothing survives a clear now
-        store.gc(clear=True)
-        assert not store.has("trace", tkey)
 
     def test_no_pins_leak(self, store):
         farm_jobs.ensure_analysis(store, BENCH, False, MAX_INSTRUCTIONS)

@@ -54,7 +54,7 @@ class TestRoundTrip:
     def test_loaded_run_equals_written_run(self, warm_store):
         store, cold, _, _ = warm_store
         assert cold.run_id == "cold-run"
-        assert cold.summary["total"] == len(cold.jobs) == 3
+        assert cold.summary["total"] == len(cold.jobs) == 2
         assert cold.meta == {"workers": 2}
         # rewriting the loaded run yields the same canonical lines
         path = ledger.ledger_dir(store) / "cold-run.jsonl"

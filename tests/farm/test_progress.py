@@ -40,7 +40,7 @@ def store_dir(tmp_path):
 
 # drawn once, after the whole graph is scheduled
 SCHEDULED = [
-    "[farm] 0/3 done | 0 hits 0 computed 0 failed |",
+    "[farm] 0/2 done | 0 hits 0 computed 0 failed |",
 ]
 
 
@@ -48,12 +48,10 @@ def test_cold_run(store_dir, capsys):
     code, lines = run(store_dir, capsys)
     assert code == 0
     assert lines == SCHEDULED + [
-        "[farm] 0/3 done | 0 hits 0 computed 0 failed | build:eqntott",
-        "[farm] 1/3 done | 0 hits 1 computed 0 failed | build:eqntott",
-        "[farm] 1/3 done | 0 hits 1 computed 0 failed | trace:eqntott",
-        "[farm] 2/3 done | 0 hits 2 computed 0 failed | trace:eqntott",
-        "[farm] 2/3 done | 0 hits 2 computed 0 failed | analysis:eqntott",
-        "[farm] 3/3 done | 0 hits 3 computed 0 failed | analysis:eqntott",
+        "[farm] 0/2 done | 0 hits 0 computed 0 failed | build:eqntott",
+        "[farm] 1/2 done | 0 hits 1 computed 0 failed | build:eqntott",
+        "[farm] 1/2 done | 0 hits 1 computed 0 failed | run:eqntott",
+        "[farm] 2/2 done | 0 hits 2 computed 0 failed | run:eqntott",
     ]
 
 
@@ -62,9 +60,8 @@ def test_warm_run(store_dir, capsys):
     code, lines = run(store_dir, capsys)
     assert code == 0
     assert lines == SCHEDULED + [
-        "[farm] 1/3 done | 1 hits 0 computed 0 failed | build:eqntott",
-        "[farm] 2/3 done | 2 hits 0 computed 0 failed | trace:eqntott",
-        "[farm] 3/3 done | 3 hits 0 computed 0 failed | analysis:eqntott",
+        "[farm] 1/2 done | 1 hits 0 computed 0 failed | build:eqntott",
+        "[farm] 2/2 done | 2 hits 0 computed 0 failed | run:eqntott",
     ]
 
 
@@ -73,19 +70,17 @@ def test_crash_retry_give_up(store_dir, capsys, monkeypatch):
     code, lines = run(store_dir, capsys, "--retries", "1")
     assert code == 1
     assert lines == SCHEDULED + [
-        "[farm] 0/3 done | 0 hits 0 computed 0 failed | build:eqntott",
-        "[farm] 0/3 done | 0 hits 0 computed 0 failed | "
+        "[farm] 0/2 done | 0 hits 0 computed 0 failed | build:eqntott",
+        "[farm] 0/2 done | 0 hits 0 computed 0 failed | "
         "build:eqntott crashed",
-        "[farm] 0/3 done | 0 hits 0 computed 0 failed 1 retries | "
+        "[farm] 0/2 done | 0 hits 0 computed 0 failed 1 retries | "
         "build:eqntott retry #2",
-        "[farm] 0/3 done | 0 hits 0 computed 0 failed 1 retries | "
+        "[farm] 0/2 done | 0 hits 0 computed 0 failed 1 retries | "
         "build:eqntott",
-        "[farm] 0/3 done | 0 hits 0 computed 0 failed 1 retries | "
+        "[farm] 0/2 done | 0 hits 0 computed 0 failed 1 retries | "
         "build:eqntott crashed",
-        "[farm] 1/3 done | 0 hits 0 computed 1 failed 1 retries | "
+        "[farm] 1/2 done | 0 hits 0 computed 1 failed 1 retries | "
         "build:eqntott FAILED",
-        "[farm] 2/3 done | 0 hits 0 computed 2 failed 1 retries | "
-        "trace:eqntott FAILED",
-        "[farm] 3/3 done | 0 hits 0 computed 3 failed 1 retries | "
-        "analysis:eqntott FAILED",
+        "[farm] 2/2 done | 0 hits 0 computed 2 failed 1 retries | "
+        "run:eqntott FAILED",
     ]

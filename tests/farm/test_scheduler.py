@@ -64,10 +64,10 @@ class TestSweep:
         store = ArtifactStore(tmp_path / "store")
         result = run_graph(small_graph(), store, jobs=2, timeout=120)
         summary = result.summary()
-        # build, one sim job executing the build on both flavours, and
-        # the analysis of the trace it recorded
-        assert summary["total"] == 3
-        assert summary["computed"] == 3
+        # build, and one run job executing the build on both flavours
+        # and analyzing the same run
+        assert summary["total"] == 2
+        assert summary["computed"] == 2
         assert summary["failed"] == []
         assert summary["elapsed_seconds"] > 0
 
@@ -101,8 +101,8 @@ class TestFailureIsolation:
         assert build.status == "failed"
         assert "crashed" in build.error
         assert build.attempts == 2            # one initial + one retry
-        assert result.outcomes["sim:yacr2:base"].error.startswith("upstream")
-        assert result.outcomes["sim:eqntott:base"].ok
+        assert result.outcomes["run:yacr2"].error.startswith("upstream")
+        assert result.outcomes["run:eqntott"].ok
 
     def test_crash_hook_matches_the_whole_job_id(self, tmp_path,
                                                  monkeypatch):
@@ -115,30 +115,31 @@ class TestFailureIsolation:
                           MACHINES, MAX_INSTRUCTIONS)
         result = run_graph(graph, store, jobs=2, timeout=60, retries=0)
         assert result.outcomes["build:yacr2"].status == "failed"
-        assert result.outcomes["sim:yacr2:base"].error.startswith("upstream")
+        assert result.outcomes["run:yacr2"].error.startswith("upstream")
         assert result.outcomes["build:yacr2+sw"].ok
-        assert result.outcomes["sim:yacr2+sw:base"].ok
+        assert result.outcomes["run:yacr2+sw"].ok
 
     def test_hung_worker_killed_by_timeout(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FARM_TEST_HANG", "sim:yacr2:base")
+        monkeypatch.setenv("REPRO_FARM_TEST_HANG", "run:yacr2")
         store = ArtifactStore(tmp_path / "store")
         result = run_graph(two_benchmark_graph(), store, jobs=2,
                            timeout=2, retries=0)
         assert not result.ok
-        hung = result.outcomes["sim:yacr2:base"]
+        hung = result.outcomes["run:yacr2"]
         assert hung.status == "failed"
         assert "timed out" in hung.error
-        assert result.outcomes["sim:eqntott:base"].ok
+        assert result.outcomes["run:eqntott"].ok
 
     @pytest.mark.parametrize("hook, timeout", [
         ("REPRO_FARM_TEST_CRASH", 60), ("REPRO_FARM_TEST_HANG", 2)])
     def test_failed_sim_fails_its_builds_analysis(self, tmp_path,
                                                    monkeypatch, hook,
                                                    timeout):
-        """The sim job records the trace the analysis reads, so a sim
-        job that crashes or times out fails its build's analysis cell
-        too; the other build's chain still completes."""
-        monkeypatch.setenv(hook, "sim:yacr2:base")
+        """A build's sims and its analysis come from one run job, so a
+        run job that crashes or times out fails the build's sim and
+        analysis cells together; the other build's chain still
+        completes."""
+        monkeypatch.setenv(hook, "run:yacr2")
         store = ArtifactStore(tmp_path / "store")
         graph = plan_jobs({Cell(kind, name, False,
                                 "base" if kind == "sim" else None)
@@ -148,12 +149,14 @@ class TestFailureIsolation:
         result = run_graph(graph, store, jobs=2, timeout=timeout,
                            retries=0)
         assert result.outcomes["build:yacr2"].ok
-        assert result.outcomes["sim:yacr2:base"].status == "failed"
-        analysis = result.outcomes["analysis:yacr2"]
-        assert analysis.status == "failed"
-        assert analysis.error == "upstream failed: sim:yacr2:base"
-        assert result.outcomes["sim:eqntott:base"].ok
-        assert result.outcomes["analysis:eqntott"].ok
+        assert result.outcomes["run:yacr2"].status == "failed"
+        assert {graph.cell_jobs[Cell(kind, "yacr2", False, machine)]
+                for kind, machine in (("analysis", None),
+                                      ("sim", "base"))} == {"run:yacr2"}
+        assert set(graph.jobs) == {f"{kind}:{name}"
+                                   for kind in ("build", "run")
+                                   for name in ("eqntott", "yacr2")}
+        assert result.outcomes["run:eqntott"].ok
 
     def test_failed_cell_reported_in_summary(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FARM_TEST_CRASH", "build:yacr2")
@@ -164,7 +167,7 @@ class TestFailureIsolation:
         assert "build:yacr2" in summary["failed"]
         assert "crashed" in summary["errors"]["build:yacr2"]
         # the surviving chain really completed
-        assert result.outcomes["sim:eqntott:base"].ok
+        assert result.outcomes["run:eqntott"].ok
 
     def test_retry_succeeds_after_transient_crash(self, tmp_path,
                                                   monkeypatch):
@@ -215,9 +218,9 @@ class TestFailureEvents:
                                             ("crashed", 2, False)]
 
     def test_timeout_emits_timeout_not_crash(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FARM_TEST_HANG", "sim:yacr2:base")
+        monkeypatch.setenv("REPRO_FARM_TEST_HANG", "run:yacr2")
         result, events, attempts = self._events_for(
-            tmp_path, "sim:yacr2:base", timeout=2, retries=0)
+            tmp_path, "run:yacr2", timeout=2, retries=0)
         kinds = [e["event"] for e in events]
         assert kinds == ["farm.scheduled", "farm.started",
                          "farm.job.timeout", "farm.failed"]
@@ -298,8 +301,8 @@ class TestValidation:
 
     def test_dependency_outside_the_graph_raises(self, tmp_path):
         graph = JobGraph()
-        graph.jobs["trace:x"] = JobSpec(
-            job_id="trace:x", kind="trace", name="x", software=False,
+        graph.jobs["run:x"] = JobSpec(
+            job_id="run:x", kind="run", name="x", software=False,
             max_instructions=1, deps=("build:x",))
         with pytest.raises(RuntimeError, match="stalled"):
             run_graph(graph, ArtifactStore(tmp_path / "store"), jobs=1)

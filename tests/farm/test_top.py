@@ -29,9 +29,9 @@ def live_status(**overrides):
         "workers": {"max": 4, "spawned": 4, "busy": 2},
         "utilization": 0.5,
         "running": [
-            {"job_id": "sim:eqntott:base", "kind": "sim", "worker": 0,
+            {"job_id": "run:eqntott", "kind": "run", "worker": 0,
              "attempt": 1, "elapsed": 2.5},
-            {"job_id": "trace:yacr2", "kind": "trace", "worker": 1,
+            {"job_id": "run:yacr2", "kind": "run", "worker": 1,
              "attempt": 2, "elapsed": 0.3},
         ],
         "elapsed": 12.75,
@@ -49,8 +49,8 @@ class TestRenderDashboard:
         assert "hit ratio 62%" in frame
         assert "3 ready" in frame and "5 waiting" in frame
         assert "2/4 busy" in frame and "utilization 50%" in frame
-        assert "sim:eqntott:base" in frame
-        assert "trace:yacr2" in frame
+        assert "run:eqntott" in frame
+        assert "run:yacr2" in frame
 
     def test_stale_sweep_flagged(self):
         frame = render_dashboard(

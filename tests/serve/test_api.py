@@ -109,7 +109,7 @@ class TestGoldenSse:
 
     def test_crashed_build_stream_matches_golden(self, server, monkeypatch):
         # every attempt of the build dies: one retry, then the build and
-        # its sim fail and the job ends failed
+        # its run job fail and the job ends failed
         monkeypatch.setenv("REPRO_FARM_TEST_CRASH", "build:inline")
         record = submit_and_wait(server, payload())
         assert record["state"] == "failed"

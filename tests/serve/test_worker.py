@@ -67,7 +67,8 @@ class TestPlanning:
     def test_inline_source_graph(self):
         graph = plan_serve_graph(normalized(inline_payload()), MACHINES)
         kinds = sorted(spec.kind for spec in graph.jobs.values())
-        assert kinds == ["build", "sim"]
+        assert kinds == ["build", "run"]
+        assert not graph.jobs["run:inline"].analysis
         assert all(spec.source == SOURCE for spec in graph.jobs.values())
 
     def test_benchmark_graph_carries_no_source(self):
@@ -83,32 +84,34 @@ class TestPlanning:
         names; a path submitted as the name must not produce scratch
         paths in nonexistent directories (regression: the job that
         records the trace of a submission named "/tmp/prog.mc" failed
-        on its scratch open). The sim job records it now."""
+        on its scratch open). The run job records its meta now."""
         submission = normalized(inline_payload(name="/tmp/my prog.mc"))
         assert submission["name"] == "tmp-my-prog.mc"
         graph = plan_serve_graph(submission, MACHINES)
-        sim = graph.jobs["sim:tmp-my-prog.mc:base"]
+        run = graph.jobs["run:tmp-my-prog.mc"]
         execute_job(graph.jobs["build:tmp-my-prog.mc"], store)
-        [key] = execute_job(sim, store)
+        [key] = execute_job(run, store)
         assert store.has("sim", key)
         assert store.stats()["kinds"]["trace"]["count"] == 1
 
     def test_analysis_and_machines_fan_out(self):
-        """Every requested flavour is one cell; all of them share the
-        build's one sim job."""
+        """Every requested flavour is one cell; all of them and the
+        analysis share the build's one run job."""
         graph = plan_serve_graph(
             normalized(inline_payload(machines=["fac32", "base"],
                                       analysis=True)),
             MACHINES)
         kinds = sorted(spec.kind for spec in graph.jobs.values())
-        assert kinds == ["analysis", "build", "sim"]
+        assert kinds == ["build", "run"]
+        assert set(graph.cell_jobs.values()) == {"run:inline"}
         assert len(graph.cell_jobs) == 3
-        sim = graph.jobs["sim:inline:base,fac32"]
-        assert [label for label, _ in sim.machines] == ["base", "fac32"]
+        run = graph.jobs["run:inline"]
+        assert [label for label, _ in run.machines] == ["base", "fac32"]
+        assert run.analysis
 
     def test_single_flavour_keeps_its_job_id(self):
         graph = plan_serve_graph(normalized(inline_payload()), MACHINES)
-        assert set(graph.jobs) == {"build:inline", "sim:inline:base"}
+        assert set(graph.jobs) == {"build:inline", "run:inline"}
 
 
 class TestExecution:
@@ -130,7 +133,7 @@ class TestExecution:
         assert run.meta["tenant"] == "alice"
 
     def test_grouped_sim_returns_every_machine(self, store, tmp_path):
-        """One sim job times both flavours; each machine's snapshot is
+        """One run job times both flavours; each machine's snapshot is
         read from its own key and equals a single-flavour submission's."""
         record = queue_record(tmp_path, inline_payload(
             machines=["base", "fac32"]))

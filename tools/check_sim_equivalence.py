@@ -15,7 +15,7 @@ bit:
    ``TraceAnalyzer``, from ``analyze_program`` (live, columnar) *and*
    from ``analyze_trace`` on the recorded tracefile,
 3. ``SimResult`` snapshots from a step-and-feed pipeline loop, from
-   ``simulate_program`` (the live-fed engine), from the farm sim job's
+   ``simulate_program`` (the live-fed engine), from the farm run job's
    path on a cold build -- one ``time_live`` run timing all eight
    Table 5 flavours of ``repro.experiments.common.MACHINES`` with an
    ``ArrayRecorder`` teed beside the fronts -- and from one shared
