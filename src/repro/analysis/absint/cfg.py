@@ -119,13 +119,6 @@ class ControlFlowGraph:
     def num_blocks(self) -> int:
         return len(self.starts)
 
-    def block_insts(self, bid: int):
-        """Iterate ``(index, instruction)`` pairs of block ``bid``."""
-        start, end = self.starts[bid], self.ends[bid]
-        insts = self.insts
-        for i in range(start, end):
-            yield i, insts[i]
-
     def function_of(self, addr: int) -> Optional[str]:
         """Name of the text symbol whose span contains ``addr``."""
         pos = bisect_right(self.func_syms, (addr, "￿")) - 1

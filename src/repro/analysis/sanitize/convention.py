@@ -54,9 +54,6 @@ class ConventionAnalysis:
     clobbers: dict[str, frozenset[int]]     # only non-empty sets
     findings: list[Finding]
 
-    def violators(self) -> list[str]:
-        return sorted(self.clobbers)
-
 
 def _check_function(
     cfg: ControlFlowGraph,

@@ -51,11 +51,12 @@ class CPU:
     """Architectural simulator bound to one linked program."""
 
     def __init__(self, program: Program, memory: Memory | None = None,
-                 obs=None):
+                 on_syscall=None):
         self.program = program
         self.memory = memory or Memory()
-        # Optional EventBus (repro.obs); used for Syscall events.
-        self.obs = obs
+        # optional on_syscall(pc, service, name), called as each syscall
+        # runs (``repro trace`` records them)
+        self.on_syscall = on_syscall
         self.state = ArchState()
         self.output: list[str] = []
         self.halted = False

@@ -401,7 +401,7 @@ def build_tables(cpu):
             def handler(cpu_ref=cpu_ref, state=state, pc=pc, pc4=pc4,
                         ni=ni):
                 # legacy step() leaves state.pc at the syscall's own pc
-                # while the handler runs (obs Syscall events carry it)
+                # while the handler runs (on_syscall reports it)
                 state.pc = pc
                 cpu = cpu_ref()
                 handle_syscall(cpu)

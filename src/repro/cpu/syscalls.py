@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.isa.registers import Reg
-from repro.obs.events import Syscall
 from repro.utils.bits import to_signed32
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,9 +50,9 @@ def handle_syscall(cpu: "CPU") -> None:
     """Execute the syscall selected by ``$v0`` on ``cpu``."""
     state = cpu.state
     service = state.regs[Reg.V0]
-    if cpu.obs is not None:
-        cpu.obs.emit(Syscall(pc=state.pc, service=service,
-                             name=SERVICE_NAMES.get(service, "unknown")))
+    if cpu.on_syscall is not None:
+        cpu.on_syscall(state.pc, service,
+                       SERVICE_NAMES.get(service, "unknown"))
     if service == SYS_PRINT_INT:
         cpu.output.append(str(to_signed32(state.regs[Reg.A0])))
     elif service == SYS_PRINT_DOUBLE:

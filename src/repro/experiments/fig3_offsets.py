@@ -35,10 +35,6 @@ class Fig3Result:
                 ))
         return "\n".join(lines)
 
-    def final_fraction(self, program: str, ref_class: str, bucket: int) -> float:
-        """Cumulative fraction at offset-size ``bucket`` bits."""
-        return self.curves[program][ref_class][1 + bucket]
-
 
 def farm_cells(benchmarks=None, software_support: bool = False) -> set:
     """The farm cells (analyses) Figure 3 reads."""

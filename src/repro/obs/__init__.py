@@ -1,14 +1,11 @@
 """``repro.obs`` -- the unified telemetry layer.
 
-Four pillars:
+Three pillars:
 
-* :mod:`repro.obs.events` -- typed structured events and the
-  :class:`~repro.obs.events.EventBus` that carries them from the
-  functional CPU (syscalls) and the serve layer,
 * :mod:`repro.obs.metrics` -- the hierarchical metrics registry, its
   four container types and versioned snapshots,
-* :mod:`repro.obs.sinks` -- pluggable event consumers: null, in-memory,
-  JSONL, access log, and Chrome trace-event JSON (Perfetto-loadable),
+* :mod:`repro.obs.sinks` -- the Chrome trace-event JSON writer
+  (Perfetto-loadable),
 * :mod:`repro.obs.spans` -- hierarchical wall-clock spans
   (:class:`~repro.obs.spans.SpanTracker`) with parent links and
   cross-process adoption; the farm threads these through every sweep,
@@ -30,17 +27,11 @@ through columns that a watched recurrence emits (per-record issue and
 ready cycles, per-access outcomes), read by the flight recorder and the
 per-site tally; an unwatched recurrence pays one test per record and
 one per memory access, and ``benchmarks/test_obs_overhead.py`` bounds
-what each watcher costs when attached. Event producers take
-``obs=None`` and guard each emission with one attribute test.
+what each watcher costs when attached. The functional CPU reports
+syscalls to an optional ``on_syscall`` callable, tested once per
+syscall.
 """
 
-from repro.obs.events import (
-    EVENT_TYPES,
-    Event,
-    EventBus,
-    HttpRequestServed,
-    Syscall,
-)
 from repro.obs.metrics import (
     SNAPSHOT_SCHEMA,
     SNAPSHOT_VERSION,
@@ -51,21 +42,10 @@ from repro.obs.metrics import (
     TimingHistogram,
     safe_ratio,
 )
-from repro.obs.sinks import (
-    AccessLogSink,
-    ChromeTraceSink,
-    CollectingSink,
-    JsonlSink,
-    NullSink,
-)
+from repro.obs.sinks import ChromeTraceSink
 from repro.obs.spans import Span, SpanTracker, orphan_spans, span_roots
 
 __all__ = [
-    "EVENT_TYPES",
-    "Event",
-    "EventBus",
-    "HttpRequestServed",
-    "Syscall",
     "SNAPSHOT_SCHEMA",
     "SNAPSHOT_VERSION",
     "Counter",
@@ -74,11 +54,7 @@ __all__ = [
     "RatioStat",
     "TimingHistogram",
     "safe_ratio",
-    "AccessLogSink",
     "ChromeTraceSink",
-    "CollectingSink",
-    "JsonlSink",
-    "NullSink",
     "Span",
     "SpanTracker",
     "orphan_spans",

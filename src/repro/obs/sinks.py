@@ -1,120 +1,23 @@
-"""Event sinks (null, collecting, JSONL, access log) and the Chrome
-trace-event JSON writer.
+"""The Chrome trace-event JSON writer.
 
-Sinks implement one method, ``handle(event)``, plus an optional
-``close()`` called by :meth:`repro.obs.events.EventBus.close`. Output is
-deterministic: events are written in emission order, dict fields in
-dataclass field order, and no wall-clock values are recorded (the
-access log, an operational record, is the one exception).
-
-:class:`ChromeTraceSink` is not a bus sink: producers write named tracks
-and slices to it directly (``repro trace``, ``repro pipeview --chrome``
-and the farm's run timeline).
+Producers write named tracks and slices to :class:`ChromeTraceSink`
+directly: ``repro trace``, ``repro pipeview --chrome`` and the farm's
+run timeline.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-import time
-
-from repro.obs.events import Event, HttpRequestServed
-
-
-class NullSink:
-    """Discards everything. The explicit form of 'tracing off'.
-
-    Producers given ``obs=None`` never even build event objects; a bus
-    with only a NullSink pays event construction but writes nothing --
-    useful for measuring instrumentation cost in isolation.
-    """
-
-    __slots__ = ()
-
-    def handle(self, event: Event) -> None:
-        pass
-
-
-class CollectingSink:
-    """Buffers events in memory; the workhorse for tests and profilers."""
-
-    __slots__ = ("events",)
-
-    def __init__(self):
-        self.events: list[Event] = []
-
-    def handle(self, event: Event) -> None:
-        self.events.append(event)
-
-    def by_kind(self, kind: str) -> list[Event]:
-        return [e for e in self.events if e.kind == kind]
-
-
-class JsonlSink:
-    """One JSON object per line, in emission order.
-
-    ``stream`` is any text file-like object; the sink does not close it
-    (the caller owns the handle).
-    """
-
-    __slots__ = ("stream", "count")
-
-    def __init__(self, stream):
-        self.stream = stream
-        self.count = 0
-
-    def handle(self, event: Event) -> None:
-        self.stream.write(json.dumps(event.as_dict(), separators=(",", ":")))
-        self.stream.write("\n")
-        self.count += 1
-
-
-class AccessLogSink:
-    """Structured JSONL access log for the serving layer.
-
-    Handles only :class:`HttpRequestServed` events (everything else
-    passes through untouched), stamping each line with a wall-clock
-    ``ts`` — access logs are operational records, not deterministic
-    artifacts, so the no-wall-clock rule of the other sinks does not
-    apply here. Lines are flushed as written so ``tail -f`` works, and
-    writes are serialized under a lock because the asyncio server may
-    complete requests from multiple tasks interleaved with worker-thread
-    emissions.
-    """
-
-    __slots__ = ("path", "count", "_stream", "_lock", "_clock")
-
-    def __init__(self, path, clock=time.time):
-        self.path = path
-        self.count = 0
-        self._stream = open(path, "a", encoding="utf-8")
-        self._lock = threading.Lock()
-        self._clock = clock
-
-    def handle(self, event: Event) -> None:
-        if not isinstance(event, HttpRequestServed):
-            return
-        line = {"ts": round(self._clock(), 6), **event.as_dict()}
-        payload = json.dumps(line, separators=(",", ":"))
-        with self._lock:
-            self._stream.write(payload + "\n")
-            self._stream.flush()
-            self.count += 1
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._stream.closed:
-                self._stream.close()
 
 
 class ChromeTraceSink:
     """Chrome trace-event JSON, loadable in Perfetto / chrome://tracing.
 
     Producers register named processes and tracks, then append complete
-    ("X") slices, instant ("i") events and begin/end ("B"/"E") pairs;
+    ("X") slices, instant ("i") events and open ("B") events;
     :meth:`close` writes one document with the naming and ordering
     metadata ("M") events up front, followed by the events in the order
-    they were appended.
+    they were appended and an "E" event for each "B" event.
     """
 
     def __init__(self, stream):
@@ -125,9 +28,9 @@ class ChromeTraceSink:
         # pid -> (name, sort_index)
         self._tracks: dict[tuple[int, int], tuple[str, int]] = {}
         self._processes: dict[int, tuple[str, int]] = {}
-        # per-track stacks of open "B" events, so an aborted run can be
+        # per-track count of open "B" events, so an aborted run can be
         # closed into parseable JSON (see close())
-        self._open: dict[tuple[int, int], list[str]] = {}
+        self._open: dict[tuple[int, int], int] = {}
         self._last_ts = 0
 
     # -------------------------------------------------------------- #
@@ -165,12 +68,12 @@ class ChromeTraceSink:
 
     def emit_begin(self, name: str, cat: str, ts: int,
                    pid: int, tid: int, args: dict | None = None) -> None:
-        """Open a duration ("B") event; pair with :meth:`emit_end`.
+        """Open a duration ("B") event that :meth:`close` terminates.
 
-        Unlike "X" slices, B/E pairs can be written before the end time
-        is known -- the shape live producers need. Any still-open pair is
-        terminated by :meth:`close`, so an aborted run yields a parseable
-        trace instead of truncated JSON.
+        Unlike "X" slices, a "B" event can be written before the end
+        time is known: the farm timeline draws a still-open span (an
+        aborted sweep) this way, and close() ends it, so the trace
+        parses instead of being truncated JSON.
         """
         event = {
             "name": name, "cat": cat, "ph": "B",
@@ -179,21 +82,7 @@ class ChromeTraceSink:
         if args:
             event["args"] = args
         self._events.append(event)
-        self._open.setdefault((pid, tid), []).append(name)
-        self._last_ts = max(self._last_ts, ts)
-
-    def emit_end(self, ts: int, pid: int, tid: int,
-                 args: dict | None = None) -> None:
-        """Close the innermost open "B" event on ``(pid, tid)``."""
-        stack = self._open.get((pid, tid))
-        if not stack:
-            raise ValueError(f"emit_end with no open event on "
-                             f"pid={pid} tid={tid}")
-        stack.pop()
-        event = {"ph": "E", "ts": ts, "pid": pid, "tid": tid}
-        if args:
-            event["args"] = args
-        self._events.append(event)
+        self._open[(pid, tid)] = self._open.get((pid, tid), 0) + 1
         self._last_ts = max(self._last_ts, ts)
 
     # -------------------------------------------------------------- #
@@ -239,15 +128,14 @@ class ChromeTraceSink:
 
         Open "B" events (a run that aborted mid-sweep) are terminated
         with synthetic "E" events carrying ``incomplete: true`` at the
-        last timestamp seen, so the document always parses and Perfetto
+        latest "B" timestamp, so the document always parses and Perfetto
         renders the partial timeline instead of rejecting the file.
         """
         if self._closed:
             return
         self._closed = True
-        for (pid, tid), stack in sorted(self._open.items()):
-            while stack:
-                stack.pop()
+        for (pid, tid), depth in sorted(self._open.items()):
+            for _ in range(depth):
                 self._events.append({
                     "ph": "E", "ts": self._last_ts, "pid": pid, "tid": tid,
                     "args": {"incomplete": True},
@@ -258,12 +146,3 @@ class ChromeTraceSink:
         }
         json.dump(document, self.stream, separators=(",", ":"))
         self.stream.write("\n")
-
-    # Context-manager form: ``with ChromeTraceSink(stream) as sink: ...``
-    # guarantees the terminating close() even when the run aborts.
-
-    def __enter__(self) -> "ChromeTraceSink":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

@@ -12,9 +12,9 @@ Per instruction the JSONL stream holds, in this order: ``fac.predict``
 (one speculative EX-stage address calculation; post-increment accesses,
 whose address is the base register, have none), ``fac.replay``,
 ``mem.access``, ``branch`` (conditional branches and register jumps),
-then ``inst.retired``. The functional CPU's ``syscall`` events arrive
-through an :class:`~repro.obs.events.EventBus` and are written just
-before their own instruction's ``inst.retired``.
+then ``inst.retired``. The functional CPU reports each ``syscall``
+through its ``on_syscall`` callback; the record is written just before
+its own instruction's ``inst.retired``.
 
 The engine's columns carry neither tag-store activity nor store-buffer
 occupancy, so there are no ``cache.access``, ``sb.insert`` or
@@ -31,7 +31,6 @@ from repro.cpu.executor import CPU
 from repro.fac.config import FacConfig
 from repro.isa.opcodes import OP_INFO, Op
 from repro.isa.program import Program
-from repro.obs.events import EventBus
 from repro.obs.flight import FAC_NOSPEC, FAC_REPLAY, FlightRecorder
 from repro.obs.sinks import ChromeTraceSink
 from repro.pipeline.config import MachineConfig
@@ -52,21 +51,6 @@ _TRACK_NAMES = {_FAC_TID: "FAC replays", _MISS_TID: "cache misses",
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
-class _SyscallTap:
-    """Bus sink that tags each syscall with the retirement seq of its own
-    instruction: the CPU runs the handler before the recorder's tee sees
-    the instruction, so the tee's count is that instruction's seq."""
-
-    __slots__ = ("recorder", "pending")
-
-    def __init__(self, recorder: FlightRecorder):
-        self.recorder = recorder
-        self.pending: deque = deque()
-
-    def handle(self, event) -> None:
-        self.pending.append((self.recorder.retired, event))
-
-
 class _Writer:
     """Writes decoded entries, each preceded by its syscalls."""
 
@@ -80,17 +64,18 @@ class _Writer:
         pending = self.pending
         for entry in entries:
             while pending and pending[0][0] <= entry.seq:
-                self.syscall(pending.popleft()[1])
+                self.syscall(*pending.popleft()[1:])
             self.entry(entry)
 
     def close(self) -> None:
         while self.pending:
-            self.syscall(self.pending.popleft()[1])
+            self.syscall(*self.pending.popleft()[1:])
 
 
 class _JsonlWriter(_Writer):
-    def syscall(self, event) -> None:
-        self.stream.write(_dumps(event.as_dict()) + "\n")
+    def syscall(self, pc: int, service: int, name: str) -> None:
+        self.stream.write(_dumps({"event": "syscall", "pc": pc,
+                                  "service": service, "name": name}) + "\n")
 
     def entry(self, e) -> None:
         lines = []
@@ -148,11 +133,11 @@ class _ChromeWriter(_Writer):
             self.sink.register_track(
                 0, tid, _TRACK_NAMES.get(tid, f"issue slot {tid}"), tid)
 
-    def syscall(self, event) -> None:
+    def syscall(self, pc: int, service: int, name: str) -> None:
         self._track(_SYSCALL_TID)
         self.sink.emit_instant(
-            f"syscall {event.name}", "os", 0, 0, _SYSCALL_TID,
-            {"pc": f"0x{event.pc:08x}", "service": event.service})
+            f"syscall {name}", "os", 0, 0, _SYSCALL_TID,
+            {"pc": f"0x{pc:08x}", "service": service})
 
     def entry(self, e) -> None:
         sink = self.sink
@@ -193,11 +178,18 @@ def trace_program(
     if config is None:
         config = MachineConfig(fac=FacConfig())
     recorder = FlightRecorder(program, config, window_cycles=None)
-    syscalls = _SyscallTap(recorder)
+    # each syscall is tagged with the retirement seq of its own
+    # instruction: the CPU runs the handler before the recorder's tee
+    # sees the instruction, so the tee's count is that instruction's seq
+    pending: deque = deque()
+
+    def on_syscall(pc: int, service: int, name: str) -> None:
+        pending.append((recorder.retired, pc, service, name))
+
     writer_cls = _ChromeWriter if fmt == "chrome" else _JsonlWriter
-    writer = writer_cls(stream, config, syscalls.pending)
+    writer = writer_cls(stream, config, pending)
     recorder.on_drain = writer.write
     result = recorder.run(max_instructions,
-                          CPU(program, obs=EventBus([syscalls])))
+                          CPU(program, on_syscall=on_syscall))
     writer.close()
     return result

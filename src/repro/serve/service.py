@@ -6,8 +6,8 @@ queue (the farm scheduler below it provides the real parallelism --
 ``ServeConfig.farm_jobs`` workers per job). Simulations run on a
 thread (``asyncio.to_thread``), so the loop keeps serving submissions
 and streaming events while a sweep computes; the thread-side event
-flow re-enters the loop only through the
-:func:`~repro.obs.events.subscribe_async` bridge.
+flow re-enters the loop only through the job log's subscriber queues
+(:meth:`~repro.serve.worker.JobEventLog.snapshot_and_subscribe`).
 
 Endpoints (all responses JSON unless noted; errors are
 ``repro.serve-error/1`` documents):
@@ -43,9 +43,7 @@ from dataclasses import dataclass
 from urllib.parse import parse_qs, unquote
 
 from repro.farm.ledger import LEDGER_SCHEMA
-from repro.obs.events import HttpRequestServed
 from repro.obs.metrics import SNAPSHOT_VERSION
-from repro.obs.sinks import AccessLogSink
 from repro.farm.store import KINDS, ArtifactStore
 from repro.serve.metrics import ServeMetrics
 from repro.serve.queue import DONE, FAILED, RUNNING, PersistentQueue, QuotaExceeded
@@ -64,8 +62,6 @@ from repro.serve.tracing import (
 )
 from repro.serve.worker import (
     JobEventLog,
-    ServeJobQueued,
-    ServeJobStarted,
     is_terminal,
     run_serve_job,
 )
@@ -75,6 +71,32 @@ _STATUS_TEXT = {
     405: "Method Not Allowed", 413: "Payload Too Large",
     429: "Too Many Requests", 500: "Internal Server Error",
 }
+
+
+class AccessLog:
+    """The service's JSONL access log: one line per completed request.
+
+    Each line is the request's fields behind a wall-clock ``ts`` stamp
+    (an operational record, not a deterministic artifact). Lines are
+    flushed as written so ``tail -f`` works, and writes take a lock
+    because request tasks complete interleaved.
+    """
+
+    def __init__(self, path, clock=time.time):
+        self._stream = open(path, "a", encoding="utf-8")
+        self._lock = threading.Lock()
+        self._clock = clock
+
+    def write(self, fields: dict) -> None:
+        line = json.dumps({"ts": round(self._clock(), 6), **fields},
+                          separators=(",", ":"))
+        with self._lock:
+            self._stream.write(line + "\n")
+            self._stream.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            self._stream.close()
 
 
 @dataclass
@@ -151,7 +173,7 @@ class ServeService:
         self.logs: dict[str, JobEventLog] = {}
         self.started_at = time.time()
         self.metrics = ServeMetrics() if self.config.metrics_enabled else None
-        self.access_log = AccessLogSink(self.config.access_log) \
+        self.access_log = AccessLog(self.config.access_log) \
             if self.config.access_log else None
         self.worker_stats = {
             "jobs_since_start": 0,
@@ -243,8 +265,8 @@ class ServeService:
             self.worker_stats["current_job"] = job_id
             self._beat()
             log = self.log_for(job_id)
-            log.append_event(ServeJobStarted(
-                job_id=job_id, tenant=record["tenant"]))
+            log.append({"event": "serve.job.started", "job_id": job_id,
+                        "tenant": record["tenant"]})
             doc = await asyncio.to_thread(
                 run_serve_job, self.store, record, log, self.machines,
                 jobs=config.farm_jobs, timeout=config.job_timeout,
@@ -300,11 +322,11 @@ class ServeService:
         if self.metrics is not None:
             self.metrics.record_request(ctx.route, ctx.status, duration)
         if self.access_log is not None:
-            self.access_log.handle(HttpRequestServed(
-                trace_id=ctx.trace_id, method=ctx.method, route=ctx.route,
-                path=ctx.path, status=ctx.status,
-                duration_seconds=round(duration, 6),
-                tenant=ctx.tenant, job_id=ctx.job_id))
+            self.access_log.write({
+                "event": "serve.http.request", "trace_id": ctx.trace_id,
+                "method": ctx.method, "route": ctx.route, "path": ctx.path,
+                "status": ctx.status, "duration_seconds": round(duration, 6),
+                "tenant": ctx.tenant, "job_id": ctx.job_id})
 
     async def _read_request(self, reader, writer, ctx: RequestContext):
         line = await reader.readline()
@@ -439,9 +461,9 @@ class ServeService:
                 "quota-exceeded", str(exc)), ctx)
             return
         ctx.job_id = record["job_id"]
-        self.log_for(record["job_id"]).append_event(ServeJobQueued(
-            job_id=record["job_id"], tenant=record["tenant"],
-            name=submission["name"]))
+        self.log_for(record["job_id"]).append({
+            "event": "serve.job.queued", "job_id": record["job_id"],
+            "tenant": record["tenant"], "name": submission["name"]})
         if self._wake is not None:
             self._wake.set()
         await self._send_json(writer, 202, record, ctx)
@@ -531,7 +553,7 @@ class ServeService:
         # Atomic snapshot + subscribe: replay covers seq <= last, the
         # subscription everything after -- nothing dropped, nothing
         # doubled across the handoff.
-        snapshot, sub = log.snapshot_and_subscribe()
+        snapshot, queue = log.snapshot_and_subscribe()
         if self.metrics is not None:
             self.metrics.sse_opened()
         ctx.status = 200
@@ -557,7 +579,7 @@ class ServeService:
             await writer.drain()
             while not done:
                 if get_task is None:
-                    get_task = asyncio.ensure_future(sub.get())
+                    get_task = asyncio.ensure_future(queue.get())
                 finished, _ = await asyncio.wait(
                     {get_task, eof_task},
                     return_when=asyncio.FIRST_COMPLETED)
@@ -565,8 +587,6 @@ class ServeService:
                     break              # client disconnected mid-stream
                 entry = get_task.result()
                 get_task = None
-                if entry is None:      # subscription closed underneath us
-                    break
                 if entry["seq"] <= last:
                     continue
                 writer.write(self._sse_frame(entry))
@@ -577,7 +597,7 @@ class ServeService:
             for task in (eof_task, get_task):
                 if task is not None and not task.done():
                     task.cancel()
-            sub.close()
+            log.unsubscribe(queue)
             if self.metrics is not None:
                 self.metrics.sse_closed()
 

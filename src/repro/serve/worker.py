@@ -25,15 +25,14 @@ check both build on it).
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
-from dataclasses import dataclass
 
 from repro.farm import ledger as ledger_mod
 from repro.farm.jobs import Cell, JobGraph, plan_jobs
 from repro.farm.scheduler import lifecycle_listener, run_graph
 from repro.farm.store import ArtifactStore
-from repro.obs.events import Event, EventBus, subscribe_async
 from repro.obs.spans import SpanTracker
 
 #: Log-entry keys that legitimately differ between byte-identical runs
@@ -45,54 +44,33 @@ NONDETERMINISTIC_KEYS = frozenset({
 
 
 # ------------------------------------------------------------------ #
-# serve lifecycle events (alongside the farm.* taxonomy)
-
-@dataclass(slots=True)
-class ServeJobQueued(Event):
-    """A submission was admitted to the queue."""
-
-    kind = "serve.job.queued"
-    job_id: str
-    tenant: str
-    name: str
-
-
-@dataclass(slots=True)
-class ServeJobStarted(Event):
-    """The worker picked the job up and is planning its sweep."""
-
-    kind = "serve.job.started"
-    job_id: str
-    tenant: str
-
-
-@dataclass(slots=True)
-class ServeJobFinished(Event):
-    """Terminal: the sweep completed (``status`` done or failed)."""
-
-    kind = "serve.job.finished"
-    job_id: str
-    status: str
-    hits: int
-    computed: int
-    failed: int
-
-
-# ------------------------------------------------------------------ #
 # per-job event log
+
+def _deliver(loop, queue: asyncio.Queue, item) -> None:
+    """Put ``item`` on ``queue`` from any thread, on ``loop``."""
+    try:
+        loop.call_soon_threadsafe(queue.put_nowait, item)
+    except RuntimeError:  # the subscriber's loop has closed
+        pass
+
 
 class JobEventLog:
     """Append-only, seq-stamped event log of one served job.
 
     Producers append from two threads: the serve worker thread running
     :func:`run_serve_job` (the scheduler's lifecycle entries and the
-    terminal event) and the service's event loop (the queued and
-    started events). Consumers take a consistent snapshot and
-    subscribe for the live tail in one atomic step, so an SSE stream
-    sees every event exactly once: entries up to the snapshot come from
-    replay, everything after arrives over the subscription, and the
-    boundary cannot lose or double an event because appends hold the
-    same lock the snapshot takes.
+    terminal ``serve.job.finished`` entry) and the service's event loop
+    (``serve.job.queued`` and ``serve.job.started``). Consumers take a
+    consistent snapshot and subscribe for the live tail in one atomic
+    step, so an SSE stream sees every entry exactly once: entries up to
+    the snapshot come from replay, everything after arrives on the
+    subscriber's queue, and the boundary cannot lose or double an entry
+    because appends hold the same lock the snapshot takes.
+
+    Each subscriber is an ``(event loop, asyncio.Queue)`` pair; an
+    append hops onto the loop with ``call_soon_threadsafe``, the one
+    asyncio entry point documented thread-safe. The queue is unbounded,
+    so no entry is dropped.
 
     ``path`` (optional) persists each entry as one JSON line, letting a
     restarted service replay the log of jobs it never saw run.
@@ -101,7 +79,7 @@ class JobEventLog:
     def __init__(self, path=None):
         self.entries: list[dict] = []
         self.lock = threading.Lock()
-        self.bus = EventBus()
+        self.subscribers: list[tuple] = []
         self.path = path
         if path is not None and path.is_file():
             import json
@@ -123,21 +101,38 @@ class JobEventLog:
                 with open(self.path, "a") as handle:
                     handle.write(json.dumps(entry, sort_keys=True))
                     handle.write("\n")
-            self.bus.emit(entry)
+            for loop, queue in self.subscribers:
+                _deliver(loop, queue, entry)
         return entry
 
-    def append_event(self, event: Event) -> dict:
-        return self.append(event.as_dict())
+    def snapshot_and_subscribe(self) -> tuple[list[dict], asyncio.Queue]:
+        """``(entries_so_far, queue)``, atomically, from a running loop.
 
-    def snapshot_and_subscribe(self, loop=None):
-        """``(entries_so_far, live_subscription)``, atomically."""
+        The queue receives every later entry, in append order, on the
+        calling loop, then ``None`` once :meth:`unsubscribe` is called.
+        """
+        queue = asyncio.Queue()
         with self.lock:
-            return list(self.entries), subscribe_async(self.bus, loop=loop)
+            self.subscribers.append((asyncio.get_running_loop(), queue))
+            return list(self.entries), queue
+
+    def unsubscribe(self, queue: asyncio.Queue) -> None:
+        """Stop feeding ``queue`` and end it with ``None`` (idempotent).
+
+        The ``None`` lands after any entry an append already scheduled,
+        so closing is a flush point, not a discard.
+        """
+        with self.lock:
+            for index, (loop, subscribed) in enumerate(self.subscribers):
+                if subscribed is queue:
+                    del self.subscribers[index]
+                    _deliver(loop, queue, None)
+                    return
 
 
 def is_terminal(entry: dict) -> bool:
     """Does this log entry end the stream?"""
-    return entry.get("event") == ServeJobFinished.kind
+    return entry.get("event") == "serve.job.finished"
 
 
 def normalized_events(entries) -> list[dict]:
@@ -300,9 +295,9 @@ def run_serve_job(store: ArtifactStore, record: dict, log: JobEventLog,
             "queue_wait_seconds": round(queue_wait, 6),
             "elapsed_seconds": round(time.monotonic() - start, 3),
         }
-    log.append_event(ServeJobFinished(
-        job_id=record["job_id"], status=doc["status"],
-        hits=doc["summary"].get("hits", 0),
-        computed=doc["summary"].get("computed", 0),
-        failed=len(doc["summary"].get("failed", []))))
+    log.append({
+        "event": "serve.job.finished", "job_id": record["job_id"],
+        "status": doc["status"], "hits": doc["summary"].get("hits", 0),
+        "computed": doc["summary"].get("computed", 0),
+        "failed": len(doc["summary"].get("failed", []))})
     return doc

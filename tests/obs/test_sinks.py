@@ -1,118 +1,11 @@
-"""Sink behaviour: null, collecting, JSONL lines, Chrome documents."""
+"""The Chrome trace-event document writer."""
 
 import io
 import json
 
-import pytest
-
-from repro.obs.events import (
-    EVENT_TYPES,
-    EventBus,
-    HttpRequestServed,
-    Syscall,
-)
-from repro.obs.sinks import (
-    AccessLogSink,
-    ChromeTraceSink,
-    CollectingSink,
-    JsonlSink,
-    NullSink,
-)
+from repro.obs.sinks import ChromeTraceSink
 from repro.obs.trace import trace_program
 from tests.obs.test_determinism import golden_program
-
-
-def sample_events():
-    return [
-        Syscall(pc=0x400008, service=1, name="print_int"),
-        HttpRequestServed(
-            trace_id="b" * 32, method="POST", route="POST /v1/jobs",
-            path="/v1/jobs", status=202, duration_seconds=0.0123,
-            tenant="alice", job_id="job-000001"),
-        Syscall(pc=0x40000c, service=11, name="print_char"),
-        Syscall(pc=0x400010, service=10, name="exit"),
-    ]
-
-
-class TestNullAndCollecting:
-    def test_null_sink_discards(self):
-        sink = NullSink()
-        for event in sample_events():
-            sink.handle(event)  # nothing observable, must not raise
-
-    def test_collecting_sink_preserves_order(self):
-        sink = CollectingSink()
-        events = sample_events()
-        for event in events:
-            sink.handle(event)
-        assert sink.events == events
-        assert len(sink.by_kind("serve.http.request")) == 1
-
-
-class TestJsonlSink:
-    def test_one_parseable_line_per_event(self):
-        stream = io.StringIO()
-        sink = JsonlSink(stream)
-        for event in sample_events():
-            sink.handle(event)
-        lines = stream.getvalue().splitlines()
-        assert len(lines) == sink.count == len(sample_events())
-        payloads = [json.loads(line) for line in lines]
-        assert [p["event"] for p in payloads] == [
-            "syscall", "serve.http.request", "syscall", "syscall"]
-
-    def test_events_reconstructable_via_registry(self):
-        stream = io.StringIO()
-        bus = EventBus([JsonlSink(stream)])
-        originals = sample_events()
-        for event in originals:
-            bus.emit(event)
-        rebuilt = []
-        for line in stream.getvalue().splitlines():
-            payload = json.loads(line)
-            cls = EVENT_TYPES[payload.pop("event")]
-            rebuilt.append(cls(**payload))
-        assert rebuilt == originals
-
-
-class TestAccessLogSink:
-    def _request(self, **overrides):
-        doc = dict(trace_id="a" * 32, method="POST", route="POST /v1/jobs",
-                   path="/v1/jobs", status=202, duration_seconds=0.0123,
-                   tenant="alice", job_id="job-000001")
-        doc.update(overrides)
-        return HttpRequestServed(**doc)
-
-    def test_one_jsonl_line_per_http_event(self, tmp_path):
-        path = tmp_path / "access.jsonl"
-        sink = AccessLogSink(path, clock=lambda: 1700000000.5)
-        sink.handle(self._request())
-        sink.handle(sample_events()[0])  # ignored
-        sink.handle(self._request(status=404, route="OTHER"))
-        sink.close()
-        lines = [json.loads(line)
-                 for line in path.read_text().splitlines()]
-        assert len(lines) == sink.count == 2
-        assert lines[0]["ts"] == 1700000000.5
-        assert lines[0]["event"] == "serve.http.request"
-        assert lines[0]["trace_id"] == "a" * 32
-        assert lines[0]["status"] == 202
-        assert lines[1]["status"] == 404
-
-    def test_appends_across_instances(self, tmp_path):
-        path = tmp_path / "access.jsonl"
-        first = AccessLogSink(path)
-        first.handle(self._request())
-        first.close()
-        second = AccessLogSink(path)
-        second.handle(self._request())
-        second.close()
-        assert len(path.read_text().splitlines()) == 2
-
-    def test_close_is_idempotent(self, tmp_path):
-        sink = AccessLogSink(tmp_path / "a.jsonl")
-        sink.close()
-        sink.close()
 
 
 class TestChromeTraceSink:
@@ -200,8 +93,7 @@ class TestChromeTraceAbort:
         sink = ChromeTraceSink(stream)
         sink.emit_begin("sweep", "farm", ts=0, pid=0, tid=0)
         sink.emit_begin("job:a", "farm", ts=10, pid=0, tid=1)
-        sink.emit_begin("store.get", "farm", ts=12, pid=0, tid=1)
-        sink.emit_end(ts=15, pid=0, tid=1)  # store.get closes normally
+        sink.emit_slice("store.get", "farm", 12, 3, 0, 1)
         # ...abort here: sweep (tid 0) and job:a (tid 1) still open
         sink.close()
 
@@ -209,13 +101,11 @@ class TestChromeTraceAbort:
         events = doc["traceEvents"]
         begins = [e for e in events if e["ph"] == "B"]
         ends = [e for e in events if e["ph"] == "E"]
-        assert len(begins) == len(ends) == 3  # balanced after close
-        synthetic = [e for e in ends
-                     if e.get("args", {}).get("incomplete")]
-        assert len(synthetic) == 2
-        # terminators land at the last timestamp seen, never before it
-        assert all(e["ts"] == 15 for e in synthetic)
-        assert {e["tid"] for e in synthetic} == {0, 1}
+        assert len(begins) == len(ends) == 2  # balanced after close
+        assert all(e["args"]["incomplete"] for e in ends)
+        # terminators land at the last begin seen, never before it
+        assert all(e["ts"] == 10 for e in ends)
+        assert [e["tid"] for e in ends] == [0, 1]
 
     def test_nested_begins_on_one_track_all_terminate(self):
         stream = io.StringIO()
@@ -227,20 +117,3 @@ class TestChromeTraceAbort:
         ends = [e for e in doc["traceEvents"] if e["ph"] == "E"]
         assert len(ends) == 3
         assert all(e["args"]["incomplete"] for e in ends)
-
-    def test_emit_end_without_open_event_raises(self):
-        sink = ChromeTraceSink(io.StringIO())
-        with pytest.raises(ValueError):
-            sink.emit_end(ts=0, pid=0, tid=0)
-
-    def test_context_manager_closes_on_exception(self):
-        stream = io.StringIO()
-        try:
-            with ChromeTraceSink(stream) as sink:
-                sink.emit_begin("sweep", "farm", ts=0, pid=0, tid=0)
-                raise RuntimeError("abort mid-sweep")
-        except RuntimeError:
-            pass
-        doc = json.loads(stream.getvalue())
-        assert any(e["ph"] == "E" and e["args"]["incomplete"]
-                   for e in doc["traceEvents"])

@@ -4,20 +4,21 @@ import io
 import json
 
 from repro.__main__ import main
-from repro.obs.events import EVENT_TYPES
 from repro.obs.trace import FORMATS, trace_program
 from repro.workloads.suite import build_benchmark
+from tests.obs.test_determinism import golden_program
 
 import pytest
 
-# field layout of the per-instruction JSONL records, in key order
-PIPELINE_RECORDS = {
+# field layout of the JSONL records, in key order
+RECORDS = {
     "inst.retired": ["seq", "pc", "op", "issue", "ready", "mem", "slot"],
     "fac.predict": ["pc", "cycle", "is_store", "success", "reason"],
     "fac.replay": ["pc", "cycle", "penalty"],
     "mem.access": ["pc", "cycle", "ea", "is_store", "hit", "speculated",
                    "fac_success", "fac_reason", "result_ready"],
     "branch": ["pc", "cycle", "taken", "mispredicted"],
+    "syscall": ["pc", "service", "name"],
 }
 
 
@@ -50,27 +51,24 @@ def test_chrome_trace_shows_fac_replays():
 
 
 def test_jsonl_events_reconstructable():
-    """Syscalls rebuild through the event registry; the per-instruction
-    records carry their documented fields in order."""
-    program = build_benchmark("compress")
-    stream = io.StringIO()
-    result = trace_program(program, stream, fmt="jsonl",
-                           max_instructions=2000)
-    lines = stream.getvalue().splitlines()
-    assert lines
+    """Every record carries its documented fields in order: compress's
+    prefix has the per-instruction records, the golden program's exit
+    the syscall record."""
     kinds = set()
-    for line in lines:
-        payload = json.loads(line)
-        kind = payload.pop("event")
-        kinds.add(kind)
-        if kind in PIPELINE_RECORDS:
-            assert list(payload) == PIPELINE_RECORDS[kind]
-        else:
-            event = EVENT_TYPES[kind](**payload)  # field names round-trip
-            assert event.kind == kind
-    assert "inst.retired" in kinds and "mem.access" in kinds
-    retired = sum(1 for line in lines if '"inst.retired"' in line)
-    assert retired == result.instructions
+    for program, budget in ((build_benchmark("compress"), 2000),
+                            (golden_program(), 50_000_000)):
+        stream = io.StringIO()
+        result = trace_program(program, stream, fmt="jsonl",
+                               max_instructions=budget)
+        lines = stream.getvalue().splitlines()
+        for line in lines:
+            payload = json.loads(line)
+            kind = payload.pop("event")
+            kinds.add(kind)
+            assert list(payload) == RECORDS[kind]
+        retired = sum(1 for line in lines if '"inst.retired"' in line)
+        assert retired == result.instructions
+    assert {"inst.retired", "mem.access", "syscall"} <= kinds
 
 
 class TestCli:

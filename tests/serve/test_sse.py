@@ -2,8 +2,8 @@
 
 Regression for the disconnect path in ``_stream_events``: before the
 EOF-race fix a subscriber on a still-running job stayed attached until
-the *next* event arrived (forever, for a frozen worker), leaking the
-queue bridge sink on the job's event bus and pinning ``sse_active``.
+the *next* event arrived (forever, for a frozen worker), leaking its
+queue in the job log's subscribers and pinning ``sse_active``.
 """
 
 import http.client
@@ -88,14 +88,14 @@ class TestDisconnectMidStream:
         service = frozen_server.service
 
         stream = open_stream(frozen_server.base_url, job_id)
-        bus = service.logs[job_id].bus
-        assert wait_until(lambda: len(bus.sinks) == 1)
+        log = service.logs[job_id]
+        assert wait_until(lambda: len(log.subscribers) == 1)
         assert service.metrics.sse_active == 1
 
         # The job never finishes (frozen worker) and no further events
         # arrive, so only the EOF race can notice the hangup.
         stream.close()
-        assert wait_until(lambda: len(bus.sinks) == 0), \
+        assert wait_until(lambda: len(log.subscribers) == 0), \
             "subscription leaked after client disconnect"
         assert wait_until(lambda: service.metrics.sse_active == 0)
         counters = service.metrics.snapshot()["metrics"]["metrics"]
@@ -108,8 +108,8 @@ class TestDisconnectMidStream:
         service = frozen_server.service
         for _ in range(5):
             open_stream(frozen_server.base_url, job_id).close()
-        bus = service.logs[job_id].bus
-        assert wait_until(lambda: len(bus.sinks) == 0
+        log = service.logs[job_id]
+        assert wait_until(lambda: len(log.subscribers) == 0
                           and service.metrics.sse_active == 0)
 
     def test_normal_completion_still_detaches(self, store):
@@ -121,8 +121,8 @@ class TestDisconnectMidStream:
                                                 record["job_id"])
             assert events[-1]["event"] == "serve.job.finished"
             service = handle.service
-            bus = service.logs[record["job_id"]].bus
-            assert wait_until(lambda: len(bus.sinks) == 0
+            log = service.logs[record["job_id"]]
+            assert wait_until(lambda: len(log.subscribers) == 0
                               and service.metrics.sse_active == 0)
         finally:
             handle.stop()

@@ -9,6 +9,7 @@ ledger run meta, ``repro serve trace``, and the Chrome export from
 
 import http.client
 import json
+import time
 from urllib.parse import urlsplit
 
 import pytest
@@ -18,10 +19,16 @@ from repro.farm.store import ArtifactStore
 from repro.serve import client as serve_client
 from repro.serve.queue import PersistentQueue
 from repro.serve.schemas import SERVE_JOB_SCHEMA_VERSION
-from repro.serve.service import ServeConfig, start_in_background
+from repro.serve.service import (
+    AccessLog,
+    ServeConfig,
+    ServeService,
+    start_in_background,
+)
 from repro.serve.tracing import (
     RESPONSE_TRACE_HEADER,
     TRACE_ID_HEADER,
+    RequestContext,
     new_trace_id,
     parse_traceparent,
     resolve_trace_id,
@@ -113,6 +120,69 @@ class TestQueueRecords:
         assert reloaded["enqueued_at"] > 0  # re-stamped: clock restarted
         # and the backfill was persisted, not just in-memory
         assert "trace_id" in json.loads(path.read_text())
+
+
+#: the keys of an access-log line, in order (docs/serving.md)
+ACCESS_LOG_KEYS = ["ts", "event", "trace_id", "method", "route", "path",
+                   "status", "duration_seconds", "tenant", "job_id"]
+
+
+def request_fields(**overrides) -> dict:
+    fields = {"event": "serve.http.request", "trace_id": "a" * 32,
+              "method": "POST", "route": "POST /v1/jobs",
+              "path": "/v1/jobs", "status": 202,
+              "duration_seconds": 0.0123, "tenant": "alice",
+              "job_id": "job-000001"}
+    fields.update(overrides)
+    return fields
+
+
+class TestAccessLog:
+    def test_one_line_per_request_with_ts_first(self, tmp_path):
+        path = tmp_path / "access.jsonl"
+        log = AccessLog(path, clock=lambda: 1700000000.5)
+        log.write(request_fields())
+        log.write(request_fields(status=404, route="OTHER"))
+        log.close()
+        lines = path.read_text().splitlines()
+        assert lines[0] == (
+            '{"ts":1700000000.5,"event":"serve.http.request",'
+            '"trace_id":"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa","method":"POST",'
+            '"route":"POST /v1/jobs","path":"/v1/jobs","status":202,'
+            '"duration_seconds":0.0123,"tenant":"alice",'
+            '"job_id":"job-000001"}')
+        assert len(lines) == 2
+        assert json.loads(lines[1])["status"] == 404
+
+    def test_appends_across_instances(self, tmp_path):
+        path = tmp_path / "access.jsonl"
+        for _ in range(2):
+            log = AccessLog(path)
+            log.write(request_fields())
+            log.close()
+        assert len(path.read_text().splitlines()) == 2
+
+    def test_close_is_idempotent(self, tmp_path):
+        log = AccessLog(tmp_path / "a.jsonl")
+        log.close()
+        log.close()
+
+    def test_service_writes_the_documented_keys(self, tmp_path):
+        path = tmp_path / "access.jsonl"
+        service = ServeService(ArtifactStore(tmp_path / "store"),
+                               ServeConfig(access_log=str(path)))
+        ctx = RequestContext(trace_id=TRACE, method="GET",
+                             path="/v1/jobs/job-000001",
+                             route="GET /v1/jobs/{id}", status=404,
+                             started=time.monotonic())
+        service._finish_request(ctx)
+        service._finish_request(RequestContext())  # no response: no line
+        service.access_log.close()
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(lines) == 1
+        assert list(lines[0]) == ACCESS_LOG_KEYS
+        assert lines[0]["trace_id"] == TRACE
+        assert lines[0]["tenant"] == lines[0]["job_id"] == ""
 
 
 class TestEndToEndPropagation:

@@ -1,4 +1,9 @@
-"""Serve worker: planning, execution, content-addressed sharing."""
+"""Serve worker: planning, execution, content-addressed sharing, and
+the job event log's asyncio subscribers."""
+
+import asyncio
+import sys
+import threading
 
 import pytest
 
@@ -244,3 +249,174 @@ class TestEventLog:
         entry = normalized_events(log.entries)[0]
         assert "ts" not in entry
         assert entry == {"seq": 0, "event": "x", "value": 1}
+
+
+def drain(queue: asyncio.Queue) -> list:
+    """Every item already on ``queue``, without waiting."""
+    items = []
+    while not queue.empty():
+        items.append(queue.get_nowait())
+    return items
+
+
+async def next_item(queue: asyncio.Queue):
+    """The queue's next item, failing rather than hanging."""
+    return await asyncio.wait_for(queue.get(), timeout=30)
+
+
+class TestSubscribers:
+    """The live tail: appends from any thread reach each subscriber's
+    queue on its own loop, in append order, until it unsubscribes."""
+
+    def test_preserves_publication_order(self):
+        async def scenario():
+            log = JobEventLog()
+            _, queue = log.snapshot_and_subscribe()
+            for i in range(5):
+                log.append({"event": "x", "i": i})
+            got = [await next_item(queue) for _ in range(5)]
+            log.unsubscribe(queue)
+            return got
+
+        assert [e["i"] for e in asyncio.run(scenario())] == list(range(5))
+
+    def test_snapshot_then_tail_splits_at_subscription(self):
+        async def scenario():
+            log = JobEventLog()
+            log.append({"event": "before"})
+            snapshot, queue = log.snapshot_and_subscribe()
+            log.append({"event": "after"})
+            log.unsubscribe(queue)
+            return snapshot, [await next_item(queue) for _ in range(2)]
+
+        snapshot, tail = asyncio.run(scenario())
+        assert [e["seq"] for e in snapshot] == [0]
+        assert [e["seq"] for e in tail[:1]] == [1]
+        assert tail[1] is None
+
+    def test_unsubscribe_ends_queue_after_queued_entries(self):
+        async def scenario():
+            log = JobEventLog()
+            _, queue = log.snapshot_and_subscribe()
+            log.append({"event": "x"})
+            log.unsubscribe(queue)
+            drained = []
+            while (entry := await next_item(queue)) is not None:
+                drained.append(entry)
+            return log.subscribers, drained
+
+        subscribers, drained = asyncio.run(scenario())
+        assert subscribers == []
+        assert [e["seq"] for e in drained] == [0]  # queued before close
+
+    def test_unsubscribe_is_idempotent(self):
+        async def scenario():
+            log = JobEventLog()
+            _, queue = log.snapshot_and_subscribe()
+            log.unsubscribe(queue)
+            log.unsubscribe(queue)
+            log.unsubscribe(asyncio.Queue())  # never subscribed: no-op
+            await asyncio.sleep(0)
+            return drain(queue)
+
+        assert asyncio.run(scenario()) == [None]
+
+    def test_entries_from_worker_threads_cross_to_the_loop(self):
+        per_thread, threads = 100, 4
+
+        async def scenario():
+            log = JobEventLog()
+            _, queue = log.snapshot_and_subscribe()
+
+            def publish(worker: int) -> None:
+                for i in range(per_thread):
+                    log.append({"event": "x", "worker": worker, "i": i})
+
+            workers = [threading.Thread(target=publish, args=(w,))
+                       for w in range(threads)]
+            for thread in workers:
+                thread.start()
+            await asyncio.to_thread(lambda: [t.join() for t in workers])
+            got = [await next_item(queue)
+                   for _ in range(per_thread * threads)]
+            log.unsubscribe(queue)
+            return got
+
+        entries = asyncio.run(scenario())
+        assert [e["seq"] for e in entries] == list(range(len(entries)))
+        for worker in range(threads):
+            indices = [e["i"] for e in entries if e["worker"] == worker]
+            assert indices == list(range(per_thread))
+
+    def test_append_after_unsubscribe_is_dropped(self):
+        async def scenario():
+            log = JobEventLog()
+            _, queue = log.snapshot_and_subscribe()
+            log.unsubscribe(queue)
+            log.append({"event": "x"})
+            await asyncio.sleep(0)
+            return drain(queue)
+
+        assert asyncio.run(scenario()) == [None]
+
+    def test_closed_loop_is_ignored(self):
+        log = JobEventLog()
+
+        async def subscribe():
+            return log.snapshot_and_subscribe()[1]
+
+        loop = asyncio.new_event_loop()
+        queue = loop.run_until_complete(subscribe())
+        loop.close()
+        log.append({"event": "x"})  # must not raise
+        log.unsubscribe(queue)
+        assert log.subscribers == []
+
+    def test_subscribe_churn_under_concurrent_appends(self):
+        """Subscribers come and go on the loop while threads append.
+
+        Every subscriber's snapshot and tail together are exactly the
+        seqs from 0 up to its last entry, and the stable subscriber
+        sees every entry once.
+        """
+        per_thread, threads = 200, 4
+
+        async def scenario():
+            log = JobEventLog()
+            _, stable = log.snapshot_and_subscribe()
+            workers = [
+                threading.Thread(target=lambda w=w: [
+                    log.append({"event": "x", "worker": w, "i": i})
+                    for i in range(per_thread)])
+                for w in range(threads)]
+            for thread in workers:
+                thread.start()
+            views = []
+            while any(t.is_alive() for t in workers):
+                snapshot, queue = log.snapshot_and_subscribe()
+                await asyncio.sleep(0)
+                log.unsubscribe(queue)
+                tail = []
+                while (entry := await next_item(queue)) is not None:
+                    tail.append(entry)
+                views.append(snapshot + tail)
+            await asyncio.to_thread(
+                lambda: [t.join(timeout=60) for t in workers])
+            assert not any(t.is_alive() for t in workers)
+            got = [await next_item(stable)
+                   for _ in range(per_thread * threads)]
+            subscribers = [q for _, q in log.subscribers]
+            log.unsubscribe(stable)
+            return views, got, subscribers, stable
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            views, got, subscribers, stable = asyncio.run(scenario())
+        finally:
+            sys.setswitchinterval(interval)
+        assert views
+        for view in views:
+            assert [e["seq"] for e in view] == list(range(len(view)))
+        assert [e["seq"] for e in got] == list(range(per_thread * threads))
+        assert subscribers == [stable]

@@ -10,8 +10,11 @@ properties the job exists to guard:
 3. a trace id submitted in the request header comes back in the queue
    record and the ledger run for that job,
 4. ``GET /metrics`` is valid Prometheus text and ``GET /v1/metrics``
-   validates against ``repro.serve-metrics/1``, and
-5. the worker reports alive on ``/v1/health``.
+   validates against ``repro.serve-metrics/1``,
+5. the worker reports alive on ``/v1/health``, and
+6. the access log, written to ``<store>/access.jsonl``, has a line for
+   every request the smoke made, each with exactly the documented
+   keys, and carries the header-submitted trace id.
 
 Finally it submits one more repeat and verifies the serve run landed in
 the ledger, so ``repro farm history``/``farm timeline`` (run next by
@@ -31,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -50,6 +54,38 @@ from repro.serve.tracing import TRACE_ID_HEADER  # noqa: E402
 
 SMOKE_TRACE_ID = "cafe" * 8
 
+#: the keys of an access-log line, in order (docs/serving.md)
+ACCESS_LOG_KEYS = ["ts", "event", "trace_id", "method", "route", "path",
+                   "status", "duration_seconds", "tenant", "job_id"]
+
+
+def access_log_failures(lines: list[dict], load_jobs: int) -> list[str]:
+    """What the access log misses of the smoke's own requests."""
+    failures = []
+    # per load job: a submit, at least one poll and two SSE streams;
+    # then the traced repeat's submit and poll, and one request to each
+    # metrics endpoint and to health
+    made = {
+        "POST /v1/jobs": load_jobs + 1,
+        "GET /v1/jobs/{id}": load_jobs + 1,
+        "GET /v1/jobs/{id}/events": 2 * load_jobs,
+        "GET /metrics": 1,
+        "GET /v1/metrics": 1,
+        "GET /v1/health": 1,
+    }
+    routes = Counter(line.get("route") for line in lines)
+    for route, count in made.items():
+        if routes[route] < count:
+            failures.append(f"access log has {routes[route]} {route!r} "
+                            f"lines, expected at least {count}")
+    for line in lines:
+        if list(line) != ACCESS_LOG_KEYS:
+            failures.append(f"access-log line keys {list(line)}")
+            break
+    if not any(line.get("trace_id") == SMOKE_TRACE_ID for line in lines):
+        failures.append("access log lost the header-submitted trace id")
+    return failures
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
@@ -63,8 +99,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     store = ArtifactStore(args.store)
+    access_log = Path(args.store) / "access.jsonl"
+    access_log.unlink(missing_ok=True)
     server = start_in_background(
-        store, ServeConfig(quota=args.clients * (args.warm_rounds + 2)))
+        store, ServeConfig(quota=args.clients * (args.warm_rounds + 2),
+                           access_log=str(access_log)))
     metrics_doc = None
     try:
         stats = run_load(server.base_url, clients=args.clients,
@@ -136,6 +175,11 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         server.stop()
 
+    log_lines = [json.loads(line)
+                 for line in access_log.read_text().splitlines()]
+    failures += access_log_failures(
+        log_lines, stats["cold"]["count"] + stats["warm"]["count"])
+
     if args.metrics_out and metrics_doc is not None:
         with open(args.metrics_out, "w") as handle:
             json.dump(metrics_doc, handle, indent=2, sort_keys=True)
@@ -150,6 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         "worker": health.get("worker"),
         "shards": health.get("store", {}).get("shards", {}).get("kinds"),
         "metrics_out": args.metrics_out,
+        "access_log_lines": len(log_lines),
         "failures": failures,
     }, indent=2))
     if failures:
