@@ -67,8 +67,8 @@ class JobEventLog:
     subscriber's queue, and the boundary cannot lose or double an entry
     because appends hold the same lock the snapshot takes.
 
-    Each subscriber is an ``(event loop, asyncio.Queue)`` pair; an
-    append hops onto the loop with ``call_soon_threadsafe``, the one
+    Each subscriber is an ``asyncio.Queue`` mapped to its event loop;
+    an append hops onto the loop with ``call_soon_threadsafe``, the one
     asyncio entry point documented thread-safe. The queue is unbounded,
     so no entry is dropped.
 
@@ -79,7 +79,7 @@ class JobEventLog:
     def __init__(self, path=None):
         self.entries: list[dict] = []
         self.lock = threading.Lock()
-        self.subscribers: list[tuple] = []
+        self.subscribers: dict[asyncio.Queue, asyncio.AbstractEventLoop] = {}
         self.path = path
         if path is not None and path.is_file():
             import json
@@ -101,7 +101,7 @@ class JobEventLog:
                 with open(self.path, "a") as handle:
                     handle.write(json.dumps(entry, sort_keys=True))
                     handle.write("\n")
-            for loop, queue in self.subscribers:
+            for queue, loop in self.subscribers.items():
                 _deliver(loop, queue, entry)
         return entry
 
@@ -113,7 +113,7 @@ class JobEventLog:
         """
         queue = asyncio.Queue()
         with self.lock:
-            self.subscribers.append((asyncio.get_running_loop(), queue))
+            self.subscribers[queue] = asyncio.get_running_loop()
             return list(self.entries), queue
 
     def unsubscribe(self, queue: asyncio.Queue) -> None:
@@ -123,11 +123,9 @@ class JobEventLog:
         so closing is a flush point, not a discard.
         """
         with self.lock:
-            for index, (loop, subscribed) in enumerate(self.subscribers):
-                if subscribed is queue:
-                    del self.subscribers[index]
-                    _deliver(loop, queue, None)
-                    return
+            loop = self.subscribers.pop(queue, None)
+            if loop is not None:
+                _deliver(loop, queue, None)
 
 
 def is_terminal(entry: dict) -> bool:

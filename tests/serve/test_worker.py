@@ -306,7 +306,7 @@ class TestSubscribers:
             return log.subscribers, drained
 
         subscribers, drained = asyncio.run(scenario())
-        assert subscribers == []
+        assert subscribers == {}
         assert [e["seq"] for e in drained] == [0]  # queued before close
 
     def test_unsubscribe_is_idempotent(self):
@@ -370,7 +370,7 @@ class TestSubscribers:
         loop.close()
         log.append({"event": "x"})  # must not raise
         log.unsubscribe(queue)
-        assert log.subscribers == []
+        assert log.subscribers == {}
 
     def test_subscribe_churn_under_concurrent_appends(self):
         """Subscribers come and go on the loop while threads append.
@@ -405,7 +405,7 @@ class TestSubscribers:
             assert not any(t.is_alive() for t in workers)
             got = [await next_item(stable)
                    for _ in range(per_thread * threads)]
-            subscribers = [q for _, q in log.subscribers]
+            subscribers = list(log.subscribers)
             log.unsubscribe(stable)
             return views, got, subscribers, stable
 
